@@ -25,6 +25,7 @@ class Diode : public ckt::Device {
 
   std::string_view type() const override { return "diode"; }
 
+  const DiodeParams& params() const { return p_; }
   double current() const { return id_op_; }
 
   void stamp(ckt::StampContext& ctx) const final;
