@@ -1,156 +1,168 @@
 #include "analysis/op_report.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <string_view>
+#include <vector>
 
-#include <cstdio>
-#include <sstream>
-
-#include "analysis/range.h"
 #include "devices/bjt.h"
-#include "devices/diode.h"
 #include "devices/mosfet.h"
-#include "devices/passive.h"
 #include "devices/sources.h"
 
 namespace msim::an {
 namespace {
 
-std::string eng(double v, const char* unit) {
-  static const struct {
-    double scale;
-    const char* prefix;
-  } kScales[] = {{1e9, "G"}, {1e6, "M"}, {1e3, "k"}, {1.0, ""},
-                 {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"},
-                 {1e-15, "f"}};
-  const double a = std::abs(v);
-  char buf[48];
-  if (a == 0.0) {
-    std::snprintf(buf, sizeof buf, "0 %s", unit);
-    return buf;
+// The report appends straight into one string.  Numbers go through
+// std::to_chars, whose (general, 3) and (fixed, 3) forms are defined as
+// printf's "%.3g" and "%.3f".
+class Report {
+ public:
+  Report() { s_.reserve(4096); }
+
+  Report& add(std::string_view t) {
+    s_ += t;
+    return *this;
   }
-  for (const auto& s : kScales) {
-    if (a >= s.scale) {
-      std::snprintf(buf, sizeof buf, "%.3g %s%s", v / s.scale, s.prefix,
-                    unit);
-      return buf;
-    }
+  // %.3g (general) or %.3f (fixed).
+  Report& num(double v, std::chars_format f = std::chars_format::general) {
+    char buf[64];
+    s_.append(buf, std::to_chars(buf, buf + sizeof buf, v, f, 3).ptr);
+    return *this;
   }
-  std::snprintf(buf, sizeof buf, "%.3g %s", v, unit);
-  return buf;
+  // Engineering notation: "4.7 kV", "-12 uA"; below a femto the plain
+  // %.3g value.
+  Report& eng(double v, std::string_view unit) {
+    static const struct {
+      double scale;
+      const char* prefix;
+    } kScales[] = {{1e9, "G"}, {1e6, "M"}, {1e3, "k"}, {1.0, ""},
+                   {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"},
+                   {1e-15, "f"}};
+    const double a = std::abs(v);
+    if (a == 0.0) return add("0 ").add(unit);
+    for (const auto& s : kScales)
+      if (a >= s.scale)
+        return num(v / s.scale).add(" ").add(s.prefix).add(unit);
+    return num(v).add(" ").add(unit);
+  }
+
+  // Table lines: line() starts an indented line; col() left-justifies
+  // the text since the previous column in `width` characters (printf's
+  // "%-Ns") and adds the one-space separator.
+  Report& line() {
+    line_ = s_.size();
+    add("  ");
+    col_ = s_.size();
+    return *this;
+  }
+  Report& col(std::size_t width) {
+    const std::size_t len = s_.size() - col_;
+    if (len < width) s_.append(width - len, ' ');
+    s_ += ' ';
+    col_ = s_.size();
+    return *this;
+  }
+  // The lines were once snprintf'd into a 160-byte buffer, so an
+  // overlong one stops at 159 bytes, without its newline.
+  void end() {
+    s_ += '\n';
+    if (s_.size() - line_ > 159) s_.resize(line_ + 159);
+  }
+
+  std::string take() { return std::move(s_); }
+
+ private:
+  std::string s_;
+  std::size_t line_ = 0, col_ = 0;
+};
+
+template <typename D>
+std::vector<const D*> devices_of(const ckt::Netlist& nl) {
+  std::vector<const D*> out;
+  for (const auto& d : nl.devices())
+    if (const auto* x = dynamic_cast<const D*>(d.get())) out.push_back(x);
+  return out;
 }
 
 }  // namespace
 
 std::string op_report(const ckt::Netlist& nl, const OpResult& op) {
-  std::ostringstream os;
-  char line[160];
+  return op_report(nl, op,
+                   op.converged ? range_analysis(nl, {}) : RangeReport{});
+}
 
+std::string op_report(const ckt::Netlist& nl, const OpResult& op,
+                      const RangeReport& rr) {
+  Report os;
   if (!op.converged) {
-    os << "operating point FAILED: " << op.diag.message() << "\n";
-    return os.str();
+    os.add("operating point FAILED: ").add(op.diag.message()).add("\n");
+    return os.take();
   }
-  os << "solved by " << (op.method.empty() ? "newton" : op.method)
-     << " homotopy in " << op.iterations << " iterations\n";
-  if (op.solver_stats.factor_count > 0) {
-    os << "factorizations: " << op.solver_stats.factor_count << " (reused "
-       << op.solver_stats.reuse_count << ")\n";
+  const FactorStats& st = op.solver_stats;
+  os.add("solved by ").add(op.method.empty() ? "newton" : op.method)
+      .add(" homotopy in ").add(std::to_string(op.iterations))
+      .add(" iterations\n");
+  if (st.factor_count > 0)
+    os.add("factorizations: ").add(std::to_string(st.factor_count))
+        .add(" (reused ").add(std::to_string(st.reuse_count)).add(")\n");
+  if (st.refine_count > 0) {
+    const auto it = st.refactor_reasons.find("iterative_refinement");
+    os.add("iterative refinement: ").add(std::to_string(st.refine_count))
+        .add(" rounds (forced refactors: ")
+        .add(std::to_string(it == st.refactor_reasons.end() ? 0 : it->second))
+        .add(")\n");
   }
-  if (op.solver_stats.refine_count > 0) {
-    os << "iterative refinement: " << op.solver_stats.refine_count
-       << " rounds (forced refactors: "
-       << (op.solver_stats.refactor_reasons.count("iterative_refinement")
-               ? op.solver_stats.refactor_reasons.at("iterative_refinement")
-               : 0)
-       << ")\n";
-  }
-  if (op.solver_stats.stamp_ns + op.solver_stats.factor_ns +
-          op.solver_stats.solve_ns >
-      0) {
-    std::snprintf(line, sizeof line,
-                  "solver time: stamp %.3g ms, factor %.3g ms, solve "
-                  "%.3g ms\n",
-                  op.solver_stats.stamp_ns / 1e6,
-                  op.solver_stats.factor_ns / 1e6,
-                  op.solver_stats.solve_ns / 1e6);
-    os << line;
-  }
+  if (st.stamp_ns + st.factor_ns + st.solve_ns > 0)
+    os.add("solver time: stamp ").num(st.stamp_ns / 1e6).add(" ms, factor ")
+        .num(st.factor_ns / 1e6).add(" ms, solve ").num(st.solve_ns / 1e6)
+        .add(" ms\n");
 
-  os << "node voltages:\n";
-  for (int n = 1; n < nl.node_count(); ++n) {
-    std::snprintf(line, sizeof line, "  %-24s %s\n",
-                  nl.node_name(n).c_str(), eng(op.v(n), "V").c_str());
-    os << line;
-  }
+  os.add("node voltages:\n");
+  for (int n = 1; n < nl.node_count(); ++n)
+    os.line().add(nl.node_name(n)).col(24).eng(op.v(n), "V").end();
 
-  bool any_mos = false;
-  for (const auto& d : nl.devices())
-    if (dynamic_cast<const dev::Mosfet*>(d.get())) any_mos = true;
-  if (any_mos) {
-    os << "mosfets:\n";
-    std::snprintf(line, sizeof line, "  %-20s %-10s %-10s %-10s %-8s %s\n",
-                  "name", "id", "gm", "gds", "veff", "region");
-    os << line;
-    for (const auto& d : nl.devices()) {
-      const auto* m = dynamic_cast<const dev::Mosfet*>(d.get());
-      if (!m) continue;
-      std::snprintf(line, sizeof line,
-                    "  %-20s %-10s %-10s %-10s %-8.3f %s\n",
-                    m->name().c_str(), eng(m->op().id, "A").c_str(),
-                    eng(m->op().gm, "S").c_str(),
-                    eng(m->op().gds, "S").c_str(), m->op().veff,
-                    m->op().saturated
-                        ? (m->op().reversed ? "sat(rev)" : "sat")
-                        : "triode");
-      os << line;
+  if (const auto mos = devices_of<dev::Mosfet>(nl); !mos.empty()) {
+    os.add("mosfets:\n  name                 id         gm         gds  "
+           "      veff     region\n");
+    for (const auto* m : mos) {
+      const auto& o = m->op();
+      os.line().add(m->name()).col(20).eng(o.id, "A").col(10)
+          .eng(o.gm, "S").col(10).eng(o.gds, "S").col(10)
+          .num(o.veff, std::chars_format::fixed).col(8)
+          .add(o.saturated ? (o.reversed ? "sat(rev)" : "sat") : "triode")
+          .end();
     }
   }
-
-  bool any_bjt = false;
-  for (const auto& d : nl.devices())
-    if (dynamic_cast<const dev::Bjt*>(d.get())) any_bjt = true;
-  if (any_bjt) {
-    os << "bjts:\n";
-    std::snprintf(line, sizeof line, "  %-20s %-10s %-10s %-10s %s\n",
-                  "name", "ic", "ib", "gm", "vbe");
-    os << line;
-    for (const auto& d : nl.devices()) {
-      const auto* q = dynamic_cast<const dev::Bjt*>(d.get());
-      if (!q) continue;
-      std::snprintf(line, sizeof line, "  %-20s %-10s %-10s %-10s %s\n",
-                    q->name().c_str(), eng(q->op().ic, "A").c_str(),
-                    eng(q->op().ib, "A").c_str(),
-                    eng(q->op().gm, "S").c_str(),
-                    eng(q->op().vbe, "V").c_str());
-      os << line;
+  if (const auto bjt = devices_of<dev::Bjt>(nl); !bjt.empty()) {
+    os.add("bjts:\n  name                 ic         ib         gm         "
+           "vbe\n");
+    for (const auto* q : bjt) {
+      const auto& o = q->op();
+      os.line().add(q->name()).col(20).eng(o.ic, "A").col(10)
+          .eng(o.ib, "A").col(10).eng(o.gm, "S").col(10).eng(o.vbe, "V")
+          .end();
     }
   }
-
-  os << "sources:\n";
-  for (const auto& d : nl.devices()) {
-    const auto* v = dynamic_cast<const dev::VSource*>(d.get());
-    if (!v) continue;
-    std::snprintf(line, sizeof line, "  %-20s %s\n", v->name().c_str(),
-                  eng(v->current(op.x), "A").c_str());
-    os << line;
-  }
+  os.add("sources:\n");
+  for (const auto* v : devices_of<dev::VSource>(nl))
+    os.line().add(v->name()).col(20).eng(v->current(op.x), "A").end();
 
   // Static headroom: the interval pre-pass bounds hold for every
   // quasi-static source excursion and switch code, so they complement
   // the single-point voltages above with worst-case rail margins.
-  const RangeReport rr = range_analysis(nl, {});
   if (rr.supply_bounded && !rr.headroom.empty()) {
-    os << "static value-range (worst case over sources and switch codes):\n";
+    os.add("static value-range (worst case over sources and switch "
+           "codes):\n");
     const std::size_t show = std::min<std::size_t>(rr.headroom.size(), 6);
     for (std::size_t i = 0; i < show; ++i) {
       const auto& h = rr.headroom[i];
-      std::snprintf(line, sizeof line, "  %-24s [%s, %s] headroom %s\n",
-                    h.node.c_str(), eng(h.bound.lo, "V").c_str(),
-                    eng(h.bound.hi, "V").c_str(),
-                    eng(h.headroom, "V").c_str());
-      os << line;
+      os.line().add(h.node).col(24).add("[").eng(h.bound.lo, "V").add(", ")
+          .eng(h.bound.hi, "V").add("] headroom ").eng(h.headroom, "V")
+          .end();
     }
   }
-  return os.str();
+  return os.take();
 }
 
 }  // namespace msim::an

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "analysis/op.h"
+#include "analysis/range.h"
 #include "circuit/netlist.h"
 
 namespace msim::an {
@@ -15,5 +16,11 @@ namespace msim::an {
 // structured SolveDiag (cause, offending unknown/device, stage) instead
 // of the bias tables.
 std::string op_report(const ckt::Netlist& nl, const OpResult& op);
+
+// The same report with the netlist's value-range analysis supplied by
+// the caller (range_analysis(nl, {}) on the netlist as solved): a deck
+// job runs that analysis once for its lint pass and reuses it here.
+std::string op_report(const ckt::Netlist& nl, const OpResult& op,
+                      const RangeReport& range);
 
 }  // namespace msim::an

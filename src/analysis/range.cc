@@ -364,49 +364,55 @@ std::string range_text(const RangeReport& r) {
   return out;
 }
 
+ckt::LintPass range_lint_pass(const RangeReport* report) {
+  // One pass, three issue kinds: the interval fixed point is shared, so
+  // a lint run pays range_analysis at most once, and users mute
+  // individual rules by kind ("rail_violation", "dead_device",
+  // "conditioning_forecast") like the connectivity pass's rules.
+  ckt::LintPass pass;
+  pass.name = "value_range";
+  pass.description =
+      "interval value-range analysis: node voltages provably confined "
+      "outside the supply rails (across every switch code), devices "
+      "that provably never conduct, and an interval-scaled row-spread "
+      "conditioning forecast";
+  pass.default_enabled = true;
+  pass.value_dependent = true;  // interval bounds move with every value
+  pass.run = [report](const ckt::Netlist& nl,
+                      std::vector<ckt::LintIssue>& out) {
+    const RangeOptions opt;
+    const RangeReport own = report ? RangeReport{} : range_analysis(nl, opt);
+    const RangeReport& rep = report ? *report : own;
+    for (const auto& v : rep.rail_violations) {
+      const ckt::Device* dev = nl.find(v.device);
+      out.push_back({ckt::LintKind::kRailViolation, ckt::LintSeverity::kError,
+                     v.node, v.device, v.message,
+                     dev ? dev->source_line() : 0, ""});
+    }
+    for (const auto& d : rep.dead_devices)
+      out.push_back({ckt::LintKind::kDeadDevice, ckt::LintSeverity::kWarning,
+                     "", d.device,
+                     "device '" + d.device + "' (" + d.type +
+                         ") is provably off: " + d.reason,
+                     d.line, ""});
+    if (rep.cond_available && rep.cond_forecast >= opt.cond_threshold) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "interval-scaled row magnitudes spread over %.3g "
+                    "(threshold %.3g): the MNA factorization is likely "
+                    "ill-conditioned at any feasible operating point",
+                    rep.cond_forecast, opt.cond_threshold);
+      out.push_back({ckt::LintKind::kConditioning, ckt::LintSeverity::kWarning,
+                     "", "", buf, 0, ""});
+    }
+  };
+  return pass;
+}
+
 void register_range_lint_passes() {
   static std::once_flag once;
   std::call_once(once, [] {
-    // One pass, three issue kinds: the interval fixed point is shared,
-    // so the preflight pays range_analysis exactly once, and users mute
-    // individual rules by kind ("rail_violation", "dead_device",
-    // "conditioning_forecast") like the connectivity pass's rules.
-    ckt::LintPass pass;
-    pass.name = "value_range";
-    pass.description =
-        "interval value-range analysis: node voltages provably confined "
-        "outside the supply rails (across every switch code), devices "
-        "that provably never conduct, and an interval-scaled row-spread "
-        "conditioning forecast";
-    pass.default_enabled = true;
-    pass.value_dependent = true;  // interval bounds move with every value
-    pass.run = [](const ckt::Netlist& nl, std::vector<ckt::LintIssue>& out) {
-      const RangeOptions opt;
-      const RangeReport rep = range_analysis(nl, opt);
-      for (const auto& v : rep.rail_violations) {
-        const ckt::Device* dev = nl.find(v.device);
-        out.push_back({ckt::LintKind::kRailViolation,
-                       ckt::LintSeverity::kError, v.node, v.device, v.message,
-                       dev ? dev->source_line() : 0, ""});
-      }
-      for (const auto& d : rep.dead_devices)
-        out.push_back({ckt::LintKind::kDeadDevice, ckt::LintSeverity::kWarning,
-                       "", d.device,
-                       "device '" + d.device + "' (" + d.type +
-                           ") is provably off: " + d.reason,
-                       d.line, ""});
-      if (rep.cond_available && rep.cond_forecast >= opt.cond_threshold) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "interval-scaled row magnitudes spread over %.3g "
-                      "(threshold %.3g): the MNA factorization is likely "
-                      "ill-conditioned at any feasible operating point",
-                      rep.cond_forecast, opt.cond_threshold);
-        out.push_back({ckt::LintKind::kConditioning,
-                       ckt::LintSeverity::kWarning, "", "", buf, 0, ""});
-      }
-    };
-    ckt::LintRegistry::instance().add(std::move(pass));
+    ckt::LintRegistry::instance().add(range_lint_pass());
   });
 }
 

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/lint.h"
 #include "circuit/netlist.h"
 #include "numeric/interval.h"
 
@@ -114,6 +115,12 @@ RangeReport range_analysis(const ckt::Netlist& nl,
 std::string range_json(const RangeReport& r);
 // Short human-readable summary (op_report appends the headroom lines).
 std::string range_text(const RangeReport& r);
+
+// The "value_range" lint pass.  With a report it emits that report's
+// issues instead of running the analysis: serve::run_deck computes one
+// report per job, lints with it (ckt::lint's overrides) and hands the
+// same report to op_report.
+ckt::LintPass range_lint_pass(const RangeReport* report = nullptr);
 
 // Registers the "value_range" lint pass in the global ckt::LintRegistry.
 // One pass, three issue kinds sharing a single range_analysis run:

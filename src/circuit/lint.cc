@@ -255,12 +255,17 @@ const char* to_string(LintSeverity s) {
   return s == LintSeverity::kError ? "error" : "warning";
 }
 
-std::vector<LintIssue> lint(const Netlist& nl, const LintOptions& opt) {
+std::vector<LintIssue> lint(const Netlist& nl, const LintOptions& opt,
+                            const std::vector<LintPass>& overrides) {
   auto named = [](const std::vector<std::string>& v, const std::string& n) {
     return std::find(v.begin(), v.end(), n) != v.end();
   };
   std::vector<LintIssue> all;
-  for (const auto& p : LintRegistry::instance().passes()) {
+  for (const auto& registered : LintRegistry::instance().passes()) {
+    const auto over = std::find_if(
+        overrides.begin(), overrides.end(),
+        [&](const LintPass& o) { return o.name == registered.name; });
+    const LintPass& p = over == overrides.end() ? registered : *over;
     if (opt.value_dependent_only && !p.value_dependent) continue;
     if (named(opt.disable, p.name)) continue;
     if (!p.default_enabled && !named(opt.enable, p.name)) continue;

@@ -111,8 +111,11 @@ const char* to_string(LintKind k);
 const char* to_string(LintSeverity s);
 
 // Runs the enabled passes; issues are ordered errors-first (stable
-// within each severity, in pass-registration order).
-std::vector<LintIssue> lint(const Netlist& nl, const LintOptions& opt = {});
+// within each severity, in pass-registration order).  A pass in
+// `overrides` runs in place of the registered pass of the same name,
+// for a caller that already holds the work that pass would redo.
+std::vector<LintIssue> lint(const Netlist& nl, const LintOptions& opt = {},
+                            const std::vector<LintPass>& overrides = {});
 
 bool lint_has_errors(const std::vector<LintIssue>& issues);
 

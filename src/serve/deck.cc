@@ -159,13 +159,19 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
   // custom pass selection falls back to the full run.
   lint_opt.value_dependent_only =
       adopted.warm && adopted.lint_clean && cli.lint_disable.empty();
-  const std::vector<ckt::LintIssue> issues = ckt::lint(nl, lint_opt);
+  // One value-range analysis per job: the value_range lint pass and
+  // every op_report below share it.  It describes the deck as parsed:
+  // devices at their 27 C construction temperature and every source at
+  // its deck value (see range_current).
+  const an::RangeReport range = an::range_analysis(nl, {});
+  const std::vector<ckt::LintIssue> issues =
+      ckt::lint(nl, lint_opt, {an::range_lint_pass(&range)});
   publish.lint_clean =
       issues.empty() && cli.lint_disable.empty() && !nl.devices().empty();
   if (cli.range_json) {
     // Machine-readable value-range report: interval node bounds,
     // supply hull, headroom, dead devices, conditioning forecast.
-    out.fmt("%s\n", an::range_json(an::range_analysis(nl, {})).c_str());
+    out.fmt("%s\n", an::range_json(range).c_str());
     return ckt::lint_has_errors(issues) ? 3 : 0;
   }
   if (cli.lint_json) {
@@ -194,6 +200,11 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
                                   ? cli.budget
                                   : (cli.budget_ms > 0.0 ? &local_budget
                                                          : nullptr);
+
+  // The shared report holds while no solve has moved the devices to
+  // another temperature and no .dc sweep has left its source at the
+  // last sweep point; otherwise op_report analyses the netlist afresh.
+  bool range_current = parsed.temp_c == 27.0;
 
   for (const auto& d : parsed.directives) {
     out.fmt("* .%s", d.kind.c_str());
@@ -258,7 +269,8 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
         return 1;
       }
-      out.puts(an::op_report(nl, op));
+      out.puts(range_current ? an::op_report(nl, op, range)
+                             : an::op_report(nl, op));
     } else if (d.kind == "dc") {
       if (d.args.empty())
         throw std::runtime_error(".dc needs a source name");
@@ -281,6 +293,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (std::abs(stop - start) / std::abs(step) >= kMaxSweepPoints)
         throw std::runtime_error(".dc sweep exceeds 1e6 points");
       print_probe_header(out, nl, "v_sweep", probes);
+      range_current = false;
       std::vector<double> values;
       for (double v = start; v <= stop + 0.5 * step; v += step)
         values.push_back(v);

@@ -151,6 +151,28 @@ q2 c b 0 qn
 )"));
 }
 
+TEST(OpReport, SuppliedRangeReportMatchesOwnAnalysis) {
+  auto parsed = spice::parse_netlist(mic_deck(3));
+  auto& nl = *parsed.netlist;
+  nl.assign_unknowns();
+  const auto op = an::solve_op(nl);
+  ASSERT_TRUE(op.converged);
+  const std::string rep = an::op_report(nl, op);
+  EXPECT_NE(rep.find("static value-range"), std::string::npos);
+  EXPECT_EQ(an::op_report(nl, op, an::range_analysis(nl, {})), rep);
+}
+
+TEST(OpReport, OverlongLineStopsAt159Bytes) {
+  // Table lines keep the historical 160-byte line buffer's cut.
+  const std::string name(200, 'n');
+  const std::string rep =
+      solved_report("long names\nv1 " + name + " 0 1\nr1 " + name + " 0 1k\n");
+  const std::size_t at = rep.find("  " + name.substr(0, 10));
+  ASSERT_NE(at, std::string::npos) << rep;
+  const std::string cut = "  " + name.substr(0, 157) + "sources:";
+  EXPECT_EQ(rep.compare(at, cut.size(), cut), 0) << rep;
+}
+
 TEST(OpReport, FailedSolveMatchesGolden) {
   golden::expect("op_report/nan_resistor.txt",
                          solved_report(read_deck("faults/nan_resistor.sp")));

@@ -11,14 +11,21 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/budget.h"
+#include "core/mic_amp.h"
+#include "devices/sources.h"
+#include "golden_util.h"
+#include "process/process.h"
 #include "numeric/sparse.h"
 #include "serve/deck.h"
 #include "serve/json.h"
@@ -26,6 +33,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "spicefmt/parser.h"
+#include "spicefmt/writer.h"
 
 namespace {
 
@@ -282,6 +290,70 @@ TEST(ServeDeck, WarmJobStillRunsValueDependentLint) {
   const DeckResult again = run_no_memo(kOpDeck, &reg);
   EXPECT_TRUE(again.warm);
   EXPECT_EQ(again.exit_code, 0) << again.err;
+}
+
+// The Table-1 mic-amp between +-1.3 V rails as write_netlist renders
+// it, with `directives` before .end.
+std::string mic_deck(int code, const std::string& directives) {
+  ckt::Netlist nl;
+  const auto pm = proc::ProcessModel::cmos12();
+  const auto vdd = nl.node("vdd"), vss = nl.node("vss");
+  const auto inp = nl.node("inp"), inn = nl.node("inn");
+  nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
+  nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
+  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
+                       dev::Waveform::dc(0.0).with_ac(0.5));
+  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
+                       dev::Waveform::dc(0.0).with_ac(-0.5));
+  core::build_mic_amp(nl, pm, {}, vdd, vss, ckt::kGround, inp, inn)
+      .set_gain_code(code);
+  std::string deck = spice::write_netlist(nl, "mic-amp");
+  deck.insert(deck.rfind(".end"), directives);
+  return deck;
+}
+
+std::string describe_job(const DeckResult& r) {
+  return "exit " + std::to_string(r.exit_code) + "\n--- out\n" +
+         strip_timing(r.out) + "--- err\n" + r.err;
+}
+
+TEST(ServeDeck, JobBytesMatchGoldens) {
+  // Byte-exact job output recorded from the original deck runner: the
+  // lint report, op_report (including its value-range section) and
+  // every directive's CSV, cold and warm.
+  std::vector<std::pair<std::string, std::string>> decks;
+  const std::filesystem::path root(MSIM_TEST_DIR);
+  for (const auto& [dir, tag] :
+       {std::pair{root / ".." / "examples" / "netlists", "examples"},
+        std::pair{root / "faults", "faults"}}) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+      if (e.path().extension() == ".sp") files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    for (const auto& f : files) {
+      std::ifstream in(f);
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      decks.emplace_back(std::string(tag) + "_" + f.stem().string(),
+                         ss.str());
+    }
+  }
+  decks.emplace_back("mic_op", mic_deck(2, ".op\n"));
+  // A solve at another temperature and a .dc sweep that leaves vdd at
+  // its last point both move the value ranges op_report prints.
+  decks.emplace_back("mic_temp85", mic_deck(4, ".temp 85\n.op\n"));
+  decks.emplace_back("mic_dc_then_op",
+                     mic_deck(0, ".dc v_vdd 1.0 1.6 0.3\n.op\n"));
+  DeckOptions opt;
+  opt.telemetry = false;
+  for (const auto& [name, deck] : decks) {
+    const DeckResult cold = run_no_memo(deck, nullptr, opt);
+    msim::golden::expect("serve/" + name + ".txt", describe_job(cold));
+    CacheRegistry reg;
+    run_no_memo(deck, &reg, opt);
+    const DeckResult warm = run_no_memo(deck, &reg, opt);
+    EXPECT_EQ(describe_job(warm), describe_job(cold)) << name;
+  }
 }
 
 TEST(ServeDeck, DcSweepRejectsDegenerateSteps) {

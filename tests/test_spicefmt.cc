@@ -251,6 +251,46 @@ TEST(SpiceParser, ErrorsCarryLineNumbers) {
                std::runtime_error);  // missing .ends
 }
 
+TEST(SpiceParser, RecursiveSubcktThrowsWithLine) {
+  // A subcircuit that instantiates itself, directly or through another,
+  // is refused at the X card that closes the cycle.
+  const struct {
+    const char* deck;
+    const char* what;
+  } cases[] = {
+      {"t\n.subckt a p q\nx1 p q a\n.ends\nx0 n1 0 a\n",
+       "spice parse error, line 3: recursive instantiation of subckt a"},
+      {"t\n.subckt a p q\nxb p q b\n.ends\n.subckt b p q\nxa p q a\n"
+       ".ends\nx0 n1 0 a\n",
+       "spice parse error, line 6: recursive instantiation of subckt a"},
+      {"t\n.subckt b p q\nxa p q a\n.ends\n.subckt a p q\nr1 p q 1k\n"
+       "xb p q b\n.ends\nx0 n1 0 b\n",
+       "spice parse error, line 7: recursive instantiation of subckt b"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_netlist(c.deck);
+      ADD_FAILURE() << "no error for deck:\n" << c.deck;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), c.what) << c.deck;
+    }
+  }
+  // Reusing one subcircuit twice under another is not a cycle.
+  const auto r = parse_netlist(
+      "t\n.subckt u a b\nr1 a b 1k\n.ends\n.subckt w a b\nx1 a m u\n"
+      "x2 m b u\n.ends\nx0 n1 0 w\n");
+  EXPECT_NE(r.netlist->find("x0.x2.r1"), nullptr);
+}
+
+TEST(SpiceParser, ContinuationLinesAreCaseInsensitive) {
+  // Continuation text is lower-cased like the card it extends.
+  const auto r = parse_netlist("t\nV1 A 0\n+ DC 5 AC 1\nR1 A 0 1K\n");
+  auto* v1 = r.netlist->find_as<dev::VSource>("v1");
+  ASSERT_NE(v1, nullptr);
+  EXPECT_DOUBLE_EQ(v1->waveform().dc_value(), 5.0);
+  EXPECT_DOUBLE_EQ(v1->waveform().ac_mag(), 1.0);
+}
+
 TEST(SpiceWriter, RoundTripPreservesBehaviour) {
   const char* src = R"(round trip
 .model mn nmos vto=0.75 kp=80u
