@@ -63,8 +63,8 @@ class Report {
     col_ = s_.size();
     return *this;
   }
-  // The lines were once snprintf'd into a 160-byte buffer, so an
-  // overlong one stops at 159 bytes, without its newline.
+  // A line is capped at 159 bytes, its newline included in the cut:
+  // the report's established rendering of overlong names.
   void end() {
     s_ += '\n';
     if (s_.size() - line_ > 159) s_.resize(line_ + 159);

@@ -33,10 +33,10 @@ char lower(char c) { return c >= 'A' && c <= 'Z' ? char(c - 'A' + 'a') : c; }
 // One SPICE number with its SI suffix ("2.2k", "10u", "5meg"); other
 // tails ("5v", "10ohm") are tolerated as units.  std::from_chars reads
 // the common decimal forms without allocating.  Forms it rejects or
-// could read differently from strtod go through std::stod as before: a
-// leading '+', hex ("0x10" stops at the 'x'), inf/nan, and results
-// strtod flags as out of range (subnormal, or a nonzero digit read as
-// 0).  Every accepted token thus yields std::stod's double.
+// could read differently from strtod go through std::stod: a leading
+// '+', hex ("0x10" stops at the 'x'), inf/nan, and results strtod flags
+// as out of range (subnormal, or nonzero digits read as 0).  Every
+// accepted token thus yields std::stod's double.
 double number(std::string_view tok) {
   const char* const end = tok.data() + tok.size();
   double v = 0.0;

@@ -15,6 +15,17 @@
 //
 // The parser flattens hierarchy into the same ckt::Netlist the C++ API
 // builds, so every analysis works identically on parsed circuits.
+//
+// One text pass: the deck is lower-cased once into a single buffer
+// (the title line excepted, kept verbatim) and split into string_view
+// tokens that both the definition pass (.param/.model/.subckt) and the
+// element pass read.  Numbers go through std::from_chars; forms it
+// reads differently from strtod (a leading '+', hex, inf/nan, out-of-
+// range magnitudes) take the std::stod path, so every value is the
+// double std::stod would give.  .model cards resolve once into per-
+// family parameter structs.  A .subckt that instantiates itself,
+// directly or through other subcircuits, is a parse error at the X card
+// that closes the cycle.
 #pragma once
 
 #include <map>

@@ -710,6 +710,17 @@ const struct {
     {"empty", ""},
     {"title_only", "just a title"},
     {"separators_only", "t\n(((\n,,,\n.op\n"},
+    {"title_continued_after_blank",
+     "title\n\n* comment\n+ more title\nr1 a 0 1k\n"},
+    {"brace_across_continuation",
+     "t\n.param a 1\nr1 x 0 {a +\n+ 2}\nr2 x 0 1k} y z\n"},
+    {"nested_definitions",
+     "t\n.subckt o a\n.subckt i b\nr1 b 0 1\n.ends\nxi a i\n.ends\n"
+     "xo n o\n"},
+    {"late_definitions",
+     "t\n.param a 1\nr1 x 0 {a}\nx1 x s\nm1 x x 0 0 late\n.param a 2\n"
+     ".subckt s p\nr1 p 0 {a * 3}\n.ends\n.model late nmos vto=1\n"
+     ".model late pmos vto=-2 tox=10n\n.END\n"},
 };
 
 TEST(SpiceCorpus, QuirkDecksMatchGoldens) {
