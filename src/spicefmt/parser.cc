@@ -250,11 +250,8 @@ class Builder {
       const char* e = src.data() + std::min(src.find('\n', pos), src.size());
       pos = static_cast<std::size_t>(e - src.data()) + 1;
       // Strip inline comments (";" or "$ "), then trim.
-      for (const char* c = b; c != e; ++c)
-        if (*c == ';' || (*c == '$' && c + 1 != e && c[1] == ' ')) {
-          e = c;
-          break;
-        }
+      const std::string_view full(b, static_cast<std::size_t>(e - b));
+      e = b + std::min({full.find(';'), full.find("$ "), full.size()});
       auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
       while (b != e && blank(*b)) ++b;
       while (e != b && blank(e[-1])) --e;
@@ -299,20 +296,21 @@ class Builder {
   // Splits on whitespace, commas, '=' and parentheses; {expression}
   // blocks are kept as single tokens.
   void tokenize(std::string_view s) {
-    static constexpr auto kBreak = [] {
-      std::array<bool, 256> t{};
-      for (unsigned char c : std::string_view(" \t\n\v\f\r,()=")) t[c] = true;
+    enum : unsigned char { kText, kBreak, kOpen, kClose };
+    static constexpr auto kClass = [] {
+      std::array<unsigned char, 256> t{};
+      for (unsigned char c : std::string_view(" \t\n\v\f\r,()=")) t[c] = kBreak;
+      t['{'] = kOpen;
+      t['}'] = kClose;
       return t;
     }();
     std::size_t start = 0;
     int brace_depth = 0;
     for (std::size_t i = 0; i < s.size(); ++i) {
-      const auto c = static_cast<unsigned char>(s[i]);
-      if (c == '{') {
-        ++brace_depth;
-      } else if (c == '}') {
-        --brace_depth;
-      } else if (brace_depth == 0 && kBreak[c]) {
+      const unsigned char k = kClass[static_cast<unsigned char>(s[i])];
+      if (k == kOpen) ++brace_depth;
+      if (k == kClose) --brace_depth;
+      if (k == kBreak && brace_depth == 0) {
         if (i > start) toks_.push_back(s.substr(start, i - start));
         start = i + 1;
       }
