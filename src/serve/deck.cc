@@ -159,11 +159,12 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
   // custom pass selection falls back to the full run.
   lint_opt.value_dependent_only =
       adopted.warm && adopted.lint_clean && cli.lint_disable.empty();
-  // One value-range analysis per job: the value_range lint pass and
-  // every op_report below share it.  It describes the deck as parsed:
-  // devices at their 27 C construction temperature and every source at
-  // its deck value (see range_current).
-  const an::RangeReport range = an::range_analysis(nl, {});
+  // One value-range analysis per job, shared by the value_range lint
+  // pass and every op_report below.  op_report prints only its node
+  // bounds, which follow source and element values (not the device
+  // temperature a solve sets), so only a .dc sweep, which leaves its
+  // source at the last point, makes it stale.
+  an::RangeReport range = an::range_analysis(nl, {});
   const std::vector<ckt::LintIssue> issues =
       ckt::lint(nl, lint_opt, {an::range_lint_pass(&range)});
   publish.lint_clean =
@@ -200,11 +201,6 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
                                   ? cli.budget
                                   : (cli.budget_ms > 0.0 ? &local_budget
                                                          : nullptr);
-
-  // The shared report holds while no solve has moved the devices to
-  // another temperature and no .dc sweep has left its source at the
-  // last sweep point; otherwise op_report analyses the netlist afresh.
-  bool range_current = parsed.temp_c == 27.0;
 
   for (const auto& d : parsed.directives) {
     out.fmt("* .%s", d.kind.c_str());
@@ -269,8 +265,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         err.fmt("operating point failed: %s\n", op.diag.message().c_str());
         return 1;
       }
-      out.puts(range_current ? an::op_report(nl, op, range)
-                             : an::op_report(nl, op));
+      out.puts(an::op_report(nl, op, range));
     } else if (d.kind == "dc") {
       if (d.args.empty())
         throw std::runtime_error(".dc needs a source name");
@@ -293,7 +288,6 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (std::abs(stop - start) / std::abs(step) >= kMaxSweepPoints)
         throw std::runtime_error(".dc sweep exceeds 1e6 points");
       print_probe_header(out, nl, "v_sweep", probes);
-      range_current = false;
       std::vector<double> values;
       for (double v = start; v <= stop + 0.5 * step; v += step)
         values.push_back(v);
@@ -301,6 +295,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
           nl, values,
           [&](double v) { src->set_waveform(dev::Waveform::dc(v)); },
           op_opt);
+      range = an::range_analysis(nl, {});
       for (const auto& pt : sweep) {
         if (!pt.op.converged) {
           err.fmt("sweep point %g failed: %s\n", pt.value,

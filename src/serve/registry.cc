@@ -71,9 +71,8 @@ void CacheRegistry::evict_to_fit() {
 
 void CacheRegistry::evict_results_to_fit() {
   while (result_bytes_ > max_result_bytes_ && !result_lru_.empty()) {
-    const std::string victim = result_lru_.back();
+    const auto it = results_.find(*result_lru_.back());
     result_lru_.pop_back();
-    auto it = results_.find(victim);
     if (it != results_.end()) {
       result_bytes_ -= it->second.bytes;
       results_.erase(it);
@@ -194,15 +193,14 @@ void CacheRegistry::store_result(const std::string& key,
                                  std::shared_ptr<const std::string> payload) {
   if (!payload) return;
   std::lock_guard<std::mutex> g(mu_);
-  auto it = results_.find(key);
-  if (it != results_.end()) return;  // first result wins (determinism)
-  ResultEntry e;
+  const auto [it, fresh] = results_.try_emplace(key);
+  if (!fresh) return;  // first result wins (determinism)
+  ResultEntry& e = it->second;
   e.bytes = key.size() + payload->size() + sizeof(ResultEntry);
   e.payload = std::move(payload);
-  result_lru_.push_front(key);
+  result_lru_.push_front(&it->first);
   e.lru = result_lru_.begin();
   result_bytes_ += e.bytes;
-  results_.emplace(key, std::move(e));
   evict_results_to_fit();
 }
 

@@ -136,7 +136,7 @@ class CacheRegistry {
   struct ResultEntry {
     std::shared_ptr<const std::string> payload;
     std::size_t bytes = 0;
-    std::list<std::string>::iterator lru;
+    std::list<const std::string*>::iterator lru;
   };
 
   void touch(Entry& e);
@@ -152,7 +152,9 @@ class CacheRegistry {
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::list<std::uint64_t> lru_;  // front = most recent
   std::unordered_map<std::string, ResultEntry> results_;
-  std::list<std::string> result_lru_;
+  // Points at the keys in results_ (node keys never move), so a key --
+  // the whole deck text -- is stored once.
+  std::list<const std::string*> result_lru_;
   RegistryStats counters_;
 };
 

@@ -220,6 +220,29 @@ TEST(ServeRegistry, LruEvictionUnderByteCap) {
   EXPECT_FALSE(r.warm);
 }
 
+TEST(ServeRegistry, ResultMemoLruEvictionUnderByteCap) {
+  // Room for two ~1.4 kB entries: the third evicts the least recently
+  // used one, and a hit refreshes an entry's place.
+  CacheRegistry reg(/*max_bytes=*/64u << 20, /*max_result_bytes=*/3000);
+  auto payload = [](char c) {
+    return std::make_shared<const std::string>(std::string(1000, c));
+  };
+  const std::string a(400, 'a'), b(400, 'b'), c(400, 'c');
+  reg.store_result(a, payload('1'));
+  reg.store_result(b, payload('2'));
+  ASSERT_NE(reg.find_result(a), nullptr);
+  reg.store_result(a, payload('x'));  // first result wins
+  reg.store_result(c, payload('3'));
+  EXPECT_EQ(reg.find_result(b), nullptr);
+  ASSERT_NE(reg.find_result(a), nullptr);
+  EXPECT_EQ(*reg.find_result(a), std::string(1000, '1'));
+  ASSERT_NE(reg.find_result(c), nullptr);
+  const serve::RegistryStats s = reg.stats();
+  EXPECT_EQ(s.result_evictions, 1);
+  EXPECT_EQ(s.result_entries, 2u);
+  EXPECT_LE(s.result_bytes, 3000u);
+}
+
 TEST(ServeRegistry, ClearDropsEverything) {
   CacheRegistry reg;
   ASSERT_EQ(serve::run_deck(kOpDeck, {}, &reg).exit_code, 0);
