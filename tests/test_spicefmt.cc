@@ -739,8 +739,10 @@ TEST(SpiceCorpus, ErrorMessagesAreExact) {
       {"t\nr1 a 0\n", "spice parse error, line 2: missing value on r1"},
       {"t\nr1 a\n", "spice parse error, line 2: missing value on r1"},
       {"t\ne1 a 0 b\n", "spice parse error, line 2: missing value on e1"},
-      {"t\ne1 a 0 b 0 2\ng1 a\n", "spice parse error, line 3: missing value on g1"},
-      {"t\nc1 a 0 1p\nc2 a 0 1p 2p\nl1 a\n", "spice parse error, line 4: missing value on l1"},
+      {"t\ne1 a 0 b 0 2\ng1 a\n",
+       "spice parse error, line 3: missing value on g1"},
+      {"t\nc1 a 0 1p\nc2 a 0 1p 2p\nl1 a\n",
+       "spice parse error, line 4: missing value on l1"},
       {"t\nv1 a\n", "spice parse error, line 2: missing node on v1"},
       {"t\nr1 a 0 1k\nr2 a 0 bogus\n",
        "spice parse error, line 3: bad number: bogus"},
@@ -758,33 +760,41 @@ TEST(SpiceCorpus, ErrorMessagesAreExact) {
       {"t\n.subckt s a b\nr1 a b 1\n.ends\nx1 a s\n",
        "spice parse error, line 5: port count mismatch on x1"},
       {"t\nx1\n", "spice parse error, line 2: x card needs subckt name"},
-      {"t\n.model m\n", "spice parse error, line 2: .model needs name and type"},
+      {"t\n.model m\n",
+       "spice parse error, line 2: .model needs name and type"},
       {"t\n.subckt\n", "spice parse error, line 2: .subckt needs a name"},
       {"t\nr1 a 0 {1 +}\n", "spice parse error, line 2: bad expression {1 +}"},
       {"t\nr1 a 0 {nope}\n",
        "spice parse error, line 2: unknown parameter 'nope'"},
       {"t\nr1 a 0 {(1}\n", "spice parse error, line 2: missing ')' in {(1}"},
       {"t\nr1 a 0 {1}k\n", "spice parse error, line 2: unterminated { in {1}k"},
-      {"t\nr1 a 0 {1 2}\n", "spice parse error, line 2: trailing junk in {1 2}"},
+      {"t\nr1 a 0 {1 2}\n",
+       "spice parse error, line 2: trailing junk in {1 2}"},
       {"t\nr1 a 0 {1e400}\n", "bad number: 1e400"},
       {"t\n.param p {q}\n", "spice parse error, line 2: unknown parameter 'q'"},
       {"t\nf1 0 a vx 2\n",
        "spice parse error, line 2: controlling source vx not found"},
-      {"t\nvx a 0 1\nf1 0 a vx\n", "spice parse error, line 3: missing gain on f1"},
+      {"t\nvx a 0 1\nf1 0 a vx\n",
+       "spice parse error, line 3: missing gain on f1"},
       {"t\nf1 0 a\n", "spice parse error, line 2: f1 needs n+ n- vsense gain"},
-      {"t\nvx a 0 1\nh1 0 a vx x\n", "spice parse error, line 3: bad number: x"},
+      {"t\nvx a 0 1\nh1 0 a vx x\n",
+       "spice parse error, line 3: bad number: x"},
       {"t\nd1 a 0\n", "spice parse error, line 2: diode needs model"},
       {"t\nq1 a b c\n", "spice parse error, line 2: bjt needs c b e model"},
-      {"t\nm1 a b c d\n", "spice parse error, line 2: mosfet needs d g s b model"},
+      {"t\nm1 a b c d\n",
+       "spice parse error, line 2: mosfet needs d g s b model"},
       {"t\ns1 a b\n", "spice parse error, line 2: switch needs model"},
       {"t\nv1 a 0 sin(0 1)\n",
        "spice parse error, line 2: sin needs offset ampl freq"},
-      {"t\nv1 a 0 pulse(0 1 2)\n", "spice parse error, line 2: pulse needs 7 values"},
-      {"t\nv1 a 0 pwl(0)\n", "spice parse error, line 2: pwl needs time/value pairs"},
+      {"t\nv1 a 0 pulse(0 1 2)\n",
+       "spice parse error, line 2: pulse needs 7 values"},
+      {"t\nv1 a 0 pwl(0)\n",
+       "spice parse error, line 2: pwl needs time/value pairs"},
       {"t\nv1 a 0 dc\n", "spice parse error, line 2: dc needs a value"},
       {"t\n.subckt s a\nr1 a 0 x\n.ends\nx1 n s\n",
        "spice parse error, line 3: bad number: x"},
-      {"t\nr1 a 0\n+ 1x ; c\nr2 a 0 {\n", "spice parse error, line 4: unterminated { in {"},
+      {"t\nr1 a 0\n+ 1x ; c\nr2 a 0 {\n",
+       "spice parse error, line 4: unterminated { in {"},
   };
   for (const auto& c : cases) {
     try {
