@@ -1,6 +1,6 @@
 // E12 - engine performance harness.
 //
-// Default mode runs the timed end-to-end comparison of the linear-solver
+// Runs the timed end-to-end comparison of the linear-solver
 // engines on the paper's workhorse experiment -- a 200-sample mic-amp
 // gain-accuracy Monte-Carlo -- plus a full AC grid, and writes the
 // results as BENCH_engine.json (path = argv[1], default ./BENCH_engine
@@ -21,8 +21,9 @@
 //                    transient spans) so the whole harness plus all of
 //                    its correctness gates finishes in seconds; used by
 //                    the bench_smoke ctest.
-//   --gbench [...]   run the historical google-benchmark micro kernels
-//                    instead (remaining args go to the library).
+//   --mc-samples N   override the ensemble sections' sample counts.
+//   --threads N      ensemble worker threads (default 8).
+// Any other argument starting with '-' prints usage and exits 2.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -36,24 +37,19 @@
 #include <string>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/ac.h"
 #include "analysis/mna.h"
 #include "analysis/montecarlo.h"
 #include "analysis/range.h"
 #include "analysis/structural.h"
-#include "analysis/noise.h"
 #include "analysis/op.h"
 #include "analysis/pss.h"
 #include "analysis/transient.h"
 #include "bench_util.h"
 #include "circuit/netlist.h"
 #include "core/budget.h"
-#include "core/mic_amp.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
-#include "numeric/lu.h"
 #include "numeric/rng.h"
 #include "numeric/sparse.h"
 #include "process/process.h"
@@ -305,69 +301,79 @@ RangePrepassRun run_range_prepass(const std::string& name,
 struct TranOnce {
   an::TranResult res;
   double tran_ms = 0.0;
-  std::vector<double> wave;
+  std::vector<double> wave;  // compared across policies (linear rows)
 };
 
 struct TranRun {
   std::string name;
-  double full_ms = 0.0;  // factor-every-iteration baseline
-  double fast_ms = 0.0;  // reuse + linear fast path
-  long full_factors = 0;
+  double wall_ms = 0.0;  // default options
   long factor_count = 0;
   long reuse_count = 0;
+  long newton_iterations = 0;
   bool linear_fast_path = false;
-  // Solver wall-time breakdown of the fast run (TranTelemetry): where
-  // the remaining time goes once factorization reuse is on.
+  // Solver wall-time breakdown of the default run (TranTelemetry).
   long stamp_ns = 0;
   long factor_ns = 0;
   long solve_ns = 0;
-  bool agree = false;  // waveforms match across the two policies
-  double speedup() const { return full_ms / fast_ms; }
+  // A/B baseline, timed only when the default run takes the linear
+  // fast path: the same circuit with the fast path off (full Newton,
+  // a factorization per iteration).  Nonlinear rows have no second
+  // policy to compare against.
+  double full_ms = 0.0;
+  long full_factors = 0;
+  bool agree = true;  // fast-path and full-Newton waveforms match
+  double speedup() const { return full_ms / wall_ms; }
 };
 
+// Best-of-`repeats` timing of once(true) (default options); rows on the
+// linear fast path also time once(false) with the fast path off.
 TranRun run_tran(const std::string& name, int repeats,
                  const std::function<TranOnce(bool fast)>& once) {
   TranRun run;
   run.name = name;
+  run.wall_ms = std::numeric_limits<double>::infinity();
   run.full_ms = std::numeric_limits<double>::infinity();
-  run.fast_ms = std::numeric_limits<double>::infinity();
   std::vector<double> wf, wm;
-  for (int rep = 0; rep < repeats; ++rep) {
-    auto full = once(false);
-    if (!full.res.ok) {
-      std::fprintf(stderr, "transient '%s' (full Newton) failed\n",
-                   name.c_str());
+  auto timed = [&](bool fast) {
+    auto o = once(fast);
+    if (!o.res.ok) {
+      std::fprintf(stderr, "transient '%s' (%s) failed\n", name.c_str(),
+                   fast ? "default" : "full Newton");
       std::exit(1);
     }
+    return o;
+  };
+  for (int rep = 0; rep < repeats; ++rep) {
+    auto fast = timed(true);
+    const an::TranTelemetry& tel = fast.res.telemetry;
+    run.linear_fast_path = tel.linear_fast_path_used;
+    if (fast.tran_ms < run.wall_ms) {
+      run.wall_ms = fast.tran_ms;
+      run.factor_count = tel.factor_count;
+      run.reuse_count = tel.reuse_count;
+      run.newton_iterations = tel.newton_iterations;
+      run.stamp_ns = tel.stamp_ns;
+      run.factor_ns = tel.factor_ns;
+      run.solve_ns = tel.solve_ns;
+      wm = std::move(fast.wave);
+    }
+    if (!run.linear_fast_path) continue;
+    auto full = timed(false);
     if (full.tran_ms < run.full_ms) {
       run.full_ms = full.tran_ms;
       run.full_factors = full.res.telemetry.factor_count;
       wf = std::move(full.wave);
     }
-    auto fast = once(true);
-    if (!fast.res.ok) {
-      std::fprintf(stderr, "transient '%s' (fast path) failed\n",
-                   name.c_str());
-      std::exit(1);
-    }
-    if (fast.tran_ms < run.fast_ms) {
-      run.fast_ms = fast.tran_ms;
-      run.factor_count = fast.res.telemetry.factor_count;
-      run.reuse_count = fast.res.telemetry.reuse_count;
-      run.linear_fast_path = fast.res.telemetry.linear_fast_path_used;
-      run.stamp_ns = fast.res.telemetry.stamp_ns;
-      run.factor_ns = fast.res.telemetry.factor_ns;
-      run.solve_ns = fast.res.telemetry.solve_ns;
-      wm = std::move(fast.wave);
-    }
   }
-  double maxd = std::numeric_limits<double>::infinity();
-  if (wf.size() == wm.size() && !wf.empty()) {
-    maxd = 0.0;
-    for (std::size_t i = 0; i < wf.size(); ++i)
-      maxd = std::max(maxd, std::abs(wf[i] - wm[i]));
+  if (run.linear_fast_path) {
+    double maxd = std::numeric_limits<double>::infinity();
+    if (wf.size() == wm.size() && !wf.empty()) {
+      maxd = 0.0;
+      for (std::size_t i = 0; i < wf.size(); ++i)
+        maxd = std::max(maxd, std::abs(wf[i] - wm[i]));
+    }
+    run.agree = maxd < 1e-4;
   }
-  run.agree = maxd < 1e-4;
   return run;
 }
 
@@ -703,19 +709,21 @@ void json_ens(std::FILE* f, const EnsRun& r, const EnsRun& base,
 void json_tran(std::FILE* f, const TranRun& r, bool last) {
   std::fprintf(f,
                "    {\"name\": \"%s\", \"wall_ms\": %.3f, "
-               "\"full_newton_ms\": %.3f, "
-               "\"fast_ms\": %.3f, \"speedup_vs_full_newton\": %.3f, "
-               "\"full_factor_count\": %ld, \"factor_count\": %ld, "
-               "\"reuse_count\": %ld, \"linear_fast_path\": %s, "
+               "\"factor_count\": %ld, \"reuse_count\": %ld, "
+               "\"newton_iterations\": %ld, \"linear_fast_path\": %s, "
                "\"stamp_ns\": %ld, \"factor_ns\": %ld, "
-               "\"solve_ns\": %ld, "
-               "\"waveforms_agree\": %s}%s\n",
-               r.name.c_str(), r.fast_ms, r.full_ms, r.fast_ms,
-               r.speedup(),
-               r.full_factors, r.factor_count, r.reuse_count,
-               r.linear_fast_path ? "true" : "false",
-               r.stamp_ns, r.factor_ns, r.solve_ns,
-               r.agree ? "true" : "false", last ? "" : ",");
+               "\"solve_ns\": %ld",
+               r.name.c_str(), r.wall_ms, r.factor_count, r.reuse_count,
+               r.newton_iterations, r.linear_fast_path ? "true" : "false",
+               r.stamp_ns, r.factor_ns, r.solve_ns);
+  if (r.linear_fast_path)
+    std::fprintf(f,
+                 ", \"full_newton_ms\": %.3f, \"full_factor_count\": %ld, "
+                 "\"speedup_vs_full_newton\": %.3f, "
+                 "\"waveforms_agree\": %s",
+                 r.full_ms, r.full_factors, r.speedup(),
+                 r.agree ? "true" : "false");
+  std::fprintf(f, "}%s\n", last ? "" : ",");
 }
 
 // One row per circuit x assembly mode, mirroring the mc_configs shape
@@ -941,11 +949,11 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                 r->name.c_str(), r->analysis_ms,
                 100.0 * r->added_fraction);
 
-  // Transient hot path: factor-every-iteration full Newton vs. the
-  // default modified-Newton reuse + linear fast path, on the paper's
-  // waveform workloads.
+  // Transient hot path on the paper's waveform workloads.  Nonlinear
+  // circuits run full Newton (one timed policy); the linear RC row
+  // times its fast path against full Newton.
   const auto tran_mic = run_tran(
-      "micamp-tone", kRepeats, [&](bool fast) {
+      "micamp-tone", kRepeats, [&](bool) {
         auto r = bench::make_mic_rig();
         r->vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
         r->vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
@@ -953,37 +961,29 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
         an::TranOptions t;
         t.t_stop = 1e-3 * tran_scale;
         t.dt = 2e-6;
-        t.reuse_factorization = fast;
-        t.linear_fast_path = fast;
         TranOnce o;
         const auto t0 = Clock::now();
         o.res = an::run_transient(r->nl, t);
         o.tran_ms = ms_since(t0);
-        if (o.res.ok) o.wave = o.res.diff_wave(r->mic.outp, r->mic.outn);
         return o;
       });
   const auto tran_drv = run_tran(
-      "buffer-hd", kRepeats, [&](bool fast) {
+      "buffer-hd", kRepeats, [&](bool) {
         auto r = bench::make_drv_rig();
         r->vsp->set_waveform(dev::Waveform::sine(0.0, 0.3, 1e3));
         r->vsn->set_waveform(dev::Waveform::sine(0.0, -0.3, 1e3));
         an::TranOptions t;
         t.t_stop = 2e-3 * tran_scale;
         t.dt = 1e-6;
-        t.reuse_factorization = fast;
-        t.linear_fast_path = fast;
         TranOnce o;
         const auto t0 = Clock::now();
         o.res = an::run_transient(r->nl, t);
         o.tran_ms = ms_since(t0);
-        if (o.res.ok) o.wave = o.res.diff_wave(r->drv.outp, r->drv.outn);
         return o;
       });
-  // Chip-scale settling run (~170 unknowns): here a factorization costs
-  // several device-evaluation sweeps, the regime where the stale
-  // preconditioner genuinely pays.
+  // Chip-scale settling run (~170 unknowns).
   const auto tran_chip = run_tran(
-      "chip-settle", kRepeats, [&](bool fast) {
+      "chip-settle", kRepeats, [&](bool) {
         auto r = bench::make_chip_rig();
         r->nl.find_as<dev::VSource>("Vinp")->set_waveform(
             dev::Waveform::sine(0.0, 1e-3, 1e3));
@@ -992,15 +992,10 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
         an::TranOptions t;
         t.t_stop = 0.4e-3 * tran_scale;
         t.dt = 2e-6;
-        t.reuse_factorization = fast;
-        t.linear_fast_path = fast;
         TranOnce o;
         const auto t0 = Clock::now();
         o.res = an::run_transient(r->nl, t);
         o.tran_ms = ms_since(t0);
-        if (o.res.ok)
-          o.wave = o.res.diff_wave(r->chip.driver.outp,
-                                   r->chip.driver.outn);
         return o;
       });
   const auto tran_rc = run_tran(
@@ -1015,7 +1010,6 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
         an::TranOptions t;
         t.t_stop = 10e-3 * tran_scale;
         t.dt = 1e-6;
-        t.reuse_factorization = fast;
         t.linear_fast_path = fast;
         TranOnce o;
         const auto t0 = Clock::now();
@@ -1024,16 +1018,17 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
         if (o.res.ok) o.wave = o.res.node_wave(out);
         return o;
       });
-  std::printf("engine harness: transient fast path (best of %d)\n",
-              kRepeats);
+  std::printf("engine harness: transient (best of %d)\n", kRepeats);
   bool tran_agree = true;
   for (const TranRun* r : {&tran_mic, &tran_drv, &tran_chip, &tran_rc}) {
-    std::printf("  %-14s full %8.1f ms  fast %8.1f ms  speedup %5.2fx  "
-                "factors %ld->%ld (reused %ld)%s  agree %s\n",
-                r->name.c_str(), r->full_ms, r->fast_ms, r->speedup(),
-                r->full_factors, r->factor_count, r->reuse_count,
-                r->linear_fast_path ? "  [linear]" : "",
-                r->agree ? "yes" : "NO");
+    std::printf("  %-14s %8.1f ms  factors %ld  newton %ld", r->name.c_str(),
+                r->wall_ms, r->factor_count, r->newton_iterations);
+    if (r->linear_fast_path)
+      std::printf("  [linear, reused %ld]  full Newton %8.1f ms  "
+                  "speedup %5.2fx  agree %s",
+                  r->reuse_count, r->full_ms, r->speedup(),
+                  r->agree ? "yes" : "NO");
+    std::printf("\n");
     tran_agree = tran_agree && r->agree;
   }
 
@@ -1522,143 +1517,29 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
              : 1;
 }
 
-// ----------------------------------------------- google-benchmark micro
-
-void BM_LuFactorSolve(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  num::Rng rng(1);
-  num::RealMatrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += double(n);
-  num::RealVector b(n, 1.0);
-  for (auto _ : state) {
-    num::RealLu lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_LuFactorSolve)->Arg(16)->Arg(64)->Arg(128);
-
-struct MicFixture {
-  ckt::Netlist nl;
-  core::MicAmp mic;
-  MicFixture() {
-    const auto nvdd = nl.node("vdd");
-    const auto nvss = nl.node("vss");
-    const auto inp = nl.node("inp");
-    const auto inn = nl.node("inn");
-    nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
-    nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
-    nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                         dev::Waveform::dc(0.0).with_ac(0.5));
-    nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                         dev::Waveform::dc(0.0).with_ac(-0.5));
-    mic = core::build_mic_amp(nl, proc::ProcessModel::cmos12(), {}, nvdd,
-                              nvss, ckt::kGround, inp, inn);
-  }
-};
-
-void BM_MicAmpOperatingPoint(benchmark::State& state) {
-  MicFixture f;
-  an::OpOptions oo;
-  oo.solver = state.range(0) ? an::SolverKind::kSparse
-                             : an::SolverKind::kDense;
-  for (auto _ : state) {
-    auto op = an::solve_op(f.nl, oo);
-    benchmark::DoNotOptimize(op.converged);
-  }
-}
-BENCHMARK(BM_MicAmpOperatingPoint)->Arg(0)->Arg(1);
-
-void BM_MicAmpAcPoint(benchmark::State& state) {
-  MicFixture f;
-  an::solve_op(f.nl);
-  an::AcOptions ao;
-  ao.solver = state.range(0) ? an::SolverKind::kSparse
-                             : an::SolverKind::kDense;
-  for (auto _ : state) {
-    auto r = an::run_ac(f.nl, {1e3}, ao);
-    benchmark::DoNotOptimize(r.solutions.size());
-  }
-}
-BENCHMARK(BM_MicAmpAcPoint)->Arg(0)->Arg(1);
-
-void BM_MicAmpNoisePoint(benchmark::State& state) {
-  MicFixture f;
-  an::solve_op(f.nl);
-  an::NoiseOptions opt;
-  opt.out_p = f.mic.outp;
-  opt.out_n = f.mic.outn;
-  opt.input_source = "Vinp";
-  for (auto _ : state) {
-    auto r = an::run_noise(f.nl, {1e3}, opt);
-    benchmark::DoNotOptimize(r.points.size());
-  }
-}
-BENCHMARK(BM_MicAmpNoisePoint);
-
-void BM_MicAmpTransientMs(benchmark::State& state) {
-  MicFixture f;
-  f.nl.find_as<dev::VSource>("Vinp")->set_waveform(
-      dev::Waveform::sine(0.0, 1e-3, 1e3));
-  f.nl.find_as<dev::VSource>("Vinn")->set_waveform(
-      dev::Waveform::sine(0.0, -1e-3, 1e3));
-  an::TranOptions t;
-  t.t_stop = 1e-3;
-  t.dt = 2e-6;
-  t.record = false;
-  for (auto _ : state) {
-    auto r = an::run_transient(f.nl, t);
-    benchmark::DoNotOptimize(r.ok);
-  }
-}
-BENCHMARK(BM_MicAmpTransientMs);
-
-void BM_RcTransient10k(benchmark::State& state) {
-  ckt::Netlist nl;
-  const auto in = nl.node("in");
-  const auto out = nl.node("out");
-  nl.add<dev::VSource>("V1", in, ckt::kGround,
-                       dev::Waveform::sine(0.0, 1.0, 1e3));
-  nl.add<dev::Resistor>("R1", in, out, 1e3);
-  nl.add<dev::Capacitor>("C1", out, ckt::kGround, 100e-9);
-  an::TranOptions t;
-  t.t_stop = 10e-3;
-  t.dt = 1e-6;
-  t.record = false;
-  for (auto _ : state) {
-    auto r = an::run_transient(nl, t);
-    benchmark::DoNotOptimize(r.ok);
-  }
-}
-BENCHMARK(BM_RcTransient10k);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--gbench") == 0) {
-    int bargc = argc - 1;
-    std::vector<char*> bargv;
-    bargv.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) bargv.push_back(argv[i]);
-    benchmark::Initialize(&bargc, bargv.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
   bool smoke = false;
   int mc_samples = 0;   // 0 = scenario defaults
   int ens_threads = 0;  // 0 = harness default (8)
   const char* out = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
+    if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    else if (std::strcmp(argv[i], "--mc-samples") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--mc-samples") == 0 && i + 1 < argc) {
       mc_samples = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       ens_threads = std::atoi(argv[++i]);
-    else
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr,
+                   "usage: %s [OUT.json] [--smoke] [--mc-samples N] "
+                   "[--threads N]\n",
+                   argv[0]);
+      return 2;
+    } else {
       out = argv[i];
+    }
   }
   return run_harness(out, smoke, mc_samples, ens_threads);
 }

@@ -530,7 +530,7 @@ bool RealSystem::factor(const char* reason) {
   // Fault-injection site: a forced numeric-factorization failure, seen
   // by callers exactly like a singular matrix (recovery paths: Newton
   // homotopy escalation, transient step diagnosis, AC/noise keep-prefix,
-  // and the stale-LU invalidation contract in the transient workspace).
+  // and the held-LU invalidation contract of the linear fast path).
   if (MSIM_FAULTPOINT("sparse_factor_fail")) return false;
   factor_clock_.begin();
   if (kind_ == SolverKind::kSparse) {
@@ -591,8 +591,8 @@ void RealSystem::solve(num::RealVector& x) {
   // under the deterministic "solve_perturb" fault), verify the residual
   // and run one round of iterative refinement with the cached LU.  If
   // the refined solution still fails the check, the factorization
-  // itself is no longer trustworthy (stale modified-Newton LU, pivot
-  // growth): force a fresh one and re-solve.
+  // itself is no longer trustworthy (pivot growth): force a fresh one
+  // and re-solve.
   bool force_check = false;
   if (MSIM_FAULTPOINT("solve_perturb") && !x.empty()) {
     x[0] += 1e3;  // deterministically corrupt the solution
@@ -643,32 +643,6 @@ void RealSystem::solve(num::RealVector& x) {
       }
     }
   }
-  stats_.solve_ns += solve_clock_.end_ns();
-}
-
-void RealSystem::solve_modified(const num::RealVector& x,
-                                num::RealVector& x_new) {
-  solve_clock_.begin();
-  const std::size_t n = static_cast<std::size_t>(n_);
-  // Residual of the Norton form: r = rhs - A x (fresh values, stale LU).
-  if (kind_ == SolverKind::kSparse) {
-    sjac_.multiply(x, res_);
-  } else {
-    res_.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j) acc += djac_(i, j) * x[j];
-      res_[i] = acc;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) res_[i] = rhs_[i] - res_[i];
-  if (kind_ == SolverKind::kSparse)
-    slu_.solve(res_, dx_);
-  else
-    dlu_.solve(res_, dx_);
-  x_new.resize(n);
-  for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] + dx_[i];
-  ++stats_.reuse_count;
   stats_.solve_ns += solve_clock_.end_ns();
 }
 
@@ -990,44 +964,38 @@ void EnsembleSystem::assemble(const int* active, int nactive,
   im.stats.stamp_ns += im.stamp_clock.end_ns();
 }
 
-void EnsembleSystem::update(const int* active, int nactive, const bool* fresh,
-                            const char* const* reasons,
-                            const std::vector<num::RealVector>& xs,
+void EnsembleSystem::update(const int* active, int nactive,
                             std::vector<num::RealVector>& x_new, bool* ok) {
   Impl& im = *impl_;
   const std::size_t n = static_cast<std::size_t>(im.n);
-  bool any_fresh = false;
-  for (int i = 0; i < nactive; ++i) any_fresh |= fresh[i];
-  if (any_fresh) {
-    im.factor_clock.begin();
-    for (int i = 0; i < nactive; ++i) {
-      if (!fresh[i] || !ok[i]) continue;
-      const int k = active[i];
-      ++im.stats.factor_count;
-      ++im.stats.refactor_reasons[reasons[i]];
-      g_factor_calls.fetch_add(1, std::memory_order_relaxed);
-      // Same injected-failure semantics as RealSystem::factor.
-      if (MSIM_FAULTPOINT("sparse_factor_fail")) {
-        ok[i] = false;
-        continue;
-      }
-      im.vals.gather_lane(k, im.scratch.values());
-      im.lus[static_cast<std::size_t>(k)].factor(im.scratch);
-      if (im.lus[static_cast<std::size_t>(k)].singular()) {
-        ok[i] = false;
-        continue;
-      }
-      // The first successful factor of the ensemble ran the symbolic
-      // analysis; share its pivot order with every other lane so they
-      // refactor numerically from their first attempt.
-      if (!im.sym) {
-        im.sym = im.lus[static_cast<std::size_t>(k)].export_symbolic();
-        for (auto& lu : im.lus)
-          if (!lu.has_symbolic()) lu.adopt_symbolic(im.sym);
-      }
+  im.factor_clock.begin();
+  for (int i = 0; i < nactive; ++i) {
+    if (!ok[i]) continue;
+    const int k = active[i];
+    ++im.stats.factor_count;
+    ++im.stats.refactor_reasons["full_newton"];
+    g_factor_calls.fetch_add(1, std::memory_order_relaxed);
+    // Same injected-failure semantics as RealSystem::factor.
+    if (MSIM_FAULTPOINT("sparse_factor_fail")) {
+      ok[i] = false;
+      continue;
     }
-    im.stats.factor_ns += im.factor_clock.end_ns();
+    im.vals.gather_lane(k, im.scratch.values());
+    im.lus[static_cast<std::size_t>(k)].factor(im.scratch);
+    if (im.lus[static_cast<std::size_t>(k)].singular()) {
+      ok[i] = false;
+      continue;
+    }
+    // The first successful factor of the ensemble ran the symbolic
+    // analysis; share its pivot order with every other lane so they
+    // refactor numerically from their first attempt.
+    if (!im.sym) {
+      im.sym = im.lus[static_cast<std::size_t>(k)].export_symbolic();
+      for (auto& lu : im.lus)
+        if (!lu.has_symbolic()) lu.adopt_symbolic(im.sym);
+    }
   }
+  im.stats.factor_ns += im.factor_clock.end_ns();
   im.solve_clock.begin();
   for (int i = 0; i < nactive; ++i) {
     if (!ok[i]) continue;
@@ -1035,52 +1003,40 @@ void EnsembleSystem::update(const int* active, int nactive, const bool* fresh,
     num::RealVector& rhs = im.rhs[static_cast<std::size_t>(k)];
     num::RealVector& xn = x_new[static_cast<std::size_t>(k)];
     num::RealSparseLu& lu = im.lus[static_cast<std::size_t>(k)];
-    if (fresh[i]) {
-      lu.solve(rhs, xn);
-      if (lu.condition_estimate() > kCondCheckThreshold) {
-        // Ill-conditioned lane: residual check plus one refinement
-        // round, mirroring RealSystem::solve.  The factorization here
-        // is already fresh, so the per-sample path's forced-refactor
-        // escalation has no analogue; persistent trouble is left to
-        // the Newton watchdog.
-        double rhs_inf = 0.0, x_inf = 0.0, a_max = 0.0;
-        for (std::size_t r = 0; r < n; ++r) {
-          rhs_inf = std::max(rhs_inf, std::abs(rhs[r]));
-          x_inf = std::max(x_inf, std::abs(xn[r]));
-        }
-        const double* lv = im.vals.data() + k;
-        for (int e = 0; e < im.vals.nnz; ++e)
-          a_max = std::max(a_max,
-                           std::abs(lv[static_cast<std::size_t>(e) *
-                                       static_cast<std::size_t>(im.nlanes)]));
-        const double tol = 1e-9 * (a_max * x_inf + rhs_inf) + 1e-300;
-        auto residual_inf = [&]() {
-          num::ensemble_multiply(*im.skeleton, im.vals, k, xn, im.res);
-          double rinf = 0.0;
-          for (std::size_t r = 0; r < n; ++r) {
-            im.res[r] = rhs[r] - im.res[r];
-            if (std::isnan(im.res[r]))
-              return std::numeric_limits<double>::max();
-            rinf = std::max(rinf, std::abs(im.res[r]));
-          }
-          return rinf;
-        };
-        if (residual_inf() > tol) {
-          lu.solve(im.res, im.dx);
-          for (std::size_t r = 0; r < n; ++r) xn[r] += im.dx[r];
-          ++im.stats.refine_count;
-        }
+    lu.solve(rhs, xn);
+    if (lu.condition_estimate() > kCondCheckThreshold) {
+      // Ill-conditioned lane: residual check plus one refinement round,
+      // mirroring RealSystem::solve.  The factorization here is already
+      // fresh, so the per-sample path's forced-refactor escalation has
+      // no analogue; persistent trouble shows up as Newton
+      // non-convergence.
+      double rhs_inf = 0.0, x_inf = 0.0, a_max = 0.0;
+      for (std::size_t r = 0; r < n; ++r) {
+        rhs_inf = std::max(rhs_inf, std::abs(rhs[r]));
+        x_inf = std::max(x_inf, std::abs(xn[r]));
       }
-    } else {
-      // Modified-Newton update against this lane's stale LU: the
-      // residual uses the lane's FRESH values via the strided multiply.
-      const num::RealVector& x = xs[static_cast<std::size_t>(k)];
-      num::ensemble_multiply(*im.skeleton, im.vals, k, x, im.res);
-      for (std::size_t r = 0; r < n; ++r) im.res[r] = rhs[r] - im.res[r];
-      lu.solve(im.res, im.dx);
-      xn.resize(n);
-      for (std::size_t r = 0; r < n; ++r) xn[r] = x[r] + im.dx[r];
-      ++im.stats.reuse_count;
+      const double* lv = im.vals.data() + k;
+      for (int e = 0; e < im.vals.nnz; ++e)
+        a_max = std::max(a_max,
+                         std::abs(lv[static_cast<std::size_t>(e) *
+                                     static_cast<std::size_t>(im.nlanes)]));
+      const double tol = 1e-9 * (a_max * x_inf + rhs_inf) + 1e-300;
+      auto residual_inf = [&]() {
+        num::ensemble_multiply(*im.skeleton, im.vals, k, xn, im.res);
+        double rinf = 0.0;
+        for (std::size_t r = 0; r < n; ++r) {
+          im.res[r] = rhs[r] - im.res[r];
+          if (std::isnan(im.res[r]))
+            return std::numeric_limits<double>::max();
+          rinf = std::max(rinf, std::abs(im.res[r]));
+        }
+        return rinf;
+      };
+      if (residual_inf() > tol) {
+        lu.solve(im.res, im.dx);
+        for (std::size_t r = 0; r < n; ++r) xn[r] += im.dx[r];
+        ++im.stats.refine_count;
+      }
     }
   }
   im.stats.solve_ns += im.solve_clock.end_ns();

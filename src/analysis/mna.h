@@ -52,13 +52,14 @@ struct AssembleParams {
 // pre-pass rejects bad topologies *before* any factorization runs.
 long factor_call_count();
 
-// Factorization-reuse telemetry kept by one RealSystem.  The modified
-// Newton loop solves against a stale factorization whenever it can;
-// every fresh factorization records why it was needed so the refactor
-// policy is observable (TranTelemetry, op_report, msim_cli --tran-stats).
+// Factorization telemetry kept by one RealSystem.  Newton iterations
+// factor every time; the transient linear fast path solves against one
+// held factorization.  Every fresh factorization records why it was
+// needed so the refactor policy is observable (TranTelemetry,
+// op_report, msim_cli --tran-stats).
 struct FactorStats {
   long factor_count = 0;  // fresh numeric factorizations
-  long reuse_count = 0;   // solves against a reused (stale) factorization
+  long reuse_count = 0;   // solves against a held factorization
   std::map<std::string, long> refactor_reasons;
   // Wall-clock breakdown of where the solver spends its time
   // (steady_clock nanoseconds): device evaluation + matrix/rhs assembly,
@@ -137,8 +138,8 @@ class RealSystem {
   void assemble_rhs_only(const ckt::Netlist& nl, const num::RealVector& x,
                          const AssembleParams& p);
   // Factors the assembled matrix; false when singular.  `reason` tags
-  // the factorization in stats() ("initial", "dt_change",
-  // "slow_convergence", ...); the default covers plain full-Newton use.
+  // the factorization in stats() ("initial", "dt_change", ...); the
+  // default covers plain full-Newton use.
   bool factor(const char* reason = "full_newton");
   int singular_col() const;
   double min_pivot() const;
@@ -152,13 +153,6 @@ class RealSystem {
   double pivot_growth() const;
   // Solves into `x` using the assembled rhs.  Requires factor() == true.
   void solve(num::RealVector& x);
-  // Modified-Newton update against a STALE factorization: with the
-  // freshly assembled jac/rhs linearized at `x`, computes
-  //   x_new = x + J0^{-1} (rhs - jac * x)
-  // where J0 is whatever factor() last factored.  Exact Newton when the
-  // factorization is fresh; a fixed-point refinement otherwise.
-  // Requires a prior successful factor().  `x_new` must not alias `x`.
-  void solve_modified(const num::RealVector& x, num::RealVector& x_new);
   // Raw substitution against the held factorization: y = J0^{-1} b,
   // where J0 is whatever factor() last factored.  Leaves the assembled
   // rhs untouched; `y` must not alias `b`.  The PSS shooting analysis
@@ -171,12 +165,11 @@ class RealSystem {
   // devices (linear fast-path eligibility).
   bool all_linear() const { return nonlinear_.empty(); }
 
-  // Factorization-reuse telemetry since the last reset_stats().
+  // Factorization telemetry since the last reset_stats().
   const FactorStats& stats() const { return stats_; }
   void reset_stats() { stats_ = FactorStats{}; }
   // Records one reuse of the current factorization for callers that
-  // solve() directly against it (the linear fast path; solve_modified
-  // records its own).
+  // solve() against it without refactoring (the linear fast path).
   void note_reuse() { ++stats_.reuse_count; }
 
   // Drops the cached linear base image (next assemble restamps every
@@ -261,7 +254,7 @@ class RealSystem {
   AssembleParams base_p_;
   std::vector<double> base_vals_;
   num::RealVector base_rhs_;
-  // Modified-Newton scratch (solve_modified forbids aliasing b with x).
+  // Iterative-refinement scratch (residual and correction).
   num::RealVector res_, dx_;
   FactorStats stats_;
   // Sampled phase timer behind the stamp/factor/solve breakdown: the
@@ -288,9 +281,8 @@ class RealSystem {
 // lane values), so one slot-table replay writes all N matrices and the
 // per-class stamp_lanes() kernels run the device model math
 // device-outer / lane-inner.  Factorizations stay per-lane numeric
-// (gather lane, refactor along the shared symbolic structure), and the
-// modified-Newton update solves against each lane's stale LU with a
-// strided residual multiply.  Sparse only; the caller (the ensemble
+// (gather lane, refactor along the shared symbolic structure) on every
+// Newton iteration.  Sparse only; the caller (the ensemble
 // transient driver) falls back to per-sample RealSystem runs whenever
 // init() refuses the lane set.
 class EnsembleSystem {
@@ -323,16 +315,12 @@ class EnsembleSystem {
                 const std::vector<num::RealVector>& xs,
                 const AssembleParams& p);
 
-  // Factor/solve phase of one cohort Newton iteration: lanes flagged
-  // fresh[i] get a numeric refactor (tagged reasons[i]) and a direct
-  // solve; stale lanes get the modified-Newton update
-  // x_new = x + J0^{-1}(rhs - A x) against their last factorization.
+  // Factor/solve phase of one cohort Newton iteration: every active
+  // lane gets a numeric refactor and a direct solve into x_new[lane].
   // ok[i] (pre-set true by the caller) turns false on a singular or
   // fault-injected factorization.  One sampled clock tick per phase
   // per call.
-  void update(const int* active, int nactive, const bool* fresh,
-              const char* const* reasons,
-              const std::vector<num::RealVector>& xs,
+  void update(const int* active, int nactive,
               std::vector<num::RealVector>& x_new, bool* ok);
 
   // Unknown whose pivot failed in lane `lane`'s last factor attempt.

@@ -38,10 +38,11 @@ namespace {
 //
 // with exact initial data Phi_0 = identity restricted to the dynamic
 // columns and I_0 = 0 (begin_transient zeroes the current history).
-// J_k^{-1} is whatever factorization the step left held -- possibly a
-// stale modified-Newton one, which only perturbs the shooting
-// convergence RATE (the periodicity residual uses actually-integrated
-// states and stays exact).
+// J_k^{-1} is the factorization the step left held: its last Newton
+// iteration's, assembled one update before the converged state (the
+// difference only perturbs the shooting convergence RATE -- the
+// periodicity residual uses actually-integrated states and stays
+// exact).
 class PhiPropagator final : public TranStepHook {
  public:
   explicit PhiPropagator(double dt_base) : dt_base_(dt_base) {}

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -30,8 +29,8 @@ struct StepOutcome {
 // of every time step; the sparse symbolic analysis is computed on the
 // first factorization and replayed by all later ones.  have_factor /
 // factor_dt persist ACROSS time steps: they describe the numeric
-// factorization currently held by `sys`, which modified Newton keeps
-// reusing from one step to the next as long as dt is unchanged.
+// factorization currently held by `sys`, which the linear fast path
+// keeps reusing from one step to the next as long as dt is unchanged.
 struct StepWorkspace {
   RealSystem sys;
   num::RealVector x_new;
@@ -42,54 +41,18 @@ struct StepWorkspace {
   // companion conductance, so an integrator switch invalidates the
   // held LU exactly like a dt change.
   bool factor_trap = true;
-  // Reuse-profitability controller state (see reuse_veto): running
-  // iterations-per-converged-step averages for the two policies and the
-  // accepted-step counter that drives the probe schedule.
-  long ctrl_step = 0;
-  double ema_full = -1.0;
-  double ema_stale = -1.0;
 };
-
-// A stale preconditioner trades factorizations for extra (linearly
-// converging) Newton iterations, and on stamp-dominated circuits an
-// iteration costs several times a factorization, so reuse can lose
-// outright when the operating point moves fast (class-AB output stages
-// under large swing).  The controller measures both policies on the
-// live run -- a few full-Newton steps, a few stale steps, then a probe
-// pair every kProbePeriod accepted steps -- and vetoes reuse while the
-// stale policy costs more than kFactorWorthIters extra iterations per
-// step (the measured worth of one saved factorization).  The schedule
-// depends only on the accepted-step count, so runs stay deterministic.
-constexpr long kProbeWidth = 4;
-constexpr long kProbePeriod = 256;
-constexpr double kFactorWorthIters = 0.5;
-
-const char* reuse_veto(const StepWorkspace& ws) {
-  const long s = ws.ctrl_step;
-  if (s < kProbeWidth) return "probe";       // measure full Newton
-  if (s < 2 * kProbeWidth) return nullptr;   // measure stale
-  const long phase = s % kProbePeriod;
-  if (phase == 0) return "probe";            // keep both averages live
-  if (phase == 1) return nullptr;
-  if (ws.ema_stale > ws.ema_full + kFactorWorthIters)
-    return "not_profitable";
-  return nullptr;
-}
-
-void record_step_cost(StepWorkspace& ws, bool used_stale, int iters) {
-  double& ema = used_stale ? ws.ema_stale : ws.ema_full;
-  ema = ema < 0.0 ? iters : 0.8 * ema + 0.2 * iters;
-  ++ws.ctrl_step;
-}
 
 // The fixed-dt loop recomputes each step as `t_target - t`, so the
 // nominal dt jitters by an ulp of t from step to step.  Treat those as
-// the same step size: for modified Newton the factorization is only a
-// preconditioner, so an ulp-stale J changes nothing about correctness.
+// the same step size: the linear fast path snaps the RHS to the
+// factored dt, so an ulp of jitter changes nothing about the solve.
 bool same_dt(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::abs(b);
 }
 
+// One implicit step of a nonlinear circuit: damped full Newton, a fresh
+// factorization on every iteration.
 StepOutcome newton_step(const ckt::Netlist& nl, const AssembleParams& p,
                         const TranOptions& opt, StepWorkspace& ws,
                         num::RealVector& x) {
@@ -98,69 +61,35 @@ StepOutcome newton_step(const ckt::Netlist& nl, const AssembleParams& p,
   // accepted step without showing up in AssembleParams; restamp the
   // linear base image each step.
   ws.sys.invalidate_base();
-  // Budget abort inside an iteration leaves `sys` holding whatever the
-  // last (possibly interrupted) factor() produced; the held numeric LU
-  // must not be presented as reusable to the next step.
-  auto budget_stop = [&](core::StopReason stop) {
-    ws.have_factor = false;
-    out.fail = stop == core::StopReason::kCancelled
-                   ? SolveStatus::kCancelled
-                   : SolveStatus::kBudgetExceeded;
-    return out;
-  };
-  // Modified Newton: iterate against the factorization left behind by
-  // an earlier iteration or time step while it keeps contracting.
-  // `fresh_reason` doubles as the force-fresh latch: once set, the rest
-  // of this step runs full Newton (every iteration factors), which is
-  // exactly the historical worst-case behavior.
-  const char* fresh_reason =
-      opt.reuse_factorization ? reuse_veto(ws) : "full_newton";
-  double prev_dx = std::numeric_limits<double>::infinity();
-  int stale_iters = 0;
   for (int it = 0; it < opt.max_newton; ++it) {
     if (opt.budget) {
       opt.budget->note_newton_iteration();
       const core::StopReason stop = opt.budget->stop_reason();
-      if (stop != core::StopReason::kNone) return budget_stop(stop);
+      if (stop != core::StopReason::kNone) {
+        out.fail = stop == core::StopReason::kCancelled
+                       ? SolveStatus::kCancelled
+                       : SolveStatus::kBudgetExceeded;
+        return out;
+      }
     }
     ++out.iterations;
     ws.sys.assemble(nl, x, p);
-    const bool use_stale = fresh_reason == nullptr && ws.have_factor &&
-                           same_dt(p.dt, ws.factor_dt) &&
-                           ws.factor_trap == p.use_trapezoidal;
-    if (use_stale) {
-      // x_new = x + J0^{-1} (rhs - A x): the residual uses the fresh
-      // assembly, only the preconditioner J0 is stale.
-      ws.sys.solve_modified(x, ws.x_new);
-      ++stale_iters;
-    } else {
-      const char* reason = fresh_reason        ? fresh_reason
-                           : !ws.have_factor   ? "initial"
-                           : same_dt(p.dt, ws.factor_dt)
-                               ? "integrator_change"
-                               : "dt_change";
-      if (!ws.sys.factor(reason)) {
-        ws.have_factor = false;
-        out.fail = SolveStatus::kSingularMatrix;
-        out.bad_unknown = ws.sys.singular_col();
-        return out;
-      }
-      ws.have_factor = true;
-      ws.factor_dt = p.dt;
-      ws.factor_trap = p.use_trapezoidal;
-      ws.sys.solve(ws.x_new);
+    if (!ws.sys.factor()) {
+      out.fail = SolveStatus::kSingularMatrix;
+      out.bad_unknown = ws.sys.singular_col();
+      return out;
     }
+    ws.sys.solve(ws.x_new);
     const num::RealVector& x_new = ws.x_new;
 
     double max_dx = 0.0;
     int worst = -1;
     bool converged = true;
-    bool finite = true;
     for (std::size_t i = 0; i < x.size(); ++i) {
       if (!std::isfinite(x_new[i])) {
-        finite = false;
-        worst = static_cast<int>(i);
-        break;
+        out.fail = SolveStatus::kNonFinite;
+        out.bad_unknown = static_cast<int>(i);
+        return out;
       }
       const double adx = std::abs(x_new[i] - x[i]);
       if (adx > max_dx) {
@@ -169,18 +98,6 @@ StepOutcome newton_step(const ckt::Netlist& nl, const AssembleParams& p,
       }
       if (adx > opt.vtol + opt.reltol * std::abs(x_new[i]))
         converged = false;
-    }
-    if (!finite) {
-      if (use_stale) {
-        // The stale preconditioner may be the culprit: redo this
-        // candidate with a fresh factorization before rejecting the
-        // step (x is unchanged, so the retry is exact full Newton).
-        fresh_reason = "stale_nonfinite";
-        continue;
-      }
-      out.fail = SolveStatus::kNonFinite;
-      out.bad_unknown = worst;
-      return out;
     }
     out.max_dx = max_dx;
     out.bad_unknown = worst;
@@ -191,19 +108,9 @@ StepOutcome newton_step(const ckt::Netlist& nl, const AssembleParams& p,
     if (converged) {
       x = x_new;
       out.ok = true;
-      if (opt.reuse_factorization)
-        record_step_cost(ws, stale_iters > 0, out.iterations);
       return out;
     }
 
-    // Contraction watchdog: a stale solve that fails to halve the
-    // update (or has had a generous number of cheap tries) stops paying
-    // for itself -- switch to full Newton for the rest of the step.
-    if (use_stale &&
-        (max_dx > 0.5 * prev_dx + opt.vtol || stale_iters > 8))
-      fresh_reason = "slow_convergence";
-
-    prev_dx = max_dx;
     const double scale =
         max_dx > opt.max_step ? opt.max_step / max_dx : 1.0;
     for (std::size_t i = 0; i < x.size(); ++i)
@@ -712,7 +619,6 @@ bool same_tran_options(const TranOptions& a, const TranOptions& b) {
          a.record_after == b.record_after && a.adaptive == b.adaptive &&
          a.dt_min == b.dt_min && a.dt_max == b.dt_max &&
          a.lte_tol == b.lte_tol && a.solver == b.solver &&
-         a.reuse_factorization == b.reuse_factorization &&
          a.linear_fast_path == b.linear_fast_path &&
          a.initial_state == b.initial_state &&
          a.first_step_backward_euler == b.first_step_backward_euler &&
@@ -745,28 +651,21 @@ struct EnsembleBlock {
 
   // Per-lane persistent state.
   std::vector<num::RealVector> x;    // last accepted state
-  std::vector<char> have_factor;
-  std::vector<double> factor_dt;
   // Per-iteration scratch (lane-indexed / active-indexed).
   std::vector<num::RealVector> xs;   // Newton candidates
   std::vector<num::RealVector> xn;   // Newton updates
   std::vector<int> active, next_active;
-  std::unique_ptr<bool[]> fresh, okv;
-  std::vector<const char*> reasons;
+  std::unique_ptr<bool[]> okv;
 
   long splits = 0, rejoins = 0;
   int max_cohorts = 0;
 };
 
 // One lockstep implicit sub-step for a cohort.  Mirrors newton_step()
-// per lane -- modified Newton with the stale-nonfinite retry, the
-// contraction watchdog and update damping -- over a shared iteration
-// loop so every active lane's Jacobian is assembled by one slot replay.
-// One deliberate difference from the per-sample path: there is no
-// reuse-profitability probe controller (lanes would disagree on the
-// probe phase and break lockstep), so reuse is simply on whenever
-// opt.reuse_factorization is set and dt matches the held factorization.
-// Returns false on budget expiry (the caller truncates every lane).
+// per lane -- full Newton with update damping -- over a shared
+// iteration loop so every active lane's Jacobian is assembled by one
+// slot replay.  Returns false on budget expiry (the caller truncates
+// every lane).
 bool cohort_newton(EnsembleBlock& b, const Cohort& co,
                    const AssembleParams& p, std::vector<StepOutcome>& out) {
   const TranOptions& opt = *b.opt;
@@ -774,11 +673,6 @@ bool cohort_newton(EnsembleBlock& b, const Cohort& co,
   out.assign(nl, StepOutcome{});
   b.sys.invalidate_lanes(co.mem.data(), static_cast<int>(co.mem.size()));
 
-  std::vector<const char*> fresh_reason(
-      nl, opt.reuse_factorization ? nullptr : "full_newton");
-  std::vector<double> prev_dx(nl,
-                              std::numeric_limits<double>::infinity());
-  std::vector<int> stale_iters(nl, 0);
   for (int k : co.mem) b.xs[k] = b.x[k];
   b.active = co.mem;
 
@@ -793,34 +687,15 @@ bool cohort_newton(EnsembleBlock& b, const Cohort& co,
     for (int k : b.active) ++out[k].iterations;
     const int na = static_cast<int>(b.active.size());
     b.sys.assemble(b.active.data(), na, b.xs, p);
-    for (int i = 0; i < na; ++i) {
-      const int k = b.active[i];
-      const bool use_stale = fresh_reason[k] == nullptr &&
-                             b.have_factor[k] &&
-                             same_dt(p.dt, b.factor_dt[k]);
-      b.fresh[i] = !use_stale;
-      b.reasons[i] = fresh_reason[k]      ? fresh_reason[k]
-                     : !b.have_factor[k] ? "initial"
-                                         : "dt_change";
-      b.okv[i] = true;
-    }
-    b.sys.update(b.active.data(), na, b.fresh.get(), b.reasons.data(),
-                 b.xs, b.xn, b.okv.get());
+    std::fill(b.okv.get(), b.okv.get() + na, true);
+    b.sys.update(b.active.data(), na, b.xn, b.okv.get());
     b.next_active.clear();
     for (int i = 0; i < na; ++i) {
       const int k = b.active[i];
       if (!b.okv[i]) {
-        b.have_factor[k] = 0;
         out[k].fail = SolveStatus::kSingularMatrix;
         out[k].bad_unknown = b.sys.lane_singular_col(k);
         continue;  // lane drops out; cohort partition rejects it
-      }
-      const bool was_stale = !b.fresh[i];
-      if (!was_stale) {
-        b.have_factor[k] = 1;
-        b.factor_dt[k] = p.dt;
-      } else {
-        ++stale_iters[k];
       }
       const num::RealVector& xk = b.xs[k];
       const num::RealVector& xnk = b.xn[k];
@@ -843,13 +718,6 @@ bool cohort_newton(EnsembleBlock& b, const Cohort& co,
           converged = false;
       }
       if (!finite) {
-        if (was_stale) {
-          // Retry the same candidate with a fresh factorization before
-          // rejecting (exactly the per-sample stale_nonfinite path).
-          fresh_reason[k] = "stale_nonfinite";
-          b.next_active.push_back(k);
-          continue;
-        }
         out[k].fail = SolveStatus::kNonFinite;
         out[k].bad_unknown = worst;
         continue;
@@ -861,10 +729,6 @@ bool cohort_newton(EnsembleBlock& b, const Cohort& co,
         out[k].ok = true;
         continue;
       }
-      if (was_stale &&
-          (max_dx > 0.5 * prev_dx[k] + opt.vtol || stale_iters[k] > 8))
-        fresh_reason[k] = "slow_convergence";
-      prev_dx[k] = max_dx;
       const double scale =
           max_dx > opt.max_step ? opt.max_step / max_dx : 1.0;
       num::RealVector& xw = b.xs[k];
@@ -895,13 +759,9 @@ void run_ensemble_block(EnsembleBlock& b) {
   }
 
   b.x.resize(nl);
-  b.have_factor.assign(nl, 0);
-  b.factor_dt.assign(nl, -1.0);
   b.xs.resize(nl);
   b.xn.resize(nl);
-  b.fresh.reset(new bool[nl]);
   b.okv.reset(new bool[nl]);
-  b.reasons.resize(nl);
 
   // Per-lane operating point, warm-started from the nominal OP: the
   // perturbed samples sit within millivolts of the nominal solution, so
@@ -1288,7 +1148,6 @@ TranEnsembleResult run_transient_ensemble(
     et.max_cohorts = std::max(et.max_cohorts, b.max_cohorts);
     const FactorStats& fs = b.sys.stats();
     et.factor_count += fs.factor_count;
-    et.reuse_count += fs.reuse_count;
     et.stamp_ns += fs.stamp_ns;
     et.factor_ns += fs.factor_ns;
     et.solve_ns += fs.solve_ns;

@@ -77,14 +77,7 @@ struct TranOptions {
   // across every Newton iteration of every time step.
   SolverKind solver = SolverKind::kSparse;
 
-  // Modified Newton: keep solving against the numeric factorization
-  // from an earlier iteration/step while it still contracts, paying for
-  // a fresh one only on dt changes, slow convergence, or non-finite
-  // updates.  The stale factorization only preconditions the update
-  // (the residual always uses the freshly assembled system), so the
-  // converged solution satisfies the same tolerances as full Newton.
-  // Disable to force a factorization on every iteration (A/B baseline).
-  bool reuse_factorization = true;
+  // Nonlinear implicit steps run full Newton: every iteration factors.
   // When the netlist has no nonlinear devices the implicit step is a
   // plain linear solve: stamp only the RHS and reuse one factorization
   // for the whole constant-dt run (fixed-step mode only).
@@ -127,9 +120,9 @@ struct TranTelemetry {
   // Initial operating point: homotopy method and iteration count.
   std::string op_method;
   int op_iterations = 0;
-  // Factorization-reuse telemetry (modified Newton / linear fast path):
-  // fresh numeric factorizations, solves against a reused one, and why
-  // each fresh factorization was needed.
+  // Factorization telemetry: fresh numeric factorizations, solves
+  // against a reused one (linear fast path only), and why each fresh
+  // factorization was needed.
   long factor_count = 0;
   long reuse_count = 0;
   std::map<std::string, long> refactor_reasons;
@@ -275,7 +268,6 @@ struct TranEnsembleTelemetry {
   // Aggregate solver effort across all blocks (per-lane shares are not
   // separable in lockstep assembly).
   long factor_count = 0;
-  long reuse_count = 0;
   long stamp_ns = 0;
   long factor_ns = 0;
   long solve_ns = 0;

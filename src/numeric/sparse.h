@@ -148,8 +148,8 @@ class SparseMatrix {
     return (it == hi || *it != c) ? -1 : static_cast<int>(it - base);
   }
 
-  // y = A * x (sized to rows()).  Used by the modified-Newton residual
-  // (r = rhs - A x with fresh values but a stale factorization).
+  // y = A * x (sized to rows()).  Used by the iterative-refinement
+  // residual check (r = rhs - A x).
   void multiply(const std::vector<T>& x, std::vector<T>& y) const {
     y.assign(static_cast<std::size_t>(n_), T{});
     for (int r = 0; r < n_; ++r) {
@@ -251,9 +251,9 @@ struct EnsembleValues {
 };
 
 // y = A_lane * x where A_lane shares `structure`'s CSR skeleton with its
-// values taken from lane `lane` of `ev`.  The ensemble modified-Newton
-// residual (r = rhs - A x against a stale factorization) uses this to
-// avoid gathering the lane just for a multiply.
+// values taken from lane `lane` of `ev`.  The ensemble's iterative-
+// refinement residual (r = rhs - A x) uses this to avoid gathering the
+// lane just for a multiply.
 void ensemble_multiply(const SparseMatrix<double>& structure,
                        const EnsembleValues& ev, int lane,
                        const std::vector<double>& x, std::vector<double>& y);

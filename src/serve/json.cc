@@ -37,10 +37,16 @@ void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+// Nesting cap: the parser recurses once per nested value, so an
+// unbounded depth lets one request line (100 000 '[') overflow the
+// connection thread's stack.  Protocol messages nest a few levels.
+constexpr int kMaxDepth = 128;
+
 struct Parser {
   const char* p;
   const char* end;
   std::string err;
+  int depth = 0;
 
   void skip_ws() {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
@@ -111,6 +117,14 @@ struct Parser {
   }
 
   bool parse_value(Json& out) {
+    if (depth == kMaxDepth) return fail("nesting too deep");
+    ++depth;
+    const bool ok = parse_any(out);
+    --depth;
+    return ok;
+  }
+
+  bool parse_any(Json& out) {
     skip_ws();
     if (p >= end) return fail("unexpected end of input");
     switch (*p) {

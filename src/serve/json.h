@@ -72,7 +72,8 @@ class Json {
   std::string dump() const;
 
   // Parses one JSON document.  Returns a null value and sets *err on
-  // malformed input (err may be null).
+  // malformed input or nesting deeper than 128 levels (err may be
+  // null).
   static Json parse(const std::string& text, std::string* err = nullptr);
 
  private:

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace msim::golden {
 
@@ -32,6 +34,19 @@ inline std::string drop_solver_time(const std::string& s) {
     nl = nl == std::string::npos ? s.size() : nl + 1;
     if (s.compare(pos, 12, "solver time:") != 0) out.append(s, pos, nl - pos);
     pos = nl;
+  }
+  return out;
+}
+
+// C99 hex floats, eight to a line: the exact bits of every value, so a
+// golden comparison of the result is a bit-identity check.
+inline std::string hex_rows(const std::vector<double>& v) {
+  std::string out;
+  char buf[40];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%a%c", v[i],
+                  i % 8 == 7 || i + 1 == v.size() ? '\n' : ' ');
+    out += buf;
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/mic_amp.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "golden_util.h"
 #include "numeric/rng.h"
 #include "process/process.h"
 
@@ -94,8 +96,9 @@ TEST(Ensemble, SingleSampleFallsBackBitIdentical) {
 
 // Lockstep vs per-sample on the perturbed mic-amp MC: every sample's
 // waveform must agree to solver tolerance (the engines take different
-// Newton paths -- warm-started OP, no reuse probe -- but converge to
-// the same tolerances), and the lockstep engine must actually engage.
+// Newton paths -- the lockstep lanes warm-start their OP from the
+// nominal one -- but converge to the same tolerances), and the lockstep
+// engine must actually engage.
 TEST(Ensemble, MatchesPerSampleOnPerturbedMicAmp) {
   constexpr std::size_t kSamples = 8;
   an::TranEnsembleOptions per;
@@ -165,6 +168,34 @@ TEST(Ensemble, BitIdenticalAcrossThreadCounts) {
                 ref.results[i].telemetry.newton_iterations);
     }
   }
+}
+
+// Lockstep full Newton against a golden recorded by the build that
+// still carried modified-Newton reuse, run with reuse switched off:
+// every lane factors on every iteration and its last recorded state
+// matches to the bit.
+TEST(Ensemble, LockstepFinalsMatchFullNewtonGolden) {
+  constexpr std::size_t kSamples = 4;
+  an::TranEnsembleOptions eo;
+  eo.threads = 1;
+  eo.lane_width = 4;
+  const auto er =
+      an::run_transient_ensemble(kSamples, configure_mic_sample, eo);
+  ASSERT_TRUE(er.ensemble.used_ensemble) << er.ensemble.fallback_reason;
+  EXPECT_EQ(er.ensemble.fallback_lanes, 0);
+  std::string text;
+  long iterations = 0;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    const auto& r = er.results[i];
+    ASSERT_TRUE(r.ok) << "sample " << i << ": " << r.diag.message();
+    ASSERT_FALSE(r.x.empty());
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "lane %zu t %a\n", i, r.time.back());
+    text += buf + golden::hex_rows(r.x.back());
+    iterations += r.telemetry.newton_iterations;
+  }
+  golden::expect("transient/mic_ensemble_finals.txt", text);
+  EXPECT_EQ(er.ensemble.factor_count, iterations);
 }
 
 // Budget expiry mid-ensemble: the in-flight block's lanes return

@@ -8,12 +8,15 @@
 // adopt/evict stress and the daemon smoke are the data-race gates for
 // the shared-immutable cache design.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -157,6 +160,24 @@ TEST(ServeJson, MalformedInputsReportErrors) {
     EXPECT_TRUE(j.is_null()) << bad;
     EXPECT_FALSE(err.empty()) << bad;
   }
+}
+
+// The parser recurses per nested value: nesting past its fixed cap is a
+// parse error, not a stack overflow.
+TEST(ServeJson, DeepNestingIsAnErrorNotACrash) {
+  for (const char* open : {"[", "{\"a\":"}) {
+    std::string deep;
+    for (int i = 0; i < 100000; ++i) deep += open;
+    std::string err;
+    const Json j = Json::parse(deep, &err);
+    EXPECT_TRUE(j.is_null()) << open;
+    EXPECT_EQ(err, "nesting too deep") << open;
+  }
+  // Well-formed nesting under the cap still parses.
+  std::string ok(100, '[');
+  ok += std::string(100, ']');
+  std::string err;
+  EXPECT_TRUE(Json::parse(ok, &err).is_array()) << err;
 }
 
 // -------------------------------------------------------------------
@@ -784,6 +805,35 @@ TEST(ServeSmoke, MalformedAndUnknownRequestsAnswerErrors) {
   nodeck.set("op", "submit");
   const Json r2 = serve::request(so.socket_path, nodeck, &err);
   EXPECT_FALSE(r2["ok"].as_bool(true));
+
+  // A line of 100 000 '[' gets an error reply on the same connection
+  // and the daemon keeps serving.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, so.socket_path.c_str(),
+               sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const std::string deep = std::string(100000, '[') + "\n";
+  for (std::size_t off = 0; off < deep.size();) {
+    const ssize_t n = ::send(fd, deep.data() + off, deep.size() - off, 0);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::string line;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+  ::close(fd);
+  const Json r3 = Json::parse(line, &err);
+  EXPECT_FALSE(r3["ok"].as_bool(true)) << line;
+  EXPECT_EQ(r3["error"].as_string(), "nesting too deep");
+
+  Json ping = Json::object();
+  ping.set("op", "ping");
+  const Json r4 = serve::request(so.socket_path, ping, &err);
+  EXPECT_TRUE(r4["ok"].as_bool(false)) << err;
 
   server.shutdown();
   runner.join();

@@ -1,63 +1,82 @@
-// Transient factorization-reuse tests: modified Newton vs. full Newton
-// on the class-AB buffer, the linear fast path's one-factorization
-// contract, and the determinism of run_transient_sweep across thread
-// counts.
+// Transient factorization tests: full-Newton bit identity on the
+// class-AB buffer (waveform and PSS THD against recorded goldens), the
+// linear fast path's one-factorization contract, and the determinism of
+// run_transient_sweep across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "analysis/pss.h"
 #include "analysis/transient.h"
 #include "bench_util.h"
 #include "circuit/netlist.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "golden_util.h"
 
 namespace {
 
 using namespace msim;
 
-// Modified Newton only preconditions the update with a stale
-// factorization -- the residual is always freshly assembled -- so the
-// converged waveform must match full Newton to solver tolerance, while
-// factoring far less often.
-TEST(TransientReuse, ModifiedNewtonMatchesFullNewtonOnClassAbBuffer) {
-  const double vp = 0.3, f0 = 1e3;
+// Buffer rig under the Table 2 full-swing drive (0.3 V per side, 1 kHz).
+std::unique_ptr<bench::DrvRig> driven_buffer() {
+  auto rig = bench::make_drv_rig();
+  rig->vsp->set_waveform(dev::Waveform::sine(0.0, 0.3, 1e3));
+  rig->vsn->set_waveform(dev::Waveform::sine(0.0, -0.3, 1e3));
+  return rig;
+}
 
-  auto full = bench::make_drv_rig();
-  full->vsp->set_waveform(dev::Waveform::sine(0.0, vp, f0));
-  full->vsn->set_waveform(dev::Waveform::sine(0.0, -vp, f0));
+// Every Newton iteration of a nonlinear run factors: no solve rides a
+// held factorization, and the only extra factorizations are the
+// numerical-health monitor's forced refactors.
+void expect_full_newton(const an::TranTelemetry& tel) {
+  EXPECT_FALSE(tel.linear_fast_path_used);
+  EXPECT_EQ(tel.reuse_count, 0);
+  const auto it = tel.refactor_reasons.find("iterative_refinement");
+  const long forced = it == tel.refactor_reasons.end() ? 0 : it->second;
+  EXPECT_EQ(tel.factor_count, tel.newton_iterations + forced);
+}
+
+// The goldens under tests/golden/transient/ were recorded by the build
+// that still carried modified-Newton factorization reuse, run with
+// reuse switched off.  Full Newton is now the only nonlinear path and
+// its arithmetic is unchanged, so the waveform must match to the bit.
+TEST(TransientReuse, ClassAbBufferWaveformMatchesFullNewtonGolden) {
+  auto rig = driven_buffer();
   an::TranOptions t;
   t.t_stop = 1e-3;
   t.dt = 2e-6;
-  t.reuse_factorization = false;
-  const auto rf = an::run_transient(full->nl, t);
-  ASSERT_TRUE(rf.ok);
-  const auto wf = rf.diff_wave(full->drv.outp, full->drv.outn);
-
-  auto mod = bench::make_drv_rig();
-  mod->vsp->set_waveform(dev::Waveform::sine(0.0, vp, f0));
-  mod->vsn->set_waveform(dev::Waveform::sine(0.0, -vp, f0));
-  t.reuse_factorization = true;
-  const auto rm = an::run_transient(mod->nl, t);
-  ASSERT_TRUE(rm.ok);
-  const auto wm = rm.diff_wave(mod->drv.outp, mod->drv.outn);
-
-  ASSERT_EQ(wf.size(), wm.size());
-  for (std::size_t i = 0; i < wf.size(); ++i)
-    EXPECT_NEAR(wm[i], wf[i], 1e-5) << "t = " << rm.time[i];
-
-  // The policy must actually reuse: fewer factorizations than Newton
-  // iterations, and a non-trivial reuse count.
-  EXPECT_GT(rm.telemetry.reuse_count, 0);
-  EXPECT_LT(rm.telemetry.factor_count, rm.telemetry.newton_iterations);
-  // Full Newton factors on every iteration and reuses never.
-  EXPECT_EQ(rf.telemetry.reuse_count, 0);
-  EXPECT_EQ(rf.telemetry.factor_count, rf.telemetry.newton_iterations);
-  // The JSON view must mention both counters.
-  const auto js = rm.telemetry.reuse_stats_json();
+  const auto r = an::run_transient(rig->nl, t);
+  ASSERT_TRUE(r.ok) << r.diag.message();
+  golden::expect("transient/buffer_hd_diff_wave.txt",
+                 golden::hex_rows(r.diff_wave(rig->drv.outp,
+                                              rig->drv.outn)));
+  expect_full_newton(r.telemetry);
+  // The JSON view still carries both counters.
+  const auto js = r.telemetry.reuse_stats_json();
   EXPECT_NE(js.find("\"factor_count\""), std::string::npos);
   EXPECT_NE(js.find("\"reuse_count\""), std::string::npos);
+}
+
+// Shooting PSS rides the held LU of each accepted step for its Phi
+// columns; with full Newton that is always the step's last iteration's
+// factorization.  THD and the periodic boundary state match the golden.
+TEST(TransientReuse, BufferPssThdMatchesFullNewtonGolden) {
+  auto rig = driven_buffer();
+  an::PssOptions o;
+  o.tran.dt = 1e-6;
+  const auto r = an::run_pss_shooting(rig->nl, o);
+  ASSERT_TRUE(r.ok) << r.diag.message();
+  const double thd =
+      r.harmonics(r.diff_wave(rig->drv.outp, rig->drv.outn)).thd;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "thd: %a\nx0:\n", thd);
+  golden::expect("transient/buffer_pss_thd.txt",
+                 buf + golden::hex_rows(r.x0));
+  expect_full_newton(r.telemetry.tran);
 }
 
 // A purely linear circuit at constant dt needs exactly one numeric
@@ -93,7 +112,6 @@ TEST(TransientReuse, LinearFastPathFactorsExactlyOnce) {
   const auto out2 = build(nl2);
   an::TranOptions t2 = t;
   t2.linear_fast_path = false;
-  t2.reuse_factorization = false;
   const auto r2 = an::run_transient(nl2, t2);
   ASSERT_TRUE(r2.ok);
   EXPECT_FALSE(r2.telemetry.linear_fast_path_used);

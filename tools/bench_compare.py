@@ -59,9 +59,9 @@ def main():
         type=float,
         default=0.9,
         help="min transient speedup_vs_full_newton the candidate must "
-        "keep on every transient_configs entry (default 0.9: the reuse "
-        "controller guarantees parity on stamp-dominated circuits, and "
-        "0.1 absorbs wall-clock noise around 1.0x)",
+        "keep on every transient_configs entry that takes the linear "
+        "fast path (default 0.9; nonlinear entries run full Newton "
+        "only and carry no A/B pair)",
     )
     ap.add_argument(
         "--stamp-threshold",
@@ -189,12 +189,15 @@ def main():
         print(f"  budget_overhead/{name:<18} adds {100 * frac:6.3f}% "
               f"wall time [{marker}]")
 
-    # Transient fast-path gate, judged absolutely on the candidate: the
-    # modified-Newton / linear-fast-path policy must keep beating the
-    # factor-every-iteration baseline, and the two policies' waveforms
-    # must still agree.
+    # Transient fast-path gate, judged absolutely on the candidate: on
+    # the linear entries the fast path must keep beating the factor-
+    # every-iteration baseline, and the two policies' waveforms must
+    # still agree.  Nonlinear entries have one policy; only the generic
+    # wall-time comparison above applies to them.
     for cfg in cand.get("transient_configs", []):
         name = cfg.get("name", "?")
+        if not cfg.get("linear_fast_path", False):
+            continue
         speedup = cfg.get("speedup_vs_full_newton")
         if speedup is None:
             failures.append(f"transient_configs/{name}: "

@@ -24,7 +24,8 @@
 // `--lint-strict` treats warnings as fatal.  Solver failures print the
 // structured SolveDiag (cause, offending node/device, homotopy stage);
 // transients additionally print step-rejection telemetry.
-// `--tran-stats` prints the factorization-reuse census plus the
+// `--tran-stats` prints the factorization census (fresh factorizations,
+// linear-fast-path reuses, refactor reasons) plus the
 // stamp_ns / factor_ns / solve_ns wall-time breakdown as one JSON line
 // (where does solver time go: assembly, factorization, or solves).
 // `--budget-ms N` runs every analysis under a shared wall-clock
