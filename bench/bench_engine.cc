@@ -76,65 +76,68 @@ struct McRun {
   an::McStats stats;
 };
 
-// The mic-amp gain-accuracy Monte-Carlo from the paper's Table 1 row
-// (dAcl): perturb both resistor strings with the process mismatch sigma,
-// re-solve OP + one AC point, measure the closed-loop gain in dB.
-//
-// Every sample rebuilds the netlist (same topology, new values), so the
-// scenario runs through monte_carlo_shared: sample 0 primes the solver
-// cache (sparse pattern, symbolic LU, stamp slots) and every later
-// sample adopts it after one fingerprint comparison -- the structural
-// hoist is the driver's job now, not the trial lambda's.
-McRun run_mc(const std::string& name, int samples, an::SolverKind solver,
-             int threads, int repeats) {
-  const auto pm = proc::ProcessModel::cmos12();
-
-  // Node ids are topology-stable across rebuilds (identical build
-  // order), so the measure lambda can reuse the nominal rig's outputs.
-  auto nominal = bench::make_mic_rig();
-  nominal->mic.set_gain_code(5);
-  const auto outp = nominal->mic.outp;
-  const auto outn = nominal->mic.outn;
-
+// Times one Monte-Carlo scenario through monte_carlo_shared, best of
+// `repeats`: sample 0 primes the solver cache (sparse pattern, symbolic
+// LU, stamp slots) and every later sample adopts it after one
+// fingerprint comparison -- the structural hoist is the driver's job,
+// not the trial lambda's.  `measure` adds the linear solves it ran to
+// the counter it is handed.
+McRun time_mc(
+    const std::string& name, int samples, std::uint64_t seed, int threads,
+    int repeats, const std::function<void(num::Rng&, ckt::Netlist&)>& build,
+    const std::function<an::McTrial(ckt::Netlist&, std::atomic<long>&)>&
+        measure) {
   McRun run;
   run.name = name;
   run.wall_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < repeats; ++rep) {
-    num::Rng rng(77);
+    num::Rng rng(seed);
     std::atomic<long> solves{0};
     an::McOptions mo;
     mo.threads = threads;
     const auto t0 = Clock::now();
     auto stats = an::monte_carlo_shared(
-        samples, rng,
-        [&](num::Rng& srng, ckt::Netlist& nl) {
-          auto parts = bench::build_mic_into(nl);
-          for (auto* seg : parts.mic.string_segments_p)
-            seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-          for (auto* seg : parts.mic.string_segments_n)
-            seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-          parts.mic.set_gain_code(5);
-        },
-        [&](ckt::Netlist& nl) {
-          an::OpOptions oo;
-          oo.solver = solver;
-          const auto op = an::solve_op(nl, oo);
-          if (!op.converged) return an::McTrial::failed(op.diag);
-          solves.fetch_add(op.iterations, std::memory_order_relaxed);
-          an::AcOptions ao;
-          ao.solver = solver;
-          const auto ac = an::run_ac(nl, {1e3}, ao);
-          solves.fetch_add(1, std::memory_order_relaxed);
-          return an::McTrial::of(
-              an::to_db(std::abs(ac.vdiff(0, outp, outn))));
-        },
-        mo);
+        samples, rng, build,
+        [&](ckt::Netlist& nl) { return measure(nl, solves); }, mo);
     const double wall = ms_since(t0);
     if (wall < run.wall_ms) run.wall_ms = wall;  // best of `repeats`
     run.solves = solves.load();
     run.stats = std::move(stats);
   }
   return run;
+}
+
+// The mic-amp gain-accuracy Monte-Carlo from the paper's Table 1 row
+// (dAcl): perturb both resistor strings with the process mismatch sigma,
+// re-solve OP + one AC point, measure the closed-loop gain in dB.
+McRun run_mc(const std::string& name, int samples, an::SolverKind solver,
+             int threads, int repeats) {
+  const auto pm = proc::ProcessModel::cmos12();
+  // Node ids are topology-stable across rebuilds (identical build
+  // order), so the measure lambda can reuse the nominal rig's outputs.
+  auto nominal = bench::make_mic_rig();
+  const auto outp = nominal->mic.outp;
+  const auto outn = nominal->mic.outn;
+  return time_mc(
+      name, samples, 77, threads, repeats,
+      [&](num::Rng& srng, ckt::Netlist& nl) {
+        auto parts = bench::build_mic_into(nl);
+        bench::perturb_mic_strings(parts.mic, pm, srng);
+        parts.mic.set_gain_code(5);
+      },
+      [&](ckt::Netlist& nl, std::atomic<long>& solves) {
+        an::OpOptions oo;
+        oo.solver = solver;
+        const auto op = an::solve_op(nl, oo);
+        if (!op.converged) return an::McTrial::failed(op.diag);
+        solves.fetch_add(op.iterations, std::memory_order_relaxed);
+        an::AcOptions ao;
+        ao.solver = solver;
+        const auto ac = an::run_ac(nl, {1e3}, ao);
+        solves.fetch_add(1, std::memory_order_relaxed);
+        return an::McTrial::of(
+            an::to_db(std::abs(ac.vdiff(0, outp, outn))));
+      });
 }
 
 // Chip-scale Monte-Carlo: the full transistor-level front end (~170
@@ -146,7 +149,6 @@ McRun run_mc(const std::string& name, int samples, an::SolverKind solver,
 McRun run_chip_mc(const std::string& name, int samples,
                   an::SolverKind solver, int threads, int repeats) {
   const auto pm = proc::ProcessModel::cmos12();
-
   // Branch unknowns are topology-stable too: capture the positive
   // rail's branch index once from a nominal build (branch bases only
   // exist after unknown assignment).
@@ -154,40 +156,23 @@ McRun run_chip_mc(const std::string& name, int samples,
   nominal->nl.assign_unknowns();
   const auto iq_idx =
       static_cast<std::size_t>(nominal->vdd_src->branch_base());
-
-  McRun run;
-  run.name = name;
-  run.wall_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < repeats; ++rep) {
-    num::Rng rng(123);
-    std::atomic<long> solves{0};
-    an::McOptions mo;
-    mo.threads = threads;
-    const auto t0 = Clock::now();
-    auto stats = an::monte_carlo_shared(
-        samples, rng,
-        [&](num::Rng& srng, ckt::Netlist& nl) {
-          (void)bench::build_chip_into(nl);
-          for (const auto& d : nl.devices())
-            if (auto* res = dynamic_cast<dev::Resistor*>(d.get()))
-              res->apply_relative_error(pm.sample_resistor_mismatch(srng));
-        },
-        [&](ckt::Netlist& nl) {
-          an::OpOptions oo;
-          oo.solver = solver;
-          const auto op = an::solve_op(nl, oo);
-          if (!op.converged) return an::McTrial::failed(op.diag);
-          solves.fetch_add(op.iterations, std::memory_order_relaxed);
-          // Total quiescent current drawn from the positive rail.
-          return an::McTrial::of(op.x[iq_idx]);
-        },
-        mo);
-    const double wall = ms_since(t0);
-    if (wall < run.wall_ms) run.wall_ms = wall;
-    run.solves = solves.load();
-    run.stats = std::move(stats);
-  }
-  return run;
+  return time_mc(
+      name, samples, 123, threads, repeats,
+      [&](num::Rng& srng, ckt::Netlist& nl) {
+        (void)bench::build_chip_into(nl);
+        for (const auto& d : nl.devices())
+          if (auto* res = dynamic_cast<dev::Resistor*>(d.get()))
+            res->apply_relative_error(pm.sample_resistor_mismatch(srng));
+      },
+      [&](ckt::Netlist& nl, std::atomic<long>& solves) {
+        an::OpOptions oo;
+        oo.solver = solver;
+        const auto op = an::solve_op(nl, oo);
+        if (!op.converged) return an::McTrial::failed(op.diag);
+        solves.fetch_add(op.iterations, std::memory_order_relaxed);
+        // Total quiescent current drawn from the positive rail.
+        return an::McTrial::of(op.x[iq_idx]);
+      });
 }
 
 struct AcRun {
@@ -591,9 +576,9 @@ bool stats_agree(const an::McStats& a, const an::McStats& b, double rtol) {
 
 // --------------------------------------------- ensemble transient MC
 
-// One MC-transient scenario run through run_transient_ensemble, either
-// as the per-sample baseline (force_per_sample: run_transient per lane
-// with the hoisted cache share) or as the lockstep SoA engine.  The
+// One MC-transient scenario run either as the per-sample baseline
+// (lane_width 0: run_transient_sweep, sample 0's structure shared) or
+// through run_transient_ensemble's lockstep SoA engine.  The
 // metric is a per-sample scalar pulled from each recorded waveform so
 // the two modes can be checked for numerical agreement sample by
 // sample, not just in aggregate.
@@ -604,7 +589,6 @@ struct EnsRun {
   int threads = 1;
   int lane_width = 0;
   bool used_ensemble = false;
-  std::string fallback_reason;
   long splits = 0;
   long rejoins = 0;
   double samples_per_sec = 0.0;
@@ -614,7 +598,7 @@ struct EnsRun {
 
 EnsRun run_ens(
     const std::string& name, int samples, int threads, int lane_width,
-    bool force_per_sample, int repeats,
+    int repeats,
     const std::function<void(std::size_t, ckt::Netlist&,
                              an::TranOptions&)>& configure,
     const std::function<double(const an::TranResult&)>& metric) {
@@ -624,18 +608,23 @@ EnsRun run_ens(
   run.threads = threads;
   run.lane_width = lane_width;
   for (int rep = 0; rep < repeats; ++rep) {
-    an::TranEnsembleOptions eo;
-    eo.threads = threads;
-    eo.lane_width = lane_width;
-    eo.force_per_sample = force_per_sample;
+    const auto n = static_cast<std::size_t>(samples);
+    an::TranEnsembleResult res;
     const auto t0 = Clock::now();
-    const auto res = an::run_transient_ensemble(
-        static_cast<std::size_t>(samples), configure, eo);
+    if (lane_width == 0) {
+      an::TranSweepOptions so;
+      so.threads = threads;
+      res.results = an::run_transient_sweep(n, configure, so);
+    } else {
+      an::TranEnsembleOptions eo;
+      eo.threads = threads;
+      eo.lane_width = lane_width;
+      res = an::run_transient_ensemble(n, configure, eo);
+    }
     const double wall = ms_since(t0);
     if (wall < run.wall_ms) {
       run.wall_ms = wall;
       run.used_ensemble = res.ensemble.used_ensemble;
-      run.fallback_reason = res.ensemble.fallback_reason;
       run.splits = res.ensemble.cohort_splits;
       run.rejoins = res.ensemble.cohort_rejoins;
       run.finals.clear();
@@ -1033,10 +1022,11 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
   }
 
   // Lockstep ensemble MC transient: the same perturbed-sample workload
-  // twice, per-sample baseline (force_per_sample, hoisted cache share)
-  // vs the SoA lockstep engine, gated on per-sample agreement of the
-  // final differential output.  record_after keeps only the last couple
-  // of points so recording stays off the timed hot path.
+  // twice, per-sample baseline (run_transient_sweep, sample 0's
+  // structure shared) vs the SoA lockstep engine, gated on per-sample
+  // agreement of the final differential output.  record_after keeps
+  // only the last couple of points so recording stays off the timed
+  // hot path.
   const auto pm_ens = proc::ProcessModel::cmos12();
   const int kEnsMic = mc_samples > 0 ? mc_samples : (smoke ? 8 : 32);
   const int kEnsChip = mc_samples > 0 ? mc_samples : (smoke ? 4 : 16);
@@ -1045,10 +1035,7 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                                 an::TranOptions& t) {
     auto parts = bench::build_mic_into(nl);
     num::Rng srng(1000 + 17 * static_cast<std::uint64_t>(i));
-    for (auto* seg : parts.mic.string_segments_p)
-      seg->apply_relative_error(pm_ens.sample_resistor_mismatch(srng));
-    for (auto* seg : parts.mic.string_segments_n)
-      seg->apply_relative_error(pm_ens.sample_resistor_mismatch(srng));
+    bench::perturb_mic_strings(parts.mic, pm_ens, srng);
     parts.mic.set_gain_code(5);
     parts.vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
     parts.vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
@@ -1085,19 +1072,17 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
               "samples, %d threads (best of %d)\n",
               kEnsMic, kEnsChip, kEnsThreads, kRepeats);
   const auto ens_mic_ps =
-      run_ens("mic-per-sample", kEnsMic, kEnsThreads, 8, true, kRepeats,
+      run_ens("mic-per-sample", kEnsMic, kEnsThreads, 0, kRepeats,
               conf_mic_ens, mic_final);
-  const auto ens_mic_w4 =
-      run_ens("mic-ensemble-w4", kEnsMic, kEnsThreads, 4, false, kRepeats,
-              conf_mic_ens, mic_final);
-  const auto ens_mic_w8 =
-      run_ens("mic-ensemble-w8", kEnsMic, kEnsThreads, 8, false, kRepeats,
-              conf_mic_ens, mic_final);
+  const auto ens_mic_w4 = run_ens("mic-ensemble-w4", kEnsMic, kEnsThreads,
+                                  4, kRepeats, conf_mic_ens, mic_final);
+  const auto ens_mic_w8 = run_ens("mic-ensemble-w8", kEnsMic, kEnsThreads,
+                                  8, kRepeats, conf_mic_ens, mic_final);
   const auto ens_chip_ps =
-      run_ens("chip-per-sample", kEnsChip, kEnsThreads, 8, true,
+      run_ens("chip-per-sample", kEnsChip, kEnsThreads, 0,
               std::min(kRepeats, 2), conf_chip_ens, chip_final);
   const auto ens_chip_w8 =
-      run_ens("chip-ensemble-w8", kEnsChip, kEnsThreads, 8, false,
+      run_ens("chip-ensemble-w8", kEnsChip, kEnsThreads, 8,
               std::min(kRepeats, 2), conf_chip_ens, chip_final);
   const double mic_ens_speedup =
       ens_mic_ps.wall_ms / std::min(ens_mic_w4.wall_ms, ens_mic_w8.wall_ms);

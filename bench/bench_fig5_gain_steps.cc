@@ -4,7 +4,6 @@
 // six codes, step sizes (6 dB nominal) and the Monte-Carlo distribution
 // of the gain error under matched-resistor statistics.
 #include <algorithm>
-#include <limits>
 
 #include "analysis/montecarlo.h"
 #include "bench_util.h"
@@ -46,19 +45,23 @@ int main() {
   std::printf("  %-6s %-14s %-14s\n", "code", "sigma [dB]", "worst [dB]");
   for (int code = 0; code < core::kMicGainCodes; ++code) {
     num::Rng rng(1000 + code);
-    const auto stats = an::monte_carlo(25, rng, [&](num::Rng& srng) {
-      auto r2 = make_mic_rig();
-      for (auto* seg : r2->mic.string_segments_p)
-        seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-      for (auto* seg : r2->mic.string_segments_n)
-        seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-      r2->mic.set_gain_code(code);
-      if (!an::solve_op(r2->nl).converged)
-        return std::numeric_limits<double>::quiet_NaN();
-      const auto ac = an::run_ac(r2->nl, {1e3});
-      return an::to_db(std::abs(ac.vdiff(0, r2->mic.outp, r2->mic.outn))) -
-             core::MicAmp::code_gain_db(code);
-    });
+    const auto stats = an::monte_carlo_shared(
+        25, rng,
+        [&](num::Rng& srng, ckt::Netlist& nl) {
+          auto parts = build_mic_into(nl);
+          perturb_mic_strings(parts.mic, pm, srng);
+          parts.mic.set_gain_code(code);
+        },
+        [&](ckt::Netlist& nl) {
+          const auto op = an::solve_op(nl);
+          if (!op.converged) return an::McTrial::failed(op.diag);
+          // Same topology as `rig`, so the same output node ids.
+          const auto ac = an::run_ac(nl, {1e3});
+          return an::McTrial::of(
+              an::to_db(
+                  std::abs(ac.vdiff(0, rig->mic.outp, rig->mic.outn))) -
+              core::MicAmp::code_gain_db(code));
+        });
     double worst = 0.0;
     for (double s : stats.samples) worst = std::max(worst, std::abs(s));
     std::printf("  %-6d %-14.4f %-14.4f\n", code, stats.stddev(), worst);

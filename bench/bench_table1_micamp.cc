@@ -6,7 +6,6 @@
 // (Monte-Carlo over resistor-string matching), PSRR at 1 kHz (with
 // sampled mismatch) and the quiescent current.
 #include <algorithm>
-#include <limits>
 
 #include "analysis/montecarlo.h"
 #include "bench_util.h"
@@ -121,18 +120,21 @@ int main() {
   {
     const auto pm = proc::ProcessModel::cmos12();
     num::Rng rng(19950301);
-    const auto stats = an::monte_carlo(31, rng, [&](num::Rng& srng) {
-      auto r2 = make_mic_rig();
-      for (auto* seg : r2->mic.string_segments_p)
-        seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-      for (auto* seg : r2->mic.string_segments_n)
-        seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-      r2->mic.set_gain_code(5);
-      if (!an::solve_op(r2->nl).converged)
-        return std::numeric_limits<double>::quiet_NaN();
-      const auto ac = an::run_ac(r2->nl, {1e3});
-      return an::to_db(std::abs(ac.vdiff(0, r2->mic.outp, r2->mic.outn)));
-    });
+    const auto stats = an::monte_carlo_shared(
+        31, rng,
+        [&](num::Rng& srng, ckt::Netlist& nl) {
+          auto parts = build_mic_into(nl);
+          perturb_mic_strings(parts.mic, pm, srng);
+          parts.mic.set_gain_code(5);
+        },
+        [&](ckt::Netlist& nl) {
+          const auto op = an::solve_op(nl);
+          if (!op.converged) return an::McTrial::failed(op.diag);
+          // Same topology as `rig`, so the same output node ids.
+          const auto ac = an::run_ac(nl, {1e3});
+          return an::McTrial::of(
+              an::to_db(std::abs(ac.vdiff(0, rig->mic.outp, rig->mic.outn))));
+        });
     double worst = 0.0;
     for (double s : stats.samples)
       worst = std::max(worst, std::abs(s - 40.0));

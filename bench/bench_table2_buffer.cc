@@ -4,7 +4,6 @@
 // to the THD crossings), I_Q with Monte-Carlo spread, PSRR(1 kHz) and
 // slew rate.
 #include <algorithm>
-#include <limits>
 
 #include "analysis/montecarlo.h"
 #include "bench_util.h"
@@ -66,20 +65,25 @@ int main() {
   {
     const auto pm = proc::ProcessModel::cmos12();
     num::Rng rng(7);
-    const auto stats = an::monte_carlo(15, rng, [&](num::Rng& srng) {
-      auto rig = make_drv_rig(2.6);
-      for (auto* m : {rig->drv.mop_p, rig->drv.mon_p, rig->drv.mop_n,
-                      rig->drv.mon_n}) {
-        const auto mm = pm.sample_mos_mismatch(
-            srng, m->params().polarity == dev::MosPolarity::kNmos,
-            m->width(), m->length());
-        m->apply_mismatch(mm.dvth, mm.dbeta_rel);
-      }
-      const auto op = an::solve_op(rig->nl);
-      if (!op.converged)
-        return std::numeric_limits<double>::quiet_NaN();
-      return rig->drv.supply_probe->current(op.x) * 1e3;
-    });
+    const std::string probe = make_drv_rig(2.6)->drv.supply_probe->name();
+    const auto stats = an::monte_carlo_shared(
+        15, rng,
+        [&](num::Rng& srng, ckt::Netlist& nl) {
+          const auto parts = build_drv_into(nl, 2.6);
+          for (auto* m : {parts.drv.mop_p, parts.drv.mon_p, parts.drv.mop_n,
+                          parts.drv.mon_n}) {
+            const auto mm = pm.sample_mos_mismatch(
+                srng, m->params().polarity == dev::MosPolarity::kNmos,
+                m->width(), m->length());
+            m->apply_mismatch(mm.dvth, mm.dbeta_rel);
+          }
+        },
+        [&](ckt::Netlist& nl) {
+          const auto op = an::solve_op(nl);
+          if (!op.converged) return an::McTrial::failed(op.diag);
+          return an::McTrial::of(
+              nl.find_as<dev::VSource>(probe)->current(op.x) * 1e3);
+        });
     row("I_Q (15 MC samples)", "3.25 +- 0.5 mA",
         fmt("%.2f", stats.mean()) + " +- " +
             fmt("%.2f mA (3 sigma)", 3.0 * stats.stddev()),

@@ -20,6 +20,7 @@
 #include "core/mic_amp.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "numeric/rng.h"
 #include "numeric/units.h"
 #include "signal/meter.h"
 
@@ -44,8 +45,9 @@ inline std::string fmt(const char* f, double v) {
 }
 
 // Microphone-amplifier rig parts: device handles into a caller-owned
-// netlist, so MC drivers that hand out the netlist themselves
-// (monte_carlo_shared, run_transient_ensemble) can reuse the builder.
+// netlist, so drivers that hand out the netlist themselves (the sample
+// loop behind monte_carlo_shared and run_transient_sweep, and
+// run_transient_ensemble) can reuse the builder.
 struct MicParts {
   dev::VSource* vdd_src = nullptr;
   dev::VSource* vss_src = nullptr;
@@ -71,6 +73,18 @@ inline MicParts build_mic_into(
   r.mic =
       core::build_mic_amp(nl, pm, d, nvdd, nvss, ckt::kGround, inp, inn);
   return r;
+}
+
+// The Table-1 gain-accuracy (dAcl) perturbation: every unit of both
+// resistor strings gets the process's matched-resistor mismatch, drawn
+// from `rng`, p string first.
+inline void perturb_mic_strings(core::MicAmp& mic,
+                                const proc::ProcessModel& pm,
+                                num::Rng& rng) {
+  for (auto* seg : mic.string_segments_p)
+    seg->apply_relative_error(pm.sample_resistor_mismatch(rng));
+  for (auto* seg : mic.string_segments_n)
+    seg->apply_relative_error(pm.sample_resistor_mismatch(rng));
 }
 
 // Microphone-amplifier rig: +-1.3 V rails, differential input sources.

@@ -1,5 +1,5 @@
-// Monte-Carlo driver: runs a user-supplied trial (build a perturbed
-// netlist, measure a scalar) N times and collects summary statistics.
+// Monte-Carlo driver: builds N perturbed netlists, measures a scalar on
+// each and collects summary statistics.
 // Used for the gain-accuracy (dAcl <= 0.05 dB), offset and quiescent-
 // current spread experiments.
 #pragma once
@@ -14,32 +14,16 @@
 #include <vector>
 
 #include "analysis/diag.h"
+#include "analysis/sample_loop.h"
 #include "circuit/netlist.h"
 #include "core/faultpoint.h"
-#include "core/parallel.h"
 #include "numeric/rng.h"
 
 namespace msim::an {
 
-struct McOptions {
-  // Worker threads for the sample loop: 1 = serial, 0 = auto
-  // (MSIM_THREADS / hardware concurrency).  Statistics are bit-identical
-  // at any thread count: every sample's RNG stream is pre-derived from
-  // the root Rng before the loop starts, each sample writes only its own
-  // result slot, and the reduction runs sequentially in sample order.
-  int threads = 1;
-  // Samples per scheduling block (0 = core::default_chunk).  Individual
-  // samples are far too cheap (~100 us for the mic rig) to pay a pool
-  // handoff each; chunking restores scaling without touching the
-  // deterministic contract.
-  std::size_t chunk = 0;
-  // Optional run budget / cancel hook, polled once per sample.  Samples
-  // the budget prevented from running are reported as structured
-  // kBudgetExceeded failures ("deadline_exceeded" in the detail), while
-  // statistics cover exactly the samples that completed -- a partial
-  // result, never an exception.  Null = unlimited.
-  core::RunBudget* budget = nullptr;
-};
+// Threads, chunk (samples are ~100 us for the mic rig, too cheap to pay
+// a pool handoff each) and budget of one Monte-Carlo batch.
+using McOptions = SampleOptions;
 
 // One failed Monte-Carlo sample with its structured diagnosis.
 struct McFailure {
@@ -50,9 +34,7 @@ struct McFailure {
 struct McStats {
   std::vector<double> samples;
   int failures = 0;
-  // Structured per-sample diagnostics for every failed trial (empty for
-  // the legacy NaN-signalling trial interface unless the trial supplied
-  // them).
+  // Structured diagnosis of every failed sample, sorted by sample index.
   std::vector<McFailure> failure_diags;
 
   // Failure census keyed by status name ("non_convergence": 3, ...).
@@ -86,13 +68,6 @@ struct McStats {
                ? 0.0
                : *std::max_element(samples.begin(), samples.end());
   }
-  // Worst absolute deviation from the mean.
-  double max_abs_dev() const {
-    const double m = mean();
-    double w = 0.0;
-    for (double v : samples) w = std::max(w, std::abs(v - m));
-    return w;
-  }
 };
 
 // Outcome of one diagnostic-aware Monte-Carlo trial: a value when the
@@ -105,166 +80,72 @@ struct McTrial {
   static McTrial failed(SolveDiag d) { return {0.0, std::move(d)}; }
 };
 
-namespace detail {
-
-// Sequential reduction in sample order: keeps `samples` ordered and
-// `failure_diags` sorted by sample index regardless of which thread ran
-// which trial.
-inline McStats mc_reduce(std::vector<McTrial>& trials) {
-  McStats st;
-  st.samples.reserve(trials.size());
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    McTrial& t = trials[i];
-    if (!t.diag.ok() || std::isnan(t.value)) {
-      ++st.failures;
-      if (t.diag.ok()) {  // NaN with no diagnosis attached
-        t.diag.status = SolveStatus::kNonFinite;
-        t.diag.detail = "trial returned NaN";
-      }
-      st.failure_diags.push_back({static_cast<int>(i), std::move(t.diag)});
-    } else {
-      st.samples.push_back(t.value);
-    }
-  }
-  return st;
-}
-
-}  // namespace detail
-
-// Diagnostic-aware driver: `trial` receives a per-sample RNG and returns
-// an McTrial; failed samples (diag not ok) are excluded from statistics
-// and recorded with their structured cause in `failure_diags` (sorted by
-// sample index).
-//
-// Sample i's RNG seed is pre-derived from the root Rng before any trial
-// runs -- the i-th derive_seed() draw, exactly the stream the historical
-// fork()-per-iteration loop produced -- so the trial values do not
-// depend on execution order and the parallel executor reproduces the
-// serial statistics bit-for-bit.
-inline McStats monte_carlo_diag(
-    int n_samples, num::Rng& rng,
-    const std::function<McTrial(num::Rng&)>& trial,
-    const McOptions& opt = {}) {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(n_samples));
-  for (int i = 0; i < n_samples; ++i) seeds.push_back(rng.derive_seed());
-
-  std::vector<McTrial> trials(static_cast<std::size_t>(n_samples));
-  // Pre-fill every slot with a budget-skip marker: when the budget
-  // expires, workers stop claiming samples and the untouched slots must
-  // reduce to structured failures rather than silent value-0 samples.
-  if (opt.budget) {
-    for (auto& t : trials)
-      t = McTrial::failed(budget_stop_diag(
-          core::StopReason::kNone, "montecarlo",
-          "sample skipped: deadline_exceeded (budget expired before "
-          "this sample ran)"));
-  }
-  core::parallel_for_chunked(
-      opt.threads, static_cast<std::size_t>(n_samples), opt.chunk,
-      [&](std::size_t i) {
-        if (opt.budget) {
-          const core::StopReason stop = opt.budget->stop_reason();
-          if (stop != core::StopReason::kNone) return;  // keep the marker
-          opt.budget->note_step();
-        }
-        num::Rng sample_rng(seeds[i]);
-        McTrial t = trial(sample_rng);
-        // Deterministic poison: fault-injection site addressed by sample
-        // index, exercising the partial-failure recovery path (one NaN
-        // sample among N -> N-1 good stats + one structured diag).
-        if (MSIM_FAULTPOINT_AT("mc_sample_nan",
-                               static_cast<long long>(i)))
-          t = McTrial::of(std::numeric_limits<double>::quiet_NaN());
-        trials[i] = t;
-      },
-      opt.budget);
-
-  return detail::mc_reduce(trials);
-}
-
 // Structure-shared Monte-Carlo: the trial is split into `build` (derive
 // sample i's perturbed netlist from its RNG stream) and `measure`
-// (solve it, return the scalar / diagnosis) so the driver can hoist the
-// structural analysis out of the per-sample work.  Sample 0 runs first,
-// serially, priming its netlist's solver cache (sparsity pattern,
-// symbolic LU, stamp slots); every later sample whose topology
-// fingerprint matches adopts that cache instead of re-deriving it.
-// Monte-Carlo perturbations move parameter VALUES, never topology, so
-// in practice every sample shares.  Same determinism, budget-marker and
-// mc_sample_nan fault-injection contracts as monte_carlo_diag; the
-// adopted cache is always sample 0's regardless of scheduling, so
-// statistics stay bit-identical at any thread count.
+// (solve it, return the scalar / diagnosis), and the samples run through
+// run_samples: sample 0 primes the solver cache, every later sample with
+// the same topology fingerprint adopts it.  Monte-Carlo perturbations
+// move parameter VALUES, never topology, so in practice every sample
+// shares.  Failed samples (diag not ok, or a NaN value) are excluded
+// from statistics and recorded with their structured cause in
+// `failure_diags`.  Each sample counts one budget step; samples the
+// budget stopped become structured kBudgetExceeded failures
+// ("deadline_exceeded" in the detail), so statistics cover exactly the
+// samples that completed -- a partial result, never an exception.
+//
+// Sample i's RNG seed is pre-derived from the root Rng before any sample
+// runs -- the i-th derive_seed() draw -- and the reduction runs in
+// sample order, so the statistics are bit-identical at any thread count.
 inline McStats monte_carlo_shared(
     int n_samples, num::Rng& rng,
     const std::function<void(num::Rng&, ckt::Netlist&)>& build,
     const std::function<McTrial(ckt::Netlist&)>& measure,
     const McOptions& opt = {}) {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(n_samples));
-  for (int i = 0; i < n_samples; ++i) seeds.push_back(rng.derive_seed());
+  const std::size_t n = static_cast<std::size_t>(std::max(n_samples, 0));
+  std::vector<std::uint64_t> seeds(n);
+  for (auto& s : seeds) s = rng.derive_seed();
 
-  std::vector<McTrial> trials(static_cast<std::size_t>(n_samples));
-  if (opt.budget) {
-    for (auto& t : trials)
-      t = McTrial::failed(budget_stop_diag(
-          core::StopReason::kNone, "montecarlo",
-          "sample skipped: deadline_exceeded (budget expired before "
-          "this sample ran)"));
-  }
-
-  auto run_sample = [&](std::size_t i, ckt::Netlist& nl) {
-    McTrial t = measure(nl);
-    if (MSIM_FAULTPOINT_AT("mc_sample_nan", static_cast<long long>(i)))
-      t = McTrial::of(std::numeric_limits<double>::quiet_NaN());
-    trials[i] = t;
-  };
-
-  ckt::Netlist nl0;
-  std::uint64_t fp0 = 0;
-  bool have0 = false;
-  if (n_samples > 0 &&
-      (!opt.budget ||
-       opt.budget->stop_reason() == core::StopReason::kNone)) {
-    if (opt.budget) opt.budget->note_step();
-    num::Rng r0(seeds[0]);
-    build(r0, nl0);
-    fp0 = nl0.topology_fingerprint();
-    run_sample(0, nl0);
-    have0 = true;
-  }
-  const std::size_t rest =
-      static_cast<std::size_t>(n_samples) - (have0 ? 1 : 0);
-  core::parallel_for_chunked(
-      opt.threads, rest, opt.chunk,
-      [&](std::size_t j) {
-        const std::size_t i = j + (have0 ? 1 : 0);
-        if (opt.budget) {
-          const core::StopReason stop = opt.budget->stop_reason();
-          if (stop != core::StopReason::kNone) return;  // keep the marker
-          opt.budget->note_step();
-        }
+  // Pre-fill every slot with a budget-skip marker: when the budget
+  // expires, workers stop claiming samples and the untouched slots must
+  // reduce to structured failures rather than silent value-0 samples.
+  std::vector<McTrial> trials(
+      n, opt.budget ? McTrial::failed(budget_stop_diag(
+                          core::StopReason::kNone, "montecarlo",
+                          "sample skipped: deadline_exceeded (budget "
+                          "expired before this sample ran)"))
+                    : McTrial{});
+  run_samples(
+      n, opt, /*note_steps=*/true,
+      [&](std::size_t i, ckt::Netlist& nl) {
         num::Rng sample_rng(seeds[i]);
-        ckt::Netlist nl;
         build(sample_rng, nl);
-        if (have0 && nl.topology_fingerprint() == fp0)
-          nl.adopt_solver_cache(nl0);
-        run_sample(i, nl);
       },
-      opt.budget);
+      [&](std::size_t i, ckt::Netlist& nl) {
+        McTrial t = measure(nl);
+        // Deterministic poison: fault-injection site addressed by sample
+        // index, exercising the partial-failure recovery path (one NaN
+        // sample among N -> N-1 good stats + one structured diag).
+        if (MSIM_FAULTPOINT_AT("mc_sample_nan", static_cast<long long>(i)))
+          t = McTrial::of(std::numeric_limits<double>::quiet_NaN());
+        trials[i] = std::move(t);
+      });
 
-  return detail::mc_reduce(trials);
-}
-
-// Historical API, kept as a thin wrapper: `trial` returns the measured
-// scalar, or NaN to signal a failed sample (counted separately, excluded
-// from statistics).
-inline McStats monte_carlo(int n_samples, num::Rng& rng,
-                           const std::function<double(num::Rng&)>& trial,
-                           const McOptions& opt = {}) {
-  return monte_carlo_diag(
-      n_samples, rng,
-      [&](num::Rng& srng) { return McTrial::of(trial(srng)); }, opt);
+  McStats st;
+  st.samples.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    McTrial& t = trials[i];
+    if (t.diag.ok() && !std::isnan(t.value)) {
+      st.samples.push_back(t.value);
+      continue;
+    }
+    ++st.failures;
+    if (t.diag.ok()) {  // NaN with no diagnosis attached
+      t.diag.status = SolveStatus::kNonFinite;
+      t.diag.detail = "trial returned NaN";
+    }
+    st.failure_diags.push_back({static_cast<int>(i), std::move(t.diag)});
+  }
+  return st;
 }
 
 }  // namespace msim::an

@@ -92,6 +92,10 @@ std::string fmt(double v) {
   return buf;
 }
 
+// JSON has no inf or nan: non-finite numbers are written as null, as
+// serve::Json::dump does.  The text report keeps fmt's inf/nan.
+std::string json_num(double v) { return std::isfinite(v) ? fmt(v) : "null"; }
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -279,8 +283,8 @@ std::string range_json(const RangeReport& r) {
                     ",\"converged\":" + (r.converged ? "true" : "false");
   out += ",\"supply\":{\"bounded\":";
   out += r.supply_bounded ? "true" : "false";
-  out += ",\"lo\":" + fmt(r.supply_hull.lo) +
-         ",\"hi\":" + fmt(r.supply_hull.hi) + ",\"nodes\":[";
+  out += ",\"lo\":" + json_num(r.supply_hull.lo) +
+         ",\"hi\":" + json_num(r.supply_hull.hi) + ",\"nodes\":[";
   for (std::size_t i = 0; i < r.supply_names.size(); ++i) {
     if (i) out += ',';
     out += '"' + json_escape(r.supply_names[i]) + '"';
@@ -291,8 +295,9 @@ std::string range_json(const RangeReport& r) {
     const auto& h = r.headroom[i];
     if (i) out += ',';
     out += "{\"node\":\"" + json_escape(h.node) +
-           "\",\"lo\":" + fmt(h.bound.lo) + ",\"hi\":" + fmt(h.bound.hi) +
-           ",\"headroom\":" + fmt(h.headroom) + "}";
+           "\",\"lo\":" + json_num(h.bound.lo) +
+           ",\"hi\":" + json_num(h.bound.hi) +
+           ",\"headroom\":" + json_num(h.headroom) + "}";
   }
   out += "]";
   out += ",\"rail_violations\":[";
@@ -300,7 +305,8 @@ std::string range_json(const RangeReport& r) {
     const auto& v = r.rail_violations[i];
     if (i) out += ',';
     out += "{\"node\":\"" + json_escape(v.node) +
-           "\",\"lo\":" + fmt(v.bound.lo) + ",\"hi\":" + fmt(v.bound.hi) +
+           "\",\"lo\":" + json_num(v.bound.lo) +
+           ",\"hi\":" + json_num(v.bound.hi) +
            ",\"device\":\"" + json_escape(v.device) + "\",\"message\":\"" +
            json_escape(v.message) + "\"}";
   }
@@ -320,12 +326,13 @@ std::string range_json(const RangeReport& r) {
     if (!c.amps.bounded()) continue;
     if (emitted++) out += ',';
     out += "{\"device\":\"" + json_escape(c.device) +
-           "\",\"lo\":" + fmt(c.amps.lo) + ",\"hi\":" + fmt(c.amps.hi) + "}";
+           "\",\"lo\":" + json_num(c.amps.lo) +
+           ",\"hi\":" + json_num(c.amps.hi) + "}";
   }
   out += "]";
   out += ",\"conditioning\":{\"available\":";
   out += r.cond_available ? "true" : "false";
-  out += ",\"forecast\":" + fmt(r.cond_forecast) + "}}";
+  out += ",\"forecast\":" + json_num(r.cond_forecast) + "}}";
   return out;
 }
 

@@ -27,8 +27,8 @@
 //    and converts a fatal report into a SolveDiag (kBadTopology, stage
 //    "lint").  Clean verdicts are cached on the netlist keyed by a
 //    structure-only fingerprint, and Monte-Carlo sample netlists inherit
-//    the nominal verdict through Netlist::adopt_solver_cache(), so the
-//    per-sample cost is one hash, not one analysis.
+//    sample 0's verdict when they adopt its solver cache (an::run_samples),
+//    so the per-sample cost is one hash, not one analysis.
 #pragma once
 
 #include <string>

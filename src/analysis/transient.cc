@@ -551,79 +551,30 @@ std::vector<TranResult> run_transient_sweep(
     const TranSweepOptions& opt) {
   std::vector<TranResult> results(n);
   // Pre-fill every slot with a "case not run" marker: when the shared
-  // budget expires, workers stop claiming cases and the untouched slots
-  // must still read as structured budget diags, not empty successes.
+  // budget expires, no further case starts and the untouched slots must
+  // still read as structured budget diags, not empty successes.
   if (opt.budget) {
     for (auto& r : results)
       r.diag = budget_stop_diag(core::StopReason::kNone, "tran_sweep",
                                 "case not run: sweep budget exhausted "
                                 "before this case started");
   }
-  // Hoisted structural sharing: case 0 runs serially and primes the
-  // pattern / symbolic LU / stamp slots; every later case with the same
-  // topology fingerprint adopts that cache instead of re-analyzing.
-  // The adopted cache is always case 0's regardless of scheduling, so
-  // the thread-count determinism contract is preserved.
-  if (opt.share_structure && n > 1) {
-    ckt::Netlist nl0;
-    TranOptions topt0;
-    configure(0, nl0, topt0);
-    topt0.budget = opt.budget;
-    if (!opt.budget || !opt.budget->exhausted())
-      results[0] = run_transient(nl0, topt0);
-    const std::uint64_t fp0 = nl0.topology_fingerprint();
-    core::parallel_for_chunked(
-        opt.threads, n - 1, opt.chunk,
-        [&](std::size_t j) {
-          const std::size_t i = j + 1;
-          ckt::Netlist nl;
-          TranOptions topt;
-          configure(i, nl, topt);
-          topt.budget = opt.budget;
-          if (nl.topology_fingerprint() == fp0) nl.adopt_solver_cache(nl0);
-          results[i] = run_transient(nl, topt);
-        },
-        opt.budget);
-    return results;
-  }
-  // Each case owns its netlist, workspace and result slot; the chunked
-  // schedule only decides when a case runs, never what it computes, so
-  // the output is bit-identical for any thread count / chunk size.
-  core::parallel_for_chunked(
-      opt.threads, n, opt.chunk,
-      [&](std::size_t i) {
-        ckt::Netlist nl;
-        TranOptions topt;
-        configure(i, nl, topt);
-        topt.budget = opt.budget;
-        results[i] = run_transient(nl, topt);
+  std::vector<TranOptions> topts(n);
+  run_samples(
+      n, opt, /*note_steps=*/false,
+      [&](std::size_t i, ckt::Netlist& nl) {
+        configure(i, nl, topts[i]);
+        topts[i].budget = opt.budget;
       },
-      opt.budget);
+      [&](std::size_t i, ckt::Netlist& nl) {
+        results[i] = run_transient(nl, topts[i]);
+      });
   return results;
 }
 
 // ---------------------------------------------------------------- ensemble
 
 namespace {
-
-// Field-wise equality of the stepping-relevant TranOptions.  The budget
-// pointer is excluded: the ensemble driver overwrites it uniformly.
-bool same_tran_options(const TranOptions& a, const TranOptions& b) {
-  return a.t_stop == b.t_stop && a.dt == b.dt && a.temp_k == b.temp_k &&
-         a.vtol == b.vtol && a.reltol == b.reltol &&
-         a.max_newton == b.max_newton && a.max_step == b.max_step &&
-         a.gmin == b.gmin && a.gshunt == b.gshunt &&
-         a.use_trapezoidal == b.use_trapezoidal && a.lint == b.lint &&
-         a.lint_strict == b.lint_strict &&
-         a.max_halvings == b.max_halvings && a.record == b.record &&
-         a.record_after == b.record_after && a.adaptive == b.adaptive &&
-         a.dt_min == b.dt_min && a.dt_max == b.dt_max &&
-         a.lte_tol == b.lte_tol && a.solver == b.solver &&
-         a.linear_fast_path == b.linear_fast_path &&
-         a.initial_state == b.initial_state &&
-         a.first_step_backward_euler == b.first_step_backward_euler &&
-         a.step_hook == b.step_hook;
-}
 
 // A dt cohort: the lanes of one block that still agree on position and
 // step ladder.  Splits (a rejected subset halving off) and rejoins (a
@@ -1004,10 +955,19 @@ TranEnsembleResult run_transient_ensemble(
     for (auto& r : er.results)
       r.telemetry.ensemble_samples_per_sec = et.samples_per_sec;
   };
-  if (n == 0) {
+  // Whole-run fallback: the plain sweep (sample 0 primes, every later
+  // sample with the same topology adopts its cache).
+  auto fall_back = [&](const char* why) {
+    et.used_ensemble = false;
+    et.fallback_reason = why;
+    et.fallback_lanes = static_cast<int>(n);
+    er.results =
+        run_transient_sweep(n, configure, {opt.threads, 0, opt.budget});
     finalize();
-    return er;
-  }
+    return std::move(er);
+  };
+  if (n <= 1)  // n == 1: bit-identity contract with run_transient
+    return fall_back(n == 1 ? "single_sample" : "");
 
   // Build every sample up front (serially: configure's determinism
   // contract is per-index, but the builds are cheap and this keeps the
@@ -1021,51 +981,11 @@ TranEnsembleResult run_transient_ensemble(
     topts[i].budget = opt.budget;
   }
 
-  // Whole-run per-sample fallback, with the hoisted cache share: when
-  // the topologies agree, sample 0 runs first and every later sample
-  // adopts its structural cache before running.
-  auto per_sample = [&](const char* why) {
-    et.used_ensemble = false;
-    et.fallback_reason = why;
-    et.fallback_lanes = static_cast<int>(n);
-    if (opt.budget) {
-      for (auto& r : er.results)
-        r.diag = budget_stop_diag(core::StopReason::kNone, "tran_ensemble",
-                                  "case not run: ensemble budget "
-                                  "exhausted before this case started");
-    }
-    std::size_t start = 0;
-    if (n > 1) {
-      const std::uint64_t fp0 = nls[0]->topology_fingerprint();
-      bool shared = true;
-      for (std::size_t i = 1; i < n && shared; ++i)
-        shared = nls[i]->topology_fingerprint() == fp0;
-      if (shared) {
-        if (!opt.budget || !opt.budget->exhausted())
-          er.results[0] = run_transient(*nls[0], topts[0]);
-        for (std::size_t i = 1; i < n; ++i)
-          nls[i]->adopt_solver_cache(*nls[0]);
-        start = 1;
-      }
-    }
-    core::parallel_for_chunked(
-        opt.threads, n - start, 0,
-        [&](std::size_t j) {
-          const std::size_t i = start + j;
-          er.results[i] = run_transient(*nls[i], topts[i]);
-        },
-        opt.budget);
-  };
-
   // Lockstep preconditions.  Any miss routes the whole run through the
-  // per-sample path with the reason recorded in the telemetry.
+  // sweep with the reason recorded in the telemetry.
   const TranOptions& base = topts[0];
   const char* why = nullptr;
-  if (opt.force_per_sample) {
-    why = "forced";
-  } else if (n == 1) {
-    why = "single_sample";  // bit-identity contract with run_transient
-  } else if (base.adaptive) {
+  if (base.adaptive) {
     why = "adaptive";  // per-lane LTE dt controllers diverge immediately
   } else if (base.solver == SolverKind::kDense) {
     why = "dense_solver";
@@ -1073,9 +993,9 @@ TranEnsembleResult run_transient_ensemble(
              base.first_step_backward_euler) {
     why = "pss_restart";  // lockstep lanes share one DC warm start
   } else {
-    for (std::size_t i = 1; i < n && !why; ++i) {
-      if (!same_tran_options(topts[i], base)) why = "options_differ";
-    }
+    // Every sample's budget is the ensemble's, so == compares the rest.
+    for (std::size_t i = 1; i < n && !why; ++i)
+      if (topts[i] != base) why = "options_differ";
   }
   if (!why) {
     const std::uint64_t fp0 = nls[0]->topology_fingerprint();
@@ -1100,9 +1020,8 @@ TranEnsembleResult run_transient_ensemble(
     if (!nominal.converged) why = "nominal_op_failed";
   }
   if (why) {
-    per_sample(why);
-    finalize();
-    return er;
+    nls.clear();
+    return fall_back(why);
   }
 
   // Hoisted cache share: every sample adopts the nominal structural

@@ -21,6 +21,7 @@
 
 #include "analysis/diag.h"
 #include "analysis/mna.h"
+#include "analysis/sample_loop.h"
 #include "circuit/netlist.h"
 #include "numeric/matrix.h"
 
@@ -107,6 +108,8 @@ struct TranOptions {
   // Per-accepted-step observation hook (fixed-step mode only; borrowed,
   // must outlive the run).  Null = none.
   TranStepHook* step_hook = nullptr;
+
+  bool operator==(const TranOptions&) const = default;
 };
 
 // Step-rejection and effort accounting for one transient run.
@@ -195,33 +198,19 @@ struct TranResult {
 TranResult run_transient(ckt::Netlist& nl, const TranOptions& opt);
 
 // Batched waveform sweeps (gain steps, amplitude sweeps for HD curves,
-// MC samples): runs `n` independent transients with one netlist and one
-// workspace per run.
-struct TranSweepOptions {
-  int threads = 1;        // 0 = auto, 1 = serial, >= 2 = pool workers
-  std::size_t chunk = 0;  // runs per scheduling block; 0 = auto
-  // Shared budget over the whole sweep: forwarded into every case's
-  // TranOptions AND checked by the parallel_for workers, so an expiry
-  // both truncates in-flight cases and stops new ones starting.  Cases
-  // never started are returned with a kBudgetExceeded "case not run"
-  // diag.  Null = unlimited.
-  core::RunBudget* budget = nullptr;
-  // Hoisted structural sharing for same-topology sweeps (MC samples of
-  // one rig): case 0 runs first, serially, and every later case whose
-  // topology fingerprint matches adopts its solver cache (pattern,
-  // symbolic LU, stamp slots) instead of re-analyzing per case.
-  // Results stay bit-identical across thread counts -- the adopted
-  // cache is always case 0's regardless of scheduling -- but can differ
-  // in the last ulps from an unshared sweep (the shared pivot order was
-  // chosen on case 0's values), so this is opt-in.
-  bool share_structure = false;
-};
+// MC samples): threads, chunk and a budget shared by the whole sweep.
+using TranSweepOptions = SampleOptions;
 
 // Runs case i by calling configure(i, nl, opt) on a fresh netlist and
-// default options, then run_transient on the result.  Deterministic-
-// ordering contract: case i's result depends only on i (configure must
-// not mutate shared state), so the returned vector is bit-identical for
-// any thread count or chunk size.
+// default options, then run_transient, through run_samples: every case
+// whose topology fingerprint matches case 0's adopts its solver cache.
+// Case i's result depends only on i (configure must not mutate shared
+// state), so the vector is bit-identical at any thread count.  Case 0
+// and any case with a topology of its own match a standalone
+// run_transient bit for bit; an adopting case can differ in the last
+// ulps (its pivot order was chosen on case 0's values).  The budget is
+// forwarded into every case, so an expiry truncates in-flight cases;
+// cases never started get a kBudgetExceeded "case not run" diag.
 std::vector<TranResult> run_transient_sweep(
     std::size_t n,
     const std::function<void(std::size_t, ckt::Netlist&, TranOptions&)>&
@@ -244,9 +233,6 @@ std::vector<TranResult> run_transient_sweep(
 struct TranEnsembleOptions {
   int threads = 1;    // 0 = auto; parallelism is across blocks
   int lane_width = 8; // lanes per lockstep block (the deterministic unit)
-  // A/B switch: run every sample through the per-sample run_transient
-  // path (with the hoisted cache share) instead of the lockstep engine.
-  bool force_per_sample = false;
   // Shared budget over the whole ensemble; expiry truncates every
   // in-flight lane with its own checkpoint (see TranResult) and marks
   // never-started blocks' samples with "case not run" diags.
@@ -282,11 +268,13 @@ struct TranEnsembleResult {
 
 // Runs sample i by calling configure(i, nl, opt) on a fresh netlist,
 // exactly like run_transient_sweep, then advances all samples in
-// lockstep.  Falls back to the per-sample path (whole-run or per-block)
-// whenever lockstep preconditions fail: differing TranOptions across
-// samples, adaptive stepping, the dense solver, topology disagreement,
-// n == 1 (bit-identity contract with run_transient), a failed nominal
-// OP, or force_per_sample.  Same determinism contract as the sweep:
+// lockstep.  Whenever a lockstep precondition fails -- differing
+// TranOptions across samples, adaptive stepping, the dense solver,
+// topology disagreement, n == 1 (bit-identity contract with
+// run_transient) or a failed nominal OP -- the whole run is
+// run_transient_sweep(n, configure) instead, with the reason in the
+// telemetry; a block whose lockstep set-up is refused runs its lanes
+// per sample.  Same determinism contract as the sweep:
 // results are bit-identical for any thread count (blocks are the
 // scheduling unit and each block is serial inside).
 TranEnsembleResult run_transient_ensemble(

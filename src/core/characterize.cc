@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "analysis/ac.h"
 #include "analysis/montecarlo.h"
@@ -148,25 +147,29 @@ MicAmpDatasheet characterize_mic_amp(const MicAmpDesign& d,
   // Input-referred offset from mismatch Monte Carlo.
   {
     num::Rng rng(seed);
-    const auto stats =
-        an::monte_carlo_diag(mc_samples, rng, [&](num::Rng& srng) {
+    const double gain = std::pow(10.0, ds.gain_db / 20.0);
+    const auto stats = an::monte_carlo_shared(
+        mc_samples, rng,
+        [&](num::Rng& srng, ckt::Netlist& nl) {
           auto b2 = mic_bench(d, pm);
           for (const auto& dv : b2->nl.devices()) {
             auto* m = dynamic_cast<dev::Mosfet*>(dv.get());
             if (!m) continue;
             const auto mm = pm.sample_mos_mismatch(
-                srng,
-                m->params().polarity == dev::MosPolarity::kNmos,
+                srng, m->params().polarity == dev::MosPolarity::kNmos,
                 m->width(), m->length());
             m->apply_mismatch(mm.dvth, mm.dbeta_rel);
           }
           b2->mic.set_gain_code(gain_code);
-          const auto op2 = an::solve_op(b2->nl);
+          nl = std::move(b2->nl);
+        },
+        [&](ckt::Netlist& nl) {
+          // Every sample has the nominal bench's topology, so its
+          // output node ids are the same.
+          const auto op2 = an::solve_op(nl);
           if (!op2.converged) return an::McTrial::failed(op2.diag);
-          const double out_dc =
-              op2.v(b2->mic.outp) - op2.v(b2->mic.outn);
-          return an::McTrial::of(out_dc /
-                                 std::pow(10.0, ds.gain_db / 20.0));
+          return an::McTrial::of(
+              (op2.v(b->mic.outp) - op2.v(b->mic.outn)) / gain);
         });
     ds.offset_sigma_mv = stats.stddev() * 1e3;
     ds.mc_failure_causes = stats.failure_causes();

@@ -41,7 +41,8 @@ struct DeckOptions {
   // N-sample MC over the deck (each sample re-parses the deck and
   // applies a 1% gaussian spread to every resistor; sample RNG streams
   // derive from mc_seed, so the statistics are deterministic and
-  // thread-count independent -- an::monte_carlo_shared underneath).
+  // thread-count independent -- an::monte_carlo_shared, on the one
+  // structure-shared sample loop an::run_samples, underneath).
   int mc = 0;
   std::uint64_t mc_seed = 1;
   std::vector<std::string> lint_disable;

@@ -11,6 +11,20 @@
 namespace msim::serve {
 namespace {
 
+// Longest request line the daemon buffers: without a cap, a client that
+// never sends a newline grows the buffer until the process runs out of
+// memory.  1 MiB is ~200x the largest deck in examples/ and tests/ (the
+// ~5 KB mic-amp deck spice::write_netlist renders; .sp files are < 1 KB).
+// A longer line gets an error reply; its bytes are dropped to the newline.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+Json error_reply(const std::string& error) {
+  Json r = Json::object();
+  r.set("ok", false);
+  r.set("error", error);
+  return r;
+}
+
 // MSG_NOSIGNAL keeps a client that hung up from killing the daemon
 // with SIGPIPE; the short-write loop finishes the line or gives up.
 bool write_all(int fd, const std::string& data) {
@@ -235,7 +249,8 @@ void Server::accept_loop() {
 }
 
 void Server::serve_connection(std::shared_ptr<Conn> conn) {
-  std::string pending;
+  std::string line;       // the current line, up to its newline
+  bool overlong = false;  // skipping the rest of an over-cap line
   char buf[65536];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
@@ -244,12 +259,23 @@ void Server::serve_connection(std::shared_ptr<Conn> conn) {
       if (errno == EINTR) continue;
       break;
     }
-    pending.append(buf, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = pending.find('\n')) != std::string::npos) {
-      const std::string line = pending.substr(0, nl);
-      pending.erase(0, nl + 1);
-      if (!line.empty()) handle_line(conn, line);
+    // Only the newly received bytes are scanned for the newline.
+    for (const char *p = buf, *end = buf + n; p < end;) {
+      const char* eol = static_cast<const char*>(
+          std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+      if (!overlong) line.append(p, eol ? eol : end);
+      if (!overlong && line.size() > kMaxLineBytes) {
+        overlong = true;
+        line = std::string();  // release the buffer too
+        send_line(conn, error_reply("request line longer than " +
+                                    std::to_string(kMaxLineBytes) +
+                                    " bytes"));
+      }
+      if (!eol) break;
+      if (!overlong && !line.empty()) handle_line(conn, line);
+      line.clear();
+      overlong = false;
+      p = eol + 1;
     }
   }
   // Peer is gone: release the fd now (a long-lived daemon that parks
@@ -299,10 +325,8 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
   std::string perr;
   const Json req = Json::parse(line, &perr);
   if (!req.is_object()) {
-    Json r = Json::object();
-    r.set("ok", false);
-    r.set("error", perr.empty() ? "request must be a JSON object" : perr);
-    send_line(conn, r);
+    send_line(conn, error_reply(perr.empty() ? "request must be a JSON object"
+                                             : perr));
     return;
   }
   const std::string op = req["op"].as_string();
@@ -343,10 +367,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
     shutdown_requested_.store(true);
     shutdown_cv_.notify_all();
   } else {
-    Json r = Json::object();
-    r.set("ok", false);
-    r.set("error", "unknown op: " + op);
-    send_line(conn, r);
+    send_line(conn, error_reply("unknown op: " + op));
   }
 }
 

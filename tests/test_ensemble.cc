@@ -17,6 +17,7 @@
 #include "core/budget.h"
 #include "core/faultpoint.h"
 #include "core/mic_amp.h"
+#include "devices/diode.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "golden_util.h"
@@ -41,24 +42,12 @@ an::TranOptions mic_tran_options() {
 void configure_mic_sample(std::size_t i, ckt::Netlist& nl,
                           an::TranOptions& t) {
   const auto pm = proc::ProcessModel::cmos12();
-  const auto nvdd = nl.node("vdd");
-  const auto nvss = nl.node("vss");
-  const auto inp = nl.node("inp");
-  const auto inn = nl.node("inn");
-  nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
-  nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
-  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                       dev::Waveform::sine(0.0, 1e-3, 1e3));
-  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                       dev::Waveform::sine(0.0, -1e-3, 1e3));
-  auto mic = core::build_mic_amp(nl, pm, {}, nvdd, nvss, ckt::kGround,
-                                 inp, inn);
+  auto parts = bench::build_mic_into(nl);
+  parts.vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
+  parts.vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
   num::Rng srng(1000 + 17 * static_cast<std::uint64_t>(i));
-  for (auto* seg : mic.string_segments_p)
-    seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-  for (auto* seg : mic.string_segments_n)
-    seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-  mic.set_gain_code(5);
+  bench::perturb_mic_strings(parts.mic, pm, srng);
+  parts.mic.set_gain_code(5);
   t = mic_tran_options();
 }
 
@@ -101,13 +90,8 @@ TEST(Ensemble, SingleSampleFallsBackBitIdentical) {
 // engine must actually engage.
 TEST(Ensemble, MatchesPerSampleOnPerturbedMicAmp) {
   constexpr std::size_t kSamples = 8;
-  an::TranEnsembleOptions per;
-  per.force_per_sample = true;
-  const auto ps =
-      an::run_transient_ensemble(kSamples, configure_mic_sample, per);
-  ASSERT_EQ(ps.results.size(), kSamples);
-  EXPECT_FALSE(ps.ensemble.used_ensemble);
-  EXPECT_EQ(ps.ensemble.fallback_reason, "forced");
+  const auto ps = an::run_transient_sweep(kSamples, configure_mic_sample);
+  ASSERT_EQ(ps.size(), kSamples);
 
   an::TranEnsembleOptions eo;
   eo.lane_width = 4;  // two blocks of four lanes
@@ -121,7 +105,7 @@ TEST(Ensemble, MatchesPerSampleOnPerturbedMicAmp) {
   EXPECT_GT(er.ensemble.samples_per_sec, 0.0);
 
   for (std::size_t i = 0; i < kSamples; ++i) {
-    const auto& pe = ps.results[i];
+    const auto& pe = ps[i];
     const auto& en = er.results[i];
     ASSERT_TRUE(pe.ok) << "per-sample " << i << ": " << pe.diag.message();
     ASSERT_TRUE(en.ok) << "ensemble " << i << ": " << en.diag.message();
@@ -293,29 +277,28 @@ TEST(Ensemble, CohortSplitAndRejoinOnFaultedLane) {
   EXPECT_NE(sum.find("ensemble"), std::string::npos);
 }
 
-// The sweep-level structural-sharing hoist: share_structure must keep
-// the thread-determinism contract and agree with the unshared sweep to
-// solver tolerance (the shared pivot order was chosen on case 0).
+// The sweep's structural sharing (every case adopts case 0's solver
+// cache) must keep the thread-determinism contract and agree with a
+// standalone run_transient on a fresh netlist to solver tolerance (the
+// shared pivot order was chosen on case 0).
 TEST(Ensemble, SweepShareStructureMatchesUnshared) {
   constexpr std::size_t kCases = 4;
-  an::TranSweepOptions plain;
-  plain.threads = 1;
-  const auto base =
-      an::run_transient_sweep(kCases, configure_mic_sample, plain);
-
   an::TranSweepOptions shared;
   shared.threads = 1;
-  shared.share_structure = true;
   const auto got =
       an::run_transient_sweep(kCases, configure_mic_sample, shared);
   ASSERT_EQ(got.size(), kCases);
   for (std::size_t i = 0; i < kCases; ++i) {
-    ASSERT_TRUE(base[i].ok);
+    ckt::Netlist nl;
+    an::TranOptions t;
+    configure_mic_sample(i, nl, t);
+    const auto base = an::run_transient(nl, t);
+    ASSERT_TRUE(base.ok);
     ASSERT_TRUE(got[i].ok) << got[i].diag.message();
-    ASSERT_EQ(got[i].x.size(), base[i].x.size());
-    for (std::size_t k = 0; k < base[i].x.size(); ++k)
-      for (std::size_t u = 0; u < base[i].x[k].size(); ++u)
-        EXPECT_NEAR(got[i].x[k][u], base[i].x[k][u], 1e-6)
+    ASSERT_EQ(got[i].x.size(), base.x.size());
+    for (std::size_t k = 0; k < base.x.size(); ++k)
+      for (std::size_t u = 0; u < base.x[k].size(); ++u)
+        EXPECT_NEAR(got[i].x[k][u], base.x[k][u], 1e-6)
             << "case " << i << " step " << k;
   }
 
@@ -330,27 +313,78 @@ TEST(Ensemble, SweepShareStructureMatchesUnshared) {
                          "shared sweep case " + std::to_string(i));
 }
 
-// Structure-shared Monte-Carlo driver: same statistics contract as
-// monte_carlo_diag (bit-identical across thread counts) while adopting
-// the sample-0 solver cache everywhere.
+// Nonlinear RC rig whose case kRewired moves C1 from node a to node b:
+// the node, device and unknown counts stay, so only the topology
+// fingerprint tells the two structures apart.
+constexpr std::size_t kRewired = 2;
+
+void configure_rewired_rc(std::size_t i, ckt::Netlist& nl,
+                          an::TranOptions& t) {
+  const auto in = nl.node("in");
+  const auto a = nl.node("a");
+  const auto b = nl.node("b");
+  nl.add<dev::VSource>("Vin", in, ckt::kGround,
+                       dev::Waveform::sine(0.0, 1.0, 10e3));
+  nl.add<dev::Resistor>("R1", in, a, 1e3 * (1.0 + 0.01 * i));
+  nl.add<dev::Resistor>("R2", a, b, 2e3);
+  nl.add<dev::Diode>("D1", b, ckt::kGround, dev::DiodeParams{});
+  nl.add<dev::Capacitor>("C1", i == kRewired ? b : a, ckt::kGround, 10e-9);
+  t.t_stop = 50e-6;
+  t.dt = 1e-6;
+}
+
+// Notes the solver-cache skeleton a case ran on.
+struct SkeletonProbe : an::TranStepHook {
+  const void* skeleton = nullptr;
+  void on_accepted(const ckt::Netlist& nl, an::RealSystem&,
+                   const an::AssembleParams&, const num::RealVector&,
+                   const num::RealVector&) override {
+    skeleton = nl.solver_cache().skeleton.get();
+  }
+};
+
+// A case whose topology differs from case 0's must not adopt case 0's
+// cache, and must run exactly as a standalone run_transient would.
+TEST(Ensemble, SweepTopologyMismatchRunsStandalone) {
+  constexpr std::size_t kCases = 4;
+  std::vector<SkeletonProbe> probes(kCases);
+  const auto got = an::run_transient_sweep(
+      kCases, [&](std::size_t i, ckt::Netlist& nl, an::TranOptions& t) {
+        configure_rewired_rc(i, nl, t);
+        t.step_hook = &probes[i];
+      });
+  ASSERT_NE(probes[0].skeleton, nullptr);
+  for (std::size_t i = 1; i < kCases; ++i)
+    EXPECT_EQ(probes[i].skeleton == probes[0].skeleton, i != kRewired)
+        << "case " << i;
+  ASSERT_TRUE(got[kRewired].ok) << got[kRewired].diag.message();
+  ckt::Netlist nl;
+  an::TranOptions t;
+  configure_rewired_rc(kRewired, nl, t);
+  expect_bit_identical(got[kRewired], an::run_transient(nl, t), "rewired");
+}
+
+// The ensemble's topology_differs fallback is the plain sweep.
+TEST(Ensemble, TopologyDiffersFallbackEqualsSweep) {
+  constexpr std::size_t kCases = 4;
+  const auto er = an::run_transient_ensemble(kCases, configure_rewired_rc);
+  EXPECT_EQ(er.ensemble.fallback_reason, "topology_differs");
+  const auto sweep = an::run_transient_sweep(kCases, configure_rewired_rc);
+  ASSERT_EQ(er.results.size(), kCases);
+  for (std::size_t i = 0; i < kCases; ++i) {
+    ASSERT_TRUE(sweep[i].ok) << sweep[i].diag.message();
+    expect_bit_identical(er.results[i], sweep[i], "case " + std::to_string(i));
+  }
+}
+
+// Structure-shared Monte-Carlo driver: statistics bit-identical across
+// thread counts while adopting the sample-0 solver cache everywhere.
 TEST(Ensemble, MonteCarloSharedDeterministicAcrossThreads) {
   const auto pm = proc::ProcessModel::cmos12();
   auto build = [&pm](num::Rng& srng, ckt::Netlist& nl) {
-    const auto nvdd = nl.node("vdd");
-    const auto nvss = nl.node("vss");
-    const auto inp = nl.node("inp");
-    const auto inn = nl.node("inn");
-    nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
-    nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
-    nl.add<dev::VSource>("Vinp", inp, ckt::kGround, 0.0);
-    nl.add<dev::VSource>("Vinn", inn, ckt::kGround, 0.0);
-    auto mic = core::build_mic_amp(nl, pm, {}, nvdd, nvss, ckt::kGround,
-                                   inp, inn);
-    for (auto* seg : mic.string_segments_p)
-      seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-    for (auto* seg : mic.string_segments_n)
-      seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-    mic.set_gain_code(5);
+    auto parts = bench::build_mic_into(nl);
+    bench::perturb_mic_strings(parts.mic, pm, srng);
+    parts.mic.set_gain_code(5);
   };
   auto measure = [](ckt::Netlist& nl) {
     an::OpOptions oo;

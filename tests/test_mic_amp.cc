@@ -10,6 +10,7 @@
 #include "analysis/noise.h"
 #include "analysis/op.h"
 #include "analysis/transient.h"
+#include "bench_util.h"
 #include "circuit/netlist.h"
 #include "core/mic_amp.h"
 #include "devices/sources.h"
@@ -20,34 +21,11 @@ namespace {
 
 using namespace msim;
 
-struct Rig {
-  ckt::Netlist nl;
-  dev::VSource* vdd_src;
-  dev::VSource* vinp;
-  dev::VSource* vinn;
-  core::MicAmp mic;
-};
-
-std::unique_ptr<Rig> make_rig(const core::MicAmpDesign& d = {}) {
-  auto r = std::make_unique<Rig>();
-  const auto nvdd = r->nl.node("vdd");
-  const auto nvss = r->nl.node("vss");
-  const auto inp = r->nl.node("inp");
-  const auto inn = r->nl.node("inn");
-  r->vdd_src = r->nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
-  r->nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
-  r->vinp = r->nl.add<dev::VSource>(
-      "Vinp", inp, ckt::kGround, dev::Waveform::dc(0.0).with_ac(0.5));
-  r->vinn = r->nl.add<dev::VSource>(
-      "Vinn", inn, ckt::kGround, dev::Waveform::dc(0.0).with_ac(-0.5));
-  const auto pm = proc::ProcessModel::cmos12();
-  r->mic = core::build_mic_amp(r->nl, pm, d, nvdd, nvss, ckt::kGround,
-                               inp, inn);
-  return r;
-}
+// The Table-1 rig: +-1.3 V rails, differential AC input sources.
+using bench::make_mic_rig;
 
 TEST(MicAmp, OperatingPointIsBalanced) {
-  auto r = make_rig();
+  auto r = make_mic_rig();
   const auto op = an::solve_op(r->nl);
   ASSERT_TRUE(op.converged) << op.method;
   // CMFB regulates the output common mode to analog ground.
@@ -58,7 +36,7 @@ TEST(MicAmp, OperatingPointIsBalanced) {
 }
 
 TEST(MicAmp, QuiescentCurrentWithinTable1) {
-  auto r = make_rig();
+  auto r = make_mic_rig();
   const auto op = an::solve_op(r->nl);
   ASSERT_TRUE(op.converged);
   const double iq = r->mic.supply_probe->current(op.x);
@@ -70,7 +48,7 @@ TEST(MicAmp, QuiescentCurrentWithinTable1) {
 class MicAmpGain : public ::testing::TestWithParam<int> {};
 
 TEST_P(MicAmpGain, CodeHitsIdealWithin0p05dB) {
-  auto r = make_rig();
+  auto r = make_mic_rig();
   const int code = GetParam();
   r->mic.set_gain_code(code);
   ASSERT_TRUE(an::solve_op(r->nl).converged);
@@ -84,7 +62,7 @@ TEST_P(MicAmpGain, CodeHitsIdealWithin0p05dB) {
 INSTANTIATE_TEST_SUITE_P(AllCodes, MicAmpGain, ::testing::Range(0, 6));
 
 TEST(MicAmp, GainStepsAre6dB) {
-  auto r = make_rig();
+  auto r = make_mic_rig();
   ASSERT_TRUE(an::solve_op(r->nl).converged);
   double prev_db = 0.0;
   for (int code = 0; code < core::kMicGainCodes; ++code) {
@@ -101,7 +79,7 @@ TEST(MicAmp, GainStepsAre6dB) {
 }
 
 TEST(MicAmp, NoiseRowsOfTable1) {
-  auto r = make_rig();
+  auto r = make_mic_rig();
   r->mic.set_gain_code(5);  // 40 dB: the critical setting
   ASSERT_TRUE(an::solve_op(r->nl).converged);
   an::NoiseOptions opt;
@@ -136,7 +114,7 @@ TEST(MicAmp, NoiseRowsOfTable1) {
 TEST(MicAmp, PsophometricSnrMeetsSpec) {
   // Eq. (2) context: 0.6 Vrms at the modulator input, psophometrically
   // weighted S/N >= 86.5 dB.
-  auto r = make_rig();
+  auto r = make_mic_rig();
   r->mic.set_gain_code(5);
   ASSERT_TRUE(an::solve_op(r->nl).converged);
   an::NoiseOptions opt;
@@ -163,7 +141,7 @@ TEST(MicAmp, PsophometricSnrMeetsSpec) {
 }
 
 TEST(MicAmp, DistortionAt0p2VpBeatsMinus52dB) {
-  auto r = make_rig();
+  auto r = make_mic_rig();
   r->mic.set_gain_code(5);
   r->vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
   r->vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
@@ -185,7 +163,7 @@ TEST(MicAmp, PsrrAt1kHzWithMismatch) {
   // mismatched instance and require the spec with margin.
   const auto pm = proc::ProcessModel::cmos12();
   num::Rng rng(2026);
-  auto r = make_rig();
+  auto r = make_mic_rig();
   for (auto* m : r->mic.input_devices) {
     const auto mm =
         pm.sample_mos_mismatch(rng, false, m->width(), m->length());
@@ -215,18 +193,22 @@ TEST(MicAmp, MonteCarloGainAccuracy) {
   // string with the process's matched-unit sigma.
   const auto pm = proc::ProcessModel::cmos12();
   num::Rng rng(77);
-  const auto stats = an::monte_carlo(25, rng, [&](num::Rng& srng) {
-    auto r = make_rig();
-    for (auto* seg : r->mic.string_segments_p)
-      seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-    for (auto* seg : r->mic.string_segments_n)
-      seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-    r->mic.set_gain_code(5);
-    if (!an::solve_op(r->nl).converged)
-      return std::numeric_limits<double>::quiet_NaN();
-    const auto ac = an::run_ac(r->nl, {1e3});
-    return an::to_db(std::abs(ac.vdiff(0, r->mic.outp, r->mic.outn)));
-  });
+  // Every sample has the nominal rig's topology, so its output node ids.
+  const auto nominal = make_mic_rig();
+  const auto stats = an::monte_carlo_shared(
+      25, rng,
+      [&](num::Rng& srng, ckt::Netlist& nl) {
+        auto parts = bench::build_mic_into(nl);
+        bench::perturb_mic_strings(parts.mic, pm, srng);
+        parts.mic.set_gain_code(5);
+      },
+      [&](ckt::Netlist& nl) {
+        const auto op = an::solve_op(nl);
+        if (!op.converged) return an::McTrial::failed(op.diag);
+        const auto ac = an::run_ac(nl, {1e3});
+        return an::McTrial::of(an::to_db(
+            std::abs(ac.vdiff(0, nominal->mic.outp, nominal->mic.outn))));
+      });
   ASSERT_EQ(stats.failures, 0);
   // Worst-case deviation from the 40 dB target within +-0.05 dB.
   double worst = 0.0;
@@ -239,7 +221,7 @@ TEST(MicAmp, MonteCarloGainAccuracy) {
 TEST(MicAmp, InputsAreHighImpedance) {
   // DDA property: no resistive path loads the microphone input.  The
   // input source current at DC must be (numerically) zero.
-  auto r = make_rig();
+  auto r = make_mic_rig();
   const auto op = an::solve_op(r->nl);
   ASSERT_TRUE(op.converged);
   EXPECT_LT(std::abs(r->vinp->current(op.x)), 1e-9);
@@ -248,7 +230,7 @@ TEST(MicAmp, InputsAreHighImpedance) {
 TEST(MicAmp, NoiseGrowsAtLowGainSetting) {
   // Paper Sec. 3.1/Eq. 4: the resistor network contributes non-constant,
   // larger input-referred noise at lower closed-loop gain.
-  auto r = make_rig();
+  auto r = make_mic_rig();
   auto in_noise_at = [&](int code) {
     r->mic.set_gain_code(code);
     EXPECT_TRUE(an::solve_op(r->nl).converged);

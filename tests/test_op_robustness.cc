@@ -253,8 +253,9 @@ TEST(FaultInjection, NoiseWithoutOutputNodeIsBadTopology) {
 TEST(FaultInjection, MonteCarloCollectsPerSampleDiagnostics) {
   num::Rng rng(7);
   int k = 0;
-  const auto stats =
-      an::monte_carlo_diag(6, rng, [&](num::Rng&) -> an::McTrial {
+  const auto stats = an::monte_carlo_shared(
+      6, rng, [](num::Rng&, ckt::Netlist&) {},
+      [&](ckt::Netlist&) -> an::McTrial {
         if (++k % 2 == 0) {
           an::SolveDiag d;
           d.status = an::SolveStatus::kNonConvergence;

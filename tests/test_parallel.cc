@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "analysis/op.h"
 #include "bench_util.h"
 #include "core/parallel.h"
+#include "devices/diode.h"
 #include "numeric/rng.h"
 #include "process/process.h"
 
@@ -80,33 +82,29 @@ TEST(ParallelFor, FirstExceptionPropagatesToCaller) {
 
 an::McStats mic_gain_mc(int samples, int threads) {
   const auto pm = proc::ProcessModel::cmos12();
-  auto nominal = bench::make_mic_rig();
-  nominal->mic.set_gain_code(5);
-  an::OpOptions warm;
-  warm.solver = an::SolverKind::kSparse;
-  (void)an::solve_op(nominal->nl, warm);
+  // Every sample has the nominal rig's topology, so its output node ids.
+  const auto nominal = bench::make_mic_rig();
 
   num::Rng rng(77);
   an::McOptions mo;
   mo.threads = threads;
-  return an::monte_carlo(
+  return an::monte_carlo_shared(
       samples, rng,
-      [&](num::Rng& srng) {
-        auto r = bench::make_mic_rig();
-        for (auto* seg : r->mic.string_segments_p)
-          seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-        for (auto* seg : r->mic.string_segments_n)
-          seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-        r->mic.set_gain_code(5);
-        r->nl.adopt_solver_cache(nominal->nl);
+      [&](num::Rng& srng, ckt::Netlist& nl) {
+        auto parts = bench::build_mic_into(nl);
+        bench::perturb_mic_strings(parts.mic, pm, srng);
+        parts.mic.set_gain_code(5);
+      },
+      [&](ckt::Netlist& nl) {
         an::OpOptions oo;
         oo.solver = an::SolverKind::kSparse;
-        const auto op = an::solve_op(r->nl, oo);
-        if (!op.converged) return std::nan("");
+        const auto op = an::solve_op(nl, oo);
+        if (!op.converged) return an::McTrial::failed(op.diag);
         an::AcOptions ao;
         ao.solver = an::SolverKind::kSparse;
-        const auto ac = an::run_ac(r->nl, {1e3}, ao);
-        return an::to_db(std::abs(ac.vdiff(0, r->mic.outp, r->mic.outn)));
+        const auto ac = an::run_ac(nl, {1e3}, ao);
+        return an::McTrial::of(an::to_db(
+            std::abs(ac.vdiff(0, nominal->mic.outp, nominal->mic.outn))));
       },
       mo);
 }
@@ -130,10 +128,16 @@ TEST(MonteCarloParallel, FailureDiagsSortedAndOrderIndependent) {
     num::Rng rng(5);
     an::McOptions mo;
     mo.threads = threads;
-    return an::monte_carlo_diag(
+    return an::monte_carlo_shared(
         64, rng,
-        [](num::Rng& srng) {
-          const double u = srng.uniform();
+        // The sample's draw rides in its netlist as a source value.
+        [](num::Rng& srng, ckt::Netlist& nl) {
+          nl.add<dev::VSource>("V", nl.node("a"), ckt::kGround,
+                               srng.uniform());
+        },
+        [](ckt::Netlist& nl) {
+          const double u =
+              nl.find_as<dev::VSource>("V")->waveform().dc_value();
           if (u < 0.3) {
             an::SolveDiag diag;
             diag.status = an::SolveStatus::kNonConvergence;
@@ -156,6 +160,58 @@ TEST(MonteCarloParallel, FailureDiagsSortedAndOrderIndependent) {
                 parallel.failure_diags[i].sample);
     }
   }
+}
+
+// A diode divider whose topology comes from the sample's own stream: a
+// rewired sample returns R2 to node a instead of node b, keeping the
+// node, device and unknown counts.
+void build_rewirable_divider(num::Rng& r, ckt::Netlist& nl) {
+  const bool rewired = r.uniform() < 0.3;
+  const auto a = nl.node("a");
+  const auto b = nl.node("b");
+  nl.add<dev::VSource>("V1", a, ckt::kGround, 1.0);
+  nl.add<dev::Resistor>("R1", a, b, 1e3 * (1.0 + 0.05 * r.normal()));
+  nl.add<dev::Resistor>("R2", rewired ? a : b, ckt::kGround, 5e3);
+  nl.add<dev::Diode>("D1", b, ckt::kGround, dev::DiodeParams{});
+}
+
+an::McTrial divider_output(ckt::Netlist& nl) {
+  const auto op = an::solve_op(nl);
+  if (!op.converged) return an::McTrial::failed(op.diag);
+  return an::McTrial::of(op.v(nl.find_node("b")));
+}
+
+// A sample whose topology differs from sample 0's must not adopt its
+// cache, and must measure exactly what a standalone solve measures.
+TEST(MonteCarloParallel, TopologyMismatchSampleRunsStandalone) {
+  constexpr int kSamples = 12;
+  std::vector<bool> adopted;  // serial run: samples arrive in order
+  num::Rng rng(3);
+  const auto st = an::monte_carlo_shared(
+      kSamples, rng, build_rewirable_divider, [&](ckt::Netlist& nl) {
+        adopted.push_back(nl.solver_cache().skeleton != nullptr);
+        return divider_output(nl);
+      });
+  ASSERT_EQ(st.failures, 0);
+
+  // Replay each sample standalone from its stream, the i-th
+  // derive_seed() draw of the root Rng.
+  num::Rng root(3);
+  std::uint64_t fp0 = 0;
+  int mismatched = 0;
+  for (int i = 0; i < kSamples; ++i) {
+    num::Rng r(root.derive_seed());
+    ckt::Netlist nl;
+    build_rewirable_divider(r, nl);
+    const std::uint64_t fp = nl.topology_fingerprint();
+    if (i == 0) fp0 = fp;
+    EXPECT_EQ(adopted[i], i > 0 && fp == fp0) << "sample " << i;
+    if (fp == fp0) continue;
+    ++mismatched;
+    EXPECT_EQ(st.samples[i], divider_output(nl).value) << "sample " << i;
+  }
+  ASSERT_GT(mismatched, 0);
+  ASSERT_LT(mismatched, kSamples - 1);
 }
 
 // ---- parallel frequency grids ---------------------------------------

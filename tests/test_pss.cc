@@ -285,10 +285,7 @@ TEST(Pss, MonteCarloOverPssIsThreadCountDeterministic) {
         samples, rng,
         [&](num::Rng& srng, ckt::Netlist& nl) {
           auto parts = bench::build_mic_into(nl);
-          for (auto* seg : parts.mic.string_segments_p)
-            seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
-          for (auto* seg : parts.mic.string_segments_n)
-            seg->apply_relative_error(pm.sample_resistor_mismatch(srng));
+          bench::perturb_mic_strings(parts.mic, pm, srng);
           parts.mic.set_gain_code(5);
           parts.vinp->set_waveform(dev::Waveform::sine(0.0, 2e-3, 1e3));
           parts.vinn->set_waveform(dev::Waveform::sine(0.0, -2e-3, 1e3));

@@ -63,6 +63,16 @@ void build_rc(ckt::Netlist& nl) {
   nl.add<dev::Capacitor>("C1", out, ckt::kGround, 10e-9);
 }
 
+// Monte-Carlo driver tests that need only each sample's RNG stream: the
+// draw rides in the sample's netlist as a source value.
+void draw_normal(num::Rng& r, ckt::Netlist& nl) {
+  nl.add<dev::VSource>("V", nl.node("a"), ckt::kGround, r.normal(0.0, 1.0));
+}
+
+an::McTrial drawn_value(ckt::Netlist& nl) {
+  return an::McTrial::of(nl.find_as<dev::VSource>("V")->waveform().dc_value());
+}
+
 // ---- run budgets: structured partial results ------------------------
 
 TEST(Budget, OpIterationCapReportsBudgetExceeded) {
@@ -163,10 +173,8 @@ TEST(Budget, MonteCarloBudgetSkipsAreStructuredFailures) {
   opt.threads = 1;
   opt.budget = &budget;
   num::Rng rng(11);
-  const auto st = an::monte_carlo_diag(
-      10, rng,
-      [](num::Rng& r) { return an::McTrial::of(r.normal(0.0, 1.0)); },
-      opt);
+  const auto st =
+      an::monte_carlo_shared(10, rng, draw_normal, drawn_value, opt);
   EXPECT_EQ(st.samples.size(), 4u);
   EXPECT_EQ(st.failures, 6);
   ASSERT_EQ(st.failure_diags.size(), 6u);
@@ -188,10 +196,8 @@ TEST(Budget, MonteCarloParallelWorkersStopClaiming) {
   opt.chunk = 1;
   opt.budget = &budget;
   num::Rng rng(11);
-  const auto st = an::monte_carlo_diag(
-      32, rng,
-      [](num::Rng& r) { return an::McTrial::of(r.normal(0.0, 1.0)); },
-      opt);
+  const auto st =
+      an::monte_carlo_shared(32, rng, draw_normal, drawn_value, opt);
   EXPECT_EQ(st.samples.size() + st.failure_diags.size(), 32u);
   EXPECT_GE(st.samples.size(), 3u);
   EXPECT_GE(st.failures, 1);
@@ -370,10 +376,8 @@ TEST(FaultPoint, MonteCarloPoisonedSampleThreadInvariant) {
     an::McOptions opt;
     opt.threads = threads;
     num::Rng rng(42);
-    const auto st = an::monte_carlo_diag(
-        8, rng,
-        [](num::Rng& r) { return an::McTrial::of(r.normal(0.0, 1.0)); },
-        opt);
+    const auto st =
+        an::monte_carlo_shared(8, rng, draw_normal, drawn_value, opt);
     EXPECT_EQ(fp::trip_count("mc_sample_nan"), 1) << threads;
     ASSERT_EQ(st.samples.size(), 7u) << threads;
     EXPECT_EQ(st.failures, 1) << threads;

@@ -806,8 +806,10 @@ TEST(ServeSmoke, MalformedAndUnknownRequestsAnswerErrors) {
   const Json r2 = serve::request(so.socket_path, nodeck, &err);
   EXPECT_FALSE(r2["ok"].as_bool(true));
 
-  // A line of 100 000 '[' gets an error reply on the same connection
-  // and the daemon keeps serving.
+  // A line of 100 000 '[' and a line over the 1 MiB cap each get an
+  // error reply on the same connection (the over-cap bytes are dropped
+  // up to the newline), that connection still answers a ping, and the
+  // daemon keeps serving.
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_un addr{};
@@ -816,22 +818,39 @@ TEST(ServeSmoke, MalformedAndUnknownRequestsAnswerErrors) {
                sizeof addr.sun_path - 1);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
             0);
-  const std::string deep = std::string(100000, '[') + "\n";
-  for (std::size_t off = 0; off < deep.size();) {
-    const ssize_t n = ::send(fd, deep.data() + off, deep.size() - off, 0);
-    ASSERT_GT(n, 0);
-    off += static_cast<std::size_t>(n);
-  }
-  std::string line;
-  char c;
-  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
-  ::close(fd);
+  const auto send_all = [fd](const std::string& data) {
+    for (std::size_t off = 0; off < data.size();) {
+      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  const auto read_line = [fd] {
+    std::string line;
+    char c;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+    return line;
+  };
+  ASSERT_TRUE(send_all(std::string(100000, '[') + "\n"));
+  const std::string line = read_line();
   const Json r3 = Json::parse(line, &err);
   EXPECT_FALSE(r3["ok"].as_bool(true)) << line;
   EXPECT_EQ(r3["error"].as_string(), "nesting too deep");
 
   Json ping = Json::object();
   ping.set("op", "ping");
+  ASSERT_TRUE(send_all(std::string((std::size_t{1} << 20) + 4096, 'x') +
+                       "\n" + ping.dump() + "\n"));
+  const std::string l5 = read_line();
+  const Json r5 = Json::parse(l5, &err);
+  EXPECT_FALSE(r5["ok"].as_bool(true)) << l5;
+  EXPECT_NE(r5["error"].as_string().find("longer than"), std::string::npos)
+      << l5;
+  const std::string l6 = read_line();
+  EXPECT_EQ(Json::parse(l6, &err)["op"].as_string(), "ping") << l6;
+  ::close(fd);
+
   const Json r4 = serve::request(so.socket_path, ping, &err);
   EXPECT_TRUE(r4["ok"].as_bool(false)) << err;
 

@@ -532,6 +532,18 @@ TEST(ValueRange, JsonReportIsStructured) {
   EXPECT_NE(text.find("value-range"), std::string::npos);
 }
 
+TEST(ValueRange, JsonReportWritesNonFiniteAsNull) {
+  // A zero-ohm resistor drives the conditioning forecast to infinity;
+  // the report must stay valid JSON.
+  auto parsed = spice::parse_netlist_file(fault_path("nan_resistor.sp"));
+  auto& nl = *parsed.netlist;
+  nl.assign_unknowns();
+  const std::string json = an::range_json(an::range_analysis(nl));
+  EXPECT_NE(json.find("\"forecast\":null"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+}
+
 TEST(LintFramework, RangePassesCanBeDisabledByNameAndByKind) {
   auto parsed = spice::parse_netlist_file(fault_path("rail_violation.sp"));
   auto& nl = *parsed.netlist;

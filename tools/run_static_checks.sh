@@ -83,10 +83,12 @@ run_sanitized_faults() {
 
 # ---- ThreadSanitizer concurrency suites ------------------------------
 # The worker pool (test_parallel), the lockstep multi-lane ensemble
-# (test_ensemble), and the serve registry + work-stealing job scheduler
-# + daemon (test_serve, incl. the ServeStress concurrent adopt/publish/
-# evict churn) are the code paths that share mutable state across
-# threads; run exactly those under -fsanitize=thread.  TSan and ASan
+# (test_ensemble), the shared sample loop under a budget that parallel
+# workers race to exhaust (test_robustness), and the serve registry +
+# work-stealing job scheduler + daemon (test_serve, incl. the
+# ServeStress concurrent adopt/publish/evict churn) are the code paths
+# that share mutable state across threads; run exactly those under
+# -fsanitize=thread.  TSan and ASan
 # cannot coexist in one binary, hence the third build tree.
 run_tsan_suites() {
   local tsan_dir="$repo_root/build-tsan"
@@ -104,10 +106,10 @@ run_tsan_suites() {
     return 0
   }
   cmake --build "$tsan_dir" -j "$(nproc 2>/dev/null || echo 2)" \
-        --target test_ensemble test_parallel test_serve \
+        --target test_ensemble test_parallel test_robustness test_serve \
         >/dev/null || return 1
   (cd "$tsan_dir" && ctest --output-on-failure \
-        -R '^(test_ensemble|test_parallel|test_serve|serve_smoke)$') || return 1
+        -R '^(test_ensemble|test_parallel|test_robustness|test_serve|serve_smoke)$') || return 1
   echo "run_static_checks: tsan concurrency suites clean" >&2
   return 0
 }
