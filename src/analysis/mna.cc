@@ -124,19 +124,58 @@ void stamp_run(int kind, const ckt::Device* const* devs, std::size_t n,
   }
 }
 
-// Applies the common stamp-context setup and device loop for the
-// large-signal system; `Jac` is either RealMatrix or RealSparseMatrix.
-template <typename Jac>
-void stamp_real(const ckt::Netlist& nl, const num::RealVector& x,
-                const AssembleParams& p, Jac& jac, num::RealVector& rhs) {
-  ckt::StampContext ctx(p.mode, x, jac, rhs);
+void set_params(ckt::StampContext& ctx, const AssembleParams& p) {
   ctx.time = p.time;
   ctx.dt = p.dt;
   ctx.temp_k = p.temp_k;
   ctx.gmin = p.gmin;
   ctx.use_trapezoidal = p.use_trapezoidal;
   ctx.source_scale = p.source_scale;
-  for (const auto& d : nl.devices()) d->stamp(ctx);
+}
+
+// The slot table of the linear (base) or nonlinear (newton) pass.
+template <typename Tables>
+auto& slot_pass(Tables& t, bool newton_pass, ckt::AnalysisMode mode) {
+  if (mode == ckt::AnalysisMode::kDcOp)
+    return newton_pass ? t.newton_dcop : t.base_dcop;
+  return newton_pass ? t.newton_tran : t.base_tran;
+}
+
+// The large-signal device loop; `Jac` is RealMatrix or RealSparseMatrix.
+// With slot tables (sparse only) each device replays its window of the
+// recorded linear or nonlinear pass; an unpredicted write searches.
+template <typename Jac>
+void stamp_real(const ckt::Netlist& nl, const num::RealVector& x,
+                const AssembleParams& p, Jac& jac, num::RealVector& rhs,
+                const num::StampSlotTables* t = nullptr) {
+  ckt::StampContext ctx(p.mode, x, jac, rhs);
+  set_params(ctx, p);
+  std::size_t next[2] = {0, 0};  // per pass: the next device's window
+  for (const auto& d : nl.devices()) {
+    if (t) {
+      const bool nonlinear = d->is_nonlinear();
+      const num::StampSlotPass& pass = slot_pass(*t, nonlinear, p.mode);
+      const std::size_t w = next[nonlinear]++;
+      if (pass.recorded && w < pass.windows.size())
+        ctx.arm_slot_replay(pass.slots.data() + pass.windows[w].first,
+                            pass.windows[w].second - pass.windows[w].first);
+    }
+    d->stamp(ctx);
+    if (t) ctx.finish_slot_replay();
+  }
+}
+
+// The netlist's cached slot tables when they index `jac` (a matrix
+// built from the cached skeleton at the current structure), else null.
+template <typename T>
+const num::StampSlotTables* cached_slots(const ckt::Netlist& nl,
+                                         const num::SparseMatrix<T>& jac) {
+  const auto& cache = nl.solver_cache();
+  const num::StampSlotTables* t = cache.slots.get();
+  return t && cache.structure_rev == nl.structure_revision() &&
+                 t->nnz == jac.nnz()
+             ? t
+             : nullptr;
 }
 
 // Adds the gshunt guard to every node diagonal of a sparse matrix.
@@ -147,10 +186,8 @@ template <typename T>
 void add_gshunt_diag(const ckt::Netlist& nl, num::SparseMatrix<T>& jac,
                      double gshunt) {
   const int nodes = nl.node_count() - 1;
-  const auto& cache = nl.solver_cache();
-  const num::StampSlotTables* t = cache.slots.get();
-  if (t && cache.structure_rev == nl.structure_revision() &&
-      t->nnz == jac.nnz() && static_cast<int>(t->diag.size()) == nodes) {
+  const num::StampSlotTables* t = cached_slots(nl, jac);
+  if (t && static_cast<int>(t->diag.size()) == nodes) {
     auto& vals = jac.values();
     for (int i = 0; i < nodes; ++i)
       vals[static_cast<std::size_t>(t->diag[i])] += gshunt;
@@ -174,6 +211,45 @@ num::SparsityPattern mna_pattern(const ckt::Netlist& nl) {
   const int nodes = nl.node_count() - 1;
   for (int i = 0; i < nodes; ++i) pat.add(i, i);
   return pat;
+}
+
+const num::RealSparseMatrix& mna_skeleton(const ckt::Netlist& nl) {
+  auto& cache = nl.solver_cache();
+  const int n = nl.unknown_count();
+  const std::size_t ndev = nl.devices().size();
+  const std::uint64_t rev = nl.structure_revision();
+  if (!cache.skeleton || cache.unknowns != n || cache.devices != ndev ||
+      cache.structure_rev != rev) {
+#ifndef NDEBUG
+    // Debug builds verify the stamp contract whenever a fresh pattern
+    // is built: an out-of-pattern write would silently corrupt this
+    // CSR skeleton for every later system sharing the cache.
+    const auto violations = check_stamp_contracts(nl);
+    if (!violations.empty())
+      throw std::logic_error("stamp contract violation: " +
+                             violations.front().message);
+#endif
+    cache.unknowns = n;
+    cache.devices = ndev;
+    cache.structure_rev = rev;
+    cache.symbolic.reset();
+    cache.slots.reset();
+    cache.skeleton =
+        std::make_shared<const num::RealSparseMatrix>(mna_pattern(nl));
+  }
+  const num::RealSparseMatrix& skel = *cache.skeleton;
+  if (!cache.slots || cache.slots->skeleton != &skel ||
+      cache.slots->nnz != skel.nnz()) {
+    // Fresh tables with the node-diagonal slots resolved (mna_pattern
+    // registers them all); the first systems record the passes.
+    auto t = std::make_shared<num::StampSlotTables>();
+    t->skeleton = &skel;
+    t->nnz = skel.nnz();
+    for (int i = 0; i < nl.node_count() - 1; ++i)
+      t->diag.push_back(skel.find_index(i, i));
+    cache.slots = std::move(t);
+  }
+  return skel;
 }
 
 void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
@@ -202,7 +278,9 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
   jac.clear_values();
   rhs.assign(static_cast<std::size_t>(nl.unknown_count()), 0.0);
 
-  stamp_real(nl, x, p, jac, rhs);
+  // Replaying the Newton system's recorded passes makes the same writes
+  // in the same order, resolved to value indices: no pattern search.
+  stamp_real(nl, x, p, jac, rhs, cached_slots(nl, jac));
 
   add_gshunt_diag(nl, jac, p.gshunt);
 }
@@ -258,58 +336,20 @@ void RealSystem::init(const ckt::Netlist& nl, SolverKind kind) {
     // analysis through the netlist's cache; the first factor() of the
     // first system over this netlist pays for both, everyone else
     // copies structure.
+    sjac_ = mna_skeleton(nl);
     auto& cache = nl.solver_cache();
-    if (!cache.skeleton || cache.unknowns != n || cache.devices != ndev ||
-        cache.structure_rev != rev) {
-#ifndef NDEBUG
-      // Debug builds verify the stamp contract whenever a fresh pattern
-      // is built: an out-of-pattern write would silently corrupt this
-      // CSR skeleton for every later system sharing the cache.
-      const auto violations = check_stamp_contracts(nl);
-      if (!violations.empty())
-        throw std::logic_error("stamp contract violation: " +
-                               violations.front().message);
-#endif
-      cache.unknowns = n;
-      cache.devices = ndev;
-      cache.structure_rev = rev;
-      cache.symbolic.reset();
-      cache.slots.reset();
-      cache.skeleton =
-          std::make_shared<const num::RealSparseMatrix>(mna_pattern(nl));
-    }
     cache_ = &cache;
-    sjac_ = *cache.skeleton;
     slu_.reset();
     exported_serial_ = -1;
     if (cache.symbolic) {
       slu_.adopt_symbolic(cache.symbolic);
       exported_serial_ = slu_.symbolic_serial();
     }
-    // Stamp-slot tables: adopt the cache's immutable snapshot when it
-    // matches this skeleton (the MC-sample fast path: the nominal
-    // build's resolve is inherited and replayed from the very first
-    // assembly).  Otherwise start a fresh table with the node-diagonal
-    // slots resolved up front and publish it, so even the free
-    // assemble_* functions stop searching the gshunt diagonal.
-    if (cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-        cache.slots->nnz == sjac_.nnz()) {
-      slots_shared_ = cache.slots;
-    } else {
-      const int nodes = nl.node_count() - 1;
-      auto t = std::make_shared<num::StampSlotTables>();
-      t->skeleton = cache.skeleton.get();
-      t->nnz = sjac_.nnz();
-      t->diag.resize(static_cast<std::size_t>(nodes));
-      bool all_found = true;
-      for (int i = 0; i < nodes; ++i) {
-        t->diag[static_cast<std::size_t>(i)] = sjac_.find_index(i, i);
-        if (t->diag[static_cast<std::size_t>(i)] < 0) all_found = false;
-      }
-      if (!all_found) t->diag.clear();  // never true: mna_pattern adds them
-      slots_own_ = std::move(t);
-      publish_slots();
-    }
+    // Stamp-slot tables: adopt the cache's immutable snapshot, which
+    // mna_skeleton keeps matching the skeleton (the MC-sample fast path:
+    // the nominal build's resolve is inherited and replayed from the
+    // very first assembly).
+    slots_shared_ = cache.slots;
   } else {
     cache_ = nullptr;
     djac_.resize(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
@@ -337,10 +377,7 @@ void RealSystem::init(const ckt::Netlist& nl, SolverKind kind) {
 
 num::StampSlotPass* RealSystem::own_pass(bool newton_pass,
                                          ckt::AnalysisMode mode) {
-  num::StampSlotTables& t = *slots_own_;
-  if (mode == ckt::AnalysisMode::kDcOp)
-    return newton_pass ? &t.newton_dcop : &t.base_dcop;
-  return newton_pass ? &t.newton_tran : &t.base_tran;
+  return &slot_pass(*slots_own_, newton_pass, mode);
 }
 
 const num::StampSlotPass* RealSystem::replay_pass(
@@ -348,12 +385,8 @@ const num::StampSlotPass* RealSystem::replay_pass(
   const num::StampSlotTables* t =
       slots_own_ ? slots_own_.get() : slots_shared_.get();
   if (!t) return nullptr;
-  const num::StampSlotPass* p = nullptr;
-  if (mode == ckt::AnalysisMode::kDcOp)
-    p = newton_pass ? &t->newton_dcop : &t->base_dcop;
-  else
-    p = newton_pass ? &t->newton_tran : &t->base_tran;
-  return p->recorded ? p : nullptr;
+  const num::StampSlotPass& p = slot_pass(*t, newton_pass, mode);
+  return p.recorded ? &p : nullptr;
 }
 
 void RealSystem::ensure_own_slots() {
@@ -465,12 +498,7 @@ void RealSystem::assemble(const ckt::Netlist& nl, const num::RealVector& x,
     sjac_.clear_values();
     base_rhs_.assign(static_cast<std::size_t>(n_), 0.0);
     ckt::StampContext ctx(p.mode, x, sjac_, base_rhs_);
-    ctx.time = p.time;
-    ctx.dt = p.dt;
-    ctx.temp_k = p.temp_k;
-    ctx.gmin = p.gmin;
-    ctx.use_trapezoidal = p.use_trapezoidal;
-    ctx.source_scale = p.source_scale;
+    set_params(ctx, p);
     stamp_pass(linear_, linear_runs_, /*newton_pass=*/false, ctx, p.mode);
     const int nodes = nl.node_count() - 1;
     const num::StampSlotTables* t =
@@ -490,12 +518,7 @@ void RealSystem::assemble(const ckt::Netlist& nl, const num::RealVector& x,
   }
   rhs_ = base_rhs_;
   ckt::StampContext ctx(p.mode, x, sjac_, rhs_);
-  ctx.time = p.time;
-  ctx.dt = p.dt;
-  ctx.temp_k = p.temp_k;
-  ctx.gmin = p.gmin;
-  ctx.use_trapezoidal = p.use_trapezoidal;
-  ctx.source_scale = p.source_scale;
+  set_params(ctx, p);
   stamp_pass(nonlinear_, nonlinear_runs_, /*newton_pass=*/true, ctx, p.mode);
   // Fault-injection site: a device evaluation producing NaN surfaces in
   // the assembled system exactly like a real model-evaluation blow-up
@@ -512,12 +535,7 @@ void RealSystem::assemble_rhs_only(const ckt::Netlist& nl,
   stamp_clock_.begin();
   rhs_.assign(static_cast<std::size_t>(n_), 0.0);
   ckt::StampContext ctx(p.mode, x, rhs_);
-  ctx.time = p.time;
-  ctx.dt = p.dt;
-  ctx.temp_k = p.temp_k;
-  ctx.gmin = p.gmin;
-  ctx.use_trapezoidal = p.use_trapezoidal;
-  ctx.source_scale = p.source_scale;
+  set_params(ctx, p);
   for (const auto& d : nl.devices()) d->stamp(ctx);
   // gshunt is Jacobian-only; nothing to add on the rhs.
   stats_.stamp_ns += stamp_clock_.end_ns();

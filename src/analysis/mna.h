@@ -94,12 +94,18 @@ struct FactorStats {
 // mode exactly as they do in dense mode).  Requires assign_unknowns().
 num::SparsityPattern mna_pattern(const ckt::Netlist& nl);
 
+// The CSR skeleton of mna_pattern(nl) (zero values) in nl.solver_cache(),
+// built and published there (with fresh slot tables) unless the cache
+// matches the netlist's structure.  Requires assign_unknowns().
+const num::RealSparseMatrix& mna_skeleton(const ckt::Netlist& nl);
+
 // Builds jac/rhs (sized n x n / n) for the Newton system jac*x_next = rhs
 // linearized around candidate `x`.
 void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
                    const AssembleParams& p, num::RealMatrix& jac,
                    num::RealVector& rhs);
-// Sparse target: jac must have been built from mna_pattern(nl).
+// Sparse target: jac must have been built from mna_pattern(nl); writes
+// replay the cached slot passes when recorded, summing in device order.
 void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
                    const AssembleParams& p, num::RealSparseMatrix& jac,
                    num::RealVector& rhs);

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 
 #include "analysis/diag.h"
@@ -13,6 +14,7 @@
 #include "circuit/device.h"
 #include "circuit/lint.h"
 #include "circuit/range.h"
+#include "core/json_escape.h"
 
 namespace msim::an {
 namespace {
@@ -95,28 +97,6 @@ std::string fmt(double v) {
 // JSON has no inf or nan: non-finite numbers are written as null, as
 // serve::Json::dump does.  The text report keeps fmt's inf/nan.
 std::string json_num(double v) { return std::isfinite(v) ? fmt(v) : "null"; }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -220,20 +200,27 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
     rep.currents.push_back({c.dev->name(), c.amps});
 
   if (opt.with_conditioning) {
-    // One dense assembly at the bound midpoints (a feasible-ish point;
-    // mid() is finite even for top intervals).  Each row's magnitude is
-    // scaled by its columns' voltage spans, and the max/min spread over
-    // rows forecasts the condition of the factorization the solver is
-    // about to attempt.
+    // One O(nnz) assembly at the bound midpoints (a feasible-ish point;
+    // mid() is finite even for top intervals) into the netlist's shared
+    // CSR skeleton.  Each row's magnitude is scaled by its columns'
+    // voltage spans, and the max/min spread over rows forecasts the
+    // condition of the factorization the solver is about to attempt.
     num::RealVector x(static_cast<std::size_t>(n), 0.0);
     for (int i = 0; i < n; ++i)
       x[static_cast<std::size_t>(i)] =
           rep.bounds[static_cast<std::size_t>(i)].mid();
-    num::RealMatrix jac;
+    num::RealSparseMatrix jac;
     num::RealVector rhs;
     AssembleParams p;
     p.temp_k = opt.temp_k;
-    assemble_real(nl, x, p, jac, rhs);
+    try {
+      jac = mna_skeleton(nl);
+      assemble_real(nl, x, p, jac, rhs);
+    } catch (const std::logic_error&) {
+      // A device wrote outside its declared stamp pattern (the
+      // stamp_contract lint names it): no forecast for this netlist.
+      return rep;
+    }
 
     double vmax = 1.0;
     for (const auto& iv : rep.bounds)
@@ -257,13 +244,18 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
     const double guard = 10.0 * p.gshunt;
     double rmax = 0.0;
     double rmin = std::numeric_limits<double>::infinity();
+    const std::vector<int>& row_ptr = jac.row_ptr();
+    const std::vector<int>& cols = jac.cols();
+    const std::vector<double>& vals = jac.values();
     for (int r = 0; r < n; ++r) {
       double m = 0.0;
-      for (int c = 0; c < n; ++c) {
-        const double a = std::abs(jac(static_cast<std::size_t>(r),
-                                      static_cast<std::size_t>(c)));
+      for (int k = row_ptr[static_cast<std::size_t>(r)];
+           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+        const double a = std::abs(vals[static_cast<std::size_t>(k)]);
         if (a <= guard) continue;
-        m = std::max(m, a * vscale[static_cast<std::size_t>(c)]);
+        m = std::max(
+            m, a * vscale[static_cast<std::size_t>(
+                       cols[static_cast<std::size_t>(k)])]);
       }
       if (m == 0.0) continue;
       rmax = std::max(rmax, m);
@@ -278,6 +270,7 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
 }
 
 std::string range_json(const RangeReport& r) {
+  using core::json_escape;
   std::string out = "{\"unknowns\":" + std::to_string(r.unknowns) +
                     ",\"sweeps\":" + std::to_string(r.sweeps) +
                     ",\"converged\":" + (r.converged ? "true" : "false");

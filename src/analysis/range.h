@@ -22,7 +22,7 @@
 //    in either channel orientation, a diode that can never forward-
 //    bias, a BJT with both junctions provably reverse-biased.
 //  * conditioning forecast (warning) -- the interval-scaled row-
-//    magnitude spread of one dense assembly at the bound midpoints
+//    magnitude spread of one sparse assembly at the bound midpoints
 //    predicts a condition number >= the threshold.
 //
 // All bounds are for the DC (operating-point) abstraction with source
@@ -99,7 +99,7 @@ struct RangeReport {
   // Bounded nodes ascending by headroom (tightest first).
   std::vector<RangeNodeBound> headroom;
   std::vector<RangeDeviceCurrent> currents;
-  // Interval-scaled row-magnitude spread of one dense assembly at the
+  // Interval-scaled row-magnitude spread of one sparse assembly at the
   // bound midpoints (see range.cc); 0 when not computed.
   bool cond_available = false;
   double cond_forecast = 0.0;

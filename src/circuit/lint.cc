@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <sstream>
 #include <utility>
+
+#include "core/json_escape.h"
 
 namespace msim::ckt {
 namespace {
@@ -306,33 +307,8 @@ std::string lint_report(const std::vector<LintIssue>& issues) {
   return out;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string lint_json(const std::vector<LintIssue>& issues) {
+  using core::json_escape;
   int errors = 0, warnings = 0;
   std::string out = "{\"issues\":[";
   bool first = true;

@@ -34,7 +34,7 @@ void VSource::stamp_ac(ckt::AcStampContext& ctx) const {
   ctx.add_branch_jac(ib, nodes_[0], {1.0, 0.0});
   ctx.add_branch_jac(ib, nodes_[1], {-1.0, 0.0});
   if (wave_.ac_mag() != 0.0) {
-    ctx.add_rhs(ib, std::polar(wave_.ac_mag(), wave_.ac_phase()));
+    ctx.add_rhs(ib, wave_.ac_phasor());
   }
 }
 
@@ -58,7 +58,7 @@ void ISource::stamp(ckt::StampContext& ctx) const {
 
 void ISource::stamp_ac(ckt::AcStampContext& ctx) const {
   if (wave_.ac_mag() == 0.0) return;
-  const std::complex<double> i = std::polar(wave_.ac_mag(), wave_.ac_phase());
+  const std::complex<double> i = wave_.ac_phasor();
   ctx.add_current_into(nodes_[0], -i);
   ctx.add_current_into(nodes_[1], i);
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cmath>
+#include <complex>
 
 #include "numeric/interp.h"
 #include "numeric/interval.h"
@@ -89,6 +90,10 @@ class Waveform {
 
   double ac_mag() const { return ac_mag_; }
   double ac_phase() const { return ac_phase_; }
+  // std::polar's formula without its mag >= 0 assert (mags may be < 0).
+  std::complex<double> ac_phasor() const {
+    return {ac_mag_ * std::cos(ac_phase_), ac_mag_ * std::sin(ac_phase_)};
+  }
 
   // Shape introspection for periodic-steady-state tone detection: a deck
   // drives a single tone when every non-DC source is the same undamped,

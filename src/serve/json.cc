@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "core/json_escape.h"
+
 namespace msim::serve {
 namespace {
 
@@ -14,26 +16,9 @@ const Json& null_json() {
   return n;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
+void append_quoted(std::string& out, const std::string& s) {
   out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  core::append_json_escaped(out, s);
   out.push_back('"');
 }
 
@@ -62,12 +47,13 @@ struct Parser {
     if (p >= end || *p != '"') return fail("expected string");
     ++p;
     out.clear();
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+    for (;;) {
+      // Copy the run up to the next quote or backslash in one append.
+      const char* run = p;
+      while (p < end && *p != '"' && *p != '\\') ++p;
+      out.append(run, p);
+      if (p >= end || *p == '"') break;
+      ++p;  // the backslash
       if (p >= end) return fail("bad escape");
       char e = *p++;
       switch (e) {
@@ -113,6 +99,15 @@ struct Parser {
     }
     if (p >= end) return fail("unterminated string");
     ++p;  // closing quote
+    return true;
+  }
+
+  bool literal(std::string_view word, Json value, Json& out) {
+    if (std::string_view(p, static_cast<std::size_t>(end - p))
+            .substr(0, word.size()) != word)
+      return fail("bad literal");
+    p += word.size();
+    out = std::move(value);
     return true;
   }
 
@@ -188,27 +183,9 @@ struct Parser {
         out = Json(std::move(s));
         return true;
       }
-      case 't':
-        if (end - p >= 4 && std::string_view(p, 4) == "true") {
-          p += 4;
-          out = Json(true);
-          return true;
-        }
-        return fail("bad literal");
-      case 'f':
-        if (end - p >= 5 && std::string_view(p, 5) == "false") {
-          p += 5;
-          out = Json(false);
-          return true;
-        }
-        return fail("bad literal");
-      case 'n':
-        if (end - p >= 4 && std::string_view(p, 4) == "null") {
-          p += 4;
-          out = Json();
-          return true;
-        }
-        return fail("bad literal");
+      case 't': return literal("true", Json(true), out);
+      case 'f': return literal("false", Json(false), out);
+      case 'n': return literal("null", Json(), out);
       default: {
         char* num_end = nullptr;
         const double v = std::strtod(p, &num_end);
@@ -245,12 +222,17 @@ Json& Json::push(Json v) {
 
 std::string Json::dump() const {
   std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull:
-      out = "null";
+      out += "null";
       break;
     case Type::kBool:
-      out = bool_ ? "true" : "false";
+      out += bool_ ? "true" : "false";
       break;
     case Type::kNumber: {
       char buf[32];
@@ -262,11 +244,11 @@ std::string Json::dump() const {
       } else {
         std::snprintf(buf, sizeof buf, "null");  // JSON has no inf/nan
       }
-      out = buf;
+      out += buf;
       break;
     }
     case Type::kString:
-      append_escaped(out, str_);
+      append_quoted(out, str_);
       break;
     case Type::kObject: {
       out.push_back('{');
@@ -274,9 +256,9 @@ std::string Json::dump() const {
       for (const auto& [k, v] : obj_) {
         if (!first) out.push_back(',');
         first = false;
-        append_escaped(out, k);
+        append_quoted(out, k);
         out.push_back(':');
-        out += v.dump();
+        v.dump_to(out);
       }
       out.push_back('}');
       break;
@@ -285,13 +267,12 @@ std::string Json::dump() const {
       out.push_back('[');
       for (std::size_t i = 0; i < arr_.size(); ++i) {
         if (i) out.push_back(',');
-        out += arr_[i].dump();
+        arr_[i].dump_to(out);
       }
       out.push_back(']');
       break;
     }
   }
-  return out;
 }
 
 Json Json::parse(const std::string& text, std::string* err) {

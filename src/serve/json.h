@@ -57,11 +57,7 @@ class Json {
   // for missing keys, so option lookups read naturally:
   //   req["options"]["mc"].as_number(0)
   const Json& operator[](const std::string& key) const;
-  bool has(const std::string& key) const {
-    return type_ == Type::kObject && obj_.count(key) > 0;
-  }
   Json& set(const std::string& key, Json v);
-  const std::map<std::string, Json>& members() const { return obj_; }
 
   // Array access.
   Json& push(Json v);
@@ -77,6 +73,9 @@ class Json {
   static Json parse(const std::string& text, std::string* err = nullptr);
 
  private:
+  // Appends the serialization: the whole tree writes one buffer.
+  void dump_to(std::string& out) const;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double num_ = 0.0;

@@ -1,12 +1,15 @@
 #include "serve/server.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 
 namespace msim::serve {
 namespace {
@@ -18,10 +21,25 @@ namespace {
 // A longer line gets an error reply; its bytes are dropped to the newline.
 constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
+// A reply send that makes no progress for this long drops the client
+// (it stopped reading): bounds how long one client holds up the loop.
+constexpr time_t kSendTimeoutSec = 2;
+
+// While accept() fails for lack of a resource, the listener is re-polled
+// after this long even if no connection closes in between.
+constexpr int kAcceptRetryMs = 100;
+
 Json error_reply(const std::string& error) {
   Json r = Json::object();
   r.set("ok", false);
   r.set("error", error);
+  return r;
+}
+
+Json reply(const char* op, bool ok = true) {
+  Json r = Json::object();
+  r.set("ok", ok);
+  r.set("op", op);
   return r;
 }
 
@@ -41,37 +59,56 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
-bool connect_unix(const std::string& path, int& fd, std::string* err) {
-  fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (err) *err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  sockaddr_un addr{};
+// Fills zeroed addr with `path`; false (with *err set) if it won't fit.
+bool unix_address(const std::string& path, sockaddr_un& addr,
+                  std::string* err) {
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof addr.sun_path) {
     if (err) *err = "socket path too long: " + path;
-    ::close(fd);
-    fd = -1;
     return false;
   }
   std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (err) *err = "connect " + path + ": " + std::strerror(errno);
-    ::close(fd);
-    fd = -1;
-    return false;
-  }
   return true;
 }
 
-// Reads lines from fd until `want` returns true for one (that line is
-// returned) or the peer closes.  `pending` carries partial data across
-// calls on the same fd -- a reply can land in the same recv() as an
-// earlier line, so the buffer must outlive one match.
-bool read_line_matching(int fd, std::string& pending,
+struct ClientConn {
+  ClientConn() = default;
+  ClientConn(const ClientConn&) = delete;
+  ClientConn& operator=(const ClientConn&) = delete;
+  int fd = -1;
+  // Bytes past the last line read: a reply can land in the same recv()
+  // as an earlier line, so the buffer must outlive one match.
+  std::string pending;
+  ~ClientConn() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+// Connects and sends one request line; false (with *err set) on failure.
+bool send_request(ClientConn& c, const std::string& path, const Json& req,
+                  std::string* err) {
+  sockaddr_un addr{};
+  if (!unix_address(path, addr, err)) return false;
+  c.fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (c.fd < 0) {
+    if (err) *err = std::string("socket: ") + std::strerror(errno);
+    return false;
+  }
+  if (::connect(c.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    if (err) *err = "connect " + path + ": " + std::strerror(errno);
+    return false;
+  }
+  if (write_all(c.fd, req.dump() + "\n")) return true;
+  if (err) *err = "send failed";
+  return false;
+}
+
+// Reads lines until `want` returns true for one (that line is returned)
+// or the peer closes.
+bool read_line_matching(ClientConn& c,
                         const std::function<bool(const Json&)>& want,
                         Json& out, std::string* err) {
+  std::string& pending = c.pending;
   char buf[65536];
   for (;;) {
     std::size_t nl;
@@ -90,7 +127,7 @@ bool read_line_matching(int fd, std::string& pending,
         return true;
       }
     }
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
     if (n == 0) {
       if (err) *err = "connection closed";
       return false;
@@ -133,37 +170,29 @@ Server::Server(ServerOptions opt)
 Server::~Server() { shutdown(); }
 
 bool Server::start(std::string* err) {
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    if (err) *err = std::string("socket: ") + std::strerror(errno);
+  const auto fail = [&](const std::string& what) {
+    if (err) *err = what;
+    close_fds();
     return false;
-  }
+  };
   sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (opt_.socket_path.size() >= sizeof addr.sun_path) {
-    if (err) *err = "socket path too long: " + opt_.socket_path;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  std::strncpy(addr.sun_path, opt_.socket_path.c_str(),
-               sizeof addr.sun_path - 1);
+  if (!unix_address(opt_.socket_path, addr, err)) return false;
+  // Non-blocking, so one readiness drains the backlog and a connection
+  // that vanished before accept() cannot block the I/O thread.
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0)
+    return fail(std::string("socket: ") + std::strerror(errno));
   ::unlink(opt_.socket_path.c_str());  // stale socket from a dead daemon
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    if (err)
-      *err = "bind " + opt_.socket_path + ": " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    if (err) *err = std::string("listen: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
+    return fail("bind " + opt_.socket_path + ": " + std::strerror(errno));
+  if (::listen(listen_fd_, 64) != 0)
+    return fail(std::string("listen: ") + std::strerror(errno));
+  int wake[2];
+  if (::pipe2(wake, O_CLOEXEC) != 0)
+    return fail(std::string("pipe: ") + std::strerror(errno));
+  wake_rd_ = wake[0];
+  wake_wr_ = wake[1];
+  io_thread_ = std::thread([this] { io_loop(); });
   return true;
 }
 
@@ -184,140 +213,126 @@ void Server::shutdown() {
   }
   shutdown_requested_.store(true);
   shutdown_cv_.notify_all();
-  // Unblock the acceptor (shutdown() aborts its blocking accept), join
-  // it, and only then close the fd -- closing first could let the fd
-  // number be reused while the acceptor still references it.
-  const int lfd = listen_fd_.exchange(-1);
-  if (lfd >= 0) ::shutdown(lfd, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  if (lfd >= 0) ::close(lfd);
-  {
-    std::lock_guard<std::mutex> g(conns_mu_);
-    for (auto& c : conns_) {
-      // write_mu keeps this from racing a reader that is concurrently
-      // closing (and thereby freeing for reuse) the same fd number.
-      std::lock_guard<std::mutex> wg(c->write_mu);
-      if (c->open.load()) ::shutdown(c->fd, SHUT_RD);
+  // Wake the I/O thread and join it; only then close the descriptors it
+  // polls (closing first could let a number be reused under it).
+  if (io_thread_.joinable()) {
+    const char b = 0;
+    while (::write(wake_wr_, &b, 1) < 0 && errno == EINTR) {
     }
+    io_thread_.join();
   }
+  close_fds();
   // Let in-flight jobs finish (their results still flush to open
-  // connections), then join the readers -- live ones and the handles
-  // already parked by self-reaped connections -- and close what's left.
+  // connections), then close what's left.
   scheduler_.stop();
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> g(conns_mu_);
-    for (auto& [c, t] : conn_threads_) readers.push_back(std::move(t));
-    conn_threads_.clear();
-  }
-  for (auto& t : readers)
-    if (t.joinable()) t.join();
-  join_finished_threads();
-  {
-    std::lock_guard<std::mutex> g(conns_mu_);
-    for (auto& c : conns_) {
-      if (c->open.exchange(false)) ::close(c->fd);
-    }
-    conns_.clear();
-  }
+  for (auto& c : conns_) close_connection(*c);
+  conns_.clear();
   ::unlink(opt_.socket_path.c_str());
 }
 
-void Server::accept_loop() {
-  const int lfd = listen_fd_.load();
-  if (lfd < 0) return;
+void Server::io_loop() {
+  std::vector<pollfd> fds;
+  bool accept_paused = false;
   for (;;) {
-    const int fd = ::accept(lfd, nullptr, nullptr);
+    fds.clear();
+    fds.push_back({wake_rd_, POLLIN, 0});
+    // poll() skips a negative fd: a paused listener sits this round out.
+    fds.push_back({accept_paused ? -1 : listen_fd_, POLLIN, 0});
+    for (const auto& c : conns_) fds.push_back({c->fd, POLLIN, 0});
+    const int ready = ::poll(fds.data(), fds.size(),
+                             accept_paused ? kAcceptRetryMs : -1);
+    if (ready < 0) {  // EINTR or ENOMEM: retry, pausing unless EINTR
+      if (errno != EINTR) ::poll(nullptr, 0, kAcceptRetryMs);
+      continue;
+    }
+    if (fds[0].revents != 0) return;  // shutdown()
+    if (ready == 0) accept_paused = false;  // retry timer fired
+    bool closed = false;
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      if (fds[i + 2].revents == 0 || read_ready(conns_[i])) continue;
+      close_connection(*conns_[i]);
+      conns_[i] = nullptr;
+      closed = true;
+    }
+    if (closed) {
+      std::erase(conns_, nullptr);
+      accept_paused = false;  // a descriptor came free
+    }
+    if (fds[1].revents != 0) accept_paused = !accept_ready();
+  }
+}
+
+bool Server::accept_ready() {
+  for (;;) {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed (shutdown) or fatal
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;  // backlog drained
     }
-    // Join readers whose clients already hung up before tracking the
-    // new one; otherwise a long accept stream accretes dead handles.
-    join_finished_threads();
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
+    const timeval timeout{kSendTimeoutSec, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    std::lock_guard<std::mutex> g(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_[conn.get()] =
-        std::thread([this, conn] { serve_connection(conn); });
+    conns_.push_back(std::move(conn));
   }
 }
 
-void Server::serve_connection(std::shared_ptr<Conn> conn) {
-  std::string line;       // the current line, up to its newline
-  bool overlong = false;  // skipping the rest of an over-cap line
+bool Server::read_ready(const std::shared_ptr<Conn>& conn) {
   char buf[65536];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
-    if (n == 0) break;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
+  ssize_t n;
+  do {
+    n = ::recv(conn->fd, buf, sizeof buf, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n <= 0) return false;  // peer closed, or the socket failed
+  // Only the newly received bytes are scanned for the newline.
+  std::string& line = conn->line;
+  for (const char *p = buf, *end = buf + n; p < end;) {
+    const char* eol = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    if (!conn->overlong) line.append(p, eol ? eol : end);
+    if (!conn->overlong && line.size() > kMaxLineBytes) {
+      conn->overlong = true;
+      line = std::string();  // release the buffer too
+      send_line(conn, error_reply("request line longer than " +
+                                  std::to_string(kMaxLineBytes) + " bytes"));
     }
-    // Only the newly received bytes are scanned for the newline.
-    for (const char *p = buf, *end = buf + n; p < end;) {
-      const char* eol = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
-      if (!overlong) line.append(p, eol ? eol : end);
-      if (!overlong && line.size() > kMaxLineBytes) {
-        overlong = true;
-        line = std::string();  // release the buffer too
-        send_line(conn, error_reply("request line longer than " +
-                                    std::to_string(kMaxLineBytes) +
-                                    " bytes"));
+    if (!eol) break;
+    if (!conn->overlong && !line.empty()) {
+      try {
+        handle_line(conn, line);
+      } catch (const std::exception& e) {  // e.g. bad_alloc: keep serving
+        send_line(conn, error_reply(std::string("internal error: ") +
+                                    e.what()));
       }
-      if (!eol) break;
-      if (!overlong && !line.empty()) handle_line(conn, line);
-      line.clear();
-      overlong = false;
-      p = eol + 1;
     }
+    line.clear();
+    conn->overlong = false;
+    p = eol + 1;
   }
-  // Peer is gone: release the fd now (a long-lived daemon that parks
-  // dead connections until shutdown eventually hits EMFILE and stops
-  // accepting anyone).  Results of this conn's in-flight jobs see
-  // open == false and are dropped cleanly.
-  reap_connection(conn);
+  return true;
 }
 
-void Server::reap_connection(const std::shared_ptr<Conn>& conn) {
-  {
-    std::lock_guard<std::mutex> g(conn->write_mu);
-    if (conn->open.exchange(false)) ::close(conn->fd);
-  }
-  std::lock_guard<std::mutex> g(conns_mu_);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-               conns_.end());
-  auto it = conn_threads_.find(conn.get());
-  if (it != conn_threads_.end()) {
-    // A thread cannot join itself: park the handle for the acceptor
-    // (or shutdown) to join.  During shutdown the handle may already
-    // have moved out of the map -- the joiner owns it then.
-    finished_threads_.push_back(std::move(it->second));
-    conn_threads_.erase(it);
+void Server::close_fds() {
+  for (int* fd : {&listen_fd_, &wake_rd_, &wake_wr_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
 }
 
-void Server::join_finished_threads() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> g(conns_mu_);
-    done.swap(finished_threads_);
-  }
-  for (auto& t : done)
-    if (t.joinable()) t.join();
+void Server::close_connection(Conn& conn) {
+  std::lock_guard<std::mutex> g(conn.write_mu);
+  if (conn.open.exchange(false)) ::close(conn.fd);
 }
 
 void Server::send_line(const std::shared_ptr<Conn>& conn, const Json& msg) {
   if (!conn->open.load()) return;
+  std::string line = msg.dump();
+  line.push_back('\n');
   std::lock_guard<std::mutex> g(conn->write_mu);
   if (!conn->open.load()) return;
-  write_all(conn->fd, msg.dump() + "\n");
+  // A failed or timed-out send: the I/O thread sees the shutdown as a
+  // hang-up and closes the connection.
+  if (!write_all(conn->fd, line)) ::shutdown(conn->fd, SHUT_RDWR);
 }
 
 void Server::handle_line(const std::shared_ptr<Conn>& conn,
@@ -331,10 +346,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
   }
   const std::string op = req["op"].as_string();
   if (op == "ping") {
-    Json r = Json::object();
-    r.set("ok", true);
-    r.set("op", "ping");
-    send_line(conn, r);
+    send_line(conn, reply("ping"));
   } else if (op == "submit") {
     handle_submit(conn, req);
   } else if (op == "cancel") {
@@ -348,9 +360,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
         found = true;
       }
     }
-    Json r = Json::object();
-    r.set("ok", true);
-    r.set("op", "cancel");
+    Json r = reply("cancel");
     r.set("id", id);
     r.set("found", found);
     send_line(conn, r);
@@ -360,10 +370,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
     r.set("op", "stats");
     send_line(conn, r);
   } else if (op == "shutdown") {
-    Json r = Json::object();
-    r.set("ok", true);
-    r.set("op", "shutdown");
-    send_line(conn, r);
+    send_line(conn, reply("shutdown"));
     shutdown_requested_.store(true);
     shutdown_cv_.notify_all();
   } else {
@@ -374,9 +381,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
 void Server::handle_submit(const std::shared_ptr<Conn>& conn,
                            const Json& req) {
   if (!req["deck"].is_string() || req["deck"].as_string().empty()) {
-    Json r = Json::object();
-    r.set("ok", false);
-    r.set("op", "submit");
+    Json r = reply("submit", false);
     r.set("error", "submit needs a non-empty \"deck\" string");
     send_line(conn, r);
     return;
@@ -399,9 +404,7 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
     // Two live jobs under one id would interleave indistinguishable
     // result lines, and the first completion's erase would strip the
     // second job's JobCtl out from under a later cancel.
-    Json r = Json::object();
-    r.set("ok", false);
-    r.set("op", "submit");
+    Json r = reply("submit", false);
     r.set("id", id);
     r.set("error", "job id '" + id + "' is already in flight");
     send_line(conn, r);
@@ -409,19 +412,15 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
   }
   jobs_submitted_.fetch_add(1);
 
-  Json ack = Json::object();
-  ack.set("ok", true);
-  ack.set("op", "submit");
+  Json ack = reply("submit");
   ack.set("id", id);
   ack.set("status", "queued");
   send_line(conn, ack);
 
-  const std::string deck = req["deck"].as_string();
-  DeckOptions dopt = options_from_json(req);
-  scheduler_.submit([this, conn, ctl, id, deck,
-                     dopt = std::move(dopt)]() mutable {
+  scheduler_.submit([this, conn, ctl, id, deck = req["deck"].as_string(),
+                     dopt = options_from_json(req)]() mutable {
     dopt.budget = &ctl->budget;
-    const DeckResult res = run_deck(deck, dopt, &registry_);
+    DeckResult res = run_deck(deck, dopt, &registry_);
     ctl->done.store(true);
     jobs_completed_.fetch_add(1);
     if (res.warm) jobs_warm_.fetch_add(1);
@@ -437,8 +436,8 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
     msg.set("exit_code", res.exit_code);
     msg.set("warm", res.warm);
     msg.set("cached", res.result_cached);
-    msg.set("out", res.out);
-    msg.set("err", res.err);
+    msg.set("out", std::move(res.out));
+    msg.set("err", std::move(res.err));
     send_line(conn, msg);
   });
 }
@@ -454,69 +453,47 @@ Json Server::stats_json() {
   r.set("registry", registry_.stats().json());
   r.set("scheduler", scheduler_.stats().json());
   r.set("jobs", std::move(jobs));
-  {
-    // Live connection gauge: stays bounded in a healthy daemon because
-    // disconnected clients are reaped immediately, not at shutdown.
-    std::lock_guard<std::mutex> g(conns_mu_);
-    r.set("connections", static_cast<double>(conns_.size()));
-  }
+  // Live connection gauge: stays bounded in a healthy daemon because
+  // disconnected clients are closed immediately, not at shutdown.
+  r.set("connections", static_cast<double>(conns_.size()));
   return r;
 }
 
 Json request(const std::string& socket_path, const Json& req,
              std::string* err) {
-  int fd = -1;
-  if (!connect_unix(socket_path, fd, err)) return Json();
+  ClientConn c;
   Json reply;
-  std::string pending;
-  bool ok = write_all(fd, req.dump() + "\n");
-  if (!ok) {
-    if (err) *err = "send failed";
-  } else {
-    ok = read_line_matching(fd, pending, [](const Json&) { return true; },
-                            reply, err);
-  }
-  ::close(fd);
-  return ok ? reply : Json();
+  if (!send_request(c, socket_path, req, err) ||
+      !read_line_matching(c, [](const Json&) { return true; }, reply, err))
+    return Json();
+  return reply;
 }
 
 int submit_and_wait(const std::string& socket_path, const Json& submit,
                     std::string& out, std::string& err_stream,
                     std::string* err, bool* warm, bool* cached) {
-  int fd = -1;
-  if (!connect_unix(socket_path, fd, err)) return -1;
-  if (!write_all(fd, submit.dump() + "\n")) {
-    if (err) *err = "send failed";
-    ::close(fd);
-    return -1;
-  }
   // First the ack (carries the daemon-assigned id), then the result.
-  // One shared pending buffer: the result may arrive in the same recv.
-  std::string pending;
+  ClientConn c;
   Json ack;
-  if (!read_line_matching(
-          fd, pending,
-          [](const Json& m) { return m["op"].as_string() == "submit"; },
-          ack, err)) {
-    ::close(fd);
+  if (!send_request(c, socket_path, submit, err) ||
+      !read_line_matching(
+          c, [](const Json& m) { return m["op"].as_string() == "submit"; },
+          ack, err))
     return -1;
-  }
   if (!ack["ok"].as_bool(false)) {
     if (err) *err = ack["error"].as_string();
-    ::close(fd);
     return -1;
   }
   const std::string id = ack["id"].as_string();
   Json result;
-  const bool ok = read_line_matching(
-      fd, pending,
-      [&](const Json& m) {
-        return m["op"].as_string() == "result" &&
-               m["id"].as_string() == id;
-      },
-      result, err);
-  ::close(fd);
-  if (!ok) return -1;
+  if (!read_line_matching(
+          c,
+          [&](const Json& m) {
+            return m["op"].as_string() == "result" &&
+                   m["id"].as_string() == id;
+          },
+          result, err))
+    return -1;
   out = result["out"].as_string();
   err_stream = result["err"].as_string();
   if (warm) *warm = result["warm"].as_bool(false);

@@ -35,13 +35,15 @@
 // exactly what `msim_cli <deck>` with the same options would print
 // (shared serve::run_deck underneath).
 //
-// Threading: one acceptor thread, one reader thread per connection,
-// job bodies on the scheduler workers.  Replies to one connection are
-// serialized by a per-connection write mutex (the submit ack and any
-// number of in-flight job results interleave line-atomically).  A
-// disconnected client's fd closes immediately and its reader thread is
-// reaped by the acceptor (a long-lived daemon must not leak one fd per
-// finished connection); results of its still-running jobs are dropped.
+// Threading: one I/O thread polls the listener, a self-pipe written by
+// shutdown() and every connection; it reads and splits request lines,
+// answers ping/stats/cancel/shutdown inline and queues submit on the
+// JobScheduler, whose workers run the jobs.  A per-connection write
+// mutex keeps the ack and in-flight results line-atomic.  A connection
+// closes as soon as its peer hangs up (results of its running jobs are
+// dropped) or stops reading its replies for a few seconds.  When
+// accept() fails (descriptor limit) the listener sits out until a
+// connection closes or a short retry timer fires.
 #pragma once
 
 #include <atomic>
@@ -73,25 +75,29 @@ class Server {
   explicit Server(ServerOptions opt);
   ~Server();
 
-  // Binds + listens on the socket; false (with *err set) on failure.
+  // Binds, listens and starts the I/O thread; false (with *err set) on
+  // failure.
   bool start(std::string* err);
 
   // Blocks until a shutdown request (or shutdown() from another
   // thread).  start() must have succeeded.
   void run();
 
-  // Stops accepting, unblocks every connection, drains the scheduler.
+  // Stops the I/O thread, drains the scheduler (in-flight results
+  // still reach open connections), then closes every connection.
   void shutdown();
 
   CacheRegistry& registry() { return registry_; }
   std::size_t workers() const { return scheduler_.workers(); }
-  Json stats_json();
 
  private:
   struct Conn {
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> open{true};
+    // Read state, touched only by the I/O thread.
+    std::string line;       // the current line, up to its newline
+    bool overlong = false;  // skipping the rest of an over-cap line
   };
   struct JobCtl {
     core::CancelToken token;
@@ -99,34 +105,30 @@ class Server {
     std::atomic<bool> done{false};
   };
 
-  void accept_loop();
-  void serve_connection(std::shared_ptr<Conn> conn);
-  // Closes the conn's fd (under its write mutex, so an in-flight
-  // result write fails cleanly instead of racing a reused fd number),
-  // drops it from conns_ and parks the reader's thread handle on
-  // finished_threads_ for the acceptor / shutdown to join.
-  void reap_connection(const std::shared_ptr<Conn>& conn);
-  void join_finished_threads();
+  void io_loop();
+  // Accepts every pending connection; false when accept() failed for
+  // want of a resource (the loop then pauses the listener).
+  bool accept_ready();
+  // One recv() on a readable conn, dispatching each completed line;
+  // false when the peer hung up or the socket failed.
+  bool read_ready(const std::shared_ptr<Conn>& conn);
+  // Closes the fd under the write mutex, so an in-flight result write
+  // fails cleanly instead of racing a reused fd number.
+  static void close_connection(Conn& conn);
+  void close_fds();  // the listener and the self-pipe
   void handle_line(const std::shared_ptr<Conn>& conn,
                    const std::string& line);
   void handle_submit(const std::shared_ptr<Conn>& conn, const Json& req);
   static void send_line(const std::shared_ptr<Conn>& conn,
                         const Json& msg);
+  Json stats_json();  // I/O thread only: reads conns_
 
   ServerOptions opt_;
   CacheRegistry registry_;
   JobScheduler scheduler_;
-  // Atomic: shutdown() retires the fd while the acceptor thread still
-  // holds its own snapshot taken at loop entry.
-  std::atomic<int> listen_fd_{-1};
-  std::thread acceptor_;
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  // Live reader threads keyed by their Conn; a reader that observes its
-  // peer hang up moves its own handle to finished_threads_ (a thread
-  // cannot join itself) where the acceptor joins it on the next accept.
-  std::unordered_map<Conn*, std::thread> conn_threads_;
-  std::vector<std::thread> finished_threads_;
+  int listen_fd_ = -1;
+  int wake_rd_ = -1, wake_wr_ = -1;  // self-pipe: shutdown() -> io_loop
+  std::vector<std::shared_ptr<Conn>> conns_;  // owned by the I/O thread
   std::mutex jobs_mu_;
   std::unordered_map<std::string, std::shared_ptr<JobCtl>> jobs_;
   std::uint64_t auto_id_ = 0;
@@ -140,6 +142,7 @@ class Server {
   std::atomic<long> jobs_warm_{0};
   std::atomic<long> jobs_cached_{0};
   std::atomic<long> jobs_cancelled_{0};
+  std::thread io_thread_;  // last: it uses every member above
 };
 
 // Client helpers (msim_serve's --submit/--stats/--shutdown modes and

@@ -8,23 +8,28 @@
 // adopt/evict stress and the daemon smoke are the data-race gates for
 // the shared-immutable cache design.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/budget.h"
+#include "core/json_escape.h"
 #include "core/mic_amp.h"
 #include "devices/sources.h"
 #include "golden_util.h"
@@ -149,6 +154,35 @@ TEST(ServeJson, NumbersAndEscapes) {
   EXPECT_EQ(Json::parse("\"a\\u0041b\"").as_string(), "aAb");
   const std::string rt = Json(0.1).dump();
   EXPECT_EQ(Json::parse(rt).as_number(), 0.1);  // shortest round-trip
+
+  // Every byte round-trips, alone and inside one string.
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(Json::parse(Json(one).dump()).as_string(), one) << b;
+    all += one;
+  }
+  EXPECT_EQ(Json::parse(Json(all).dump()).as_string(), all);
+  // The rendering is the per-byte escaper's: named escapes for quote,
+  // backslash, \n, \r and \t, \u00XX for the other control bytes,
+  // everything from 0x20 up (UTF-8 included) verbatim.
+  EXPECT_EQ(Json(all.substr(0, 0x20)).dump(),
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011"
+            "\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019"
+            "\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\"");
+  EXPECT_EQ(Json(all.substr(0x20)).dump(),
+            "\" !\\\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ["
+            "\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\x7f" +
+                all.substr(0x80) + "\"");
+  // Escapes at the first and last byte, and long escape-free runs.
+  EXPECT_EQ(Json("\"mid\n").dump(), "\"\\\"mid\\n\"");
+  const std::string a(4000, 'a'), b(3000, 'b');
+  EXPECT_EQ(Json(a + "\t" + b).dump(), "\"" + a + "\\t" + b + "\"");
+  EXPECT_EQ(Json::parse("\"" + a + "\\u0041\\/" + b + "\"").as_string(),
+            a + "A/" + b);
+  // lint_json and range_json share the escaper.
+  EXPECT_EQ(core::json_escape("\x01\r\\x"), "\\u0001\\r\\\\x");
 }
 
 TEST(ServeJson, MalformedInputsReportErrors) {
@@ -659,6 +693,86 @@ TEST(ServeStress, ConcurrentAdoptPublishEvictClear) {
 // -------------------------------------------------------------------
 // Daemon end to end (the serve_smoke ctest runs exactly this fixture).
 
+bool connect_to(int fd, const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+}
+
+// A raw client connection to the daemon's socket; -1 on failure.
+int connect_client(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && !connect_to(fd, path)) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& data) {
+  for (std::size_t off = 0; off < data.size();) {
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// One reply line (without its newline); empty on EOF or receive timeout.
+std::string read_line(int fd) {
+  std::string line;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+  return line;
+}
+
+// A ping that gives up after 5 s instead of hanging on a deaf daemon.
+bool ping_answered(const std::string& path) {
+  const int fd = connect_client(path);
+  if (fd < 0) return false;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const bool ok = send_all(fd, "{\"op\":\"ping\"}\n") &&
+                  Json::parse(read_line(fd))["ok"].as_bool(false);
+  ::close(fd);
+  return ok;
+}
+
+// The daemon's live connection gauge once it reads `want` (stale stats
+// connections from earlier polls are closed asynchronously).
+double wait_for_connections(const std::string& path, double want) {
+  Json statreq = Json::object();
+  statreq.set("op", "stats");
+  double conns = -1;
+  for (int i = 0; i < 500 && conns != want; ++i) {
+    std::string err;
+    conns = serve::request(path, statreq, &err)["connections"].as_number(-1);
+    if (conns != want)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return conns;
+}
+
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+int highest_fd() {
+  int top = -1;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd"))
+    top = std::max(top, std::stoi(e.path().filename().string()));
+  return top;
+}
+
+double process_cpu_s() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
 TEST(ServeSmoke, MixedJobsWarmHitsAndCleanShutdown) {
   serve::ServerOptions so;
   so.socket_path =
@@ -764,9 +878,9 @@ TEST(ServeSmoke, DuplicateIdsRejectedAndConnectionsReaped) {
             std::string::npos)
       << a2.dump();
 
-  // Disconnected clients are reaped immediately (fd closed, thread
-  // handle parked), so the live gauge drains to just the stats
-  // connection itself once the MC job finishes.
+  // Disconnected clients are closed by the I/O loop at once, so the
+  // live gauge drains to just the stats connection itself once the MC
+  // job finishes.
   Json statreq = Json::object();
   statreq.set("op", "stats");
   double conns = 1e9, completed = 0;
@@ -810,50 +924,168 @@ TEST(ServeSmoke, MalformedAndUnknownRequestsAnswerErrors) {
   // error reply on the same connection (the over-cap bytes are dropped
   // up to the newline), that connection still answers a ping, and the
   // daemon keeps serving.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_client(so.socket_path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, so.socket_path.c_str(),
-               sizeof addr.sun_path - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  const auto send_all = [fd](const std::string& data) {
-    for (std::size_t off = 0; off < data.size();) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
-  const auto read_line = [fd] {
-    std::string line;
-    char c;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
-    return line;
-  };
-  ASSERT_TRUE(send_all(std::string(100000, '[') + "\n"));
-  const std::string line = read_line();
+  ASSERT_TRUE(send_all(fd, std::string(100000, '[') + "\n"));
+  const std::string line = read_line(fd);
   const Json r3 = Json::parse(line, &err);
   EXPECT_FALSE(r3["ok"].as_bool(true)) << line;
   EXPECT_EQ(r3["error"].as_string(), "nesting too deep");
 
   Json ping = Json::object();
   ping.set("op", "ping");
-  ASSERT_TRUE(send_all(std::string((std::size_t{1} << 20) + 4096, 'x') +
-                       "\n" + ping.dump() + "\n"));
-  const std::string l5 = read_line();
+  ASSERT_TRUE(send_all(fd, std::string((std::size_t{1} << 20) + 4096, 'x') +
+                               "\n" + ping.dump() + "\n"));
+  const std::string l5 = read_line(fd);
   const Json r5 = Json::parse(l5, &err);
   EXPECT_FALSE(r5["ok"].as_bool(true)) << l5;
   EXPECT_NE(r5["error"].as_string().find("longer than"), std::string::npos)
       << l5;
-  const std::string l6 = read_line();
+  const std::string l6 = read_line(fd);
   EXPECT_EQ(Json::parse(l6, &err)["op"].as_string(), "ping") << l6;
   ::close(fd);
 
   const Json r4 = serve::request(so.socket_path, ping, &err);
   EXPECT_TRUE(r4["ok"].as_bool(false)) << err;
 
+  server.shutdown();
+  runner.join();
+}
+
+// One I/O thread serves every connection: an idle client costs the
+// daemon a descriptor, not a thread (a thread per connection let a
+// client exhaust the address space and abort the process).
+TEST(ServeSmoke, IdleConnectionsCostNoThreads) {
+  constexpr int kIdle = 256;
+  rlimit rl{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &rl), 0);
+  if (rl.rlim_cur < 1024 && rl.rlim_max >= 1024) {  // both ends of 256
+    rl.rlim_cur = 1024;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &rl), 0);
+  }
+  serve::ServerOptions so;
+  so.socket_path = ::testing::TempDir() + "msim_serve_idle_" +
+                   std::to_string(::getpid()) + ".sock";
+  so.workers = 1;
+  serve::Server server(so);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  std::thread runner([&] { server.run(); });
+  ASSERT_TRUE(ping_answered(so.socket_path));
+  EXPECT_EQ(wait_for_connections(so.socket_path, 1.0), 1.0);
+  const std::size_t threads = thread_count();
+
+  std::vector<int> idle;
+  for (int i = 0; i < kIdle; ++i) {
+    idle.push_back(connect_client(so.socket_path));
+    ASSERT_GE(idle.back(), 0) << i;
+  }
+  // stats counts the idle clients plus its own connection.
+  EXPECT_EQ(wait_for_connections(so.socket_path, kIdle + 1.0), kIdle + 1.0);
+  EXPECT_EQ(thread_count(), threads);
+  EXPECT_TRUE(ping_answered(so.socket_path));
+
+  for (const int fd : idle) ::close(fd);
+  EXPECT_EQ(wait_for_connections(so.socket_path, 1.0), 1.0);
+  server.shutdown();
+  runner.join();
+}
+
+// A client that pipelines requests but never reads the replies fills
+// its socket buffers; the blocked reply times out and the daemon drops
+// that connection instead of stalling every other client behind it.
+TEST(ServeSmoke, ClientThatStopsReadingIsDropped) {
+  serve::ServerOptions so;
+  so.socket_path = ::testing::TempDir() + "msim_serve_hog_" +
+                   std::to_string(::getpid()) + ".sock";
+  so.workers = 1;
+  serve::Server server(so);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  std::thread runner([&] { server.run(); });
+
+  const int hog = connect_client(so.socket_path);
+  ASSERT_GE(hog, 0);
+  // ~1 MB of ping replies: more than both socket buffers hold.
+  std::string pings;
+  for (int i = 0; i < 40000; ++i) pings += "{\"op\":\"ping\"}\n";
+  std::thread writer([&] {  // blocks until the daemon drops the hog
+    for (std::size_t off = 0; off < pings.size();) {
+      const ssize_t n = ::send(hog, pings.data() + off, pings.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_TRUE(ping_answered(so.socket_path));
+  EXPECT_EQ(wait_for_connections(so.socket_path, 1.0), 1.0);
+  ::shutdown(hog, SHUT_RDWR);
+  writer.join();
+  ::close(hog);
+  server.shutdown();
+  runner.join();
+}
+
+// accept() failing for want of a descriptor neither ends the I/O loop
+// (the daemon would never accept again) nor spins it: the listener is
+// paused until a connection closes or the retry timer fires.  The soft
+// RLIMIT_NOFILE is lowered in this process, not in a forked child: a
+// child forked from this multi-threaded test process cannot start the
+// daemon's threads under ThreadSanitizer.
+TEST(ServeSmoke, DescriptorExhaustionPausesAcceptWithoutSpinning) {
+  serve::ServerOptions so;
+  so.socket_path = ::testing::TempDir() + "msim_serve_emfile_" +
+                   std::to_string(::getpid()) + ".sock";
+  so.workers = 1;
+  serve::Server server(so);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  std::thread runner([&] { server.run(); });
+
+  std::vector<int> clients;  // accepted: their close frees descriptors
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(connect_client(so.socket_path));
+    ASSERT_GE(clients.back(), 0);
+  }
+  EXPECT_EQ(wait_for_connections(so.socket_path, 5.0), 5.0);
+
+  // Take every descriptor the lowered limit leaves with unconnected
+  // sockets, then connect them: they queue in the listen backlog, and
+  // the daemon has no descriptor to accept them with.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(highest_fd() + 1 + 8);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> pending;
+  for (int fd; (fd = ::socket(AF_UNIX, SOCK_STREAM, 0)) >= 0;)
+    pending.push_back(fd);
+  const int socket_errno = errno;
+  int connected = 0;
+  for (const int fd : pending) connected += connect_to(fd, so.socket_path);
+
+  // The loop, woken by the listener, fails to accept and pauses.  A
+  // loop spinning on the listener's readiness burns the whole window.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double cpu0 = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_s = process_cpu_s() - cpu0;
+
+  for (const int fd : pending) ::close(fd);
+  for (const int fd : clients) ::close(fd);
+  const bool pinged = ping_answered(so.socket_path);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_EQ(socket_errno, EMFILE);
+  EXPECT_GE(pending.size(), 4u);
+  EXPECT_EQ(connected, static_cast<int>(pending.size()));
+  EXPECT_LT(cpu_s, 0.125) << "I/O loop spun while accept() failed";
+  EXPECT_TRUE(pinged) << "daemon stopped accepting after EMFILE";
+  // (A deaf daemon would leave the stats request below hanging.)
+  if (pinged) {
+    EXPECT_EQ(wait_for_connections(so.socket_path, 1.0), 1.0);
+  }
   server.shutdown();
   runner.join();
 }

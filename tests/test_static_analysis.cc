@@ -5,6 +5,10 @@
 // verdict cache Monte-Carlo samples inherit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "numeric/interval.h"
+#include "numeric/sparse.h"
 #include "spicefmt/parser.h"
 
 namespace {
@@ -508,6 +513,112 @@ TEST(ValueRange, CorpusRigsAndExamplesAreVerdictSilent) {
     auto parsed = spice::parse_netlist_file(
         std::string(MSIM_TEST_DIR) + "/../examples/netlists/" + name);
     expect_silent(*parsed.netlist, name);
+  }
+}
+
+// The conditioning forecast as range_analysis computed it from a dense
+// n x n assembly: same point (bound midpoints), same column scales,
+// same guard, row maxima over every column.
+double dense_forecast(const ckt::Netlist& nl, const an::RangeReport& rep) {
+  const int n = nl.unknown_count();
+  const int node_rows = nl.node_count() - 1;
+  num::RealVector x(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    x[static_cast<std::size_t>(i)] =
+        rep.bounds[static_cast<std::size_t>(i)].mid();
+  num::RealMatrix jac;
+  num::RealVector rhs;
+  an::AssembleParams p;
+  p.temp_k = an::RangeOptions{}.temp_k;
+  an::assemble_real(nl, x, p, jac, rhs);
+  double vmax = 1.0;
+  for (const auto& iv : rep.bounds)
+    if (iv.bounded()) vmax = std::max(vmax, iv.mag());
+  if (rep.supply_bounded) vmax = std::max(vmax, rep.supply_hull.mag());
+  const double vfloor = 1e-6 * vmax;
+  std::vector<double> vscale(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const num::Interval iv = rep.bounds[static_cast<std::size_t>(i)];
+    vscale[static_cast<std::size_t>(i)] =
+        iv.bounded() ? std::max(iv.mag(), vfloor)
+        : i < node_rows && rep.supply_bounded
+            ? std::max(rep.supply_hull.mag(), vfloor)
+            : std::max(1.0, vfloor);
+  }
+  const double guard = 10.0 * p.gshunt;
+  double rmax = 0.0;
+  double rmin = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < n; ++r) {
+    double m = 0.0;
+    for (int c = 0; c < n; ++c) {
+      const double a = std::abs(
+          jac(static_cast<std::size_t>(r), static_cast<std::size_t>(c)));
+      if (a > guard) m = std::max(m, a * vscale[static_cast<std::size_t>(c)]);
+    }
+    if (m == 0.0) continue;
+    rmax = std::max(rmax, m);
+    rmin = std::min(rmin, m);
+  }
+  return rmax > 0.0 && std::isfinite(rmin) && rmin > 0.0 ? rmax / rmin : 0.0;
+}
+
+// Runs range_analysis on `a` and the dense reference on its twin `b`.
+// A stamp updates nonlinear devices' limiting state, so the twins must
+// stamp alike: `b` builds the skeleton too (debug builds check every
+// device's stamp contract, by stamping it, when a skeleton is built).
+void expect_dense_forecast(const ckt::Netlist& a, const ckt::Netlist& b,
+                           const std::string& label) {
+  const auto rep = an::range_analysis(a);
+  an::mna_skeleton(b);
+  const double ref = dense_forecast(b, rep);
+  EXPECT_EQ(rep.cond_available, ref > 0.0) << label;
+  // Bit for bit: entries accumulate in device order on both targets and
+  // a row maximum is exact.
+  EXPECT_EQ(rep.cond_forecast, ref) << label;
+}
+
+// The forecast reads the row maxima off the CSR skeleton -- searched on a
+// fresh netlist, replayed from the op solve's slot tables afterwards --
+// and must equal the dense assembly's bit for bit on every deck.
+TEST(ValueRange, SparseConditioningForecastEqualsDense) {
+  std::vector<std::string> decks;
+  for (const char* dir : {"/faults", "/../examples/netlists"})
+    for (const auto& e :
+         std::filesystem::directory_iterator(std::string(MSIM_TEST_DIR) + dir))
+      if (e.path().extension() == ".sp") decks.push_back(e.path().string());
+  std::sort(decks.begin(), decks.end());
+  ASSERT_GE(decks.size(), 13u);
+  an::OpOptions no_lint;
+  no_lint.lint = false;
+  int solved = 0;
+  for (const auto& path : decks) {
+    auto a = spice::parse_netlist_file(path);
+    auto b = spice::parse_netlist_file(path);
+    a.netlist->assign_unknowns();
+    b.netlist->assign_unknowns();
+    expect_dense_forecast(*a.netlist, *b.netlist, path + " (cold)");
+    const bool ok = an::solve_op(*a.netlist, no_lint).converged;
+    ASSERT_EQ(an::solve_op(*b.netlist, no_lint).converged, ok) << path;
+    if (!ok) continue;
+    ++solved;
+    expect_dense_forecast(*a.netlist, *b.netlist, path + " (after op)");
+  }
+  EXPECT_GE(solved, 5);
+
+  auto a = bench::make_mic_rig();
+  auto b = bench::make_mic_rig();
+  a->nl.assign_unknowns();
+  b->nl.assign_unknowns();
+  expect_dense_forecast(a->nl, b->nl, "mic (cold)");
+  for (int code = 0; code <= 5; ++code) {
+    for (auto* rig : {a.get(), b.get()}) {
+      rig->mic.set_gain_code(code);
+      ASSERT_TRUE(an::solve_op(rig->nl).converged) << "gain code " << code;
+    }
+    // A solved netlist's forecast replays the cached slot tables.
+    const long searches = num::sparse_search_count();
+    expect_dense_forecast(a->nl, b->nl, "mic code " + std::to_string(code));
+    EXPECT_EQ(num::sparse_search_count(), searches) << "gain code " << code;
   }
 }
 

@@ -1,13 +1,10 @@
 #!/usr/bin/env bash
 # Static checks over src/: clang-tidy with the curated .clang-tidy set,
-# warnings promoted to errors, plus the fault-injection test suites
-# under an AddressSanitizer + UBSan build (the recovery paths those
-# tests walk -- failed factorizations, budget aborts, NaN injection,
-# shooting-PSS restarts and boundary solves -- are exactly where
-# lifetime bugs hide) and the concurrency suites
-# under ThreadSanitizer (the worker pool, the lockstep ensemble, and
-# the serve registry / job scheduler are the places the engine shares
-# mutable state across threads).
+# warnings promoted to errors, plus the whole test suite under an
+# AddressSanitizer + UBSan + _GLIBCXX_ASSERTIONS build and the
+# concurrency suites under ThreadSanitizer (the worker pool, the
+# lockstep ensemble, and the serve registry / job scheduler are the
+# places the engine shares mutable state across threads).
 # Intended as a CI gate:
 #
 #   tools/run_static_checks.sh [--require-tools] [build-dir]
@@ -47,37 +44,32 @@ missing_tool() {
   return 0
 }
 
-# ---- sanitized fault-injection suites --------------------------------
-# Build the robustness suites with -fsanitize=address,undefined in a
-# dedicated build tree and run them via ctest.  Only the fault-driving
-# suites run here: they deliberately walk every recovery path (failed
-# factorizations, budget aborts, NaN injection, ensemble lane faults),
-# so they give the sanitizers the best coverage per second.  The parser
-# suite rides along: its tokens are string_views into the lexed deck
-# buffer, and its corpus and error cases walk every card path.
-run_sanitized_faults() {
+# ---- sanitized full suite -------------------------------------------
+# Build everything with -fsanitize=address,undefined plus libstdc++'s
+# -D_GLIBCXX_ASSERTIONS (bounds-checked operator[], std::polar's
+# precondition, ...) in a dedicated build tree and run every ctest
+# entry.  The fault-injection suites walk every recovery path (failed
+# factorizations, budget aborts, NaN injection, ensemble lane faults);
+# the rest cover the paths a deck can reach.
+run_sanitized_suite() {
   local san_dir="$repo_root/build-asan-ubsan"
   if ! command -v cmake >/dev/null 2>&1 || ! command -v ctest >/dev/null 2>&1; then
-    missing_tool "cmake/ctest not found (sanitized fault suites)"
+    missing_tool "cmake/ctest not found (sanitized suite)"
     return 0
   fi
-  echo "run_static_checks: building fault suites with asan+ubsan in $san_dir" >&2
+  echo "run_static_checks: building the suite with asan+ubsan+glibcxx assertions in $san_dir" >&2
   cmake -B "$san_dir" -S "$repo_root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
         >/dev/null 2>&1 || {
     missing_tool "sanitized configure failed (compiler without asan/ubsan?)"
     return 0
   }
-  cmake --build "$san_dir" -j "$(nproc 2>/dev/null || echo 2)" \
-        --target test_robustness test_op_robustness test_ensemble \
-                 test_pss test_serve test_spicefmt \
-        >/dev/null || return 1
-  (cd "$san_dir" && ctest --output-on-failure \
-        -R '^(test_robustness|test_op_robustness|test_ensemble|test_pss|test_serve|serve_smoke|test_spicefmt)$') \
+  cmake --build "$san_dir" -j "$(nproc 2>/dev/null || echo 2)" >/dev/null || return 1
+  (cd "$san_dir" && ctest --output-on-failure -j "$(nproc 2>/dev/null || echo 2)") \
     || return 1
-  echo "run_static_checks: sanitized fault suites clean" >&2
+  echo "run_static_checks: sanitized suite clean" >&2
   return 0
 }
 
@@ -114,7 +106,7 @@ run_tsan_suites() {
   return 0
 }
 
-run_sanitized_faults || exit 1
+run_sanitized_suite || exit 1
 run_tsan_suites || exit 1
 
 tidy="${CLANG_TIDY:-clang-tidy}"
