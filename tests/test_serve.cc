@@ -422,6 +422,11 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
   decks.emplace_back("mic_temp85", mic_deck(4, ".temp 85\n.op\n"));
   decks.emplace_back("mic_dc_then_op",
                      mic_deck(0, ".dc v_vdd 1.0 1.6 0.3\n.op\n"));
+  // The paper's frequency sweeps: the gain response at one code and the
+  // output/input-referred noise spectrum at another.
+  decks.emplace_back("mic_ac", mic_deck(3, ".ac dec 10 10 1e6\n"));
+  decks.emplace_back("mic_noise",
+                     mic_deck(5, ".noise mic.outp v_vinp dec 10 10 1e6\n"));
   DeckOptions opt;
   opt.telemetry = false;
   for (const auto& [name, deck] : decks) {
