@@ -50,18 +50,15 @@ AcResult run_ac_diag(ckt::Netlist& nl,
   nl.assign_unknowns();
 
   const std::size_t nf = freqs_hz.size();
-  // Serial priming: make sure the netlist cache carries a recorded
-  // stamp_ac slot pass before the chunk workers start, so every worker
-  // (and every later run adopting this cache) assembles search-free.
-  if (nf > 0)
-    prime_ac_slots(nl, opt.solver, 2.0 * M_PI * freqs_hz[0], opt.gshunt);
+  // The sweep's one stamp pass, made serially; the chunks share it.
+  const AcImage image(nl, opt.solver, opt.gshunt);
   int threads = opt.threads == 0 ? core::default_thread_count()
                                  : std::max(1, opt.threads);
   const std::size_t nchunks =
       std::min<std::size_t>(static_cast<std::size_t>(threads), nf ? nf : 1);
 
-  // Each chunk owns one ComplexSystem (symbolic LU reused within the
-  // chunk) and writes only its own solution slots and failure record,
+  // Each chunk owns one ComplexSystem over the shared image (symbolic
+  // LU reused within the chunk) and writes only its own solution slots and failure record,
   // so the outcome is identical at any thread count.  Solution slots
   // are pre-sized here so the grid loop itself allocates nothing.
   std::vector<num::ComplexVector> sols(nf);
@@ -85,8 +82,7 @@ AcResult run_ac_diag(ckt::Netlist& nl,
         const std::size_t lo = nf * c / nchunks;
         const std::size_t hi = nf * (c + 1) / nchunks;
         if (lo >= hi) return;
-        ComplexSystem sys;
-        sys.init(nl, opt.solver);
+        ComplexSystem sys(image);
         for (std::size_t i = lo; i < hi; ++i) {
           if (opt.budget) {
             const core::StopReason stop = opt.budget->stop_reason();
@@ -99,7 +95,7 @@ AcResult run_ac_diag(ckt::Netlist& nl,
             }
             opt.budget->note_step();
           }
-          sys.assemble(nl, 2.0 * M_PI * freqs_hz[i], opt.gshunt);
+          sys.assemble(2.0 * M_PI * freqs_hz[i]);
           if (!sys.factor()) {
             fails[c] = {i, sys.singular_col(), freqs_hz[i],
                         SolveStatus::kSingularMatrix};

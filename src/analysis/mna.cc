@@ -573,16 +573,8 @@ int RealSystem::singular_col() const {
                                       : dlu_.singular_col();
 }
 
-double RealSystem::min_pivot() const {
-  return kind_ == SolverKind::kSparse ? slu_.min_pivot() : dlu_.min_pivot();
-}
-
 double RealSystem::condition_estimate() const {
   return kind_ == SolverKind::kSparse ? slu_.condition_estimate() : 0.0;
-}
-
-double RealSystem::pivot_growth() const {
-  return kind_ == SolverKind::kSparse ? slu_.pivot_growth() : 0.0;
 }
 
 namespace {
@@ -1060,120 +1052,88 @@ void EnsembleSystem::update(const int* active, int nactive,
   im.stats.solve_ns += im.solve_clock.end_ns();
 }
 
-void ComplexSystem::init(const ckt::Netlist& nl, SolverKind kind) {
-  const int n = nl.unknown_count();
-  const std::size_t ndev = nl.devices().size();
-  if (kind == kind_ && n == n_ && ndev == devices_) return;
-  kind_ = kind;
-  n_ = n;
-  devices_ = ndev;
-  ac_pass_ = num::StampSlotPass{};
-  ac_diag_.clear();
-  ac_shared_.reset();
-  if (kind_ == SolverKind::kSparse) {
-    // Adopt the structural work already done by the large-signal system
-    // (the usual case: AC/noise run after solve_op).  Never writes the
-    // cache: parallel frequency chunks init concurrently and must stay
-    // read-only.
-    const auto& cache = nl.solver_cache();
-    slu_.reset();
-    if (cache.skeleton && cache.unknowns == n && cache.devices == ndev) {
-      sjac_ = num::ComplexSparseMatrix(*cache.skeleton);
-      if (cache.symbolic) slu_.adopt_symbolic(cache.symbolic);
-      // Adopt the cached slot snapshot when it matches this skeleton:
-      // the node-diagonal indices transfer verbatim, and a recorded
-      // stamp_ac pass (published by a serial prime_ac_slots) makes even
-      // the FIRST assemble a search-free replay.
-      if (cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-          cache.slots->nnz == sjac_.nnz()) {
-        ac_shared_ = cache.slots;
-        ac_diag_ = ac_shared_->diag;
-      }
+AcImage::AcImage(const ckt::Netlist& nl, SolverKind kind, double gshunt)
+    : nl_(nl), kind_(kind), gshunt_(gshunt) {
+  if (kind_ != SolverKind::kSparse) return;
+  mna_skeleton(nl);  // builds + publishes skeleton and slot tables if stale
+  auto& cache = nl.solver_cache();
+  skeleton_ = cache.skeleton;
+  symbolic_ = cache.symbolic;
+  const num::StampSlotPass& cached = cache.slots->ac;
+  // A device whose writes diverge from the cached table (its mismatched
+  // writes were searched, so the image is right either way) gets the
+  // table re-recorded below.
+  if (cached.recorded && cached.windows.size() == nl.devices().size() &&
+      stamp(&cached, nullptr))
+    return;
+  num::StampSlotPass pass;
+  stamp(nullptr, &pass);
+  // Copy-on-write: concurrent readers (jobs holding adopted snapshots)
+  // may be replaying the published tables.
+  auto t = std::make_shared<num::StampSlotTables>(*cache.slots);
+  t->ac = std::move(pass);
+  cache.slots = std::move(t);
+}
+
+bool AcImage::stamp(const num::StampSlotPass* replay,
+                    num::StampSlotPass* record) {
+  const auto& devs = nl_.devices();
+  g_.assign(static_cast<std::size_t>(skeleton_->nnz()), 0.0);
+  reactive_.clear();
+  rhs_.assign(static_cast<std::size_t>(nl_.unknown_count()), {0.0, 0.0});
+  ckt::AcStampContext ctx(*skeleton_, g_, reactive_, rhs_);
+  if (record) {
+    record->windows.reserve(devs.size());
+    ctx.arm_slot_record(&record->slots);
+  }
+  bool ok = true;
+  for (std::size_t i = 0; i < devs.size(); ++i) {
+    if (replay) {
+      const auto [b, e] = replay->windows[i];
+      ctx.arm_slot_replay(replay->slots.data() + b, e - b);
+      devs[i]->stamp_ac(ctx);
+      ok = ctx.finish_slot_replay() && ok;
     } else {
-      sjac_ = num::ComplexSparseMatrix(
-          num::RealSparseMatrix(mna_pattern(nl)));
+      const int b = static_cast<int>(record->slots.size());
+      devs[i]->stamp_ac(ctx);
+      record->windows.emplace_back(b, static_cast<int>(record->slots.size()));
     }
-    // Node-diagonal slots for the gshunt loop (when not adopted above).
-    // The stamp-slot pass itself is recorded lazily by the first
-    // assemble(): stamp_ac positions are frequency-independent, so one
-    // recording serves the whole grid chunk.
-    const int nodes = nl.node_count() - 1;
-    if (static_cast<int>(ac_diag_.size()) != nodes) {
-      ac_diag_.resize(static_cast<std::size_t>(nodes));
-      for (int i = 0; i < nodes; ++i) {
-        ac_diag_[static_cast<std::size_t>(i)] = sjac_.find_index(i, i);
-        if (ac_diag_[static_cast<std::size_t>(i)] < 0) {
-          ac_diag_.clear();
-          break;
-        }
-      }
-    }
-  } else {
-    djac_.resize(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
+  }
+  if (record) record->recorded = true;
+  // mna_skeleton resolved every node diagonal into the slot tables.
+  for (int idx : nl_.solver_cache().slots->diag)
+    g_[static_cast<std::size_t>(idx)] += gshunt_;
+  return ok;
+}
+
+ComplexSystem::ComplexSystem(const AcImage& image) : image_(image) {
+  if (image_.kind_ != SolverKind::kSparse) return;
+  sjac_ = num::ComplexSparseMatrix(*image_.skeleton_);
+  // Adopt the large-signal system's pivot order when there is one (the
+  // usual case: AC/noise run after solve_op).
+  if (image_.symbolic_) slu_.adopt_symbolic(image_.symbolic_);
+}
+
+void ComplexSystem::assemble(double omega) {
+  if (image_.kind_ != SolverKind::kSparse) {
+    assemble_ac(image_.nl_, omega, image_.gshunt_, djac_, drhs_);
+    return;
+  }
+  auto& vals = sjac_.values();
+  for (std::size_t k = 0; k < vals.size(); ++k) vals[k] = {image_.g_[k], 0.0};
+  for (const ckt::AcReactive& r : image_.reactive_) {
+    auto& v = vals[static_cast<std::size_t>(r.idx)];
+    v.imag(v.imag() + omega * r.c);
   }
 }
 
-void ComplexSystem::assemble(const ckt::Netlist& nl, double omega,
-                             double gshunt) {
-  if (kind_ != SolverKind::kSparse) {
-    assemble_ac(nl, omega, gshunt, djac_, rhs_);
-    return;
-  }
-  sjac_.clear_values();
-  rhs_.assign(static_cast<std::size_t>(n_), {0.0, 0.0});
-  ckt::AcStampContext ctx(omega, sjac_, rhs_);
-  const auto& devs = nl.devices();
-  // Replay source: the adopted shared snapshot when it carries a
-  // recorded pass, else this system's own recording.
-  const num::StampSlotPass* rp = nullptr;
-  if (ac_shared_ && ac_shared_->ac.recorded &&
-      ac_shared_->ac.windows.size() == devs.size())
-    rp = &ac_shared_->ac;
-  else if (ac_pass_.recorded && ac_pass_.windows.size() == devs.size())
-    rp = &ac_pass_;
-  if (rp) {
-    bool ok = true;
-    for (std::size_t i = 0; i < devs.size(); ++i) {
-      const auto [b, e] = rp->windows[i];
-      ctx.arm_slot_replay(rp->slots.data() + b, e - b);
-      devs[i]->stamp_ac(ctx);
-      if (!ctx.finish_slot_replay()) ok = false;
-    }
-    if (!ok) {
-      // A device's write sequence diverged from the table (mismatched
-      // writes fell back to the searched path, so the matrix above is
-      // still correct).  Drop the stale source and re-record locally on
-      // the next point; the shared snapshot stays untouched.
-      ac_shared_.reset();
-      ac_pass_.recorded = false;
-    }
-  } else {
-    ac_pass_.slots.clear();
-    ac_pass_.windows.clear();
-    ac_pass_.windows.reserve(devs.size());
-    ctx.arm_slot_record(&ac_pass_.slots);
-    for (const auto& d : devs) {
-      const int b = static_cast<int>(ac_pass_.slots.size());
-      d->stamp_ac(ctx);
-      ac_pass_.windows.emplace_back(b,
-                                    static_cast<int>(ac_pass_.slots.size()));
-    }
-    ac_pass_.recorded = true;
-  }
-  const int nodes = nl.node_count() - 1;
-  if (static_cast<int>(ac_diag_.size()) == nodes) {
-    auto& vals = sjac_.values();
-    for (int i = 0; i < nodes; ++i)
-      vals[static_cast<std::size_t>(
-          ac_diag_[static_cast<std::size_t>(i)])] += gshunt;
-  } else {
-    for (int i = 0; i < nodes; ++i) sjac_.add(i, i, gshunt);
-  }
+const num::ComplexVector& ComplexSystem::rhs() const {
+  return image_.kind_ == SolverKind::kSparse ? image_.rhs_ : drhs_;
 }
 
 bool ComplexSystem::factor() {
   g_factor_calls.fetch_add(1, std::memory_order_relaxed);
-  if (kind_ == SolverKind::kSparse) {
+  if (image_.kind_ == SolverKind::kSparse) {
     slu_.factor(sjac_);
     return !slu_.singular();
   }
@@ -1182,64 +1142,23 @@ bool ComplexSystem::factor() {
 }
 
 int ComplexSystem::singular_col() const {
-  return kind_ == SolverKind::kSparse ? slu_.singular_col()
-                                      : dlu_.singular_col();
-}
-
-double ComplexSystem::min_pivot() const {
-  return kind_ == SolverKind::kSparse ? slu_.min_pivot() : dlu_.min_pivot();
+  return image_.kind_ == SolverKind::kSparse ? slu_.singular_col()
+                                             : dlu_.singular_col();
 }
 
 void ComplexSystem::solve(num::ComplexVector& x) {
-  if (kind_ == SolverKind::kSparse)
-    slu_.solve(rhs_, x);
+  if (image_.kind_ == SolverKind::kSparse)
+    slu_.solve(image_.rhs_, x);
   else
-    dlu_.solve(rhs_, x);
+    dlu_.solve(drhs_, x);
 }
 
 void ComplexSystem::solve_transpose(const num::ComplexVector& b,
                                     num::ComplexVector& x) {
-  if (kind_ == SolverKind::kSparse)
+  if (image_.kind_ == SolverKind::kSparse)
     slu_.solve_transpose(b, x);
   else
     dlu_.solve_transpose(b, x);
-}
-
-void ComplexSystem::publish_ac(const ckt::Netlist& nl) const {
-  if (kind_ != SolverKind::kSparse || !ac_pass_.recorded) return;
-  auto& cache = nl.solver_cache();
-  // Only publish when this system's matrix was built FROM the cache
-  // skeleton (init() guarantees that whenever the counts matched), so
-  // the recorded value indices transfer verbatim.
-  if (!cache.skeleton || cache.unknowns != n_ || cache.devices != devices_ ||
-      cache.skeleton->nnz() != sjac_.nnz())
-    return;
-  // Copy-on-write: never mutate the published snapshot -- concurrent
-  // readers (MC workers holding adopted shared_ptrs) may be replaying
-  // it.  The new snapshot keeps every large-signal pass already there.
-  auto t = cache.slots && cache.slots->skeleton == cache.skeleton.get() &&
-                   cache.slots->nnz == sjac_.nnz()
-               ? std::make_shared<num::StampSlotTables>(*cache.slots)
-               : std::make_shared<num::StampSlotTables>();
-  t->skeleton = cache.skeleton.get();
-  t->nnz = sjac_.nnz();
-  t->ac = ac_pass_;
-  if (t->diag.empty() && !ac_diag_.empty()) t->diag = ac_diag_;
-  cache.slots = std::move(t);
-}
-
-void prime_ac_slots(const ckt::Netlist& nl, SolverKind kind, double omega,
-                    double gshunt) {
-  if (kind != SolverKind::kSparse) return;
-  const auto& cache = nl.solver_cache();
-  if (cache.skeleton && cache.slots &&
-      cache.slots->skeleton == cache.skeleton.get() &&
-      cache.slots->ac.recorded)
-    return;  // already published (this process or an adopted registry entry)
-  ComplexSystem sys;
-  sys.init(nl, kind);
-  sys.assemble(nl, omega, gshunt);
-  sys.publish_ac(nl);
 }
 
 }  // namespace msim::an

@@ -110,8 +110,9 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
                    const AssembleParams& p, num::RealSparseMatrix& jac,
                    num::RealVector& rhs);
 
-// Builds the complex small-signal system at angular frequency omega.
-// Devices must have a saved operating point (save_op()).
+// Builds the complex small-signal system at angular frequency omega by
+// stamping every device (the per-point reference for AcImage).  Devices
+// must have a saved operating point (save_op()).
 void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
                  num::ComplexMatrix& jac, num::ComplexVector& rhs);
 void assemble_ac(const ckt::Netlist& nl, double omega, double gshunt,
@@ -148,15 +149,12 @@ class RealSystem {
   // default covers plain full-Newton use.
   bool factor(const char* reason = "full_newton");
   int singular_col() const;
-  double min_pivot() const;
-  // Numerical-health probes of the last sparse factorization (0.0 in
+  // Numerical-health probe of the last sparse factorization (0.0 in
   // dense mode or before any factor()): a cheap condition-number lower
-  // bound from the cached LU's U-diagonal extremes, and the pivot
-  // growth max|U_ii| / max|A_ij|.  solve() uses the condition estimate
-  // to gate a residual check + one round of iterative refinement (see
+  // bound from the cached LU's U-diagonal extremes.  solve() uses it to
+  // gate a residual check + one round of iterative refinement (see
   // FactorStats::refine_count).
   double condition_estimate() const;
-  double pivot_growth() const;
   // Solves into `x` using the assembled rhs.  Requires factor() == true.
   void solve(num::RealVector& x);
   // Raw substitution against the held factorization: y = J0^{-1} b,
@@ -340,60 +338,75 @@ class EnsembleSystem {
   std::unique_ptr<Impl> impl_;
 };
 
-// Reusable workspace for the small-signal complex systems (AC, noise).
+// The small-signal system of one AC/noise sweep, A(omega) = G +
+// j*omega*C with excitation b.  Devices must have a saved operating
+// point (save_op()).
+//
+// On the sparse engine the constructor makes the sweep's only stamp
+// pass: every device's stamp_ac writes into the netlist's CSR skeleton
+// (mna_skeleton), real parts summed per value slot with gshunt on the
+// node diagonals, the (slot, c) reactive terms kept in stamp order and
+// the rhs kept as is.  The pass replays the cached stamp_ac slot table,
+// or records it and publishes it into the netlist's solver cache, so
+// later sweeps and jobs adopting the cache resolve no position at all.
+// The dense engine keeps no image: its points restamp every device
+// (the per-point reference).
+//
+// Build serially (the constructor may write the solver cache); the
+// image is then read-only and shared by the parallel frequency chunks.
+class AcImage {
+ public:
+  AcImage(const ckt::Netlist& nl, SolverKind kind, double gshunt);
+
+  SolverKind kind() const { return kind_; }
+
+ private:
+  friend class ComplexSystem;
+
+  // One stamp_ac pass over every device, replaying `replay` or recording
+  // into `record`; false when a replayed write missed its table.
+  bool stamp(const num::StampSlotPass* replay, num::StampSlotPass* record);
+
+  const ckt::Netlist& nl_;
+  SolverKind kind_;
+  double gshunt_;
+  // Sparse engine only.
+  std::shared_ptr<const num::RealSparseMatrix> skeleton_;
+  std::shared_ptr<const num::SparseSymbolic> symbolic_;
+  std::vector<double> g_;
+  std::vector<ckt::AcReactive> reactive_;
+  num::ComplexVector rhs_;
+};
+
+// Per-point workspace over one AcImage: one matrix, one factorization
+// whose symbolic analysis persists across points, and (dense) the rhs.
+// One per frequency chunk; never shared across threads.
 class ComplexSystem {
  public:
-  void init(const ckt::Netlist& nl, SolverKind kind);
+  explicit ComplexSystem(const AcImage& image);
 
-  void assemble(const ckt::Netlist& nl, double omega, double gshunt);
-  // Publishes this system's locally recorded stamp_ac pass into the
-  // netlist's solver cache (copy-on-write StampSlotTables snapshot; see
-  // prime_ac_slots).  Serial-path only: never call while parallel
-  // frequency workers hold systems over the same netlist.
-  void publish_ac(const ckt::Netlist& nl) const;
+  // Sparse: sets every value to {G, 0} and adds omega*c term by term in
+  // stamp order (the same sums a per-point stamp pass makes).  Dense:
+  // stamps every device at omega.
+  void assemble(double omega);
   bool factor();
   int singular_col() const;
-  double min_pivot() const;
   void solve(num::ComplexVector& x);
   // Adjoint solve A^T x = b (noise analysis).
   void solve_transpose(const num::ComplexVector& b, num::ComplexVector& x);
 
-  num::ComplexVector& rhs() { return rhs_; }
-  SolverKind kind() const { return kind_; }
+  const num::ComplexVector& rhs() const;
+  SolverKind kind() const { return image_.kind_; }
   // Read-only view of the assembled sparse system (tests).
   const num::ComplexSparseMatrix& sparse_jac() const { return sjac_; }
 
  private:
-  SolverKind kind_ = SolverKind::kSparse;
-  int n_ = -1;
-  std::size_t devices_ = 0;
+  const AcImage& image_;
   num::ComplexMatrix djac_;
   num::ComplexLu dlu_;
+  num::ComplexVector drhs_;
   num::ComplexSparseMatrix sjac_;
   num::ComplexSparseLu slu_;
-  num::ComplexVector rhs_;
-  // Stamp-slot state (sparse path).  `ac_shared_` is an immutable
-  // snapshot adopted from the netlist cache when it already carries a
-  // recorded stamp_ac pass (published by a previous serial
-  // prime_ac_slots over this topology, possibly through the serve
-  // registry): warm systems replay it read-only from their very first
-  // assemble, so parallel chunk workers do zero pattern searches.
-  // Otherwise the first assemble records into the LOCAL `ac_pass_`;
-  // the cache itself is only ever written from the serial driver path
-  // (publish_ac), never from chunk workers.
-  std::shared_ptr<const num::StampSlotTables> ac_shared_;
-  num::StampSlotPass ac_pass_;
-  std::vector<int> ac_diag_;
 };
-
-// Ensures the netlist's solver cache carries a recorded stamp_ac slot
-// pass: when it is missing, one ComplexSystem is primed serially (a
-// single searched assembly at `omega`) and its pass published
-// copy-on-write.  run_ac_diag / run_noise_diag call this before their
-// parallel frequency chunks so every worker -- and every later job
-// adopting the cache -- assembles search-free.  No-op for the dense
-// engine or when the pass is already cached.
-void prime_ac_slots(const ckt::Netlist& nl, SolverKind kind, double omega,
-                    double gshunt);
 
 }  // namespace msim::an

@@ -114,11 +114,8 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
 
   const std::size_t n = static_cast<std::size_t>(nl.unknown_count());
   const std::size_t nf = freqs_hz.size();
-  // Serial priming of the shared stamp_ac slot pass (see run_ac_diag):
-  // chunk workers below then replay it search-free from their first
-  // assembly.
-  if (nf > 0)
-    prime_ac_slots(nl, opt.solver, 2.0 * M_PI * freqs_hz[0], opt.gshunt);
+  // The sweep's one stamp pass, made serially; the chunks share it.
+  const AcImage image(nl, opt.solver, opt.gshunt);
   int threads = opt.threads == 0 ? core::default_thread_count()
                                  : std::max(1, opt.threads);
   const std::size_t nchunks =
@@ -149,8 +146,7 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
         const std::size_t lo = nf * c / nchunks;
         const std::size_t hi = nf * (c + 1) / nchunks;
         if (lo >= hi) return;
-        ComplexSystem sys;
-        sys.init(nl, opt.solver);
+        ComplexSystem sys(image);
         num::ComplexVector x, y, e;
         for (std::size_t k = lo; k < hi; ++k) {
           const double f = freqs_hz[k];
@@ -167,7 +163,7 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
             opt.budget->note_step();
             pd.failed = false;  // clear any chunk-start marker
           }
-          sys.assemble(nl, 2.0 * M_PI * f, opt.gshunt);
+          sys.assemble(2.0 * M_PI * f);
           if (!sys.factor()) {
             pd.failed = true;
             pd.status = SolveStatus::kSingularMatrix;

@@ -19,12 +19,6 @@
 namespace msim::an {
 namespace {
 
-bool unknowns_assigned(const ckt::Netlist& nl) {
-  int expected = nl.node_count() - 1;
-  for (const auto& d : nl.devices()) expected += d->branch_count();
-  return expected > 0 && nl.unknown_count() == expected;
-}
-
 bool is_supply_name(const std::string& name) {
   std::string s;
   s.reserve(name.size());
@@ -102,7 +96,7 @@ std::string json_num(double v) { return std::isfinite(v) ? fmt(v) : "null"; }
 
 RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
   RangeReport rep;
-  if (!unknowns_assigned(nl)) return rep;
+  if (!nl.unknowns_assigned()) return rep;
   const int n = nl.unknown_count();
   const int node_rows = nl.node_count() - 1;
   rep.unknowns = n;

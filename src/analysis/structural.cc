@@ -17,14 +17,6 @@ namespace {
 
 std::atomic<long> g_full_runs{0};
 
-// True when assign_unknowns() ran for the netlist as it stands now:
-// stale branch bases would make recorded positions meaningless.
-bool unknowns_assigned(const ckt::Netlist& nl) {
-  int expected = nl.node_count() - 1;
-  for (const auto& d : nl.devices()) expected += d->branch_count();
-  return expected > 0 && nl.unknown_count() == expected;
-}
-
 // The actual DC stamp pattern: per-equation unknown lists recorded by
 // replaying every device's stamp() against a StampRecord at x = 0.
 // Positions only -- no values are computed, no matrix exists.  Every
@@ -39,12 +31,14 @@ struct RecordedPattern {
   std::vector<std::vector<const ckt::Device*>> row_devs;
 };
 
-RecordedPattern record_dc_pattern(const ckt::Netlist& nl) {
+// `with_devices` also fills row_devs (only a singular verdict names
+// devices, so the common path skips that storage).
+RecordedPattern record_dc_pattern(const ckt::Netlist& nl, bool with_devices) {
   RecordedPattern p;
   p.n = nl.unknown_count();
   p.node_rows = nl.node_count() - 1;
   p.adj.assign(static_cast<std::size_t>(p.n), {});
-  p.row_devs.assign(static_cast<std::size_t>(p.n), {});
+  if (with_devices) p.row_devs.assign(static_cast<std::size_t>(p.n), {});
 
   const num::RealVector x0(static_cast<std::size_t>(p.n), 0.0);
   num::RealVector rhs(static_cast<std::size_t>(p.n), 0.0);
@@ -56,10 +50,15 @@ RecordedPattern record_dc_pattern(const ckt::Netlist& nl) {
     d->stamp(ctx);
     for (const auto& [r, c] : rec.entries) {
       if (r < 0 || r >= p.n || c < 0 || c >= p.n) continue;  // contract
-      p.adj[static_cast<std::size_t>(r)].push_back(c);       // checker's job
+      // checker's job.  Repeats of a row's last column are dropped here
+      // (the sort below drops the rest), and devices are recorded one
+      // at a time, so a row's last device is its last-seen marker: O(1)
+      // dedupe, even on a row shared by many parallel devices.
+      auto& cols = p.adj[static_cast<std::size_t>(r)];
+      if (cols.empty() || cols.back() != c) cols.push_back(c);
+      if (!with_devices) continue;
       auto& devs = p.row_devs[static_cast<std::size_t>(r)];
-      if (std::find(devs.begin(), devs.end(), d.get()) == devs.end())
-        devs.push_back(d.get());
+      if (devs.empty() || devs.back() != d.get()) devs.push_back(d.get());
     }
   }
   // The assembler unconditionally adds the gshunt guard to every node
@@ -169,13 +168,14 @@ std::string join(const std::vector<std::string>& v) {
 
 StructuralReport analyze_structure(const ckt::Netlist& nl) {
   StructuralReport rep;
-  if (!unknowns_assigned(nl)) return rep;
+  if (!nl.unknowns_assigned()) return rep;
 
-  const RecordedPattern p = record_dc_pattern(nl);
+  RecordedPattern p = record_dc_pattern(nl, false);
   const Matching m = max_matching(p);
   rep.unknowns = p.n;
   rep.structural_rank = m.size;
   if (!rep.singular()) return rep;
+  p = record_dc_pattern(nl, true);  // the same pattern, plus row_devs
 
   // Dulmage-Mendelsohn style naming: from each unmatched equation, the
   // rows reachable by alternating paths (row -> any adjacent col ->
@@ -245,7 +245,7 @@ StructuralReport analyze_structure(const ckt::Netlist& nl) {
 std::vector<StampContractViolation> check_stamp_contracts(
     const ckt::Netlist& nl) {
   std::vector<StampContractViolation> out;
-  if (!unknowns_assigned(nl)) return out;
+  if (!nl.unknowns_assigned()) return out;
   const int n = nl.unknown_count();
 
   const num::RealVector x0(static_cast<std::size_t>(n), 0.0);
@@ -299,8 +299,7 @@ std::vector<StampContractViolation> check_stamp_contracts(
       diff("tran");
     }
     {
-      ckt::AcStampContext ctx(2.0 * 3.14159265358979323846 * 1e3, rec,
-                              crhs);
+      ckt::AcStampContext ctx(rec, crhs);
       d->stamp_ac(ctx);
       diff("ac");
     }

@@ -232,7 +232,28 @@ struct EnsembleRun {
   const std::pair<int, int>* windows = nullptr;  // absolute into `slots`
 };
 
-// Context for small-signal complex stamping at angular frequency omega.
+// A small-signal stamp value g + j*omega*c.  Every device's stamp_ac
+// is affine in omega with g and c fixed by the saved operating point,
+// so one stamp pass can serve a whole frequency sweep (an::AcImage).
+struct AcValue {
+  double g = 0.0;  // conductance-like real part
+  double c = 0.0;  // coefficient of j*omega (capacitance, -inductance)
+};
+inline AcValue operator-(AcValue v) { return {-v.g, -v.c}; }
+
+// One reactive term of a frequency-independent image: value slot `idx`
+// of the CSR pattern receives j*omega*c.
+struct AcReactive {
+  int idx = -1;
+  double c = 0.0;
+};
+
+// Context for small-signal stamping.  Point targets (a dense or sparse
+// complex matrix) evaluate each write at one angular frequency as
+// complex(g, omega*c); the image target keeps the affine form: real
+// parts sum into `g` per CSR value slot and every write with c != 0
+// appends (slot, c) in stamp order, so a later point fill adding
+// omega*c term by term reproduces the point target's sums bit for bit.
 class AcStampContext {
  public:
   AcStampContext(double omega, num::ComplexMatrix& jac,
@@ -241,53 +262,38 @@ class AcStampContext {
   AcStampContext(double omega, num::ComplexSparseMatrix& jac,
                  num::ComplexVector& rhs)
       : omega_(omega), sparse_(&jac), rhs_(rhs) {}
-  AcStampContext(double omega, StampRecord& record, num::ComplexVector& rhs)
-      : omega_(omega), record_(&record), rhs_(rhs) {}
+  // Image target over `pattern` (its values are not touched): `g` is
+  // indexed like pattern.values().
+  AcStampContext(const num::RealSparseMatrix& pattern, std::vector<double>& g,
+                 std::vector<AcReactive>& reactive, num::ComplexVector& rhs)
+      : pattern_(&pattern), g_(g.data()), reactive_(&reactive), rhs_(rhs) {}
+  AcStampContext(StampRecord& record, num::ComplexVector& rhs)
+      : record_(&record), rhs_(rhs) {}
 
-  double omega() const { return omega_; }
-
-  void add_jac(int row, int col, std::complex<double> v) {
-    if (sparse_) {
-      if (replay_) {
-        if (replay_cursor_ < replay_n_) {
-          const num::StampSlot& s = replay_[replay_cursor_];
-          if (s.row == row && s.col == col) {
-            svals_[static_cast<std::size_t>(s.idx)] += v;
-            ++replay_cursor_;
-            return;
-          }
-        }
-        replay_ok_ = false;
-        sparse_->add(row, col, v);
-        return;
-      }
-      if (slot_record_) {
-        const int idx = sparse_->add_at(row, col);
-        sparse_->values()[static_cast<std::size_t>(idx)] += v;
-        slot_record_->push_back({row, col, idx});
-        return;
-      }
-      sparse_->add(row, col, v);
-    } else if (dense_)
-      (*dense_)(row, col) += v;
+  void add_jac(int row, int col, AcValue v) {
+    if (pattern_) {
+      const int idx = image_slot(row, col);
+      g_[static_cast<std::size_t>(idx)] += v.g;
+      if (v.c != 0.0) reactive_->push_back({idx, v.c});
+    } else if (sparse_)
+      sparse_->add(row, col, {v.g, omega_ * v.c});
+    else if (dense_)
+      (*dense_)(row, col) += std::complex<double>(v.g, omega_ * v.c);
     else
       record_->add(row, col);
   }
 
-  // Slot recording / replay: same contract as StampContext (sparse
-  // target only; a mismatched write degrades to the searched path).
-  // AC stamps are frequency-dependent in VALUE but not in POSITION, so
-  // the per-frequency loop records once and replays every later point.
+  // Slot recording / replay for the image target: same contract as
+  // StampContext (a mismatched write degrades to the searched path and
+  // fails the replay).  No-ops on the other targets.
   void arm_slot_record(std::vector<num::StampSlot>* out) {
-    if (sparse_) slot_record_ = out;
+    if (pattern_) slot_record_ = out;
   }
   void arm_slot_replay(const num::StampSlot* slots, int n) {
-    if (!sparse_) return;
+    if (!pattern_) return;
     replay_ = slots;
     replay_n_ = n;
     replay_cursor_ = 0;
-    replay_ok_ = true;
-    svals_ = sparse_->values().data();
   }
   bool finish_slot_replay() {
     const bool ok = replay_ok_;
@@ -297,7 +303,7 @@ class AcStampContext {
     replay_ok_ = true;
     return ok;
   }
-  void add_admittance(NodeId p, NodeId n, std::complex<double> y) {
+  void add_admittance(NodeId p, NodeId n, AcValue y) {
     if (p != kGround) add_jac(p - 1, p - 1, y);
     if (n != kGround) add_jac(n - 1, n - 1, y);
     if (p != kGround && n != kGround) {
@@ -307,8 +313,8 @@ class AcStampContext {
   }
   // Transconductance stamp: current gm*(v(cp)-v(cn)) flowing p -> n.
   void add_transconductance(NodeId p, NodeId n, NodeId cp, NodeId cn,
-                            std::complex<double> gm) {
-    auto at = [&](NodeId r, NodeId c, std::complex<double> v) {
+                            AcValue gm) {
+    auto at = [&](NodeId r, NodeId c, AcValue v) {
       if (r != kGround && c != kGround) add_jac(r - 1, c - 1, v);
     };
     at(p, cp, gm);
@@ -316,26 +322,46 @@ class AcStampContext {
     at(n, cp, -gm);
     at(n, cn, gm);
   }
-  void add_node_jac(NodeId row, int col, std::complex<double> v) {
+  void add_node_jac(NodeId row, int col, AcValue v) {
     if (row != kGround) add_jac(row - 1, col, v);
   }
-  void add_branch_jac(int row, NodeId col, std::complex<double> v) {
+  void add_branch_jac(int row, NodeId col, AcValue v) {
     if (col != kGround) add_jac(row, col - 1, v);
   }
+  // Excitation phasors are frequency-independent on every target.
   void add_current_into(NodeId n, std::complex<double> i) {
     if (n != kGround) rhs_[n - 1] += i;
   }
   void add_rhs(int row, std::complex<double> v) { rhs_[row] += v; }
 
  private:
-  double omega_;
+  int image_slot(int row, int col) {
+    if (replay_) {
+      if (replay_cursor_ < replay_n_) {
+        const num::StampSlot& s = replay_[replay_cursor_];
+        if (s.row == row && s.col == col) {
+          ++replay_cursor_;
+          return s.idx;
+        }
+      }
+      replay_ok_ = false;
+      return pattern_->add_at(row, col);
+    }
+    const int idx = pattern_->add_at(row, col);
+    if (slot_record_) slot_record_->push_back({row, col, idx});
+    return idx;
+  }
+
+  double omega_ = 0.0;
   num::ComplexMatrix* dense_ = nullptr;
   num::ComplexSparseMatrix* sparse_ = nullptr;
+  const num::RealSparseMatrix* pattern_ = nullptr;
+  double* g_ = nullptr;
+  std::vector<AcReactive>* reactive_ = nullptr;
   StampRecord* record_ = nullptr;
   num::ComplexVector& rhs_;
   std::vector<num::StampSlot>* slot_record_ = nullptr;
   const num::StampSlot* replay_ = nullptr;
-  std::complex<double>* svals_ = nullptr;
   int replay_n_ = 0;
   int replay_cursor_ = 0;
   bool replay_ok_ = true;
@@ -427,7 +453,9 @@ class Device {
   // Stores the operating point for small-signal / noise analyses.
   virtual void save_op(const num::RealVector& /*x*/, double /*temp_k*/) {}
 
-  // Small-signal stamping around the saved operating point.
+  // Small-signal stamping around the saved operating point.  Writes are
+  // AcValue{g, c} = g + j*omega*c with g and c independent of omega;
+  // the write sequence must not depend on omega either.
   virtual void stamp_ac(AcStampContext& ctx) const = 0;
 
   // Appends this device's noise sources (evaluated at the saved OP).

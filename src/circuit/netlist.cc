@@ -11,12 +11,11 @@ Netlist::Netlist() {
 }
 
 NodeId Netlist::node(std::string_view name) {
-  const std::string key(name);
-  auto it = by_name_.find(key);
+  auto it = by_name_.find(name);
   if (it != by_name_.end()) return it->second;
   const NodeId id = static_cast<NodeId>(names_.size());
-  names_.push_back(key);
-  by_name_.emplace(key, id);
+  names_.emplace_back(name);
+  by_name_.emplace(name, id);
   ++structure_rev_;
   return id;
 }
@@ -26,11 +25,11 @@ NodeId Netlist::internal_node(std::string_view hint) {
 }
 
 bool Netlist::has_node(std::string_view name) const {
-  return by_name_.count(std::string(name)) != 0;
+  return by_name_.contains(name);
 }
 
 NodeId Netlist::find_node(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidNode : it->second;
 }
 
@@ -39,7 +38,7 @@ const std::string& Netlist::node_name(NodeId id) const {
 }
 
 Device* Netlist::find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it == index_.end()) return nullptr;
   return devices_[it->second].get();
 }

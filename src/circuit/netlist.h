@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -69,6 +70,9 @@ class Netlist {
   // total number of MNA unknowns (node_count()-1 + total branches).
   int assign_unknowns();
   int unknown_count() const { return unknown_count_; }
+  // True when assign_unknowns() ran for the netlist as it stands now:
+  // stale branch bases would make stamped positions meaningless.
+  bool unknowns_assigned() const { return assigned_rev_ == structure_rev_; }
 
   // The MNA unknown index of a node voltage (node must not be ground).
   static int node_unknown(NodeId n) { return n - 1; }
@@ -134,10 +138,22 @@ class Netlist {
   StructuralVerdict& structural_verdict() const { return verdict_; }
 
  private:
+  // Transparent hash: the name indexes below look string_views up
+  // without building a std::string key per call.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <typename V>
+  using NameMap =
+      std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
   std::vector<std::string> names_;  // index = NodeId
-  std::unordered_map<std::string, NodeId> by_name_;
+  NameMap<NodeId> by_name_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::unordered_map<std::string, std::size_t> index_;
+  NameMap<std::size_t> index_;
   int unknown_count_ = 0;
   int anon_counter_ = 0;
   // Bumped on every structural mutation (new node, new device); lets

@@ -23,7 +23,8 @@ void MosSwitch::stamp(ckt::StampContext& ctx) const {
 
 void MosSwitch::stamp_ac(ckt::AcStampContext& ctx) const {
   const bool on = on_at(0.0);
-  ctx.add_admittance(nodes_[0], nodes_[1], 1.0 / (on ? r_on_ : r_off_));
+  ctx.add_admittance(nodes_[0], nodes_[1],
+                     {1.0 / (on ? r_on_ : r_off_), 0.0});
 }
 
 void MosSwitch::append_noise_sources(std::vector<ckt::NoiseSource>& out,

@@ -256,8 +256,8 @@ void Mosfet::stamp_ac(ckt::AcStampContext& ctx) const {
   ctx.add_transconductance(d, s, g, s, {op_.gm, 0.0});
   ctx.add_transconductance(d, s, b, s, {op_.gmb, 0.0});
   ctx.add_admittance(d, s, {op_.gds, 0.0});
-  ctx.add_admittance(g, s, {0.0, ctx.omega() * op_.cgs});
-  ctx.add_admittance(g, d, {0.0, ctx.omega() * op_.cgd});
+  ctx.add_admittance(g, s, {0.0, op_.cgs});
+  ctx.add_admittance(g, d, {0.0, op_.cgd});
 }
 
 void Mosfet::append_noise_sources(std::vector<ckt::NoiseSource>& out,

@@ -42,7 +42,7 @@ void Resistor::stamp(ckt::StampContext& ctx) const {
 }
 
 void Resistor::stamp_ac(ckt::AcStampContext& ctx) const {
-  ctx.add_admittance(nodes_[0], nodes_[1], 1.0 / r_eff_);
+  ctx.add_admittance(nodes_[0], nodes_[1], {1.0 / r_eff_, 0.0});
 }
 
 void Resistor::save_op(const num::RealVector& x, double /*temp_k*/) {
@@ -93,7 +93,7 @@ void Capacitor::stamp(ckt::StampContext& ctx) const {
 }
 
 void Capacitor::stamp_ac(ckt::AcStampContext& ctx) const {
-  ctx.add_admittance(nodes_[0], nodes_[1], {0.0, ctx.omega() * c_});
+  ctx.add_admittance(nodes_[0], nodes_[1], {0.0, c_});
 }
 
 void Capacitor::begin_transient(const num::RealVector& x_op) {
@@ -152,7 +152,7 @@ void Inductor::stamp_ac(ckt::AcStampContext& ctx) const {
   ctx.add_node_jac(nodes_[1], ib, {-1.0, 0.0});
   ctx.add_branch_jac(ib, nodes_[0], {1.0, 0.0});
   ctx.add_branch_jac(ib, nodes_[1], {-1.0, 0.0});
-  ctx.add_jac(ib, ib, {0.0, -ctx.omega() * l_});
+  ctx.add_jac(ib, ib, {0.0, -l_});
 }
 
 void Inductor::begin_transient(const num::RealVector& x_op) {

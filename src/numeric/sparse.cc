@@ -312,12 +312,6 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
   const auto& u_cols_ = sym_->u_cols;
   min_pivot_ = n_ ? 1e300 : 0.0;
   max_pivot_ = 0.0;
-  // Largest input magnitude, the denominator of the pivot-growth probe.
-  a_max_ = 0.0;
-  for (const T& v : vs) {
-    const double m = magnitude(v);
-    if (m > a_max_) a_max_ = m;
-  }
 
   for (int i = 0; i < n_; ++i) {
     // Clear the row's full fill pattern, then scatter the source row.

@@ -307,10 +307,10 @@ struct StampSlotTables {
   StampSlotPass base_dcop, base_tran;      // linear devices
   StampSlotPass newton_dcop, newton_tran;  // nonlinear devices
   // Small-signal pass (every device's stamp_ac writes, one window per
-  // device).  Recorded by a ComplexSystem on the serial driver path and
-  // published here so parallel AC/noise chunk workers -- and, through
-  // the serve-layer cache registry, later processes' jobs over the same
-  // topology -- replay it read-only from their very first assembly.
+  // device).  Recorded by the first AC/noise sweep image (an::AcImage,
+  // built on the serial driver path) and published here so later
+  // sweeps -- and, through the serve-layer cache registry, later jobs
+  // over the same topology -- build their image search-free.
   StampSlotPass ac;
   std::vector<int> diag;                   // node rows only
 };
@@ -354,16 +354,11 @@ class SparseLu {
   int singular_col() const { return singular_col_; }
   double min_pivot() const { return min_pivot_; }
   double max_pivot() const { return max_pivot_; }
-  // Numerical-health probes over the last successful factorization.
-  // Pivot growth max|U_ii| / max|A_ij| >> 1 means elimination amplified
-  // the input values (threshold pivoting admitted a bad pivot); the
+  // Numerical-health probe over the last successful factorization: the
   // diagonal ratio max|U_ii| / min|U_ii| is a free lower bound on the
-  // condition number (the true cond(A) can only be larger).  Both cost
-  // nothing beyond two running maxima -- cheap enough to gate the
+  // condition number (the true cond(A) can only be larger).  It costs
+  // nothing beyond two running extremes -- cheap enough to gate the
   // residual check in RealSystem::solve on every solve.
-  double pivot_growth() const {
-    return a_max_ > 0.0 ? max_pivot_ / a_max_ : 0.0;
-  }
   double condition_estimate() const {
     return min_pivot_ > 0.0 ? max_pivot_ / min_pivot_ : 0.0;
   }
@@ -427,7 +422,6 @@ class SparseLu {
   int singular_col_ = -1;
   double min_pivot_ = 0.0;
   double max_pivot_ = 0.0;
-  double a_max_ = 0.0;  // largest |A_ij| of the last factored matrix
 
   // Immutable shared structure: pivot order (rowperm/colperm/qinv) plus
   // L (strictly lower, unit diagonal) and U (upper, diagonal first in

@@ -1,23 +1,37 @@
 // Assembly-engine tests: the stamp-slot cache (zero pattern searches
-// after warm-up, for the real dcop/transient passes, the complex AC
-// system, and Monte-Carlo cache adoption), slot invalidation on
+// after warm-up, for the real dcop/transient passes, the AC sweep
+// image, and Monte-Carlo cache adoption), slot invalidation on
 // topology edits, batched-vs-legacy bit-identity under every assembly
-// mode, and the stamp/factor/solve telemetry breakdown.
+// mode, the AC image against per-device point assembly, and the
+// stamp/factor/solve telemetry breakdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "analysis/ac.h"
 #include "analysis/mna.h"
+#include "analysis/noise.h"
 #include "analysis/op.h"
 #include "analysis/op_report.h"
 #include "analysis/transient.h"
 #include "bench_util.h"
 #include "circuit/netlist.h"
+#include "devices/bjt.h"
+#include "devices/controlled.h"
+#include "devices/diode.h"
+#include "devices/mos_switch.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "devices/tanh_vccs.h"
 #include "numeric/sparse.h"
+#include "spicefmt/parser.h"
 
 namespace {
 
@@ -65,19 +79,19 @@ TEST(AssemblySlots, RealSystemReplaysWithZeroSearches) {
   }
 }
 
-TEST(AssemblySlots, ComplexSystemReplaysAcrossFrequencies) {
+TEST(AssemblySlots, AcImageReplaysAndPointsSearchNothing) {
   auto rig = bench::make_mic_rig();
   an::OpOptions oo;
   oo.solver = an::SolverKind::kSparse;
   const auto op = an::solve_op(rig->nl, oo);
   ASSERT_TRUE(op.converged);  // save_op ran: stamp_ac is well-defined
 
-  an::ComplexSystem sys;
-  sys.init(rig->nl, an::SolverKind::kSparse);
-  sys.assemble(rig->nl, 2.0 * M_PI * 1e3, 1e-12);  // records
+  const an::AcImage recorded(rig->nl, an::SolverKind::kSparse, 1e-12);
+  EXPECT_TRUE(rig->nl.solver_cache().slots->ac.recorded);
   const long s0 = num::sparse_search_count();
-  sys.assemble(rig->nl, 2.0 * M_PI * 1e4, 1e-12);  // replays
-  sys.assemble(rig->nl, 2.0 * M_PI * 1e5, 1e-12);
+  const an::AcImage replayed(rig->nl, an::SolverKind::kSparse, 1e-12);
+  an::ComplexSystem sys(replayed);
+  for (double f : {1e3, 1e4, 1e5}) sys.assemble(2.0 * M_PI * f);
   EXPECT_EQ(num::sparse_search_count() - s0, 0);
 }
 
@@ -270,6 +284,160 @@ TEST(AssemblyTelemetry, OpReportIncludesSolverTime) {
   EXPECT_GT(op.solver_stats.stamp_ns, 0);
   const auto report = an::op_report(rig->nl, op);
   EXPECT_NE(report.find("solver time:"), std::string::npos);
+}
+
+// ---- the AC/noise sweep image ---------------------------------------
+
+// Same bits, element by element (NaN payloads included).
+void expect_complex_bits_equal(const num::ComplexVector& a,
+                               const num::ComplexVector& b,
+                               const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          a.size() * sizeof(std::complex<double>)),
+              0)
+        << what;
+  }
+}
+
+// The sparse point values for every omega of the contract, built from
+// the sweep image, must equal the per-device assemble_ac on the same
+// CSR skeleton bit for bit, matrix and rhs.
+void expect_image_matches_point_assembly(const ckt::Netlist& nl,
+                                         const std::string& what) {
+  constexpr double kGshunt = 1e-12;
+  const an::AcImage image(nl, an::SolverKind::kSparse, kGshunt);
+  an::ComplexSystem sys(image);
+  for (double f : {10.0, 1e3, 1e6, 1e9}) {
+    const double omega = 2.0 * M_PI * f;
+    sys.assemble(omega);
+    num::ComplexSparseMatrix ref(an::mna_skeleton(nl));
+    num::ComplexVector ref_rhs;
+    an::assemble_ac(nl, omega, kGshunt, ref, ref_rhs);
+    const std::string at = what + " at f = " + std::to_string(f);
+    expect_complex_bits_equal(sys.sparse_jac().values(), ref.values(), at);
+    expect_complex_bits_equal(sys.rhs(), ref_rhs, at + " rhs");
+  }
+}
+
+// Every device class the rigs and decks leave out of stamp_ac coverage:
+// a BJT stage with an inductor, diode, VCVS, CCCS, CCVS, TanhVccs, a
+// closed switch and AC-driven voltage and current sources.
+std::unique_ptr<ckt::Netlist> every_device_deck() {
+  auto nl = std::make_unique<ckt::Netlist>();
+  const auto vdd = nl->node("vdd"), in = nl->node("in"), b = nl->node("b");
+  const auto c = nl->node("c"), e = nl->node("e"), dn = nl->node("dn");
+  const auto m = nl->node("m"), ml = nl->node("ml");
+  const auto o1 = nl->node("o1"), o2 = nl->node("o2");
+  const auto o3 = nl->node("o3"), o4 = nl->node("o4");
+  const auto gnd = ckt::kGround;
+  nl->add<dev::VSource>("Vdd", vdd, gnd, 3.0);
+  nl->add<dev::VSource>("Vin", in, gnd, dev::Waveform::dc(0.7).with_ac(1.0));
+  nl->add<dev::Resistor>("Rb", in, b, 1e3);
+  nl->add<dev::Bjt>("Q1", c, b, e, dev::BjtParams{});
+  nl->add<dev::Resistor>("Rc", vdd, c, 5e3);
+  nl->add<dev::Resistor>("Re", e, gnd, 100.0);
+  nl->add<dev::Capacitor>("Ce", e, gnd, 1e-9);
+  nl->add<dev::Diode>("D1", c, dn, dev::DiodeParams{});
+  nl->add<dev::Resistor>("Rd", dn, gnd, 1e4);
+  nl->add<dev::Inductor>("L1", c, m, 1e-3);
+  const auto* sense = nl->add<dev::VSource>("Vs", m, ml, 0.0);
+  nl->add<dev::Resistor>("Rl", ml, gnd, 1e3);
+  nl->add<dev::Vcvs>("E1", o1, gnd, c, gnd, 2.0);
+  nl->add<dev::Resistor>("Ro1", o1, gnd, 1e3);
+  nl->add<dev::Cccs>("F1", o2, gnd, sense, 3.0);
+  nl->add<dev::Resistor>("Ro2", o2, gnd, 1e3);
+  nl->add<dev::ISource>("I1", gnd, o2, dev::Waveform::dc(0.0).with_ac(1e-6));
+  nl->add<dev::Ccvs>("H1", o3, gnd, sense, 100.0);
+  nl->add<dev::Resistor>("Ro3", o3, gnd, 1e3);
+  nl->add<dev::TanhVccs>("G1", o4, gnd, c, gnd, 1e-3, 1e-4);
+  nl->add<dev::Resistor>("Ro4", o4, gnd, 1e3);
+  nl->add<dev::MosSwitch>("S1", o4, o3, 100.0, 1e12, true);
+  return nl;
+}
+
+TEST(AcImage, MatchesPerDeviceAssemblyBitForBit) {
+  std::vector<std::string> decks;
+  for (const char* dir : {"/faults", "/../examples/netlists"})
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::string(MSIM_TEST_DIR) + dir))
+      if (e.path().extension() == ".sp") decks.push_back(e.path().string());
+  std::sort(decks.begin(), decks.end());
+  ASSERT_GE(decks.size(), 13u);
+  an::OpOptions no_lint;
+  no_lint.lint = false;
+  for (const auto& path : decks) {
+    auto parsed = spice::parse_netlist_file(path);
+    auto& nl = *parsed.netlist;
+    nl.assign_unknowns();
+    // Decks that do not solve still stamp (around a default operating
+    // point); the image must agree either way.
+    an::solve_op(nl, no_lint);
+    expect_image_matches_point_assembly(nl, path);
+  }
+
+  auto mic = bench::make_mic_rig();
+  for (int code = 0; code <= 5; ++code) {
+    mic->mic.set_gain_code(code);
+    ASSERT_TRUE(an::solve_op(mic->nl).converged) << "gain code " << code;
+    expect_image_matches_point_assembly(mic->nl,
+                                        "mic code " + std::to_string(code));
+  }
+
+  ckt::Netlist chip;
+  auto parts = bench::build_chip_into(chip);
+  parts.vinp->set_waveform(dev::Waveform::dc(0.0).with_ac(0.5));
+  parts.vinn->set_waveform(dev::Waveform::dc(0.0).with_ac(-0.5));
+  ASSERT_TRUE(an::solve_op(chip).converged);
+  expect_image_matches_point_assembly(chip, "chip");
+
+  auto mixed = every_device_deck();
+  ASSERT_TRUE(an::solve_op(*mixed).converged);
+  expect_image_matches_point_assembly(*mixed, "every-device deck");
+}
+
+// A capacitor that counts its stamp_ac calls.
+class CountingCapacitor : public ckt::Device {
+ public:
+  CountingCapacitor(std::string name, ckt::NodeId p, ckt::NodeId n)
+      : Device(std::move(name), {p, n}) {}
+  std::string_view type() const override { return "counting_capacitor"; }
+  void stamp(ckt::StampContext&) const override {}  // open at DC
+  void stamp_ac(ckt::AcStampContext& ctx) const override {
+    ++calls;
+    ctx.add_admittance(nodes_[0], nodes_[1], {0.0, 1e-12});
+  }
+  mutable int calls = 0;
+};
+
+TEST(AcImage, SparseSweepStampsEachDeviceOnce) {
+  auto rig = bench::make_mic_rig();
+  auto* probe = rig->nl.add<CountingCapacitor>("Cprobe", rig->mic.outp,
+                                               rig->mic.outn);
+  ASSERT_TRUE(an::solve_op(rig->nl).converged);
+  const auto freqs = an::log_frequencies(10.0, 1e6, 4);
+  for (int threads : {1, 4}) {
+    an::AcOptions ao;
+    ao.threads = threads;
+    probe->calls = 0;
+    ASSERT_TRUE(an::run_ac_diag(rig->nl, freqs, ao).ok());
+    EXPECT_EQ(probe->calls, 1) << "ac, threads " << threads;
+
+    an::NoiseOptions no;
+    no.out_p = rig->mic.outp;
+    no.out_n = rig->mic.outn;
+    no.threads = threads;
+    probe->calls = 0;
+    ASSERT_TRUE(an::run_noise_diag(rig->nl, freqs, no).ok());
+    EXPECT_EQ(probe->calls, 1) << "noise, threads " << threads;
+  }
+  // The dense engine, the per-point reference, stamps at every point.
+  an::AcOptions dense;
+  dense.solver = an::SolverKind::kDense;
+  probe->calls = 0;
+  ASSERT_TRUE(an::run_ac_diag(rig->nl, freqs, dense).ok());
+  EXPECT_EQ(probe->calls, static_cast<int>(freqs.size()));
 }
 
 }  // namespace
