@@ -58,9 +58,10 @@ AcResult run_ac_diag(ckt::Netlist& nl,
       std::min<std::size_t>(static_cast<std::size_t>(threads), nf ? nf : 1);
 
   // Each chunk owns one ComplexSystem over the shared image (symbolic
-  // LU reused within the chunk) and writes only its own solution slots and failure record,
-  // so the outcome is identical at any thread count.  Solution slots
-  // are pre-sized here so the grid loop itself allocates nothing.
+  // LU reused within the chunk) and writes only its own solution slots
+  // and failure record, so the outcome is identical at any thread
+  // count.  Solution slots are pre-sized here so the grid loop itself
+  // allocates nothing.
   std::vector<num::ComplexVector> sols(nf);
   const std::size_t nun = static_cast<std::size_t>(nl.unknown_count());
   for (auto& s : sols) s.resize(nun);

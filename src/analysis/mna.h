@@ -358,8 +358,6 @@ class AcImage {
  public:
   AcImage(const ckt::Netlist& nl, SolverKind kind, double gshunt);
 
-  SolverKind kind() const { return kind_; }
-
  private:
   friend class ComplexSystem;
 
@@ -395,9 +393,9 @@ class ComplexSystem {
   // Adjoint solve A^T x = b (noise analysis).
   void solve_transpose(const num::ComplexVector& b, num::ComplexVector& x);
 
+  // Read-only views of the assembled system's rhs and sparse matrix
+  // (tests).
   const num::ComplexVector& rhs() const;
-  SolverKind kind() const { return image_.kind_; }
-  // Read-only view of the assembled sparse system (tests).
   const num::ComplexSparseMatrix& sparse_jac() const { return sjac_; }
 
  private:

@@ -49,11 +49,12 @@ RecordedPattern record_dc_pattern(const ckt::Netlist& nl, bool with_devices) {
     ctx.gmin = 1e-12;
     d->stamp(ctx);
     for (const auto& [r, c] : rec.entries) {
-      if (r < 0 || r >= p.n || c < 0 || c >= p.n) continue;  // contract
-      // checker's job.  Repeats of a row's last column are dropped here
-      // (the sort below drops the rest), and devices are recorded one
-      // at a time, so a row's last device is its last-seen marker: O(1)
-      // dedupe, even on a row shared by many parallel devices.
+      // Out-of-range writes are the contract checker's job.
+      if (r < 0 || r >= p.n || c < 0 || c >= p.n) continue;
+      // Repeats of a row's last column are dropped here (the sort below
+      // drops the rest), and devices are recorded one at a time, so a
+      // row's last device is its last-seen marker: O(1) dedupe, even on
+      // a row shared by many parallel devices.
       auto& cols = p.adj[static_cast<std::size_t>(r)];
       if (cols.empty() || cols.back() != c) cols.push_back(c);
       if (!with_devices) continue;

@@ -294,6 +294,7 @@ class AcStampContext {
     replay_ = slots;
     replay_n_ = n;
     replay_cursor_ = 0;
+    replay_ok_ = true;
   }
   bool finish_slot_replay() {
     const bool ok = replay_ok_;

@@ -39,12 +39,12 @@ using namespace msim;
 
 // Bitwise comparison that treats NaN == NaN (fault netlists stamp NaN
 // conductances; "bit-for-bit" must still hold through them).
-void expect_bits_equal(const std::vector<double>& a,
-                       const std::vector<double>& b, const char* what) {
+template <typename T>
+void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b,
+                       const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
-              0)
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
         << what;
   }
 }
@@ -288,19 +288,6 @@ TEST(AssemblyTelemetry, OpReportIncludesSolverTime) {
 
 // ---- the AC/noise sweep image ---------------------------------------
 
-// Same bits, element by element (NaN payloads included).
-void expect_complex_bits_equal(const num::ComplexVector& a,
-                               const num::ComplexVector& b,
-                               const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          a.size() * sizeof(std::complex<double>)),
-              0)
-        << what;
-  }
-}
-
 // The sparse point values for every omega of the contract, built from
 // the sweep image, must equal the per-device assemble_ac on the same
 // CSR skeleton bit for bit, matrix and rhs.
@@ -316,8 +303,8 @@ void expect_image_matches_point_assembly(const ckt::Netlist& nl,
     num::ComplexVector ref_rhs;
     an::assemble_ac(nl, omega, kGshunt, ref, ref_rhs);
     const std::string at = what + " at f = " + std::to_string(f);
-    expect_complex_bits_equal(sys.sparse_jac().values(), ref.values(), at);
-    expect_complex_bits_equal(sys.rhs(), ref_rhs, at + " rhs");
+    expect_bits_equal(sys.sparse_jac().values(), ref.values(), at);
+    expect_bits_equal(sys.rhs(), ref_rhs, at + " rhs");
   }
 }
 
@@ -417,8 +404,10 @@ TEST(AcImage, SparseSweepStampsEachDeviceOnce) {
                                                rig->mic.outn);
   ASSERT_TRUE(an::solve_op(rig->nl).converged);
   const auto freqs = an::log_frequencies(10.0, 1e6, 4);
+  // lint off: debug builds' stamp_contract pass calls stamp_ac too.
   for (int threads : {1, 4}) {
     an::AcOptions ao;
+    ao.lint = false;
     ao.threads = threads;
     probe->calls = 0;
     ASSERT_TRUE(an::run_ac_diag(rig->nl, freqs, ao).ok());
@@ -427,6 +416,7 @@ TEST(AcImage, SparseSweepStampsEachDeviceOnce) {
     an::NoiseOptions no;
     no.out_p = rig->mic.outp;
     no.out_n = rig->mic.outn;
+    no.lint = false;
     no.threads = threads;
     probe->calls = 0;
     ASSERT_TRUE(an::run_noise_diag(rig->nl, freqs, no).ok());
@@ -434,6 +424,7 @@ TEST(AcImage, SparseSweepStampsEachDeviceOnce) {
   }
   // The dense engine, the per-point reference, stamps at every point.
   an::AcOptions dense;
+  dense.lint = false;
   dense.solver = an::SolverKind::kDense;
   probe->calls = 0;
   ASSERT_TRUE(an::run_ac_diag(rig->nl, freqs, dense).ok());

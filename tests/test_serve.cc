@@ -399,7 +399,11 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
   // Byte-exact job output recorded from the original deck runner: the
   // lint report, op_report (including its value-range section) and
   // every directive's CSV, cold and warm.
-  std::vector<std::pair<std::string, std::string>> decks;
+  struct Deck {
+    std::string name, text;
+    std::string probes = {};  // --probe list; empty = the default eight
+  };
+  std::vector<Deck> decks;
   const std::filesystem::path root(MSIM_TEST_DIR);
   for (const auto& [dir, tag] :
        {std::pair{root / ".." / "examples" / "netlists", "examples"},
@@ -412,24 +416,28 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
       std::ifstream in(f);
       std::ostringstream ss;
       ss << in.rdbuf();
-      decks.emplace_back(std::string(tag) + "_" + f.stem().string(),
-                         ss.str());
+      decks.push_back({std::string(tag) + "_" + f.stem().string(),
+                       ss.str()});
     }
   }
-  decks.emplace_back("mic_op", mic_deck(2, ".op\n"));
+  decks.push_back({"mic_op", mic_deck(2, ".op\n")});
   // A solve at another temperature and a .dc sweep that leaves vdd at
   // its last point both move the value ranges op_report prints.
-  decks.emplace_back("mic_temp85", mic_deck(4, ".temp 85\n.op\n"));
-  decks.emplace_back("mic_dc_then_op",
-                     mic_deck(0, ".dc v_vdd 1.0 1.6 0.3\n.op\n"));
-  // The paper's frequency sweeps: the gain response at one code and the
-  // output/input-referred noise spectrum at another.
-  decks.emplace_back("mic_ac", mic_deck(3, ".ac dec 10 10 1e6\n"));
-  decks.emplace_back("mic_noise",
-                     mic_deck(5, ".noise mic.outp v_vinp dec 10 10 1e6\n"));
-  DeckOptions opt;
-  opt.telemetry = false;
-  for (const auto& [name, deck] : decks) {
+  decks.push_back({"mic_temp85", mic_deck(4, ".temp 85\n.op\n")});
+  decks.push_back(
+      {"mic_dc_then_op", mic_deck(0, ".dc v_vdd 1.0 1.6 0.3\n.op\n")});
+  // The paper's frequency sweeps: the gain response at two codes (the
+  // default probes, then the outputs) and the output/input-referred
+  // noise spectrum at a third.
+  decks.push_back({"mic_ac", mic_deck(3, ".ac dec 10 10 1e6\n")});
+  decks.push_back({"mic_ac_outputs", mic_deck(0, ".ac dec 10 10 1e6\n"),
+                   "mic.outp,mic.outn"});
+  decks.push_back(
+      {"mic_noise", mic_deck(5, ".noise mic.outp v_vinp dec 10 10 1e6\n")});
+  for (const auto& [name, deck, probes] : decks) {
+    DeckOptions opt;
+    opt.telemetry = false;
+    opt.probe_arg = probes;
     const DeckResult cold = run_no_memo(deck, nullptr, opt);
     msim::golden::expect("serve/" + name + ".txt", describe_job(cold));
     CacheRegistry reg;
