@@ -170,19 +170,134 @@ TEST(AssemblySlots, TopologyEditInvalidatesSlotsAndMatchesFreshBuild) {
   EXPECT_EQ(num::sparse_search_count() - s0, 0);
 }
 
-// ---- batched vs legacy bit-identity ---------------------------------
+// ---- replay mismatch and fallback -----------------------------------
 
-// Assembles one freshly built rig in the given mode after an identical
-// solve history, so device-internal limiting state matches exactly
-// across modes and the stamped images are comparable bit-for-bit.
 struct Snapshot {
   std::vector<double> vals;
   num::RealVector rhs;
 };
 
+void expect_snapshots_equal(const Snapshot& a, const Snapshot& b,
+                            const std::string& what) {
+  expect_bits_equal(a.vals, b.vals, what + " jac");
+  expect_bits_equal(a.rhs, b.rhs, what + " rhs");
+}
+
+Snapshot snapshot(an::RealSystem& sys) {
+  return {sys.sparse_jac().values(), sys.rhs()};
+}
+
+// One assembly by the searched per-device path (the oracle).
+Snapshot searched_assembly(const ckt::Netlist& nl, const num::RealVector& x,
+                           const an::AssembleParams& p) {
+  an::RealSystem ref;
+  ref.init(nl, an::SolverKind::kSparse);
+  ref.set_assembly_modes(false, false);
+  ref.assemble(nl, x, p);
+  return snapshot(ref);
+}
+
+void expect_same_slots(const std::vector<num::StampSlot>& a,
+                       const std::vector<num::StampSlot>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].row, b[i].row) << "slot " << i;
+    EXPECT_EQ(a[i].col, b[i].col) << "slot " << i;
+    EXPECT_EQ(a[i].idx, b[i].idx) << "slot " << i;
+  }
+}
+
+TEST(AssemblySlots, SwappedSlotsInAdoptedTableFallBackAndReRecord) {
+  // A cached Newton-pass table whose window lengths are all right but
+  // whose order is not (two slots of one device swapped) must never be
+  // trusted: the first replay checks it write by write, assembles the
+  // searched matrix, and the system re-records a correct table.
+  auto rig = bench::make_mic_rig();
+  rig->mic.set_gain_code(5);
+  const auto op = an::solve_op(rig->nl);
+  ASSERT_TRUE(op.converged);
+  auto& cache = rig->nl.solver_cache();
+  const num::StampSlotPass good = cache.slots->newton_dcop;
+  ASSERT_TRUE(good.recorded);
+
+  auto bad = std::make_shared<num::StampSlotTables>(*cache.slots);
+  auto& slots = bad->newton_dcop.slots;
+  bool swapped = false;
+  for (const auto& [b, e] : bad->newton_dcop.windows) {
+    for (int i = b; i + 1 < e && !swapped; ++i)
+      if (slots[static_cast<std::size_t>(i)].idx !=
+          slots[static_cast<std::size_t>(i) + 1].idx) {
+        std::swap(slots[static_cast<std::size_t>(i)],
+                  slots[static_cast<std::size_t>(i) + 1]);
+        swapped = true;
+      }
+    if (swapped) break;
+  }
+  ASSERT_TRUE(swapped);
+  cache.slots = bad;
+
+  an::AssembleParams p;  // kDcOp, gmin 1e-12: the pass solve_op recorded
+  const Snapshot ref = searched_assembly(rig->nl, op.x, p);
+  an::RealSystem sys;
+  sys.init(rig->nl, an::SolverKind::kSparse);
+  sys.assemble(rig->nl, op.x, p);
+  expect_snapshots_equal(snapshot(sys), ref, "swapped-table replay");
+  // The failed replay scheduled a re-record; the next assembly records
+  // and publishes the searched resolve again.
+  sys.assemble(rig->nl, op.x, p);
+  expect_snapshots_equal(snapshot(sys), ref, "re-record");
+  expect_same_slots(cache.slots->newton_dcop.slots, good.slots);
+  const long s0 = num::sparse_search_count();
+  sys.assemble(rig->nl, op.x, p);
+  EXPECT_EQ(num::sparse_search_count() - s0, 0);
+  expect_snapshots_equal(snapshot(sys), ref, "replay of the new table");
+}
+
+TEST(AssemblySlots, GminSwitchedOffAfterRecordMatchesSearchedPath) {
+  // The MOSFET gmin shunt adds writes only while gmin > 0, so a table
+  // recorded at gmin = 1e-12 is too long for a gmin = 0 assembly (and
+  // the re-recorded one too short when gmin returns).
+  auto rig = bench::make_mic_rig();
+  rig->mic.set_gain_code(5);
+  const auto op = an::solve_op(rig->nl);
+  ASSERT_TRUE(op.converged);
+
+  an::RealSystem sys;
+  sys.init(rig->nl, an::SolverKind::kSparse);
+  an::AssembleParams p;
+  ASSERT_EQ(p.gmin, 1e-12);
+  for (int k = 0; k < 2; ++k) sys.assemble(rig->nl, op.x, p);
+  expect_snapshots_equal(snapshot(sys), searched_assembly(rig->nl, op.x, p),
+                         "gmin 1e-12");
+  p.gmin = 0.0;
+  const Snapshot ref0 = searched_assembly(rig->nl, op.x, p);
+  for (int k = 0; k < 3; ++k) {
+    sys.assemble(rig->nl, op.x, p);
+    expect_snapshots_equal(snapshot(sys), ref0,
+                           "gmin 0, assembly " + std::to_string(k));
+  }
+  p.gmin = 1e-12;
+  const Snapshot ref1 = searched_assembly(rig->nl, op.x, p);
+  for (int k = 0; k < 3; ++k) {
+    sys.assemble(rig->nl, op.x, p);
+    expect_snapshots_equal(snapshot(sys), ref1,
+                           "gmin back to 1e-12, assembly " +
+                               std::to_string(k));
+  }
+}
+
+// ---- batched vs legacy bit-identity ---------------------------------
+
+// Assembles one freshly built rig in the given mode after an identical
+// solve history, so device-internal limiting state matches exactly
+// across modes and the stamped images are comparable bit-for-bit.
+
+// The system assembles three times: the first assembly records the
+// Newton pass (or checks the adopted table write by write) and the later
+// ones replay the table the first one recorded or checked.
 template <typename MakeRig>
 Snapshot assemble_in_mode(const MakeRig& make, bool slots, bool batches,
-                          ckt::AnalysisMode mode) {
+                          ckt::AnalysisMode mode, bool trapezoidal) {
   auto rig = make();
   an::OpOptions oo;
   oo.solver = an::SolverKind::kSparse;
@@ -195,16 +310,17 @@ Snapshot assemble_in_mode(const MakeRig& make, bool slots, bool batches,
   an::AssembleParams p;
   p.mode = mode;
   p.dt = 1e-6;
-  sys.assemble(rig->nl, op.x, p);
+  p.use_trapezoidal = trapezoidal;
+  for (int k = 0; k < 3; ++k) sys.assemble(rig->nl, op.x, p);
   return {sys.sparse_jac().values(), sys.rhs()};
 }
 
 template <typename MakeRig>
 void expect_modes_identical(const MakeRig& make, ckt::AnalysisMode mode,
-                            const char* what) {
-  const auto legacy = assemble_in_mode(make, false, false, mode);
-  const auto slot = assemble_in_mode(make, true, false, mode);
-  const auto batched = assemble_in_mode(make, true, true, mode);
+                            const char* what, bool trapezoidal = true) {
+  const auto legacy = assemble_in_mode(make, false, false, mode, trapezoidal);
+  const auto slot = assemble_in_mode(make, true, false, mode, trapezoidal);
+  const auto batched = assemble_in_mode(make, true, true, mode, trapezoidal);
   expect_bits_equal(legacy.vals, slot.vals, what);
   expect_bits_equal(legacy.vals, batched.vals, what);
   ASSERT_EQ(legacy.rhs.size(), slot.rhs.size());
@@ -230,6 +346,19 @@ TEST(AssemblyBatching, ChipBitIdenticalAcrossModes) {
   expect_modes_identical(make, ckt::AnalysisMode::kDcOp, "chip dcop");
   expect_modes_identical(make, ckt::AnalysisMode::kTransient,
                          "chip tran");
+  // The chip's class-AB output buffer on its own, under the Table 2
+  // full-swing drive: the Newton pass of the THD shooting workload,
+  // with trapezoidal and backward-Euler companion models.
+  const auto buffer = [] {
+    auto r = bench::make_drv_rig();
+    r->vsp->set_waveform(dev::Waveform::sine(0.0, 0.3, 1e3));
+    r->vsn->set_waveform(dev::Waveform::sine(0.0, -0.3, 1e3));
+    return r;
+  };
+  expect_modes_identical(buffer, ckt::AnalysisMode::kTransient,
+                         "buffer tran trapezoidal", true);
+  expect_modes_identical(buffer, ckt::AnalysisMode::kTransient,
+                         "buffer tran backward euler", false);
 }
 
 TEST(AssemblyBatching, LegacyModeStillSearches) {
