@@ -33,6 +33,10 @@ void Mosfet::set_temperature(double temp_k) {
   vth_eff_ = p_.vth0 + p_.vth_tc * dt + dvth_mismatch_;
   kp_eff_ = p_.kp * std::pow(temp_k / p_.tnom_k, -p_.mu_exp) *
             (1.0 + dbeta_rel_);
+  nvt2_ = 2.0 * p_.n_sub * num::thermal_voltage(temp_k_);
+  sqrt_phi_ = std::sqrt(p_.phi);
+  beta_ = kp_eff_ * (w_ / l_);
+  lam_ = p_.lambda * (1e-6 / l_);  // scale with channel length
 }
 
 void Mosfet::apply_mismatch(double dvth, double dbeta_rel) {
@@ -43,39 +47,34 @@ void Mosfet::apply_mismatch(double dvth, double dbeta_rel) {
 
 Mosfet::Eval Mosfet::evaluate_canonical(double vgs, double vds,
                                         double vbs) const {
-  const double vt = num::thermal_voltage(temp_k_);
-  const double nvt2 = 2.0 * p_.n_sub * vt;
-
   // Body effect with a hard floor on the depletion argument; the floor is
   // only reached under forward bulk bias far outside normal operation.
   const double s_arg = std::max(p_.phi - vbs, 0.01);
   const double sqrt_s = std::sqrt(s_arg);
-  const double vth = vth_eff_ + p_.gamma * (sqrt_s - std::sqrt(p_.phi));
+  const double vth = vth_eff_ + p_.gamma * (sqrt_s - sqrt_phi_);
   const double dvth_dvbs = -p_.gamma / (2.0 * sqrt_s);
 
   // Smooth effective overdrive: strong inversion -> vgs - vth,
   // weak inversion -> exponential tail with slope 2 n vt.
-  const SoftPlus sp = softplus(vgs - vth, nvt2);
+  const SoftPlus sp = softplus(vgs - vth, nvt2_);
   const double veff = sp.value;
-  const double beta = kp_eff_ * (w_ / l_);
-  const double lam = p_.lambda * (1e-6 / l_);  // scale with channel length
-  const double clm = 1.0 + lam * vds;
+  const double clm = 1.0 + lam_ * vds;
 
   Eval e{};
   e.veff = veff;
   double gm_core;  // d id / d veff
   if (vds < veff) {
     // Triode.
-    e.id = beta * (veff - 0.5 * vds) * vds * clm;
-    gm_core = beta * vds * clm;
-    e.gds = beta * (veff - vds) * clm +
-            beta * (veff - 0.5 * vds) * vds * lam;
+    e.id = beta_ * (veff - 0.5 * vds) * vds * clm;
+    gm_core = beta_ * vds * clm;
+    e.gds = beta_ * (veff - vds) * clm +
+            beta_ * (veff - 0.5 * vds) * vds * lam_;
     e.saturated = false;
   } else {
     // Saturation.
-    e.id = 0.5 * beta * veff * veff * clm;
-    gm_core = beta * veff * clm;
-    e.gds = 0.5 * beta * veff * veff * lam;
+    e.id = 0.5 * beta_ * veff * veff * clm;
+    gm_core = beta_ * veff * clm;
+    e.gds = 0.5 * beta_ * veff * veff * lam_;
     e.saturated = true;
   }
   e.gm = gm_core * sp.deriv;

@@ -118,6 +118,13 @@ class Mosfet : public ckt::Device {
   double temp_k_ = 300.15;
   double vth_eff_;  // temperature- and mismatch-adjusted threshold
   double kp_eff_;
+  // Model values fixed by temperature, geometry and mismatch, computed
+  // by set_temperature() with the expressions evaluate() once used on
+  // every call (so they hold the same bits).
+  double nvt2_;      // 2 n kT/q, the weak-inversion slope
+  double sqrt_phi_;  // sqrt(phi)
+  double beta_;      // kp_eff * W/L
+  double lam_;       // lambda scaled by 1 um / L
   double dvth_mismatch_ = 0.0;
   double dbeta_rel_ = 0.0;
   MosOp op_;
