@@ -35,6 +35,55 @@ constexpr double kPivotFloor = 1e-30;
 // conservative middle ground for the well-scaled MNA matrices here.
 constexpr double kPivotThreshold = 0.01;
 
+// Builds the elimination program of `s` (see SparseSymbolic) for A's CSR
+// pattern.  `pos` maps a permuted column of the row being compiled to
+// its factor position.  The analysis left the L/U pattern closed under
+// elimination, so every update lands on an entry of its row.
+void compile_elimination(SparseSymbolic& s, const std::vector<int>& rp,
+                         const std::vector<int>& cs) {
+  const int n = s.n;
+  const int nl = static_cast<int>(s.l_cols.size());
+  std::vector<int> pos(static_cast<std::size_t>(n), -1);
+  s.a_pos.assign(cs.size(), -1);
+  s.l_diag.assign(static_cast<std::size_t>(nl), -1);
+  s.l_upd.assign(static_cast<std::size_t>(nl) + 1, 0);
+  s.upd.clear();
+  for (int i = 0; i < n; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    for (int k = s.l_ptr[ui]; k < s.l_ptr[ui + 1]; ++k)
+      pos[static_cast<std::size_t>(s.l_cols[static_cast<std::size_t>(k)])] =
+          k;
+    for (int k = s.u_ptr[ui]; k < s.u_ptr[ui + 1]; ++k)
+      pos[static_cast<std::size_t>(s.u_cols[static_cast<std::size_t>(k)])] =
+          nl + k;
+    const int pr = s.rowperm[ui];
+    for (int k = rp[static_cast<std::size_t>(pr)];
+         k < rp[static_cast<std::size_t>(pr) + 1]; ++k)
+      s.a_pos[static_cast<std::size_t>(k)] =
+          pos[static_cast<std::size_t>(s.qinv[static_cast<std::size_t>(
+              cs[static_cast<std::size_t>(k)])])];
+    for (int k = s.l_ptr[ui]; k < s.l_ptr[ui + 1]; ++k) {
+      const auto j = static_cast<std::size_t>(s.l_cols[static_cast<std::size_t>(k)]);
+      s.l_diag[static_cast<std::size_t>(k)] = nl + s.u_ptr[j];
+      for (int kk = s.u_ptr[j] + 1; kk < s.u_ptr[j + 1]; ++kk) {
+        const int target = pos[static_cast<std::size_t>(
+            s.u_cols[static_cast<std::size_t>(kk)])];
+        if (target < 0)
+          throw std::logic_error("SparseLu: fill pattern not closed");
+        s.upd.emplace_back(target, nl + kk);
+      }
+      s.l_upd[static_cast<std::size_t>(k) + 1] =
+          static_cast<int>(s.upd.size());
+    }
+    for (int k = s.l_ptr[ui]; k < s.l_ptr[ui + 1]; ++k)
+      pos[static_cast<std::size_t>(s.l_cols[static_cast<std::size_t>(k)])] =
+          -1;
+    for (int k = s.u_ptr[ui]; k < s.u_ptr[ui + 1]; ++k)
+      pos[static_cast<std::size_t>(s.u_cols[static_cast<std::size_t>(k)])] =
+          -1;
+  }
+}
+
 }  // namespace
 
 void ensemble_multiply(const SparseMatrix<double>& structure,
@@ -276,10 +325,9 @@ bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
   s->l_cols = std::move(l_cols_);
   s->u_ptr = std::move(u_ptr_);
   s->u_cols = std::move(u_cols_);
+  compile_elimination(*s, a.row_ptr(), a.cols());
   sym_ = std::move(s);
-  l_vals_.assign(sym_->l_cols.size(), T{});
-  u_vals_.assign(sym_->u_cols.size(), T{});
-  work_.assign(static_cast<std::size_t>(n_), T{});
+  size_payload();
   ++serial_;
   return true;
 }
@@ -288,72 +336,51 @@ template <typename T>
 void SparseLu<T>::adopt_symbolic(std::shared_ptr<const SparseSymbolic> s) {
   sym_ = std::move(s);
   n_ = sym_->n;
-  l_vals_.assign(sym_->l_cols.size(), T{});
-  u_vals_.assign(sym_->u_cols.size(), T{});
-  work_.assign(static_cast<std::size_t>(n_), T{});
+  size_payload();
   ++serial_;
 }
 
-// Up-looking row factorization replaying the cached structure: for each
-// permuted row, scatter the original values, eliminate with the already
-// finished U rows, gather L and U values back out.  No allocation, no
+template <typename T>
+void SparseLu<T>::size_payload() {
+  lu_.assign(sym_->l_cols.size() + sym_->u_cols.size(), T{});
+  work_.assign(static_cast<std::size_t>(n_), T{});
+}
+
+// Up-looking row factorization by the compiled program: place the A
+// values, then for each permuted row eliminate with the already finished
+// U rows in place.  Row i is touched only while it is eliminated, so
+// placing every row up front is the same as scattering row by row.  The
+// arithmetic, and its order per entry, is that of a dense-row scatter /
+// eliminate / gather along the same structure.  No allocation, no
 // pivot search.
 template <typename T>
 bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
-  const auto& rp = a.row_ptr();
-  const auto& cs = a.cols();
+  const SparseSymbolic& s = *sym_;
   const auto& vs = a.values();
-  const auto& rowperm_ = sym_->rowperm;
-  const auto& colperm_ = sym_->colperm;
-  const auto& qinv_ = sym_->qinv;
-  const auto& l_ptr_ = sym_->l_ptr;
-  const auto& l_cols_ = sym_->l_cols;
-  const auto& u_ptr_ = sym_->u_ptr;
-  const auto& u_cols_ = sym_->u_cols;
+  std::fill(lu_.begin(), lu_.end(), T{});
+  for (std::size_t k = 0; k < vs.size(); ++k)
+    lu_[static_cast<std::size_t>(s.a_pos[k])] = vs[k];
   min_pivot_ = n_ ? 1e300 : 0.0;
   max_pivot_ = 0.0;
 
+  T* lu = lu_.data();
+  const T* u = lu + s.l_cols.size();
   for (int i = 0; i < n_; ++i) {
-    // Clear the row's full fill pattern, then scatter the source row.
-    for (int k = l_ptr_[static_cast<std::size_t>(i)];
-         k < l_ptr_[static_cast<std::size_t>(i) + 1]; ++k)
-      work_[static_cast<std::size_t>(l_cols_[static_cast<std::size_t>(k)])] =
-          T{};
-    for (int k = u_ptr_[static_cast<std::size_t>(i)];
-         k < u_ptr_[static_cast<std::size_t>(i) + 1]; ++k)
-      work_[static_cast<std::size_t>(u_cols_[static_cast<std::size_t>(k)])] =
-          T{};
-    const int pr = rowperm_[static_cast<std::size_t>(i)];
-    for (int k = rp[static_cast<std::size_t>(pr)];
-         k < rp[static_cast<std::size_t>(pr) + 1]; ++k)
-      work_[static_cast<std::size_t>(
-          qinv_[static_cast<std::size_t>(cs[static_cast<std::size_t>(k)])])] =
-          vs[static_cast<std::size_t>(k)];
-
-    for (int k = l_ptr_[static_cast<std::size_t>(i)];
-         k < l_ptr_[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int j = l_cols_[static_cast<std::size_t>(k)];
-      const int uj = u_ptr_[static_cast<std::size_t>(j)];
-      const T m = work_[static_cast<std::size_t>(j)] /
-                  u_vals_[static_cast<std::size_t>(uj)];
-      l_vals_[static_cast<std::size_t>(k)] = m;
+    for (int k = s.l_ptr[static_cast<std::size_t>(i)];
+         k < s.l_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const T m = lu[k] / lu[s.l_diag[static_cast<std::size_t>(k)]];
+      lu[k] = m;
       if (m == T{}) continue;
-      for (int kk = uj + 1; kk < u_ptr_[static_cast<std::size_t>(j) + 1];
-           ++kk)
-        work_[static_cast<std::size_t>(
-            u_cols_[static_cast<std::size_t>(kk)])] -=
-            m * u_vals_[static_cast<std::size_t>(kk)];
+      for (int q = s.l_upd[static_cast<std::size_t>(k)];
+           q < s.l_upd[static_cast<std::size_t>(k) + 1]; ++q) {
+        const auto [target, source] = s.upd[static_cast<std::size_t>(q)];
+        lu[target] -= m * lu[source];
+      }
     }
 
-    for (int k = u_ptr_[static_cast<std::size_t>(i)];
-         k < u_ptr_[static_cast<std::size_t>(i) + 1]; ++k)
-      u_vals_[static_cast<std::size_t>(k)] =
-          work_[static_cast<std::size_t>(u_cols_[static_cast<std::size_t>(k)])];
-
-    const double piv = magnitude(
-        u_vals_[static_cast<std::size_t>(u_ptr_[static_cast<std::size_t>(i)])]);
+    const double piv = magnitude(u[s.u_ptr[static_cast<std::size_t>(i)]]);
     if (piv < kPivotFloor) {
-      singular_col_ = colperm_[static_cast<std::size_t>(i)];
+      singular_col_ = s.colperm[static_cast<std::size_t>(i)];
       return false;
     }
     if (piv < min_pivot_) min_pivot_ = piv;
@@ -372,6 +399,8 @@ void SparseLu<T>::solve(const std::vector<T>& b, std::vector<T>& x) const {
   const auto& l_cols_ = sym_->l_cols;
   const auto& u_ptr_ = sym_->u_ptr;
   const auto& u_cols_ = sym_->u_cols;
+  const T* l_vals_ = lu_.data();
+  const T* u_vals_ = l_vals_ + l_cols_.size();
   std::vector<T>& y = work_;
   for (std::size_t i = 0; i < n; ++i) y[i] = b[static_cast<std::size_t>(
       rowperm_[i])];
@@ -408,6 +437,8 @@ void SparseLu<T>::solve_transpose(const std::vector<T>& b,
   const auto& l_cols_ = sym_->l_cols;
   const auto& u_ptr_ = sym_->u_ptr;
   const auto& u_cols_ = sym_->u_cols;
+  const T* l_vals_ = lu_.data();
+  const T* u_vals_ = l_vals_ + l_cols_.size();
   std::vector<T>& v = work_;
   for (std::size_t j = 0; j < n; ++j) v[j] = b[static_cast<std::size_t>(
       colperm_[j])];

@@ -263,12 +263,26 @@ void ensemble_multiply(const SparseMatrix<double>& structure,
 // same-pattern matrices (the complex AC system adopts the real Newton
 // system's analysis, MC workers adopt a shared one) so the Markowitz
 // analysis runs once per structure instead of once per SparseLu.
+//
+// It also carries the numeric refactorization compiled against that
+// structure.  The factor values live in one array, the L entries (in
+// l_cols order) first and the U entries (in u_cols order) after them;
+// refactor places every A value at its position there and eliminates in
+// place.
 struct SparseSymbolic {
   int n = 0;
   int pattern_nnz = -1;
   std::vector<int> rowperm, colperm, qinv;
   std::vector<int> l_ptr, l_cols;
   std::vector<int> u_ptr, u_cols;
+  // Elimination program.  a_pos[k]: factor position of the A value at
+  // CSR index k.  L entry k (multiplier of row i by U row j) divides by
+  // the U diagonal at l_diag[k], then runs the updates
+  // upd[l_upd[k] .. l_upd[k+1]): lu[target] -= m * lu[source], in the
+  // order of U row j.
+  std::vector<int> a_pos;
+  std::vector<int> l_diag, l_upd;
+  std::vector<std::pair<int, int>> upd;  // (target, source)
 };
 
 // One resolved stamp write: the (row, col) the device asked for and the
@@ -412,9 +426,11 @@ class SparseLu {
   // then a boolean elimination with the chosen order to get the fill
   // pattern, then a numeric refactor.  Returns false when singular.
   bool analyze(const SparseMatrix<T>& a);
-  // Numeric replay along the cached structure.  Returns false when a
-  // pivot falls below the floor (caller re-analyzes).
+  // Numeric replay of the symbolic's elimination program.  Returns
+  // false when a pivot falls below the floor (caller re-analyzes).
   bool refactor(const SparseMatrix<T>& a);
+  // Sizes the numeric payload for the current symbolic.
+  void size_payload();
 
   int n_ = 0;
   int serial_ = 0;
@@ -430,10 +446,12 @@ class SparseLu {
   // chunks, the complex system next to the real one) point at ONE
   // SparseSymbolic; only the numeric payload below is per-instance.
   std::shared_ptr<const SparseSymbolic> sym_;
-  std::vector<T> l_vals_, u_vals_;
-  // Dense scatter row for refactor and solves.  Solves are logically
-  // const but reuse this buffer, so a single SparseLu must not be
-  // shared across threads (each parallel worker owns its own).
+  // Factor values: L (unit diagonal implied) then U, as laid out by the
+  // symbolic's elimination program.
+  std::vector<T> lu_;
+  // Dense work vector for the solves.  Solves are logically const but
+  // reuse this buffer, so a single SparseLu must not be shared across
+  // threads (each parallel worker owns its own).
   mutable std::vector<T> work_;
 };
 

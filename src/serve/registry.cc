@@ -38,8 +38,10 @@ std::size_t CacheRegistry::entry_bytes(const num::SolverCache& cache) {
     const auto& s = *cache.symbolic;
     b += (s.rowperm.capacity() + s.colperm.capacity() + s.qinv.capacity() +
           s.l_ptr.capacity() + s.l_cols.capacity() + s.u_ptr.capacity() +
-          s.u_cols.capacity()) *
-         sizeof(int);
+          s.u_cols.capacity() + s.a_pos.capacity() + s.l_diag.capacity() +
+          s.l_upd.capacity()) *
+             sizeof(int) +
+         s.upd.capacity() * sizeof(std::pair<int, int>);
   }
   if (cache.slots) {
     const auto& t = *cache.slots;
