@@ -124,6 +124,22 @@ void stamp_run(int kind, const ckt::Device* const* devs, std::size_t n,
   }
 }
 
+// The kernel that replays a checked slot table straight into its value
+// slots, for the classes whose write sequence is fixed by their grounded
+// terminals and gmin (ckt::replay_window); null for every other class,
+// which replays through the checked path.
+using VerifiedKernel = bool (*)(const ckt::Device* const*, std::size_t,
+                                ckt::StampContext&, const num::StampSlot*,
+                                const std::pair<int, int>*);
+VerifiedKernel verified_kernel(int kind) {
+  switch (kind) {
+    case kMosfetKind: return &dev::Mosfet::stamp_batch;
+    case kDiodeKind: return &dev::Diode::stamp_batch;
+    case kBjtKind: return &dev::Bjt::stamp_batch;
+    default: return nullptr;
+  }
+}
+
 void set_params(ckt::StampContext& ctx, const AssembleParams& p) {
   ctx.time = p.time;
   ctx.dt = p.dt;
@@ -139,6 +155,13 @@ auto& slot_pass(Tables& t, bool newton_pass, ckt::AnalysisMode mode) {
   if (mode == ckt::AnalysisMode::kDcOp)
     return newton_pass ? t.newton_dcop : t.base_dcop;
   return newton_pass ? t.newton_tran : t.base_tran;
+}
+
+// One bit per slot pass, for the per-system "table checked" masks.
+std::uint8_t slot_pass_bit(bool newton_pass, ckt::AnalysisMode mode) {
+  return static_cast<std::uint8_t>(
+      1u << ((newton_pass ? 2 : 0) +
+             (mode == ckt::AnalysisMode::kDcOp ? 0 : 1)));
 }
 
 // The large-signal device loop; `Jac` is RealMatrix or RealSparseMatrix.
@@ -331,6 +354,7 @@ void RealSystem::init(const ckt::Netlist& nl, SolverKind kind) {
   base_valid_ = false;
   slots_shared_.reset();
   slots_own_.reset();
+  slots_verified_ = 0;
   if (kind_ == SolverKind::kSparse) {
     // Share the CSR skeleton and (when already known) the symbolic
     // analysis through the netlist's cache; the first factor() of the
@@ -411,18 +435,26 @@ void RealSystem::stamp_pass(const std::vector<const ckt::Device*>& devs,
   if (devs.empty()) return;
   if (kind_ == SolverKind::kSparse && use_slots_) {
     const num::StampSlotPass* rp = replay_pass(newton_pass, mode);
+    const std::uint8_t bit = slot_pass_bit(newton_pass, mode);
     if (rp && rp->windows.size() == devs.size()) {
       bool ok = true;
       if (use_batches_) {
-        // Windows of a run are contiguous in the slot array; arm the
-        // whole span once per run.
         for (const BatchRun& run : runs) {
-          const int b = rp->windows[static_cast<std::size_t>(run.begin)].first;
-          const int e =
-              rp->windows[static_cast<std::size_t>(run.end - 1)].second;
-          ctx.arm_slot_replay(rp->slots.data() + b, e - b);
-          stamp_run(run.kind, devs.data() + run.begin,
-                    static_cast<std::size_t>(run.end - run.begin), ctx);
+          const auto n = static_cast<std::size_t>(run.end - run.begin);
+          const std::pair<int, int>* win = rp->windows.data() + run.begin;
+          // A table this system checked (or recorded) replays straight
+          // into its value slots, for classes with such a kernel.
+          if (const VerifiedKernel k =
+                  (slots_verified_ & bit) ? verified_kernel(run.kind)
+                                          : nullptr) {
+            ok &= k(devs.data() + run.begin, n, ctx, rp->slots.data(), win);
+            continue;
+          }
+          // Checked replay: windows of a run are contiguous in the slot
+          // array; arm the whole span once per run.
+          ctx.arm_slot_replay(rp->slots.data() + win[0].first,
+                              win[n - 1].second - win[0].first);
+          stamp_run(run.kind, devs.data() + run.begin, n, ctx);
           if (!ctx.finish_slot_replay()) ok = false;
         }
       } else {
@@ -440,6 +472,11 @@ void RealSystem::stamp_pass(const std::vector<const ckt::Device*>& devs,
         // but schedule a re-record so the next assembly is fast again.
         ensure_own_slots();
         own_pass(newton_pass, mode)->recorded = false;
+        slots_verified_ &= static_cast<std::uint8_t>(~bit);
+      } else {
+        // Every write matched: from now on the table is trusted for this
+        // system's devices (adopted tables are checked once per system).
+        slots_verified_ |= bit;
       }
       return;
     }
@@ -458,6 +495,7 @@ void RealSystem::stamp_pass(const std::vector<const ckt::Device*>& devs,
     }
     ctx.disarm_slots();
     pass->recorded = true;
+    slots_verified_ |= bit;
     publish_slots();
     return;
   }
@@ -693,6 +731,10 @@ struct EnsembleSystem::Impl {
   // when valid but never published back (the per-sample path owns that
   // protocol; nothing aliases these).
   num::StampSlotTables tables;
+  // Per lane, one bit per slot pass (slot_pass_bit): the pass's table
+  // was checked against that lane's devices (RealSystem's
+  // slots_verified_, per lane).
+  std::vector<std::uint8_t> lane_verified;
   num::RealVector res, dx;
   FactorStats stats;
   SampledClock stamp_clock, factor_clock, solve_clock;
@@ -703,6 +745,7 @@ struct EnsembleSystem::Impl {
   std::vector<int> need;
   std::vector<const ckt::Device* const*> devp;
   std::vector<ckt::StampContext*> ctxp;
+  std::vector<char> verified;  // EnsembleRun::verified of one pass
 
   num::StampSlotPass& pass_for(bool newton_pass, ckt::AnalysisMode mode) {
     if (mode == ckt::AnalysisMode::kDcOp)
@@ -742,9 +785,23 @@ struct EnsembleSystem::Impl {
     return ok;
   }
 
+  // Marks the pass's table checked for the active lanes (ok) or, after
+  // a mismatch, schedules a re-record and distrusts it for every lane.
+  void settle_pass(const int* active, int nactive, num::StampSlotPass& pass,
+                   std::uint8_t bit, bool ok) {
+    if (ok) {
+      for (int i = 0; i < nactive; ++i)
+        lane_verified[static_cast<std::size_t>(active[i])] |= bit;
+      return;
+    }
+    pass.recorded = false;
+    for (auto& v : lane_verified) v &= static_cast<std::uint8_t>(~bit);
+  }
+
   // One lane-major pass over a device split.  With a recorded table the
   // homogeneous runs dispatch to the per-class stamp_lanes() kernels
-  // (device-outer / lane-inner over the shared slot windows); a pass
+  // (device-outer / lane-inner over the shared slot windows; lanes the
+  // table was checked against write straight to the slots); a pass
   // not yet recorded records with the first active lane (searched
   // assembly) and replays the fresh table for the rest.  Any replay
   // mismatch fell back to searched writes (values stay correct) and
@@ -752,11 +809,13 @@ struct EnsembleSystem::Impl {
   void lane_pass(const int* active, int nactive,
                  std::vector<ckt::StampContext>& cxs,
                  const std::vector<std::vector<const ckt::Device*>>& devlists,
-                 const std::vector<Run>& runs, num::StampSlotPass& pass) {
+                 const std::vector<Run>& runs, num::StampSlotPass& pass,
+                 std::uint8_t bit) {
     const std::size_t ndev =
         devlists[static_cast<std::size_t>(active[0])].size();
     if (ndev == 0) return;
     if (!pass.recorded || pass.windows.size() != ndev) {
+      for (auto& v : lane_verified) v &= static_cast<std::uint8_t>(~bit);
       pass.slots.clear();
       pass.windows.clear();
       pass.windows.reserve(ndev);
@@ -777,9 +836,13 @@ struct EnsembleSystem::Impl {
         ok &= replay_generic(cxs[static_cast<std::size_t>(i)],
                              devlists[static_cast<std::size_t>(active[i])],
                              pass, 0, ndev);
-      if (!ok) pass.recorded = false;
+      settle_pass(active, nactive, pass, bit, ok);
       return;
     }
+    verified.resize(static_cast<std::size_t>(nactive));
+    for (int i = 0; i < nactive; ++i)
+      verified[static_cast<std::size_t>(i)] =
+          (lane_verified[static_cast<std::size_t>(active[i])] & bit) != 0;
     bool ok = true;
     for (const Run& run : runs) {
       devp.clear();
@@ -796,6 +859,7 @@ struct EnsembleSystem::Impl {
       er.ctx = ctxp.data();
       er.slots = pass.slots.data();
       er.windows = pass.windows.data() + run.begin;
+      er.verified = verified.data();
       switch (run.kind) {
         case kResistorKind: ok &= dev::Resistor::stamp_lanes(er); break;
         case kCapacitorKind: ok &= dev::Capacitor::stamp_lanes(er); break;
@@ -813,7 +877,7 @@ struct EnsembleSystem::Impl {
                 static_cast<std::size_t>(run.end));
       }
     }
-    if (!ok) pass.recorded = false;
+    settle_pass(active, nactive, pass, bit, ok);
   }
 };
 
@@ -890,6 +954,7 @@ bool EnsembleSystem::init(const std::vector<ckt::Netlist*>& lanes) {
   im.base_rhs = im.rhs;
   im.base_p.assign(static_cast<std::size_t>(im.nlanes), AssembleParams{});
   im.base_valid.assign(static_cast<std::size_t>(im.nlanes), 0);
+  im.lane_verified.assign(static_cast<std::size_t>(im.nlanes), 0);
   im.lin.resize(static_cast<std::size_t>(im.nlanes));
   im.nonlin.resize(static_cast<std::size_t>(im.nlanes));
   for (std::size_t k = 0; k < lanes.size(); ++k)
@@ -938,7 +1003,8 @@ void EnsembleSystem::assemble(const int* active, int nactive,
                   im.base_vals.data() + k);
     }
     im.lane_pass(im.need.data(), static_cast<int>(im.need.size()), im.ctxs,
-                 im.lin, im.lin_runs, im.pass_for(false, p.mode));
+                 im.lin, im.lin_runs, im.pass_for(false, p.mode),
+                 slot_pass_bit(false, p.mode));
     for (int k : im.need) {
       for (int i = 0; i < im.nodes; ++i)
         im.base_vals.at(im.tables.diag[static_cast<std::size_t>(i)], k) +=
@@ -960,7 +1026,7 @@ void EnsembleSystem::assemble(const int* active, int nactive,
                 im.rhs[static_cast<std::size_t>(k)], im.vals.data() + k);
   }
   im.lane_pass(active, nactive, im.ctxs, im.nonlin, im.nonlin_runs,
-               im.pass_for(true, p.mode));
+               im.pass_for(true, p.mode), slot_pass_bit(true, p.mode));
   // Fault parity with RealSystem::assemble, plus a lane-addressed site
   // for deterministic cohort-split tests: poisoning one lane's rhs must
   // split that lane off without disturbing its cohort-mates' results.

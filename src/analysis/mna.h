@@ -251,6 +251,12 @@ class RealSystem {
   // the cache never aliases mutable state.
   std::shared_ptr<const num::StampSlotTables> slots_shared_;
   std::shared_ptr<num::StampSlotTables> slots_own_;
+  // One bit per slot pass (mna.cc slot_pass_bit): set once the pass's
+  // current table was recorded by this system or replayed here with
+  // every write checked and matched.  Batched replays of a set pass skip
+  // the per-write check for classes whose write count is fixed
+  // (ckt::replay_window); a failed replay clears the bit.
+  std::uint8_t slots_verified_ = 0;
   bool use_slots_ = true;
   bool use_batches_ = true;
   // Linear base image (sparse path).

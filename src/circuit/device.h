@@ -40,6 +40,21 @@ struct StampRecord {
   void clear() { entries.clear(); }
 };
 
+// The Jacobian writes of a conductance g between nodes p and n (either
+// may be ground), in the order StampContext::add_conductance makes them,
+// through jac(row_unknown, col_unknown, value).  Device stamp code that
+// is templated on its Jacobian sink (see replay_window below) uses it to
+// emit one write sequence for every target.
+template <typename Jac>
+void conductance_writes(NodeId p, NodeId n, double g, Jac& jac) {
+  if (p != kGround) jac(p - 1, p - 1, g);
+  if (n != kGround) jac(n - 1, n - 1, g);
+  if (p != kGround && n != kGround) {
+    jac(p - 1, n - 1, -g);
+    jac(n - 1, p - 1, -g);
+  }
+}
+
 // Context handed to Device::stamp().  The Newton iteration solves
 //   jac * x_next = rhs
 // so nonlinear devices stamp their Norton linearization around the
@@ -170,14 +185,17 @@ class StampContext {
     replay_cursor_ = 0;
     replay_ok_ = true;
   }
+  // The value a Jacobian write to CSR value index `idx` accumulates into
+  // (sparse target; honours set_slot_target).  Kernels replaying a
+  // verified slot table write here directly (replay_window below).
+  double& slot_value(int idx) {
+    return svals_[static_cast<std::size_t>(idx) *
+                  static_cast<std::size_t>(sstride_)];
+  }
   // Conductance stamp between two *nodes* (either may be ground).
   void add_conductance(NodeId p, NodeId n, double g) {
-    if (p != kGround) add_jac(p - 1, p - 1, g);
-    if (n != kGround) add_jac(n - 1, n - 1, g);
-    if (p != kGround && n != kGround) {
-      add_jac(p - 1, n - 1, -g);
-      add_jac(n - 1, p - 1, -g);
-    }
+    auto jac = [this](int r, int c, double v) { add_jac(r, c, v); };
+    conductance_writes(p, n, g, jac);
   }
   // RHS current `i` injected INTO node `n` (ground entries dropped).
   void add_current_into(NodeId n, double i) {
@@ -211,6 +229,36 @@ class StampContext {
   bool replay_ok_ = true;
 };
 
+// One device's window of a slot-table replay.  Device classes whose
+// Jacobian write sequence is fixed by their grounded terminals and by
+// whether gmin > 0 template their stamp code on a Jacobian sink and pass
+// it here as emit(jac), together with `writes`, the number of Jacobian
+// writes the device emits now.
+//
+// `verified` says the table was already checked write by write against
+// this device (or recorded from it).  Then, when the window holds exactly
+// `writes` slots, every write goes straight to its recorded value slot
+// and the (row, col) it names is not compared.  Otherwise the window
+// replays through the checked path (StampContext::add_jac), which also
+// gives the right matrix.  Returns false when the caller must re-record
+// the table: a checked write missed, or a verified window's length no
+// longer matches.
+template <typename Emit>
+bool replay_window(StampContext& ctx, const num::StampSlot* slots, int len,
+                   bool verified, int writes, Emit&& emit) {
+  if (verified && len == writes) {
+    auto jac = [&ctx, slots](int, int, double v) mutable {
+      ctx.slot_value(slots++->idx) += v;
+    };
+    emit(jac);
+    return true;
+  }
+  ctx.arm_slot_replay(slots, len);
+  auto jac = [&ctx](int r, int c, double v) { ctx.add_jac(r, c, v); };
+  emit(jac);
+  return ctx.finish_slot_replay() && !verified;
+}
+
 class Device;
 
 // One homogeneous device run staged across ensemble lanes.  The
@@ -230,6 +278,10 @@ struct EnsembleRun {
   StampContext* const* ctx = nullptr;
   const num::StampSlot* slots = nullptr;
   const std::pair<int, int>* windows = nullptr;  // absolute into `slots`
+  // Per lane (indexed like ctx): nonzero when the table was checked
+  // against that lane's devices, so kernels with a replay_window path
+  // may write its windows straight to their slots.  Null = none.
+  const char* verified = nullptr;
 };
 
 // A small-signal stamp value g + j*omega*c.  Every device's stamp_ac

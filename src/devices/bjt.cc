@@ -19,6 +19,12 @@ Bjt::Bjt(std::string name, ckt::NodeId c, ckt::NodeId b, ckt::NodeId e,
          BjtParams params)
     : Device(std::move(name), {c, b, e}), p_(params) {
   set_temperature(p_.tnom_k);
+  for (int gmin_on = 0; gmin_on < 2; ++gmin_on) {
+    int n = 0;
+    auto count = [&n](int, int, double) { ++n; };
+    jac_writes(Eval{}, gmin_on, count);
+    writes_[gmin_on] = n;
+  }
 }
 
 void Bjt::set_temperature(double temp_k) {
@@ -64,34 +70,31 @@ Bjt::Eval Bjt::evaluate_canonical(double vbe, double vbc) const {
   return e;
 }
 
-void Bjt::stamp(ckt::StampContext& ctx) const {
+void Bjt::limit_junctions(const ckt::StampContext& ctx, double& vbe,
+                          double& vbc) const {
   const double sign = p_.polarity == BjtPolarity::kNpn ? 1.0 : -1.0;
-  const double vc = ctx.v(nodes_[kC]);
-  const double vb = ctx.v(nodes_[kB]);
-  const double ve = ctx.v(nodes_[kE]);
-
   const double vt = num::thermal_voltage(ctx.temp_k);
   const double vcrit = junction_vcrit(vt, is_eff_);
-  // Canonical-frame junction voltages with SPICE step limiting.
-  double vbe = sign * (vb - ve);
-  double vbc = sign * (vb - vc);
+  vbe = sign * (ctx.v(nodes_[kB]) - ctx.v(nodes_[kE]));
+  vbc = sign * (ctx.v(nodes_[kB]) - ctx.v(nodes_[kC]));
   vbe = pnjlim(vbe, vbe_prev_, vt, vcrit);
   vbc = pnjlim(vbc, vbc_prev_, vt, vcrit);
   vbe_prev_ = vbe;
   vbc_prev_ = vbc;
-
-  stamp_eval(evaluate_canonical(vbe, vbc), vbe, vbc, ctx);
 }
 
-void Bjt::stamp_eval(const Eval& e, double vbe, double vbc,
-                     ckt::StampContext& ctx) const {
-  const double sign = p_.polarity == BjtPolarity::kNpn ? 1.0 : -1.0;
-  // Map to external currents: i_ext = sign * i_canonical; the
-  // conductances are polarity-invariant (sign^2 = 1).
-  const double ic_ext = sign * e.ic;
-  const double ib_ext = sign * e.ib;
+void Bjt::stamp(ckt::StampContext& ctx) const {
+  // Canonical-frame junction voltages with SPICE step limiting.
+  double vbe, vbc;
+  limit_junctions(ctx, vbe, vbc);
+  auto jac = [&ctx](int r, int c, double v) { ctx.add_jac(r, c, v); };
+  emit(evaluate_canonical(vbe, vbc), vbe, vbc, jac, ctx);
+}
 
-  // d ic / d(vb,vc,ve) in external frame.
+template <typename Jac>
+void Bjt::jac_writes(const Eval& e, double gmin, Jac& jac) const {
+  // d ic / d(vb,vc,ve) in external frame; the conductances are
+  // polarity-invariant (sign^2 = 1).
   const double dic_dvb = e.dic_dvbe + e.dic_dvbc;
   const double dic_dvc = -e.dic_dvbc;
   const double dic_dve = -e.dic_dvbe;
@@ -99,8 +102,8 @@ void Bjt::stamp_eval(const Eval& e, double vbe, double vbc,
   const double dib_dvc = -e.dib_dvbc;
   const double dib_dve = -e.dib_dvbe;
 
-  auto at = [&](ckt::NodeId r, ckt::NodeId c2, double v) {
-    if (r != kGround && c2 != kGround) ctx.add_jac(r - 1, c2 - 1, v);
+  auto at = [&jac](ckt::NodeId r, ckt::NodeId c2, double v) {
+    if (r != kGround && c2 != kGround) jac(r - 1, c2 - 1, v);
   };
   const ckt::NodeId c = nodes_[kC], b = nodes_[kB], ee = nodes_[kE];
 
@@ -117,6 +120,25 @@ void Bjt::stamp_eval(const Eval& e, double vbe, double vbc,
   at(ee, c, -(dic_dvc + dib_dvc));
   at(ee, ee, -(dic_dve + dib_dve));
 
+  if (gmin > 0.0) {
+    ckt::conductance_writes(b, ee, gmin, jac);
+    ckt::conductance_writes(b, c, gmin, jac);
+  }
+}
+
+template <typename Jac>
+void Bjt::emit(const Eval& e, double vbe, double vbc, Jac& jac,
+               ckt::StampContext& ctx) const {
+  jac_writes(e, ctx.gmin, jac);
+  const double sign = p_.polarity == BjtPolarity::kNpn ? 1.0 : -1.0;
+  // Map to external currents: i_ext = sign * i_canonical.
+  const double ic_ext = sign * e.ic;
+  const double ib_ext = sign * e.ib;
+  const double dic_dvb = e.dic_dvbe + e.dic_dvbc;
+  const double dic_dvc = -e.dic_dvbc;
+  const double dib_dvb = e.dib_dvbe + e.dib_dvbc;
+  const double dib_dvc = -e.dib_dvbc;
+
   // Norton equivalents (evaluated at the limited voltages; note the
   // external-frame linearization uses external voltages sign*vbe etc.).
   const double vbe_ext = sign * vbe;
@@ -130,11 +152,6 @@ void Bjt::stamp_eval(const Eval& e, double vbe, double vbc,
   ctx.add_current_into(nodes_[kC], -ieq_c);
   ctx.add_current_into(nodes_[kB], -ieq_b);
   ctx.add_current_into(nodes_[kE], ieq_c + ieq_b);
-
-  if (ctx.gmin > 0.0) {
-    ctx.add_conductance(b, ee, ctx.gmin);
-    ctx.add_conductance(b, c, ctx.gmin);
-  }
 }
 
 void Bjt::save_op(const num::RealVector& x, double temp_k) {
@@ -182,12 +199,28 @@ void Bjt::append_noise_sources(std::vector<ckt::NoiseSource>& out,
 }
 
 
-void Bjt::stamp_batch(const ckt::Device* const* devs, std::size_t n,
-                      ckt::StampContext& ctx) {
+bool Bjt::stamp_batch(const ckt::Device* const* devs, std::size_t n,
+                      ckt::StampContext& ctx, const num::StampSlot* slots,
+                      const std::pair<int, int>* windows) {
   // Every element of the run is a Bjt (RealSystem segments by
-  // concrete class), so the qualified call devirtualizes the loop.
-  for (std::size_t i = 0; i < n; ++i)
-    static_cast<const Bjt*>(devs[i])->Bjt::stamp(ctx);
+  // concrete class), so the qualified calls devirtualize the loop.
+  const int gmin_on = ctx.gmin > 0.0;
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto* q = static_cast<const Bjt*>(devs[i]);
+    if (!slots) {
+      q->Bjt::stamp(ctx);
+      continue;
+    }
+    double vbe, vbc;
+    q->limit_junctions(ctx, vbe, vbc);
+    const Eval ev = q->evaluate_canonical(vbe, vbc);
+    const auto [b, e] = windows[i];
+    ok &= ckt::replay_window(
+        ctx, slots + b, e - b, true, q->writes_[gmin_on],
+        [&](auto& jac) { q->emit(ev, vbe, vbc, jac, ctx); });
+  }
+  return ok;
 }
 
 bool Bjt::stamp_lanes(const ckt::EnsembleRun& r) {
@@ -203,22 +236,9 @@ bool Bjt::stamp_lanes(const ckt::EnsembleRun& r) {
     const auto& win = r.windows[j];
     for (std::size_t k0 = 0; k0 < r.nlanes; k0 += kTile) {
       const std::size_t kn = std::min(kTile, r.nlanes - k0);
-      for (std::size_t t = 0; t < kn; ++t) {
-        const auto* q = static_cast<const Bjt*>(r.devs[k0 + t][j]);
-        const ckt::StampContext& c = *r.ctx[k0 + t];
-        const double sign =
-            q->p_.polarity == BjtPolarity::kNpn ? 1.0 : -1.0;
-        const double vt = num::thermal_voltage(c.temp_k);
-        const double vcrit = junction_vcrit(vt, q->is_eff_);
-        double be = sign * (c.v(q->nodes_[kB]) - c.v(q->nodes_[kE]));
-        double bc = sign * (c.v(q->nodes_[kB]) - c.v(q->nodes_[kC]));
-        be = pnjlim(be, q->vbe_prev_, vt, vcrit);
-        bc = pnjlim(bc, q->vbc_prev_, vt, vcrit);
-        q->vbe_prev_ = be;
-        q->vbc_prev_ = bc;
-        vbe[t] = be;
-        vbc[t] = bc;
-      }
+      for (std::size_t t = 0; t < kn; ++t)
+        static_cast<const Bjt*>(r.devs[k0 + t][j])
+            ->limit_junctions(*r.ctx[k0 + t], vbe[t], vbc[t]);
       std::size_t t = 0;
       for (; t + 4 <= kn; t += 4) {
         ev[t + 0] = static_cast<const Bjt*>(r.devs[k0 + t + 0][j])
@@ -235,10 +255,11 @@ bool Bjt::stamp_lanes(const ckt::EnsembleRun& r) {
                     ->evaluate_canonical(vbe[t], vbc[t]);
       for (std::size_t e = 0; e < kn; ++e) {
         ckt::StampContext& c = *r.ctx[k0 + e];
-        c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-        static_cast<const Bjt*>(r.devs[k0 + e][j])
-            ->stamp_eval(ev[e], vbe[e], vbc[e], c);
-        ok &= c.finish_slot_replay();
+        const auto* q = static_cast<const Bjt*>(r.devs[k0 + e][j]);
+        ok &= ckt::replay_window(
+            c, r.slots + win.first, win.second - win.first,
+            r.verified && r.verified[k0 + e], q->writes_[c.gmin > 0.0],
+            [&](auto& jac) { q->emit(ev[e], vbe[e], vbc[e], jac, c); });
       }
     }
   }

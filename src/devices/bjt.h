@@ -51,9 +51,14 @@ class Bjt : public ckt::Device {
 
   void stamp(ckt::StampContext& ctx) const final;
   // Stamps a run of devices that are all of this concrete class
-  // (one devirtualized loop; see RealSystem batched assembly).
-  static void stamp_batch(const ckt::Device* const* devs,
-                          std::size_t n, ckt::StampContext& ctx);
+  // (one devirtualized loop; see RealSystem batched assembly).  With
+  // `slots`, the run replays a checked slot table through
+  // ckt::replay_window (see Mosfet::stamp_batch).  Returns false when a
+  // window had to be replayed through the checked path.
+  static bool stamp_batch(const ckt::Device* const* devs, std::size_t n,
+                          ckt::StampContext& ctx,
+                          const num::StampSlot* slots = nullptr,
+                          const std::pair<int, int>* windows = nullptr);
   // Lockstep ensemble kernel: device-outer / lane-inner Ebers-Moll
   // evaluation in lane tiles (see an::EnsembleSystem).  Returns false
   // when any lane's slot replay mismatched.
@@ -76,17 +81,31 @@ class Bjt : public ckt::Device {
     double dib_dvbe, dib_dvbc;
   };
   Eval evaluate_canonical(double vbe, double vbc) const;
+  // Canonical-frame junction voltages at the candidate solution, step
+  // limited against the previous iteration's (which they replace).
+  void limit_junctions(const ckt::StampContext& ctx, double& vbe,
+                       double& vbc) const;
+  // The Jacobian writes of one stamp, in order, through
+  // jac(row, col, value): the 3x3 terminal block of `e`, then the gmin
+  // base-emitter and base-collector shunts while gmin > 0.
+  template <typename Jac>
+  void jac_writes(const Eval& e, double gmin, Jac& jac) const;
   // Emits the Jacobian/Norton stamps for an already-computed canonical
   // evaluation at limited voltages (the write half of stamp(); the
-  // ensemble kernel stages evaluations separately).
-  void stamp_eval(const Eval& e, double vbe, double vbc,
-                  ckt::StampContext& ctx) const;
+  // ensemble kernel stages evaluations separately): the Jacobian
+  // through `jac`, the rhs into ctx.
+  template <typename Jac>
+  void emit(const Eval& e, double vbe, double vbc, Jac& jac,
+            ckt::StampContext& ctx) const;
 
   BjtParams p_;
   double temp_k_ = 300.15;
   double is_eff_, beta_f_eff_, beta_r_eff_;
   // Previous canonical junction voltages for SPICE pnjlim limiting.
   mutable double vbe_prev_ = 0.6, vbc_prev_ = -1.0;
+  // Jacobian writes per stamp with gmin off / on (fixed by which
+  // terminals are grounded).
+  int writes_[2];
   BjtOp op_;
 };
 

@@ -15,6 +15,9 @@ Diode::Diode(std::string name, ckt::NodeId anode, ckt::NodeId cathode,
              DiodeParams params)
     : Device(std::move(name), {anode, cathode}), p_(params) {
   set_temperature(p_.tnom_k);
+  writes_ = 0;
+  auto count = [this](int, int, double) { ++writes_; };
+  ckt::conductance_writes(anode, cathode, 0.0, count);
 }
 
 void Diode::set_temperature(double temp_k) {
@@ -25,7 +28,7 @@ void Diode::set_temperature(double temp_k) {
             std::exp((p_.eg / (p_.n * vt)) * (ratio - 1.0));
 }
 
-void Diode::stamp(ckt::StampContext& ctx) const {
+Diode::Linearized Diode::linearize(const ckt::StampContext& ctx) const {
   const double nvt = p_.n * num::thermal_voltage(ctx.temp_k);
   const double vcrit = junction_vcrit(nvt, is_eff_);
   double v = ctx.v(nodes_[0]) - ctx.v(nodes_[1]);
@@ -35,11 +38,20 @@ void Diode::stamp(ckt::StampContext& ctx) const {
   const LimitedExp e = limited_exp(v / nvt);
   const double id = is_eff_ * (e.value - 1.0);
   const double gd = is_eff_ * e.deriv / nvt + ctx.gmin;
-  const double ieq = id - gd * v;
+  return {gd, id - gd * v};
+}
 
-  ctx.add_conductance(nodes_[0], nodes_[1], gd);
-  ctx.add_current_into(nodes_[0], -ieq);
-  ctx.add_current_into(nodes_[1], ieq);
+template <typename Jac>
+void Diode::emit(const Linearized& l, Jac& jac,
+                 ckt::StampContext& ctx) const {
+  ckt::conductance_writes(nodes_[0], nodes_[1], l.gd, jac);
+  ctx.add_current_into(nodes_[0], -l.ieq);
+  ctx.add_current_into(nodes_[1], l.ieq);
+}
+
+void Diode::stamp(ckt::StampContext& ctx) const {
+  auto jac = [&ctx](int r, int c, double v) { ctx.add_jac(r, c, v); };
+  emit(linearize(ctx), jac, ctx);
 }
 
 void Diode::save_op(const num::RealVector& x, double temp_k) {
@@ -70,12 +82,24 @@ void Diode::append_noise_sources(std::vector<ckt::NoiseSource>& out,
 }
 
 
-void Diode::stamp_batch(const ckt::Device* const* devs, std::size_t n,
-                        ckt::StampContext& ctx) {
+bool Diode::stamp_batch(const ckt::Device* const* devs, std::size_t n,
+                        ckt::StampContext& ctx, const num::StampSlot* slots,
+                        const std::pair<int, int>* windows) {
   // Every element of the run is a Diode (RealSystem segments by
-  // concrete class), so the qualified call devirtualizes the loop.
-  for (std::size_t i = 0; i < n; ++i)
-    static_cast<const Diode*>(devs[i])->Diode::stamp(ctx);
+  // concrete class), so the qualified calls devirtualize the loop.
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto* d = static_cast<const Diode*>(devs[i]);
+    if (!slots) {
+      d->Diode::stamp(ctx);
+      continue;
+    }
+    const Linearized l = d->linearize(ctx);
+    const auto [b, e] = windows[i];
+    ok &= ckt::replay_window(ctx, slots + b, e - b, true, d->writes_,
+                             [&](auto& jac) { d->emit(l, jac, ctx); });
+  }
+  return ok;
 }
 
 bool Diode::stamp_lanes(const ckt::EnsembleRun& r) {
@@ -85,33 +109,22 @@ bool Diode::stamp_lanes(const ckt::EnsembleRun& r) {
   // shared slot window per lane.  Per lane the write order equals the
   // per-sample pass, so one-lane ensembles stay bit-identical.
   constexpr std::size_t kTile = 8;
-  double gd[kTile], ieq[kTile];
+  Linearized lin[kTile];
   bool ok = true;
   for (std::size_t j = 0; j < r.ndev; ++j) {
     const auto& win = r.windows[j];
     for (std::size_t k0 = 0; k0 < r.nlanes; k0 += kTile) {
       const std::size_t kn = std::min(kTile, r.nlanes - k0);
-      for (std::size_t t = 0; t < kn; ++t) {
-        const auto* d = static_cast<const Diode*>(r.devs[k0 + t][j]);
-        const ckt::StampContext& c = *r.ctx[k0 + t];
-        const double nvt = d->p_.n * num::thermal_voltage(c.temp_k);
-        const double vcrit = junction_vcrit(nvt, d->is_eff_);
-        double v = c.v(d->nodes_[0]) - c.v(d->nodes_[1]);
-        v = pnjlim(v, d->v_prev_, nvt, vcrit);
-        d->v_prev_ = v;
-        const LimitedExp e = limited_exp(v / nvt);
-        const double id = d->is_eff_ * (e.value - 1.0);
-        gd[t] = d->is_eff_ * e.deriv / nvt + c.gmin;
-        ieq[t] = id - gd[t] * v;
-      }
+      for (std::size_t t = 0; t < kn; ++t)
+        lin[t] = static_cast<const Diode*>(r.devs[k0 + t][j])
+                     ->linearize(*r.ctx[k0 + t]);
       for (std::size_t t = 0; t < kn; ++t) {
         const auto* d = static_cast<const Diode*>(r.devs[k0 + t][j]);
         ckt::StampContext& c = *r.ctx[k0 + t];
-        c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-        c.add_conductance(d->nodes_[0], d->nodes_[1], gd[t]);
-        c.add_current_into(d->nodes_[0], -ieq[t]);
-        c.add_current_into(d->nodes_[1], ieq[t]);
-        ok &= c.finish_slot_replay();
+        ok &= ckt::replay_window(
+            c, r.slots + win.first, win.second - win.first,
+            r.verified && r.verified[k0 + t], d->writes_,
+            [&](auto& jac) { d->emit(lin[t], jac, c); });
       }
     }
   }

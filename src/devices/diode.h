@@ -30,9 +30,14 @@ class Diode : public ckt::Device {
 
   void stamp(ckt::StampContext& ctx) const final;
   // Stamps a run of devices that are all of this concrete class
-  // (one devirtualized loop; see RealSystem batched assembly).
-  static void stamp_batch(const ckt::Device* const* devs,
-                          std::size_t n, ckt::StampContext& ctx);
+  // (one devirtualized loop; see RealSystem batched assembly).  With
+  // `slots`, the run replays a checked slot table through
+  // ckt::replay_window (see Mosfet::stamp_batch).  Returns false when a
+  // window had to be replayed through the checked path.
+  static bool stamp_batch(const ckt::Device* const* devs, std::size_t n,
+                          ckt::StampContext& ctx,
+                          const num::StampSlot* slots = nullptr,
+                          const std::pair<int, int>* windows = nullptr);
   // Lockstep ensemble kernel: device-outer / lane-inner junction math
   // in lane tiles (see an::EnsembleSystem).  Returns false when any
   // lane's slot replay mismatched.
@@ -48,10 +53,24 @@ class Diode : public ckt::Device {
   void set_temperature(double temp_k) override;
 
  private:
+  // Norton linearization at the candidate solution: conductance (gmin
+  // included) and equivalent current.
+  struct Linearized {
+    double gd, ieq;
+  };
+  // Limits the junction voltage against the previous iteration's (and
+  // records it) and linearizes there.
+  Linearized linearize(const ckt::StampContext& ctx) const;
+  // Emits the stamps of `l`: the Jacobian through `jac`, the rhs into
+  // ctx.
+  template <typename Jac>
+  void emit(const Linearized& l, Jac& jac, ckt::StampContext& ctx) const;
+
   DiodeParams p_;
   double temp_k_ = 300.15;
   double is_eff_;
   mutable double v_prev_ = 0.6;
+  int writes_;  // Jacobian writes per stamp (fixed by grounded terminals)
   double id_op_ = 0.0, gd_op_ = 0.0;
 };
 

@@ -18,6 +18,37 @@ namespace {
 constexpr int kD = 0, kG = 1, kS = 2, kB = 3;
 }  // namespace
 
+template <typename Jac>
+void Mosfet::jac_writes(const Eval& e, double gmin, Jac& jac) const {
+  auto at = [&jac](ckt::NodeId r, ckt::NodeId c, double v) {
+    if (r != kGround && c != kGround) jac(r - 1, c - 1, v);
+  };
+  const ckt::NodeId d = nodes_[kD], g = nodes_[kG], s = nodes_[kS],
+                    b = nodes_[kB];
+  const double gsum = e.gm + e.gds + e.gmb;
+  at(d, g, e.gm);
+  at(d, d, e.gds);
+  at(d, b, e.gmb);
+  at(d, s, -gsum);
+  at(s, g, -e.gm);
+  at(s, d, -e.gds);
+  at(s, b, -e.gmb);
+  at(s, s, gsum);
+  // gmin shunt keeps floating drains solvable during homotopy.
+  if (gmin > 0.0) ckt::conductance_writes(d, s, gmin, jac);
+}
+
+template <typename Jac>
+void Mosfet::emit(const Eval& e, double vd, double vg, double vs, double vb,
+                  Jac& jac, ckt::StampContext& ctx) const {
+  // Norton linearization: i_d = id0 + gm dvgs + gds dvds + gmb dvbs.
+  const double vgs = vg - vs, vds = vd - vs, vbs = vb - vs;
+  const double ieq = e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs;
+  jac_writes(e, ctx.gmin, jac);
+  ctx.add_current_into(nodes_[kD], -ieq);
+  ctx.add_current_into(nodes_[kS], ieq);
+}
+
 Mosfet::Mosfet(std::string name, ckt::NodeId d, ckt::NodeId g, ckt::NodeId s,
                ckt::NodeId b, MosParams params, double w_m, double l_m)
     : Device(std::move(name), {d, g, s, b}),
@@ -25,6 +56,12 @@ Mosfet::Mosfet(std::string name, ckt::NodeId d, ckt::NodeId g, ckt::NodeId s,
       w_(w_m),
       l_(l_m) {
   set_temperature(p_.tnom_k);
+  for (int gmin_on = 0; gmin_on < 2; ++gmin_on) {
+    int n = 0;
+    auto count = [&n](int, int, double) { ++n; };
+    jac_writes(Eval{}, gmin_on, count);
+    writes_[gmin_on] = n;
+  }
 }
 
 void Mosfet::set_temperature(double temp_k) {
@@ -111,29 +148,8 @@ Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs,
 
 void Mosfet::stamp_eval(const Eval& e, double vd, double vg, double vs,
                         double vb, ckt::StampContext& ctx) const {
-  // Norton linearization: i_d = id0 + gm dvgs + gds dvds + gmb dvbs.
-  const double vgs = vg - vs, vds = vd - vs, vbs = vb - vs;
-  const double ieq = e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs;
-
-  auto at = [&](ckt::NodeId r, ckt::NodeId c, double v) {
-    if (r != kGround && c != kGround) ctx.add_jac(r - 1, c - 1, v);
-  };
-  const ckt::NodeId d = nodes_[kD], g = nodes_[kG], s = nodes_[kS],
-                    b = nodes_[kB];
-  const double gsum = e.gm + e.gds + e.gmb;
-  at(d, g, e.gm);
-  at(d, d, e.gds);
-  at(d, b, e.gmb);
-  at(d, s, -gsum);
-  at(s, g, -e.gm);
-  at(s, d, -e.gds);
-  at(s, b, -e.gmb);
-  at(s, s, gsum);
-  ctx.add_current_into(d, -ieq);
-  ctx.add_current_into(s, ieq);
-
-  // gmin shunt keeps floating drains solvable during homotopy.
-  if (ctx.gmin > 0.0) ctx.add_conductance(d, s, ctx.gmin);
+  auto jac = [&ctx](int r, int c, double v) { ctx.add_jac(r, c, v); };
+  emit(e, vd, vg, vs, vb, jac, ctx);
 }
 
 void Mosfet::stamp(ckt::StampContext& ctx) const {
@@ -144,8 +160,9 @@ void Mosfet::stamp(ckt::StampContext& ctx) const {
   stamp_eval(evaluate(vd, vg, vs, vb), vd, vg, vs, vb, ctx);
 }
 
-void Mosfet::stamp_batch(const ckt::Device* const* devs, std::size_t n,
-                         ckt::StampContext& ctx) {
+bool Mosfet::stamp_batch(const ckt::Device* const* devs, std::size_t n,
+                         ckt::StampContext& ctx, const num::StampSlot* slots,
+                         const std::pair<int, int>* windows) {
   // Structure-of-arrays staging: gather every run member's terminal
   // voltages, evaluate the softplus/CLM model math over plain arrays in
   // one tight loop, then emit the stamps in device order.  The emitted
@@ -168,9 +185,24 @@ void Mosfet::stamp_batch(const ckt::Device* const* devs, std::size_t n,
   for (std::size_t i = 0; i < n; ++i)
     evals[i] = static_cast<const Mosfet*>(devs[i])->evaluate(vd[i], vg[i],
                                                              vs[i], vb[i]);
-  for (std::size_t i = 0; i < n; ++i)
-    static_cast<const Mosfet*>(devs[i])->stamp_eval(evals[i], vd[i], vg[i],
-                                                    vs[i], vb[i], ctx);
+  if (!slots) {
+    for (std::size_t i = 0; i < n; ++i)
+      static_cast<const Mosfet*>(devs[i])->stamp_eval(evals[i], vd[i], vg[i],
+                                                      vs[i], vb[i], ctx);
+    return true;
+  }
+  const int gmin_on = ctx.gmin > 0.0;
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto* m = static_cast<const Mosfet*>(devs[i]);
+    const auto [b, e] = windows[i];
+    ok &= ckt::replay_window(ctx, slots + b, e - b, true,
+                             m->writes_[gmin_on], [&](auto& jac) {
+                               m->emit(evals[i], vd[i], vg[i], vs[i], vb[i],
+                                       jac, ctx);
+                             });
+  }
+  return ok;
 }
 
 bool Mosfet::stamp_lanes(const ckt::EnsembleRun& r) {
@@ -214,10 +246,13 @@ bool Mosfet::stamp_lanes(const ckt::EnsembleRun& r) {
                     ->evaluate(vd[t], vg[t], vs[t], vb[t]);
       for (std::size_t e = 0; e < kn; ++e) {
         ckt::StampContext& c = *r.ctx[k0 + e];
-        c.arm_slot_replay(r.slots + win.first, win.second - win.first);
-        static_cast<const Mosfet*>(r.devs[k0 + e][j])
-            ->stamp_eval(ev[e], vd[e], vg[e], vs[e], vb[e], c);
-        ok &= c.finish_slot_replay();
+        const auto* m = static_cast<const Mosfet*>(r.devs[k0 + e][j]);
+        ok &= ckt::replay_window(
+            c, r.slots + win.first, win.second - win.first,
+            r.verified && r.verified[k0 + e], m->writes_[c.gmin > 0.0],
+            [&](auto& jac) {
+              m->emit(ev[e], vd[e], vg[e], vs[e], vb[e], jac, c);
+            });
       }
     }
   }

@@ -67,13 +67,22 @@ class Mosfet : public ckt::Device {
 
   void stamp(ckt::StampContext& ctx) const final;
   // Stamps a run of devices that are all of this concrete class
-  // (one devirtualized loop; see RealSystem batched assembly).
-  static void stamp_batch(const ckt::Device* const* devs,
-                          std::size_t n, ckt::StampContext& ctx);
+  // (one devirtualized loop; see RealSystem batched assembly).  With
+  // `slots`, the run replays a slot table already checked against these
+  // devices: device i writes its window windows[i] (absolute into
+  // `slots`) straight to the recorded value slots through
+  // ckt::replay_window.  Returns false when a window had to be replayed
+  // through the checked path (caller re-records).
+  static bool stamp_batch(const ckt::Device* const* devs, std::size_t n,
+                          ckt::StampContext& ctx,
+                          const num::StampSlot* slots = nullptr,
+                          const std::pair<int, int>* windows = nullptr);
   // Lockstep ensemble kernel: stamps the run across every lane of an
   // ensemble assembly, device-outer / lane-inner with the model math
-  // unrolled four lanes wide (see an::EnsembleSystem).  Returns false
-  // when any lane's slot replay mismatched (caller re-records).
+  // unrolled four lanes wide (see an::EnsembleSystem); lanes marked
+  // verified replay through the same direct path as stamp_batch.
+  // Returns false when any lane's slot replay mismatched (caller
+  // re-records).
   static bool stamp_lanes(const ckt::EnsembleRun& r);
   // Interval transfer: gate/bulk are zero-DC-current terminals (the
   // Level-1 model injects current only at drain and source), the
@@ -108,8 +117,17 @@ class Mosfet : public ckt::Device {
  private:
   // Canonical (NMOS-oriented, vds >= 0) model evaluation.
   Eval evaluate_canonical(double vgs, double vds, double vbs) const;
+  // The Jacobian writes of one stamp, in order, through
+  // jac(row, col, value): the Norton entries of `e`, then the gmin
+  // drain-source shunt while gmin > 0.
+  template <typename Jac>
+  void jac_writes(const Eval& e, double gmin, Jac& jac) const;
   // Emits the Norton stamps for an already-computed evaluation (the
-  // write half of stamp(); stamp_batch stages evaluations separately).
+  // write half of stamp(); stamp_batch stages evaluations separately):
+  // the Jacobian through `jac`, the rhs into ctx.
+  template <typename Jac>
+  void emit(const Eval& e, double vd, double vg, double vs, double vb,
+            Jac& jac, ckt::StampContext& ctx) const;
   void stamp_eval(const Eval& e, double vd, double vg, double vs, double vb,
                   ckt::StampContext& ctx) const;
 
@@ -127,6 +145,9 @@ class Mosfet : public ckt::Device {
   double lam_;       // lambda scaled by 1 um / L
   double dvth_mismatch_ = 0.0;
   double dbeta_rel_ = 0.0;
+  // Jacobian writes per stamp with gmin off / on (fixed by which
+  // terminals are grounded): the window length a slot replay expects.
+  int writes_[2];
   MosOp op_;
 };
 

@@ -284,6 +284,27 @@ TEST(AssemblySlots, GminSwitchedOffAfterRecordMatchesSearchedPath) {
                            "gmin back to 1e-12, assembly " +
                                std::to_string(k));
   }
+
+  // The other way round: a table first recorded at gmin = 0 (a fresh
+  // netlist, nothing cached) is too short once gmin = 1e-12.
+  auto fresh = bench::make_mic_rig();
+  fresh->mic.set_gain_code(5);
+  fresh->nl.assign_unknowns();
+  an::RealSystem sys0;
+  sys0.init(fresh->nl, an::SolverKind::kSparse);
+  p.gmin = 0.0;
+  for (int k = 0; k < 2; ++k) sys0.assemble(fresh->nl, op.x, p);
+  expect_snapshots_equal(snapshot(sys0),
+                         searched_assembly(fresh->nl, op.x, p),
+                         "recorded at gmin 0");
+  p.gmin = 1e-12;
+  const Snapshot ref2 = searched_assembly(fresh->nl, op.x, p);
+  for (int k = 0; k < 3; ++k) {
+    sys0.assemble(fresh->nl, op.x, p);
+    expect_snapshots_equal(snapshot(sys0), ref2,
+                           "recorded at gmin 0, replayed at 1e-12, "
+                           "assembly " + std::to_string(k));
+  }
 }
 
 // ---- batched vs legacy bit-identity ---------------------------------
