@@ -269,8 +269,8 @@ class Device;
 // is device j's recorded [begin, end) slot span — absolute indices
 // into `slots`, shared by every lane (all lanes replay one slot
 // table).  Kernels must preserve each lane's per-device write order
-// (arm window j, stamp device j, finish) and return false when any
-// replay failed so the caller can re-record the pass.
+// (device j replays window j, in device order) and return false when
+// any replay failed so the caller can re-record the pass.
 struct EnsembleRun {
   const Device* const* const* devs = nullptr;
   std::size_t ndev = 0;    // devices in the run

@@ -63,7 +63,8 @@ void compile_elimination(SparseSymbolic& s, const std::vector<int>& rp,
           pos[static_cast<std::size_t>(s.qinv[static_cast<std::size_t>(
               cs[static_cast<std::size_t>(k)])])];
     for (int k = s.l_ptr[ui]; k < s.l_ptr[ui + 1]; ++k) {
-      const auto j = static_cast<std::size_t>(s.l_cols[static_cast<std::size_t>(k)]);
+      const auto j =
+          static_cast<std::size_t>(s.l_cols[static_cast<std::size_t>(k)]);
       s.l_diag[static_cast<std::size_t>(k)] = nl + s.u_ptr[j];
       for (int kk = s.u_ptr[j] + 1; kk < s.u_ptr[j + 1]; ++kk) {
         const int target = pos[static_cast<std::size_t>(
