@@ -434,6 +434,18 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
                    "mic.outp,mic.outn"});
   decks.push_back(
       {"mic_noise", mic_deck(5, ".noise mic.outp v_vinp dec 10 10 1e6\n")});
+  // Multi-directive jobs: an .ac or .noise after the .op it follows,
+  // an .op after an .ac, and a .dc between .op and .ac that moves vdd
+  // (so the .ac must see the operating point at the swept end).
+  decks.push_back(
+      {"mic_op_ac", mic_deck(1, ".op\n.ac dec 10 10 1e6\n")});
+  decks.push_back({"mic_op_noise",
+                   mic_deck(4, ".op\n.noise mic.outp v_vinp dec 10 10 1e6\n")});
+  decks.push_back(
+      {"mic_ac_op", mic_deck(2, ".ac dec 10 10 1e6\n.op\n")});
+  decks.push_back(
+      {"mic_op_dc_ac",
+       mic_deck(3, ".op\n.dc v_vdd 1.0 1.6 0.3\n.ac dec 10 10 1e6\n")});
   for (const auto& [name, deck, probes] : decks) {
     DeckOptions opt;
     opt.telemetry = false;

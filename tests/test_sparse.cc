@@ -1,13 +1,19 @@
 // Sparse engine tests: SparseLu vs dense Lu agreement on random
 // matrices (values, transpose solves, singular-column diagnosis,
-// min_pivot), symbolic export/adoption, the per-netlist solver cache,
-// and full dense-vs-sparse agreement of OP/AC/noise on the paper's
-// circuits and the fault-injection netlists.
+// min_pivot), the Markowitz analysis pinned against a golden, symbolic
+// export/adoption, the per-netlist solver cache, and full
+// dense-vs-sparse agreement of OP/AC/noise on the paper's circuits and
+// the fault-injection netlists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "analysis/ac.h"
@@ -17,6 +23,7 @@
 #include "bench_util.h"
 #include "circuit/netlist.h"
 #include "core/bandgap.h"
+#include "golden_util.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "numeric/lu.h"
@@ -188,6 +195,188 @@ TEST(SparseLu, MinPivotOnDiagonalMatrix) {
   ASSERT_FALSE(sparse.singular());
   EXPECT_DOUBLE_EQ(sparse.min_pivot(), 0.5);
   EXPECT_DOUBLE_EQ(dense.min_pivot(), 0.5);
+}
+
+TEST(SparseLu, ComplexPivotFloorUsesTheModulus) {
+  // The pivot floor (1e-30) applies to |z|.  8e-31 + 8e-31i has both
+  // parts below the floor but |z| ~ 1.13e-30 above it: usable.
+  // 5e-31 + 5e-31i has |z| ~ 7.1e-31: singular.  A NaN pivot passes
+  // the floor (no comparison with NaN is true) and is left for the
+  // solve to surface.  Each value is checked twice: by a fresh
+  // analysis, and by the refactor replaying an analysis made with a
+  // unit pivot.
+  using C = std::complex<double>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  num::SparsityPattern pat(2);
+  pat.add(0, 0);
+  pat.add(1, 1);
+  auto matrix = [&](C pivot) {
+    num::ComplexSparseMatrix a(pat);
+    a.add(0, 0, C(1.0, 0.0));
+    a.add(1, 1, pivot);
+    return a;
+  };
+  struct Case {
+    C pivot;
+    bool singular;
+  };
+  for (const auto& [pivot, singular] :
+       {Case{C(8e-31, 8e-31), false}, Case{C(-8e-31, 8e-31), false},
+        Case{C(5e-31, 5e-31), true}, Case{C(5e-31, -5e-31), true},
+        Case{C(nan, 0.0), false}, Case{C(1e-31, nan), false}}) {
+    num::ComplexSparseLu fresh;
+    fresh.factor(matrix(pivot));
+    EXPECT_EQ(fresh.singular(), singular) << pivot;
+    if (singular) {
+      EXPECT_EQ(fresh.singular_col(), 1) << pivot;
+    }
+
+    num::ComplexSparseLu replay;
+    replay.factor(matrix(C(1.0, 0.0)));
+    ASSERT_FALSE(replay.singular());
+    const int serial = replay.symbolic_serial();
+    replay.factor(matrix(pivot));
+    EXPECT_EQ(replay.singular(), singular) << pivot;
+    // A pivot that passes the refactor's floor keeps the analysis.
+    if (!singular) {
+      EXPECT_EQ(replay.symbolic_serial(), serial) << pivot;
+    }
+  }
+}
+
+// ---- the Markowitz analysis, pinned ---------------------------------
+
+// Pivot order and L/U fill pattern of a fresh analysis of `a`, as text:
+// the analysis's whole output, so a golden of it pins every pivot
+// choice and tie-break.  A singular matrix prints the column it failed
+// on.
+template <typename T>
+std::string symbolic_text(const std::string& name,
+                          const num::SparseMatrix<T>& a) {
+  std::string s = "== " + name + " n=" + std::to_string(a.rows()) +
+                  " nnz=" + std::to_string(a.nnz()) + "\n";
+  num::SparseLu<T> lu;
+  lu.factor(a);
+  if (lu.singular())
+    return s + "singular_col " + std::to_string(lu.singular_col()) + "\n";
+  const auto sym = lu.export_symbolic();
+  auto line = [&](const char* tag, const std::vector<int>& v) {
+    s += tag;
+    for (int x : v) s += " " + std::to_string(x);
+    s += "\n";
+  };
+  line("rowperm", sym->rowperm);
+  line("colperm", sym->colperm);
+  line("l_ptr", sym->l_ptr);
+  line("l_cols", sym->l_cols);
+  line("u_ptr", sym->u_ptr);
+  line("u_cols", sym->u_cols);
+  return s;
+}
+
+// The DC (or transient) Jacobian of `nl` at `x` (zeros when empty).
+num::RealSparseMatrix jacobian_at(
+    ckt::Netlist& nl, num::RealVector x = {},
+    ckt::AnalysisMode mode = ckt::AnalysisMode::kDcOp) {
+  nl.assign_unknowns();
+  if (x.empty()) x.assign(static_cast<std::size_t>(nl.unknown_count()), 0.0);
+  an::AssembleParams p;
+  p.mode = mode;
+  if (mode == ckt::AnalysisMode::kTransient) p.dt = 1e-6;
+  an::RealSystem sys;
+  sys.init(nl, an::SolverKind::kSparse);
+  sys.assemble(nl, x, p);
+  return sys.sparse_jac();
+}
+
+// Seeded random pattern with values drawn from a small set, so equal
+// Markowitz costs and equal magnitudes (the tie-breaks) are common.
+// Missing diagonals and unusable values make some draws singular.
+template <typename T>
+num::SparseMatrix<T> random_pattern(std::uint64_t seed) {
+  num::Rng rng(seed);
+  const int n = 1 + static_cast<int>(rng.next_u64() % 24);
+  const int per_row = 1 + static_cast<int>(rng.next_u64() % 4);
+  const bool diag = rng.next_u64() % 8 != 0;
+  num::SparsityPattern pat(n);
+  for (int i = 0; i < n; ++i) {
+    if (diag) pat.add(i, i);
+    for (int k = 0; k < per_row; ++k)
+      pat.add(i, static_cast<int>(rng.next_u64() % static_cast<unsigned>(n)));
+  }
+  num::SparseMatrix<T> a(pat);
+  // One draw in sixteen is unusable as a pivot: zero, or 1e-31 (under
+  // the floor).
+  const double set[] = {1.0, -1.0, 2.0,  0.5,  -0.5, 3.0, -2.0, 1e-3,
+                        1.0, -1.0, 4.0, -3.0, 0.25, 2.0, 1.5,  0.0};
+  auto draw = [&] {
+    const double x = set[rng.next_u64() % 16];
+    return x == 0.0 && rng.next_u64() % 2 ? 1e-31 : x;
+  };
+  for (auto& v : a.values()) {
+    if constexpr (std::is_same_v<T, double>) {
+      v = draw();
+    } else {
+      const double re = draw();
+      v = T(re, draw());
+    }
+  }
+  return a;
+}
+
+TEST(SparseLu, SymbolicAnalysisMatchesGolden) {
+  std::string text;
+  for (int code = 0; code <= 5; ++code) {
+    auto rig = bench::make_mic_rig();
+    rig->mic.set_gain_code(code);
+    const std::string tag = "mic_code" + std::to_string(code);
+    text += symbolic_text(tag + "_x0", jacobian_at(rig->nl));
+    const auto op = an::solve_op(rig->nl);
+    ASSERT_TRUE(op.converged) << tag;
+    text += symbolic_text(tag + "_op", jacobian_at(rig->nl, op.x));
+  }
+  {
+    auto rig = bench::make_chip_rig();
+    text += symbolic_text("chip_x0", jacobian_at(rig->nl));
+  }
+  {
+    auto rig = bench::make_drv_rig();
+    const auto op = an::solve_op(rig->nl);
+    ASSERT_TRUE(op.converged);
+    for (const auto& d : rig->nl.devices()) d->begin_transient(op.x);
+    text += symbolic_text(
+        "class_ab_tran",
+        jacobian_at(rig->nl, op.x, ckt::AnalysisMode::kTransient));
+  }
+  {
+    ckt::Netlist nl;
+    const auto nvdd = nl.node("vdd");
+    const auto nvss = nl.node("vss");
+    nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
+    nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
+    (void)core::build_bandgap(nl, proc::ProcessModel::cmos12(), {}, nvdd,
+                              nvss, ckt::kGround);
+    text += symbolic_text("bandgap_x0", jacobian_at(nl));
+  }
+  std::vector<std::filesystem::path> decks;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::filesystem::path(MSIM_TEST_DIR) / ".." / "examples" /
+           "netlists"))
+    if (e.path().extension() == ".sp") decks.push_back(e.path());
+  std::sort(decks.begin(), decks.end());
+  for (const auto& f : decks) {
+    auto parsed = spice::parse_netlist_file(f.string());
+    ASSERT_TRUE(parsed.netlist) << f;
+    text += symbolic_text("examples_" + f.stem().string(),
+                          jacobian_at(*parsed.netlist));
+  }
+  for (std::uint64_t seed = 1; seed <= 150; ++seed)
+    text += symbolic_text("random_" + std::to_string(seed),
+                          random_pattern<double>(seed));
+  for (std::uint64_t seed = 1001; seed <= 1030; ++seed)
+    text += symbolic_text("random_complex_" + std::to_string(seed),
+                          random_pattern<std::complex<double>>(seed));
+  golden::expect("numeric/symbolic.txt", text);
 }
 
 // ---- symbolic export / adoption -------------------------------------

@@ -749,9 +749,10 @@ TEST(LintFramework, ErrorsOrderBeforeWarningsAcrossPasses) {
   bool seen_warning = false;
   for (const auto& i : issues) {
     if (i.severity == ckt::LintSeverity::kWarning) seen_warning = true;
-    if (i.severity == ckt::LintSeverity::kError)
+    if (i.severity == ckt::LintSeverity::kError) {
       EXPECT_FALSE(seen_warning)
           << "error listed after a warning: " << i.message;
+    }
   }
   EXPECT_EQ(issues.front().severity, ckt::LintSeverity::kError);
 }
