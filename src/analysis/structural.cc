@@ -362,11 +362,10 @@ SolveDiag preflight(ckt::Netlist& nl, const PreflightOptions& opt) {
   register_analysis_lint_passes();
   if (!nl.devices().empty()) nl.assign_unknowns();
 
-  auto& verdict = nl.structural_verdict();
-  std::uint64_t fp = 0;
   if (opt.use_cache) {
-    fp = nl.topology_fingerprint();
-    if (verdict.valid && verdict.clean && verdict.fingerprint == fp)
+    const auto& verdict = nl.structural_verdict();
+    if (verdict.valid && verdict.clean &&
+        verdict.fingerprint == nl.topology_fingerprint())
       return SolveDiag::success();
   }
 
@@ -375,7 +374,7 @@ SolveDiag preflight(ckt::Netlist& nl, const PreflightOptions& opt) {
   lint_opt.disable = opt.disable;
   lint_opt.enable = opt.enable;
   const auto issues = ckt::lint(nl, lint_opt);
-  if (opt.use_cache && issues.empty()) verdict = {fp, true, true};
+  if (opt.use_cache && issues.empty()) record_clean_verdict(nl);
 
   const bool fatal = ckt::lint_has_errors(issues) ||
                      (opt.strict && !issues.empty());
@@ -389,6 +388,10 @@ SolveDiag preflight(ckt::Netlist& nl, const PreflightOptions& opt) {
   diag.device = first.device;
   diag.detail = ckt::lint_report(issues);
   return diag;
+}
+
+void record_clean_verdict(const ckt::Netlist& nl) {
+  nl.structural_verdict() = {nl.topology_fingerprint(), true, true};
 }
 
 long preflight_full_runs() {

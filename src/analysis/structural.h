@@ -102,6 +102,13 @@ struct PreflightOptions {
 // first issue's node/device and the full lint report in `detail`.
 SolveDiag preflight(ckt::Netlist& nl, const PreflightOptions& opt = {});
 
+// Records `nl`'s clean verdict under its topology fingerprint: the
+// next preflight() over the same structure returns at once.  preflight
+// stores its own clean results through this; a caller that ran every
+// registered pass itself (no pass disabled, none skipped) and got zero
+// issues stores its result the same way.
+void record_clean_verdict(const ckt::Netlist& nl);
+
 // Process-wide count of full (uncached) structural lint executions;
 // tests assert Monte-Carlo samples hit the verdict cache instead of
 // re-running the analysis.

@@ -169,6 +169,11 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       ckt::lint(nl, lint_opt, {an::range_lint_pass(&range)});
   publish.lint_clean =
       issues.empty() && cli.lint_disable.empty() && !nl.devices().empty();
+  // A clean run of every registered pass is the verdict preflight would
+  // reach: record it, so the solves below skip their own lint.  The
+  // warm value-only subset leaves the adopted verdict in place.
+  if (publish.lint_clean && !lint_opt.value_dependent_only)
+    an::record_clean_verdict(nl);
   if (cli.range_json) {
     // Machine-readable value-range report: interval node bounds,
     // supply hull, headroom, dead devices, conditioning forecast.
@@ -202,14 +207,29 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
                                   : (cli.budget_ms > 0.0 ? &local_budget
                                                          : nullptr);
 
+  an::OpOptions op_opt;
+  op_opt.temp_k = temp_k;
+  op_opt.budget = budget_p;
+  // The job's converged operating point, shared by .op, .ac and .noise:
+  // solving the same netlist again from the same zero start replays the
+  // first solve's slot tables and symbolic analysis and reproduces its
+  // bits, so one solve serves them all.  .dc, .tran and the Monte-Carlo
+  // .op drop it: they move source values or device state.
+  an::OpResult held_op;
+  auto operating_point = [&]() -> const an::OpResult& {
+    if (!held_op.converged) held_op = an::solve_op(nl, op_opt);
+    if (!held_op.converged)
+      err.fmt("operating point failed: %s\n",
+              held_op.diag.message().c_str());
+    return held_op;
+  };
+
   for (const auto& d : parsed.directives) {
     out.fmt("* .%s", d.kind.c_str());
     for (const auto& a : d.args) out.fmt(" %s", a.c_str());
     out.fmt("  (T = %.1f C)\n", parsed.temp_c);
-
-    an::OpOptions op_opt;
-    op_opt.temp_k = temp_k;
-    op_opt.budget = budget_p;
+    if (d.kind == "dc" || d.kind == "tran" || (d.kind == "op" && cli.mc > 1))
+      held_op = an::OpResult{};
 
     if (d.kind == "op" && cli.mc > 1) {
       // Monte-Carlo job: N samples of the deck's operating point with a
@@ -260,11 +280,8 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         return 4;
       }
     } else if (d.kind == "op") {
-      const auto op = an::solve_op(nl, op_opt);
-      if (!op.converged) {
-        err.fmt("operating point failed: %s\n", op.diag.message().c_str());
-        return 1;
-      }
+      const auto& op = operating_point();
+      if (!op.converged) return 1;
       out.puts(an::op_report(nl, op, range));
     } else if (d.kind == "dc") {
       if (d.args.empty())
@@ -310,11 +327,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       // .ac dec N fstart fstop
       const int ppd = static_cast<int>(arg_num(d, 1));
       const double f1 = arg_num(d, 2), f2 = arg_num(d, 3);
-      const auto op = an::solve_op(nl, op_opt);
-      if (!op.converged) {
-        err.fmt("operating point failed: %s\n", op.diag.message().c_str());
-        return 1;
-      }
+      if (!operating_point().converged) return 1;
       const auto freqs = an::log_frequencies(f1, f2, ppd);
       an::AcOptions aopt;
       aopt.budget = budget_p;
@@ -423,19 +436,22 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (d.args.size() < 6)
         throw std::runtime_error(
             ".noise out_node input_src dec N fstart fstop");
-      const auto op = an::solve_op(nl, op_opt);
-      if (!op.converged) {
-        err.fmt("operating point failed: %s\n", op.diag.message().c_str());
-        return 1;
-      }
+      // Resolve both names without creating anything: a node made up
+      // after lint would be a floating output with all-zero noise.
       an::NoiseOptions nopt;
-      nopt.out_p = nl.node(d.args[0]);
+      nopt.out_p = nl.find_node(d.args[0]);
+      if (nopt.out_p == ckt::kInvalidNode)
+        throw std::runtime_error("node not found: " + d.args[0]);
+      if (!nl.find_as<dev::VSource>(d.args[1]) &&
+          !nl.find_as<dev::ISource>(d.args[1]))
+        throw std::runtime_error("source not found: " + d.args[1]);
       nopt.input_source = d.args[1];
       nopt.temp_k = temp_k;
       nopt.budget = budget_p;
       const int ppd = static_cast<int>(arg_num(d, 3));
       const auto freqs =
           an::log_frequencies(arg_num(d, 4), arg_num(d, 5), ppd);
+      if (!operating_point().converged) return 1;
       const auto res = an::run_noise_diag(nl, freqs, nopt);
       if (!res.ok() && !res.truncated) {
         err.fmt("noise analysis failed: %s\n", res.diag.message().c_str());

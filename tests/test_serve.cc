@@ -28,6 +28,10 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/ac.h"
+#include "analysis/mna.h"
+#include "analysis/op.h"
+#include "analysis/structural.h"
 #include "core/budget.h"
 #include "core/json_escape.h"
 #include "core/mic_amp.h"
@@ -35,6 +39,7 @@
 #include "golden_util.h"
 #include "process/process.h"
 #include "numeric/sparse.h"
+#include "numeric/units.h"
 #include "serve/deck.h"
 #include "serve/json.h"
 #include "serve/registry.h"
@@ -457,6 +462,76 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
     const DeckResult warm = run_no_memo(deck, &reg, opt);
     EXPECT_EQ(describe_job(warm), describe_job(cold)) << name;
   }
+}
+
+TEST(ServeDeck, ColdJobLintsAndSolvesOnce) {
+  // A clean cold .op + .ac job: run_deck's own full lint records the
+  // structural verdict, so no preflight inside the job re-runs the
+  // passes, and the .ac reuses the .op's operating point, so the job
+  // factors once per Newton iteration and once per AC point.
+  const std::string deck = mic_deck(2, ".op\n.ac dec 10 10 1e6\n");
+  auto parsed = spice::parse_netlist(deck);
+  an::OpOptions oo;
+  oo.temp_k = num::celsius_to_kelvin(parsed.temp_c);
+  const auto op = an::solve_op(*parsed.netlist, oo);
+  ASSERT_TRUE(op.converged);
+  const long ac_points =
+      static_cast<long>(an::log_frequencies(10.0, 1e6, 10).size());
+
+  const long runs = an::preflight_full_runs();
+  const long factors = an::factor_call_count();
+  const DeckResult r = run_no_memo(deck, nullptr);
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_EQ(an::preflight_full_runs(), runs);
+  EXPECT_EQ(an::factor_call_count() - factors, op.iterations + ac_points);
+}
+
+TEST(ServeDeck, VerdictRecordedOnlyForACleanFullLint) {
+  // A deck whose lint warns still simulates, but records no verdict:
+  // its solve runs the preflight lint itself.
+  std::ifstream in(std::string(MSIM_TEST_DIR) +
+                   "/faults/dangling_terminal.sp");
+  std::ostringstream warn;
+  warn << in.rdbuf();
+  long runs = an::preflight_full_runs();
+  DeckResult r = run_no_memo(warn.str(), nullptr);
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.err.find("dangling"), std::string::npos) << r.err;
+  EXPECT_EQ(an::preflight_full_runs(), runs + 1);
+
+  // So does a clean deck linted with a pass disabled.
+  DeckOptions opt;
+  opt.lint_disable = {"dangling_terminal"};
+  runs = an::preflight_full_runs();
+  r = run_no_memo(kOpDeck, nullptr, opt);
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_EQ(an::preflight_full_runs(), runs + 1);
+}
+
+TEST(ServeDeck, NoiseRejectsUnknownNodeOrSource) {
+  auto noise_deck = [](const char* noise) {
+    return std::string(
+               "* rc low-pass noise\n"
+               "v1 in 0 dc 0 ac 1\n"
+               "r1 in out 1k\n"
+               "c1 out 0 100n\n") +
+           noise + ".end\n";
+  };
+  DeckResult r =
+      run_no_memo(noise_deck(".noise nosuch v1 dec 2 10 1e3\n"), nullptr);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("error: node not found: nosuch"), std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.out.find("onoise"), std::string::npos) << r.out;
+
+  r = run_no_memo(noise_deck(".noise out vnope dec 2 10 1e3\n"), nullptr);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("error: source not found: vnope"), std::string::npos)
+      << r.err;
+
+  r = run_no_memo(noise_deck(".noise out v1 dec 2 10 1e3\n"), nullptr);
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("onoise_V2_per_Hz"), std::string::npos) << r.out;
 }
 
 TEST(ServeDeck, DcSweepRejectsDegenerateSteps) {
