@@ -1,8 +1,10 @@
 #include "numeric/sparse.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 namespace msim::num {
 
@@ -130,46 +132,88 @@ void SparseLu<T>::factor(const SparseMatrix<T>& a) {
 
 // Markowitz pivot selection on the actual values: at each step pick the
 // entry minimizing (r_count-1)*(c_count-1) among entries within
-// kPivotThreshold of their column's max magnitude.  O(n * nnz) scans;
-// circuit matrices are small enough that simplicity wins over indexed
-// heaps.  The elimination keeps every structural entry (a value that
-// cancels to zero stays in the row), so the structure it leaves behind
-// IS the boolean closure for the chosen (P, Q): L and U patterns are
-// recorded directly as the elimination runs.
+// kPivotThreshold of their column's max magnitude, scanning row-major
+// (ties: the larger magnitude, then the first found).  The working rows
+// hold only active entries: an entry leaves its row when its column is
+// pivoted.  Column counts follow the eliminations incrementally, and
+// only the pivot row's columns -- the only ones whose entries change --
+// get their maxima recomputed, when the search next reads them.  The
+// rows to eliminate come from per-column row lists.  The elimination keeps every structural entry
+// (a value that cancels to zero stays in the row), so the structure it
+// leaves behind IS the boolean closure for the chosen (P, Q): L and U
+// patterns are recorded directly as the elimination runs.
 template <typename T>
 bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
   n_ = a.rows();
   sym_.reset();
+  const auto un = static_cast<std::size_t>(n_);
   // Built locally, then frozen into an immutable shared SparseSymbolic
   // on success so adopters can share it without copying.
-  std::vector<int> rowperm_(static_cast<std::size_t>(n_), -1);
-  std::vector<int> colperm_(static_cast<std::size_t>(n_), -1);
+  std::vector<int> rowperm_(un, -1);
+  std::vector<int> colperm_(un, -1);
   std::vector<int> qinv_;
   std::vector<int> l_ptr_, l_cols_;
   std::vector<int> u_ptr_, u_cols_;
 
   // Working rows: active entries as sorted (col, value) lists.
-  std::vector<std::vector<std::pair<int, T>>> rows(
-      static_cast<std::size_t>(n_));
+  // col_rows[c] lists every row that gained an entry in column c; rows
+  // pivoted since are skipped through row_active (and pruned when the
+  // column's maximum is recomputed).
+  std::vector<std::vector<std::pair<int, T>>> rows(un);
+  std::vector<std::vector<int>> col_rows(un);
+  std::vector<int> col_cnt(un, 0);       // active rows per column
+  std::vector<double> col_max(un, 0.0);  // their largest magnitude
+  std::vector<char> col_stale(un, 0);    // col_max needs a recompute
   const auto& rp = a.row_ptr();
   const auto& cs = a.cols();
   const auto& vs = a.values();
+  for (const int c : cs) ++col_cnt[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < un; ++c)
+    col_rows[c].reserve(static_cast<std::size_t>(col_cnt[c]));
   for (int r = 0; r < n_; ++r) {
     auto& row = rows[static_cast<std::size_t>(r)];
     row.reserve(static_cast<std::size_t>(rp[static_cast<std::size_t>(r) + 1] -
                                          rp[static_cast<std::size_t>(r)]));
     for (int k = rp[static_cast<std::size_t>(r)];
-         k < rp[static_cast<std::size_t>(r) + 1]; ++k)
-      row.emplace_back(cs[static_cast<std::size_t>(k)],
-                       vs[static_cast<std::size_t>(k)]);
+         k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
+      const auto c = static_cast<std::size_t>(cs[static_cast<std::size_t>(k)]);
+      const T v = vs[static_cast<std::size_t>(k)];
+      row.emplace_back(static_cast<int>(c), v);
+      col_rows[c].push_back(r);
+      const double m = magnitude(v);
+      if (m > col_max[c]) col_max[c] = m;
+    }
   }
+  const auto entry_of = [](const std::vector<std::pair<int, T>>& row, int c) {
+    return std::lower_bound(
+        row.begin(), row.end(), c,
+        [](const std::pair<int, T>& e, int col) { return e.first < col; });
+  };
 
-  std::vector<char> row_active(static_cast<std::size_t>(n_), 1);
-  std::vector<char> col_active(static_cast<std::size_t>(n_), 1);
-  std::vector<double> col_max(static_cast<std::size_t>(n_));
-  std::vector<int> col_cnt(static_cast<std::size_t>(n_));
-  // One merge buffer reused by every row update (swapped with the row it
-  // rebuilds, so capacity migrates instead of reallocating).
+  std::vector<char> row_active(un, 1);
+  std::vector<char> col_active(un, 1);
+  // Column c's largest active magnitude, recomputed (dropping pivoted
+  // rows from its row list on the way) if an elimination changed it.
+  const auto column_max = [&](int c) {
+    const auto uc = static_cast<std::size_t>(c);
+    if (col_stale[uc]) {
+      col_stale[uc] = 0;
+      auto& list = col_rows[uc];
+      double cmax = 0.0;
+      std::size_t w = 0;
+      for (const int r : list) {
+        if (!row_active[static_cast<std::size_t>(r)]) continue;
+        list[w++] = r;
+        const double m =
+            magnitude(entry_of(rows[static_cast<std::size_t>(r)], c)->second);
+        if (m > cmax) cmax = m;
+      }
+      list.resize(w);
+      col_max[uc] = cmax;
+    }
+    return col_max[uc];
+  };
+  // One merge buffer reused by every row update.
   std::vector<std::pair<int, T>> merged;
   // Structure log: U rows in original column ids (remapped through qinv_
   // at the end), and one (row, step) record per elimination update (the
@@ -179,39 +223,25 @@ bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
   std::vector<std::pair<int, int>> lrec;
 
   for (int k = 0; k < n_; ++k) {
-    // Pass 1: per-column max magnitude and count over active entries.
-    std::fill(col_max.begin(), col_max.end(), 0.0);
-    std::fill(col_cnt.begin(), col_cnt.end(), 0);
-    for (int r = 0; r < n_; ++r) {
-      if (!row_active[static_cast<std::size_t>(r)]) continue;
-      for (const auto& [c, v] : rows[static_cast<std::size_t>(r)]) {
-        if (!col_active[static_cast<std::size_t>(c)]) continue;
-        const double m = magnitude(v);
-        auto& cm = col_max[static_cast<std::size_t>(c)];
-        if (m > cm) cm = m;
-        ++col_cnt[static_cast<std::size_t>(c)];
-      }
-    }
-
-    // Pass 2: Markowitz cost among threshold-eligible entries.
     long best_cost = std::numeric_limits<long>::max();
     double best_mag = 0.0;
     int best_r = -1, best_c = -1;
     for (int r = 0; r < n_; ++r) {
       if (!row_active[static_cast<std::size_t>(r)]) continue;
-      int rcnt = 0;
-      for (const auto& [c, v] : rows[static_cast<std::size_t>(r)])
-        if (col_active[static_cast<std::size_t>(c)]) ++rcnt;
-      for (const auto& [c, v] : rows[static_cast<std::size_t>(r)]) {
-        if (!col_active[static_cast<std::size_t>(c)]) continue;
+      const auto& row = rows[static_cast<std::size_t>(r)];
+      const long rcost = static_cast<long>(row.size()) - 1;
+      for (const auto& [c, v] : row) {
+        // The cost test first: it rejects most entries without a
+        // magnitude.  An entry passes both tests exactly when it passes
+        // them in the other order.
+        const long cost =
+            rcost * static_cast<long>(col_cnt[static_cast<std::size_t>(c)] - 1);
+        if (cost > best_cost) continue;
         const double m = magnitude(v);
         if (m < kPivotFloor ||
-            m < kPivotThreshold * col_max[static_cast<std::size_t>(c)])
+            m < kPivotThreshold * column_max(c))
           continue;
-        const long cost =
-            static_cast<long>(rcnt - 1) *
-            static_cast<long>(col_cnt[static_cast<std::size_t>(c)] - 1);
-        if (cost < best_cost || (cost == best_cost && m > best_mag)) {
+        if (cost < best_cost || m > best_mag) {
           best_cost = cost;
           best_mag = m;
           best_r = r;
@@ -234,37 +264,37 @@ bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
 
     rowperm_[static_cast<std::size_t>(k)] = best_r;
     colperm_[static_cast<std::size_t>(k)] = best_c;
-    auto& prow = rows[static_cast<std::size_t>(best_r)];
-    T pivot{};
-    for (const auto& [c, v] : prow)
-      if (c == best_c) pivot = v;
+    row_active[static_cast<std::size_t>(best_r)] = 0;
+    col_active[static_cast<std::size_t>(best_c)] = 0;
+    const auto& prow = rows[static_cast<std::size_t>(best_r)];
+    const T pivot = entry_of(prow, best_c)->second;
 
-    // The pivot row's active entries become U row k (original column
-    // ids for now; remapped once qinv_ is known).
-    for (const auto& [c, v] : prow)
-      if (col_active[static_cast<std::size_t>(c)]) u_cols_.push_back(c);
+    // The pivot row's entries become U row k (original column ids for
+    // now; remapped once qinv_ is known) and leave their columns.
+    for (const auto& [c, v] : prow) {
+      u_cols_.push_back(c);
+      --col_cnt[static_cast<std::size_t>(c)];
+    }
     u_ptr_.push_back(static_cast<int>(u_cols_.size()));
 
     // Eliminate: every other active row holding column best_c gets
-    // row -= m * pivot_row over the active columns (creating fill).
-    for (int r = 0; r < n_; ++r) {
-      if (r == best_r || !row_active[static_cast<std::size_t>(r)]) continue;
+    // row -= m * pivot_row over the other columns (creating fill) and
+    // drops its best_c entry.
+    for (const int r : col_rows[static_cast<std::size_t>(best_c)]) {
+      if (!row_active[static_cast<std::size_t>(r)]) continue;
       auto& row = rows[static_cast<std::size_t>(r)];
-      auto it = std::lower_bound(
-          row.begin(), row.end(), best_c,
-          [](const std::pair<int, T>& e, int c) { return e.first < c; });
-      if (it == row.end() || it->first != best_c) continue;
-      const T m = it->second / pivot;
+      const T m = entry_of(row, best_c)->second / pivot;
       lrec.emplace_back(r, k);
-      // Sorted merge of the update; fill entries are inserted.
+      // Sorted merge of the update; fill entries are inserted and the
+      // best_c entry dropped.
       merged.clear();
-      merged.reserve(row.size() + prow.size());
       std::size_t i = 0, j = 0;
       while (i < row.size() || j < prow.size()) {
-        // Skip inactive pivot-row columns (and the pivot column itself).
-        if (j < prow.size() &&
-            (!col_active[static_cast<std::size_t>(prow[j].first)] ||
-             prow[j].first == best_c)) {
+        if (i < row.size() && row[i].first == best_c) {
+          ++i;
+          continue;
+        }
+        if (j < prow.size() && prow[j].first == best_c) {
           ++j;
           continue;
         }
@@ -272,7 +302,10 @@ bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
             (i < row.size() && row[i].first < prow[j].first)) {
           merged.push_back(row[i++]);
         } else if (i >= row.size() || row[i].first > prow[j].first) {
+          const auto c = static_cast<std::size_t>(prow[j].first);
           merged.emplace_back(prow[j].first, -m * prow[j].second);
+          col_rows[c].push_back(r);
+          ++col_cnt[c];
           ++j;
         } else {
           merged.emplace_back(row[i].first, row[i].second - m * prow[j].second);
@@ -280,10 +313,12 @@ bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
           ++j;
         }
       }
-      std::swap(row, merged);
+      row.assign(merged.begin(), merged.end());
     }
-    row_active[static_cast<std::size_t>(best_r)] = 0;
-    col_active[static_cast<std::size_t>(best_c)] = 0;
+
+    // Only the pivot row's columns changed: their maxima are recomputed
+    // when the pivot search next asks for them.
+    for (const auto& [c, v] : prow) col_stale[static_cast<std::size_t>(c)] = 1;
   }
 
   qinv_.assign(static_cast<std::size_t>(n_), -1);
@@ -361,8 +396,10 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
   std::fill(lu_.begin(), lu_.end(), T{});
   for (std::size_t k = 0; k < vs.size(); ++k)
     lu_[static_cast<std::size_t>(s.a_pos[k])] = vs[k];
-  min_pivot_ = n_ ? 1e300 : 0.0;
-  max_pivot_ = 0.0;
+  if constexpr (std::is_same_v<T, double>) {
+    min_pivot_ = n_ ? 1e300 : 0.0;
+    max_pivot_ = 0.0;
+  }
 
   T* lu = lu_.data();
   const T* u = lu + s.l_cols.size();
@@ -379,13 +416,25 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
       }
     }
 
-    const double piv = magnitude(u[s.u_ptr[static_cast<std::size_t>(i)]]);
-    if (piv < kPivotFloor) {
-      singular_col_ = s.colperm[static_cast<std::size_t>(i)];
-      return false;
+    const T d = u[s.u_ptr[static_cast<std::size_t>(i)]];
+    if constexpr (std::is_same_v<T, double>) {
+      const double piv = std::abs(d);
+      if (piv < kPivotFloor) {
+        singular_col_ = s.colperm[static_cast<std::size_t>(i)];
+        return false;
+      }
+      if (piv < min_pivot_) min_pivot_ = piv;
+      if (piv > max_pivot_) max_pivot_ = piv;
+    } else {
+      // |z| is never below max(|re|, |im|), so only a pivot whose larger
+      // part is under the floor needs the modulus (hypot) to decide.  A
+      // NaN part passes both tests, as it passes the modulus test.
+      if (std::max(std::abs(d.real()), std::abs(d.imag())) < kPivotFloor &&
+          std::abs(d) < kPivotFloor) {
+        singular_col_ = s.colperm[static_cast<std::size_t>(i)];
+        return false;
+      }
     }
-    if (piv < min_pivot_) min_pivot_ = piv;
-    if (piv > max_pivot_) max_pivot_ = piv;
   }
   return true;
 }

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -356,7 +357,10 @@ struct SolverCache {
 //
 // Diagnostics mirror num::Lu: singular() / singular_col() name the
 // unknown whose pivot search failed, min_pivot() is the smallest pivot
-// magnitude of the last successful factorization.
+// magnitude of the last successful factorization.  The pivot extremes
+// are tracked for the real factorization only (the Newton system's
+// conditioning gate reads them); the complex refactor checks its
+// pivots against the floor and nothing more.
 template <typename T>
 class SparseLu {
  public:
@@ -366,14 +370,18 @@ class SparseLu {
 
   bool singular() const { return singular_; }
   int singular_col() const { return singular_col_; }
-  double min_pivot() const { return min_pivot_; }
-  double max_pivot() const { return max_pivot_; }
+  double min_pivot() const requires std::is_same_v<T, double> {
+    return min_pivot_;
+  }
+  double max_pivot() const requires std::is_same_v<T, double> {
+    return max_pivot_;
+  }
   // Numerical-health probe over the last successful factorization: the
   // diagonal ratio max|U_ii| / min|U_ii| is a free lower bound on the
   // condition number (the true cond(A) can only be larger).  It costs
   // nothing beyond two running extremes -- cheap enough to gate the
   // residual check in RealSystem::solve on every solve.
-  double condition_estimate() const {
+  double condition_estimate() const requires std::is_same_v<T, double> {
     return min_pivot_ > 0.0 ? max_pivot_ / min_pivot_ : 0.0;
   }
   std::size_t size() const { return static_cast<std::size_t>(n_); }
