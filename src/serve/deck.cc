@@ -169,11 +169,18 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       ckt::lint(nl, lint_opt, {an::range_lint_pass(&range)});
   publish.lint_clean =
       issues.empty() && cli.lint_disable.empty() && !nl.devices().empty();
-  // A clean run of every registered pass is the verdict preflight would
-  // reach: record it, so the solves below skip their own lint.  The
-  // warm value-only subset leaves the adopted verdict in place.
-  if (publish.lint_clean && !lint_opt.value_dependent_only)
-    an::record_clean_verdict(nl);
+  // A clean run of every registered pass is the verdict the first
+  // preflight on `nl` reaches, as long as that preflight sees the deck's
+  // own values.  The first solve records it (use_lint_verdict), so the
+  // job's preflights skip their lint.  A .dc sweep solves at its first
+  // swept value instead, so it drops the pending verdict.  The warm
+  // value-only subset leaves the adopted verdict in place.
+  bool lint_verdict_pending =
+      publish.lint_clean && !lint_opt.value_dependent_only;
+  auto use_lint_verdict = [&] {
+    if (lint_verdict_pending) an::record_clean_verdict(nl);
+    lint_verdict_pending = false;
+  };
   if (cli.range_json) {
     // Machine-readable value-range report: interval node bounds,
     // supply hull, headroom, dead devices, conditioning forecast.
@@ -217,7 +224,10 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
   // .op drop it: they move source values or device state.
   an::OpResult held_op;
   auto operating_point = [&]() -> const an::OpResult& {
-    if (!held_op.converged) held_op = an::solve_op(nl, op_opt);
+    if (!held_op.converged) {
+      use_lint_verdict();
+      held_op = an::solve_op(nl, op_opt);
+    }
     if (!held_op.converged)
       err.fmt("operating point failed: %s\n",
               held_op.diag.message().c_str());
@@ -305,6 +315,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (std::abs(stop - start) / std::abs(step) >= kMaxSweepPoints)
         throw std::runtime_error(".dc sweep exceeds 1e6 points");
       print_probe_header(out, nl, "v_sweep", probes);
+      lint_verdict_pending = false;
       std::vector<double> values;
       for (double v = start; v <= stop + 0.5 * step; v += step)
         values.push_back(v);
@@ -366,6 +377,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         po.tran.dt = t.dt;
         po.tran.temp_k = temp_k;
         po.budget = budget_p;
+        use_lint_verdict();
         const auto r = an::run_pss_shooting(nl, po);
         if (cli.telemetry) err.puts(r.telemetry.summary());
         if (cli.tran_stats) out.fmt("%s\n", r.telemetry.json().c_str());
@@ -411,6 +423,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
                 et.cohort_splits, et.cohort_rejoins, et.samples_per_sec);
         res = std::move(er.results[0]);
       } else {
+        use_lint_verdict();
         res = an::run_transient(nl, t);
       }
       if (cli.telemetry) err.puts(res.telemetry.summary());

@@ -508,6 +508,29 @@ TEST(ServeDeck, VerdictRecordedOnlyForACleanFullLint) {
   EXPECT_EQ(an::preflight_full_runs(), runs + 1);
 }
 
+TEST(ServeDeck, DcSweepAsFirstSolveIsLintedAtItsPoints) {
+  // The deck lints clean at vb = 1 V, but the sweep, the job's first
+  // solve, drives nb above the 2.6 V supply.  The deck lint's verdict
+  // does not stand in for the preflights of the swept points: each one
+  // is refused, as when no deck lint ran before it.
+  constexpr const char* kRailSweep =
+      "* sweep into a rail violation\n"
+      "vdd vdd 0 dc 2.6\n"
+      "vb nb 0 dc 1.0\n"
+      "r1 vdd a 10k\n"
+      "r2 a 0 10k\n"
+      "r3 nb a 100k\n"
+      ".dc vb 3.0 3.4 0.2\n"
+      ".end\n";
+  const DeckResult r = run_no_memo(kRailSweep, nullptr);
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  for (const char* v : {"3", "3.2", "3.4"})
+    EXPECT_NE(r.err.find(std::string("sweep point ") + v +
+                         " failed: bad_topology [stage lint]"),
+              std::string::npos)
+        << r.err;
+}
+
 TEST(ServeDeck, NoiseRejectsUnknownNodeOrSource) {
   auto noise_deck = [](const char* noise) {
     return std::string(
