@@ -138,10 +138,11 @@ void SparseLu<T>::factor(const SparseMatrix<T>& a) {
 // pivoted.  Column counts follow the eliminations incrementally, and
 // only the pivot row's columns -- the only ones whose entries change --
 // get their maxima recomputed, when the search next reads them.  The
-// rows to eliminate come from per-column row lists.  The elimination keeps every structural entry
-// (a value that cancels to zero stays in the row), so the structure it
-// leaves behind IS the boolean closure for the chosen (P, Q): L and U
-// patterns are recorded directly as the elimination runs.
+// rows to eliminate come from per-column row lists.  The elimination
+// keeps every structural entry (a value that cancels to zero stays in
+// the row), so the structure it leaves behind IS the boolean closure for
+// the chosen (P, Q): L and U patterns are recorded directly as the
+// elimination runs.
 template <typename T>
 bool SparseLu<T>::analyze(const SparseMatrix<T>& a) {
   n_ = a.rows();

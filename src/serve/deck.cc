@@ -169,18 +169,6 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       ckt::lint(nl, lint_opt, {an::range_lint_pass(&range)});
   publish.lint_clean =
       issues.empty() && cli.lint_disable.empty() && !nl.devices().empty();
-  // A clean run of every registered pass is the verdict the first
-  // preflight on `nl` reaches, as long as that preflight sees the deck's
-  // own values.  The first solve records it (use_lint_verdict), so the
-  // job's preflights skip their lint.  A .dc sweep solves at its first
-  // swept value instead, so it drops the pending verdict.  The warm
-  // value-only subset leaves the adopted verdict in place.
-  bool lint_verdict_pending =
-      publish.lint_clean && !lint_opt.value_dependent_only;
-  auto use_lint_verdict = [&] {
-    if (lint_verdict_pending) an::record_clean_verdict(nl);
-    lint_verdict_pending = false;
-  };
   if (cli.range_json) {
     // Machine-readable value-range report: interval node bounds,
     // supply hull, headroom, dead devices, conditioning forecast.
@@ -213,6 +201,19 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
                                   ? cli.budget
                                   : (cli.budget_ms > 0.0 ? &local_budget
                                                          : nullptr);
+
+  // A clean run of every registered pass is the verdict the first
+  // preflight on `nl` reaches, as long as that preflight sees the deck's
+  // own values.  The first solve records it (use_lint_verdict), so the
+  // job's preflights skip their lint.  A .dc sweep solves at its first
+  // swept value instead, so it drops the pending verdict.  The warm
+  // value-only subset leaves the adopted verdict in place.
+  bool lint_verdict_pending =
+      publish.lint_clean && !lint_opt.value_dependent_only;
+  auto use_lint_verdict = [&] {
+    if (lint_verdict_pending) an::record_clean_verdict(nl);
+    lint_verdict_pending = false;
+  };
 
   an::OpOptions op_opt;
   op_opt.temp_k = temp_k;

@@ -465,10 +465,10 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
 }
 
 TEST(ServeDeck, ColdJobLintsAndSolvesOnce) {
-  // A clean cold .op + .ac job: run_deck's own full lint records the
-  // structural verdict, so no preflight inside the job re-runs the
-  // passes, and the .ac reuses the .op's operating point, so the job
-  // factors once per Newton iteration and once per AC point.
+  // A clean cold .op + .ac job: run_deck's own full lint stands in for
+  // the preflights inside the job, so none re-runs the passes, and the
+  // .ac reuses the .op's operating point, so the job factors once per
+  // Newton iteration and once per AC point.
   const std::string deck = mic_deck(2, ".op\n.ac dec 10 10 1e6\n");
   auto parsed = spice::parse_netlist(deck);
   an::OpOptions oo;
