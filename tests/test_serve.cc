@@ -395,9 +395,27 @@ std::string mic_deck(int code, const std::string& directives) {
   return deck;
 }
 
+// The ensemble summary's samples/s figure is wall-clock dependent:
+// blank it, keep the rest of the line.
+std::string strip_rate(std::string s) {
+  const std::size_t end = s.find(" samples/s\n");
+  if (end == std::string::npos) return s;
+  const std::size_t start = s.rfind(", ", end) + 2;
+  return s.replace(start, end - start, "#");
+}
+
+// mic_deck with its inputs driven by a +-1 mV differential 1 kHz tone.
+std::string mic_sine_deck(int code, const std::string& directives) {
+  std::string deck = mic_deck(code, directives);
+  for (const auto& [card, tone] : {std::pair{"v_Vinp ", " sin(0 1m 1k)"},
+                                   std::pair{"v_Vinn ", " sin(0 -1m 1k)"}})
+    deck.insert(deck.find('\n', deck.find(card)), tone);
+  return deck;
+}
+
 std::string describe_job(const DeckResult& r) {
   return "exit " + std::to_string(r.exit_code) + "\n--- out\n" +
-         strip_timing(r.out) + "--- err\n" + r.err;
+         strip_timing(r.out) + "--- err\n" + strip_rate(r.err);
 }
 
 TEST(ServeDeck, JobBytesMatchGoldens) {
@@ -406,7 +424,12 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
   // every directive's CSV, cold and warm.
   struct Deck {
     std::string name, text;
-    std::string probes = {};  // --probe list; empty = the default eight
+    DeckOptions opt = {};  // --probe list empty = the default eight
+  };
+  const auto with = [](auto set) {
+    DeckOptions o;
+    set(o);
+    return o;
   };
   std::vector<Deck> decks;
   const std::filesystem::path root(MSIM_TEST_DIR);
@@ -436,7 +459,9 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
   // noise spectrum at a third.
   decks.push_back({"mic_ac", mic_deck(3, ".ac dec 10 10 1e6\n")});
   decks.push_back({"mic_ac_outputs", mic_deck(0, ".ac dec 10 10 1e6\n"),
-                   "mic.outp,mic.outn"});
+                   with([](DeckOptions& o) {
+                     o.probe_arg = "mic.outp,mic.outn";
+                   })});
   decks.push_back(
       {"mic_noise", mic_deck(5, ".noise mic.outp v_vinp dec 10 10 1e6\n")});
   // Multi-directive jobs: an .ac or .noise after the .op it follows,
@@ -451,10 +476,51 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
   decks.push_back(
       {"mic_op_dc_ac",
        mic_deck(3, ".op\n.dc v_vdd 1.0 1.6 0.3\n.ac dec 10 10 1e6\n")});
-  for (const auto& [name, deck, probes] : decks) {
-    DeckOptions opt;
+  // Transient rows: the RC step, and the mic amp on a 1 kHz tone, as a
+  // plain transient, as a 4-lane lockstep ensemble, and as a shooting
+  // PSS.
+  decks.push_back({"rc_tran", kTranDeck});
+  decks.push_back(
+      {"rc_tran_ensemble", kTranDeck,
+       with([](DeckOptions& o) { o.ensemble = 4; })});
+  decks.push_back({"mic_tran_sine", mic_sine_deck(2, ".tran 20u 1m\n"),
+                   with([](DeckOptions& o) {
+                     o.probe_arg = "inp,inn,mic.outp,mic.outn";
+                   })});
+  decks.push_back({"mic_pss_sine", mic_sine_deck(2, ".tran 20u 1m\n"),
+                   with([](DeckOptions& o) {
+                     o.probe_arg = "inp,inn,mic.outp,mic.outn";
+                     o.pss = true;
+                   })});
+  // The Monte-Carlo summary, the value-range JSON and the lint JSON.
+  decks.push_back({"divider_mc", kOpDeck, with([](DeckOptions& o) {
+                     o.mc = 8;
+                     o.mc_seed = 7;
+                     o.probe_arg = "out";
+                   })});
+  decks.push_back({"mic_range_json", mic_deck(2, ".op\n"),
+                   with([](DeckOptions& o) { o.range_json = true; })});
+  // Row magnitudes 1e4 S against 1e-9 S: the conditioning warning.
+  const std::string ill_conditioned =
+      "* ill-conditioned\nv1 a 0 dc 1\nr1 a b 0.1m\nr2 b c 1e9\n"
+      "r3 c 0 1e9\n.op\n.end\n";
+  decks.push_back({"ill_conditioned_lint_json", ill_conditioned,
+                   with([](DeckOptions& o) { o.lint_json = true; })});
+  decks.push_back({"ill_conditioned_range_json", ill_conditioned,
+                   with([](DeckOptions& o) { o.range_json = true; })});
+  for (const char* fault : {"dead_device", "rail_violation"}) {
+    std::ifstream in(root / "faults" / (std::string(fault) + ".sp"));
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    decks.push_back({std::string("faults_") + fault + "_range_json",
+                     ss.str(),
+                     with([](DeckOptions& o) { o.range_json = true; })});
+    decks.push_back({std::string("faults_") + fault + "_lint_json",
+                     ss.str(),
+                     with([](DeckOptions& o) { o.lint_json = true; })});
+  }
+  for (auto& [name, deck, opt] : decks) {
     opt.telemetry = false;
-    opt.probe_arg = probes;
     const DeckResult cold = run_no_memo(deck, nullptr, opt);
     msim::golden::expect("serve/" + name + ".txt", describe_job(cold));
     CacheRegistry reg;
