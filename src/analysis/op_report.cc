@@ -1,11 +1,11 @@
 #include "analysis/op_report.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <string_view>
 #include <vector>
 
+#include "core/text_writer.h"
 #include "devices/bjt.h"
 #include "devices/mosfet.h"
 #include "devices/sources.h"
@@ -13,23 +13,13 @@
 namespace msim::an {
 namespace {
 
-// The report appends straight into one string.  Numbers go through
-// std::to_chars, whose (general, 3) and (fixed, 3) forms are defined as
-// printf's "%.3g" and "%.3f".
-class Report {
+// The report appends straight into one string through the shared text
+// writer; its numbers are printf's "%.3g" (num(v, 3)) and "%.3f"
+// (fixed(v, 3)).  The table helpers below sit on top of it.
+class Report : public core::BasicTextWriter<Report> {
  public:
   Report() { s_.reserve(4096); }
 
-  Report& add(std::string_view t) {
-    s_ += t;
-    return *this;
-  }
-  // %.3g (general) or %.3f (fixed).
-  Report& num(double v, std::chars_format f = std::chars_format::general) {
-    char buf[64];
-    s_.append(buf, std::to_chars(buf, buf + sizeof buf, v, f, 3).ptr);
-    return *this;
-  }
   // Engineering notation: "4.7 kV", "-12 uA"; below a femto the plain
   // %.3g value.
   Report& eng(double v, std::string_view unit) {
@@ -43,8 +33,8 @@ class Report {
     if (a == 0.0) return add("0 ").add(unit);
     for (const auto& s : kScales)
       if (a >= s.scale)
-        return num(v / s.scale).add(" ").add(s.prefix).add(unit);
-    return num(v).add(" ").add(unit);
+        return num(v / s.scale, 3).add(' ').add(s.prefix).add(unit);
+    return num(v, 3).add(' ').add(unit);
   }
 
   // Table lines: line() starts an indented line; col() left-justifies
@@ -70,10 +60,7 @@ class Report {
     if (s_.size() - line_ > 159) s_.resize(line_ + 159);
   }
 
-  std::string take() { return std::move(s_); }
-
  private:
-  std::string s_;
   std::size_t line_ = 0, col_ = 0;
 };
 
@@ -101,22 +88,22 @@ std::string op_report(const ckt::Netlist& nl, const OpResult& op,
   }
   const FactorStats& st = op.solver_stats;
   os.add("solved by ").add(op.method.empty() ? "newton" : op.method)
-      .add(" homotopy in ").add(std::to_string(op.iterations))
+      .add(" homotopy in ").integer(op.iterations)
       .add(" iterations\n");
   if (st.factor_count > 0)
-    os.add("factorizations: ").add(std::to_string(st.factor_count))
-        .add(" (reused ").add(std::to_string(st.reuse_count)).add(")\n");
+    os.add("factorizations: ").integer(st.factor_count)
+        .add(" (reused ").integer(st.reuse_count).add(")\n");
   if (st.refine_count > 0) {
     const auto it = st.refactor_reasons.find("iterative_refinement");
-    os.add("iterative refinement: ").add(std::to_string(st.refine_count))
+    os.add("iterative refinement: ").integer(st.refine_count)
         .add(" rounds (forced refactors: ")
-        .add(std::to_string(it == st.refactor_reasons.end() ? 0 : it->second))
+        .integer(it == st.refactor_reasons.end() ? 0 : it->second)
         .add(")\n");
   }
   if (st.stamp_ns + st.factor_ns + st.solve_ns > 0)
-    os.add("solver time: stamp ").num(st.stamp_ns / 1e6).add(" ms, factor ")
-        .num(st.factor_ns / 1e6).add(" ms, solve ").num(st.solve_ns / 1e6)
-        .add(" ms\n");
+    os.add("solver time: stamp ").num(st.stamp_ns / 1e6, 3)
+        .add(" ms, factor ").num(st.factor_ns / 1e6, 3).add(" ms, solve ")
+        .num(st.solve_ns / 1e6, 3).add(" ms\n");
 
   os.add("node voltages:\n");
   for (int n = 1; n < nl.node_count(); ++n)
@@ -129,7 +116,7 @@ std::string op_report(const ckt::Netlist& nl, const OpResult& op,
       const auto& o = m->op();
       os.line().add(m->name()).col(20).eng(o.id, "A").col(10)
           .eng(o.gm, "S").col(10).eng(o.gds, "S").col(10)
-          .num(o.veff, std::chars_format::fixed).col(8)
+          .fixed(o.veff, 3).col(8)
           .add(o.saturated ? (o.reversed ? "sat(rev)" : "sat") : "triode")
           .end();
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -15,6 +14,7 @@
 #include "circuit/lint.h"
 #include "circuit/range.h"
 #include "core/json_escape.h"
+#include "core/text_writer.h"
 
 namespace msim::an {
 namespace {
@@ -82,15 +82,19 @@ void apply_hull(const HullGraph& g, ckt::RangeContext& ctx) {
   }
 }
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-// JSON has no inf or nan: non-finite numbers are written as null, as
-// serve::Json::dump does.  The text report keeps fmt's inf/nan.
-std::string json_num(double v) { return std::isfinite(v) ? fmt(v) : "null"; }
+// range_json's writer: numbers as "%.6g" (JSON has no inf or nan, so
+// non-finite ones are written as null, as serve::Json::dump does; the
+// text report keeps inf/nan) and strings quoted and escaped.
+class JsonText : public core::BasicTextWriter<JsonText> {
+ public:
+  JsonText& jnum(double v) { return std::isfinite(v) ? num(v) : add("null"); }
+  JsonText& quoted(std::string_view t) {
+    s_ += '"';
+    core::append_json_escaped(s_, t);
+    s_ += '"';
+    return *this;
+  }
+};
 
 }  // namespace
 
@@ -161,14 +165,16 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
       v.node = nl.node_name(node);
       v.bound = iv;
       v.device = device_touching_unknown(nl, node - 1);
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "node '%s' is provably confined to [%.4g, %.4g] V, "
-                    "entirely %s the supply range [%.4g, %.4g] V",
-                    v.node.c_str(), iv.lo, iv.hi, above ? "above" : "below",
-                    rep.supply_hull.lo - opt.rail_margin,
-                    rep.supply_hull.hi + opt.rail_margin);
-      v.message = buf;
+      v.message = core::TextWriter()
+                      .add("node '").add(v.node)
+                      .add("' is provably confined to [").num(iv.lo, 4)
+                      .add(", ").num(iv.hi, 4).add("] V, entirely ")
+                      .add(above ? "above" : "below")
+                      .add(" the supply range [")
+                      .num(rep.supply_hull.lo - opt.rail_margin, 4).add(", ")
+                      .num(rep.supply_hull.hi + opt.rail_margin, 4)
+                      .add("] V")
+                      .take();
       rep.rail_violations.push_back(std::move(v));
     }
     for (int node = 1; node <= node_rows; ++node) {
@@ -264,98 +270,89 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
 }
 
 std::string range_json(const RangeReport& r) {
-  using core::json_escape;
-  std::string out = "{\"unknowns\":" + std::to_string(r.unknowns) +
-                    ",\"sweeps\":" + std::to_string(r.sweeps) +
-                    ",\"converged\":" + (r.converged ? "true" : "false");
-  out += ",\"supply\":{\"bounded\":";
-  out += r.supply_bounded ? "true" : "false";
-  out += ",\"lo\":" + json_num(r.supply_hull.lo) +
-         ",\"hi\":" + json_num(r.supply_hull.hi) + ",\"nodes\":[";
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
+  JsonText out;
+  out.add("{\"unknowns\":").integer(r.unknowns).add(",\"sweeps\":")
+      .integer(r.sweeps).add(",\"converged\":").add(flag(r.converged))
+      .add(",\"supply\":{\"bounded\":").add(flag(r.supply_bounded))
+      .add(",\"lo\":").jnum(r.supply_hull.lo).add(",\"hi\":")
+      .jnum(r.supply_hull.hi).add(",\"nodes\":[");
   for (std::size_t i = 0; i < r.supply_names.size(); ++i) {
-    if (i) out += ',';
-    out += '"' + json_escape(r.supply_names[i]) + '"';
+    if (i) out.add(',');
+    out.quoted(r.supply_names[i]);
   }
-  out += "]}";
-  out += ",\"headroom\":[";
+  out.add("]},\"headroom\":[");
   for (std::size_t i = 0; i < r.headroom.size(); ++i) {
     const auto& h = r.headroom[i];
-    if (i) out += ',';
-    out += "{\"node\":\"" + json_escape(h.node) +
-           "\",\"lo\":" + json_num(h.bound.lo) +
-           ",\"hi\":" + json_num(h.bound.hi) +
-           ",\"headroom\":" + json_num(h.headroom) + "}";
+    if (i) out.add(',');
+    out.add("{\"node\":").quoted(h.node).add(",\"lo\":").jnum(h.bound.lo)
+        .add(",\"hi\":").jnum(h.bound.hi).add(",\"headroom\":")
+        .jnum(h.headroom).add('}');
   }
-  out += "]";
-  out += ",\"rail_violations\":[";
+  out.add("],\"rail_violations\":[");
   for (std::size_t i = 0; i < r.rail_violations.size(); ++i) {
     const auto& v = r.rail_violations[i];
-    if (i) out += ',';
-    out += "{\"node\":\"" + json_escape(v.node) +
-           "\",\"lo\":" + json_num(v.bound.lo) +
-           ",\"hi\":" + json_num(v.bound.hi) +
-           ",\"device\":\"" + json_escape(v.device) + "\",\"message\":\"" +
-           json_escape(v.message) + "\"}";
+    if (i) out.add(',');
+    out.add("{\"node\":").quoted(v.node).add(",\"lo\":").jnum(v.bound.lo)
+        .add(",\"hi\":").jnum(v.bound.hi).add(",\"device\":")
+        .quoted(v.device).add(",\"message\":").quoted(v.message).add('}');
   }
-  out += "]";
-  out += ",\"dead_devices\":[";
+  out.add("],\"dead_devices\":[");
   for (std::size_t i = 0; i < r.dead_devices.size(); ++i) {
     const auto& d = r.dead_devices[i];
-    if (i) out += ',';
-    out += "{\"device\":\"" + json_escape(d.device) + "\",\"type\":\"" +
-           json_escape(d.type) + "\",\"reason\":\"" + json_escape(d.reason) +
-           "\",\"line\":" + std::to_string(d.line) + "}";
+    if (i) out.add(',');
+    out.add("{\"device\":").quoted(d.device).add(",\"type\":")
+        .quoted(d.type).add(",\"reason\":").quoted(d.reason)
+        .add(",\"line\":").integer(d.line).add('}');
   }
-  out += "]";
-  out += ",\"currents\":[";
+  out.add("],\"currents\":[");
   std::size_t emitted = 0;
   for (const auto& c : r.currents) {
     if (!c.amps.bounded()) continue;
-    if (emitted++) out += ',';
-    out += "{\"device\":\"" + json_escape(c.device) +
-           "\",\"lo\":" + json_num(c.amps.lo) +
-           ",\"hi\":" + json_num(c.amps.hi) + "}";
+    if (emitted++) out.add(',');
+    out.add("{\"device\":").quoted(c.device).add(",\"lo\":").jnum(c.amps.lo)
+        .add(",\"hi\":").jnum(c.amps.hi).add('}');
   }
-  out += "]";
-  out += ",\"conditioning\":{\"available\":";
-  out += r.cond_available ? "true" : "false";
-  out += ",\"forecast\":" + json_num(r.cond_forecast) + "}}";
-  return out;
+  out.add("],\"conditioning\":{\"available\":").add(flag(r.cond_available))
+      .add(",\"forecast\":").jnum(r.cond_forecast).add("}}");
+  return out.take();
 }
 
 std::string range_text(const RangeReport& r) {
-  std::string out = "value-range: " + std::to_string(r.unknowns) +
-                    " unknowns, " + std::to_string(r.sweeps) + " sweeps" +
-                    (r.converged ? "" : " (sweep cap)") + "\n";
+  core::TextWriter out;
+  out.add("value-range: ").integer(r.unknowns).add(" unknowns, ")
+      .integer(r.sweeps).add(" sweeps")
+      .add(r.converged ? "" : " (sweep cap)").add('\n');
   if (r.supply_bounded) {
-    out += "  supply hull [" + fmt(r.supply_hull.lo) + ", " +
-           fmt(r.supply_hull.hi) + "] V";
+    out.add("  supply hull [").num(r.supply_hull.lo).add(", ")
+        .num(r.supply_hull.hi).add("] V");
     if (!r.supply_names.empty()) {
-      out += " (";
+      out.add(" (");
       for (std::size_t i = 0; i < r.supply_names.size(); ++i) {
-        if (i) out += ", ";
-        out += r.supply_names[i];
+        if (i) out.add(", ");
+        out.add(r.supply_names[i]);
       }
-      out += ")";
+      out.add(')');
     }
-    out += "\n";
+    out.add('\n');
     const std::size_t show = std::min<std::size_t>(r.headroom.size(), 4);
     for (std::size_t i = 0; i < show; ++i) {
       const auto& h = r.headroom[i];
-      out += "  headroom " + fmt(h.headroom) + " V: " + h.node + " in [" +
-             fmt(h.bound.lo) + ", " + fmt(h.bound.hi) + "] V\n";
+      out.add("  headroom ").num(h.headroom).add(" V: ").add(h.node)
+          .add(" in [").num(h.bound.lo).add(", ").num(h.bound.hi)
+          .add("] V\n");
     }
   } else {
-    out += "  no bounded supply node; rail/headroom checks skipped\n";
+    out.add("  no bounded supply node; rail/headroom checks skipped\n");
   }
   for (const auto& v : r.rail_violations)
-    out += "  RAIL VIOLATION: " + v.message + "\n";
+    out.add("  RAIL VIOLATION: ").add(v.message).add('\n');
   for (const auto& d : r.dead_devices)
-    out += "  dead device '" + d.device + "' (" + d.type + "): " + d.reason +
-           "\n";
+    out.add("  dead device '").add(d.device).add("' (").add(d.type)
+        .add("): ").add(d.reason).add('\n');
   if (r.cond_available)
-    out += "  conditioning forecast " + fmt(r.cond_forecast) + "\n";
-  return out;
+    out.add("  conditioning forecast ").num(r.cond_forecast).add('\n');
+  return out.take();
 }
 
 ckt::LintPass range_lint_pass(const RangeReport* report) {
@@ -390,14 +387,16 @@ ckt::LintPass range_lint_pass(const RangeReport* report) {
                          ") is provably off: " + d.reason,
                      d.line, ""});
     if (rep.cond_available && rep.cond_forecast >= opt.cond_threshold) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "interval-scaled row magnitudes spread over %.3g "
-                    "(threshold %.3g): the MNA factorization is likely "
-                    "ill-conditioned at any feasible operating point",
-                    rep.cond_forecast, opt.cond_threshold);
-      out.push_back({ckt::LintKind::kConditioning, ckt::LintSeverity::kWarning,
-                     "", "", buf, 0, ""});
+      out.push_back(
+          {ckt::LintKind::kConditioning, ckt::LintSeverity::kWarning, "", "",
+           core::TextWriter()
+               .add("interval-scaled row magnitudes spread over ")
+               .num(rep.cond_forecast, 3).add(" (threshold ")
+               .num(opt.cond_threshold, 3)
+               .add("): the MNA factorization is likely ill-conditioned at "
+                    "any feasible operating point")
+               .take(),
+           0, ""});
     }
   };
   return pass;

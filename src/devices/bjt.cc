@@ -1,9 +1,9 @@
 #include "devices/bjt.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "circuit/range.h"
+#include "core/text_writer.h"
 #include "devices/junction.h"
 #include "numeric/units.h"
 
@@ -274,12 +274,11 @@ void Bjt::range_eval(ckt::RangeContext& ctx) const {
   const num::Interval vbe_c = num::scale(ctx.v(b) - ctx.v(e), sign);
   const num::Interval vbc_c = num::scale(ctx.v(b) - ctx.v(c), sign);
   if (vbe_c.hi < 0.0 && vbc_c.hi < 0.0) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "both junctions reverse-biased: V_BE <= %.4g V, "
-                  "V_BC <= %.4g V",
-                  vbe_c.hi, vbc_c.hi);
-    ctx.note_dead(this, buf);
+    ctx.note_dead(this, core::TextWriter()
+                            .add("both junctions reverse-biased: V_BE <= ")
+                            .num(vbe_c.hi, 4).add(" V, V_BC <= ")
+                            .num(vbc_c.hi, 4).add(" V")
+                            .take());
   }
   // The Early-effect clamp q_early = max(1 - vbc/vaf, 0.1) breaks
   // coordinate-wise monotonicity over wide vbc boxes, so collector-

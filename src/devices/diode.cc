@@ -1,9 +1,9 @@
 #include "devices/diode.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "circuit/range.h"
+#include "core/text_writer.h"
 #include "devices/junction.h"
 #include "numeric/units.h"
 
@@ -136,10 +136,10 @@ void Diode::range_eval(ckt::RangeContext& ctx) const {
   if (!ctx.verdict_pass()) return;
   const num::Interval v = ctx.v(nodes_[0]) - ctx.v(nodes_[1]);
   if (v.hi < 0.0) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "junction never forward-biased: V_AK <= %.4g V", v.hi);
-    ctx.note_dead(this, buf);
+    ctx.note_dead(this, core::TextWriter()
+                            .add("junction never forward-biased: V_AK <= ")
+                            .num(v.hi, 4).add(" V")
+                            .take());
   }
   if (v.bounded()) {
     // I(V) is monotone increasing, so the endpoints bound the current

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "circuit/range.h"
+#include "core/text_writer.h"
 #include "devices/junction.h"
 #include "numeric/units.h"
 
@@ -347,12 +347,12 @@ void Mosfet::range_eval(ckt::RangeContext& ctx) const {
   const double guard = 6.0 * p_.n_sub * num::thermal_voltage(ctx.temp_k);
   const double vgs_best = std::max(vgs_c.hi, vgd_c.hi);
   if (std::isfinite(vgs_best) && vgs_best < vth_min - guard) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "channel never turns on: max V_GS <= %.4g V, "
-                  "V_TH >= %.4g V over the voltage bounds",
-                  vgs_best, vth_min);
-    ctx.note_dead(this, buf);
+    ctx.note_dead(this, core::TextWriter()
+                            .add("channel never turns on: max V_GS <= ")
+                            .num(vgs_best, 4).add(" V, V_TH >= ")
+                            .num(vth_min, 4)
+                            .add(" V over the voltage bounds")
+                            .take());
   }
 
   // Drain-current bounds by corner enumeration: the model is

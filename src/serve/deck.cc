@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -19,6 +17,7 @@
 #include "analysis/sweep.h"
 #include "analysis/transient.h"
 #include "circuit/lint.h"
+#include "core/text_writer.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "numeric/rng.h"
@@ -28,36 +27,11 @@
 namespace msim::serve {
 namespace {
 
-// printf-into-a-string sink: the directive loop below is msim_cli's
-// historical run() with std::printf replaced by out.fmt and
-// fprintf(stderr, ...) by err.fmt -- SAME format strings, so the
-// captured bytes match a one-shot CLI run exactly.
-class Sink {
- public:
-  __attribute__((format(printf, 2, 3))) void fmt(const char* f, ...) {
-    va_list ap;
-    va_start(ap, f);
-    char small[512];
-    va_list ap2;
-    va_copy(ap2, ap);
-    const int n = std::vsnprintf(small, sizeof small, f, ap);
-    if (n >= 0 && n < static_cast<int>(sizeof small)) {
-      buf_.append(small, static_cast<std::size_t>(n));
-    } else if (n > 0) {
-      std::string big(static_cast<std::size_t>(n) + 1, '\0');
-      std::vsnprintf(big.data(), big.size(), f, ap2);
-      big.resize(static_cast<std::size_t>(n));
-      buf_ += big;
-    }
-    va_end(ap2);
-    va_end(ap);
-  }
-  void puts(const std::string& s) { buf_ += s; }
-  std::string take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
+// A job's stdout and stderr: the directive loop below is msim_cli's
+// historical run(), its printf calls turned into typed appends with the
+// same bytes ("%g" and "%.6g" are num(v), "%.4g" num(v, 4), "%.1f"
+// fixed(v, 1)), so the captured bytes match a one-shot CLI run exactly.
+using Sink = core::TextWriter;
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -82,8 +56,8 @@ std::vector<ckt::NodeId> resolve_probes(ckt::Netlist& nl,
     for (const auto& name : split_csv(probe_arg)) {
       const ckt::NodeId n = nl.find_node(name);
       if (n == ckt::kInvalidNode) {
-        err.fmt("warning: probe node '%s' not in netlist; ignored\n",
-                name.c_str());
+        err.add("warning: probe node '").add(name)
+            .add("' not in netlist; ignored\n");
         continue;
       }
       probes.push_back(n);
@@ -100,15 +74,55 @@ std::vector<ckt::NodeId> resolve_probes(ckt::Netlist& nl,
 
 void print_probe_header(Sink& out, const ckt::Netlist& nl, const char* x_name,
                         const std::vector<ckt::NodeId>& probes) {
-  out.fmt("%s", x_name);
-  for (auto p : probes) out.fmt(",v(%s)", nl.node_name(p).c_str());
-  out.fmt("\n");
+  out.add(x_name);
+  for (auto p : probes) out.add(",v(").add(nl.node_name(p)).add(')');
+  out.add('\n');
+}
+
+// A .tran or --pss result: the probe header, then one row per sample.
+void print_rows(Sink& out, const ckt::Netlist& nl,
+                const std::vector<ckt::NodeId>& probes,
+                const std::vector<double>& time,
+                const std::vector<num::RealVector>& x) {
+  print_probe_header(out, nl, "time", probes);
+  for (std::size_t i = 0; i < time.size(); ++i) {
+    out.num(time[i]);
+    for (auto p : probes)
+      out.add(',').num(p == ckt::kGround ? 0.0 : x[i][p - 1]);
+    out.add('\n');
+  }
 }
 
 double arg_num(const spice::AnalysisDirective& d, std::size_t i) {
   if (i >= d.args.size())
     throw std::runtime_error("missing argument in ." + d.kind);
   return spice::parse_value(d.args[i]);
+}
+
+// The most points a .dc, .ac or .noise sweep or a .tran may ask for: a
+// tiny-but-valid step would otherwise exhaust memory before any cancel
+// or budget check runs.
+constexpr double kMaxSweepPoints = 1e6;
+
+// The frequency grid of `.ac dec N fstart fstop` (args from `i` on) or
+// the tail of a .noise card.  Checked before any cast or loop: a zero,
+// negative or non-finite frequency logs to nan, and an out-of-range
+// points-per-decade overflows the int the grid is counted in.
+std::vector<double> dec_grid(const spice::AnalysisDirective& d,
+                             std::size_t i) {
+  if (i >= d.args.size() || d.args[i] != "dec")
+    throw std::runtime_error("." + d.kind + " supports dec sweeps only");
+  const double ppd = arg_num(d, i + 1), f1 = arg_num(d, i + 2),
+               f2 = arg_num(d, i + 3);
+  if (!(ppd >= 1.0 && ppd <= kMaxSweepPoints && ppd == std::floor(ppd)) ||
+      !std::isfinite(f2) || !(f1 > 0.0 && f1 <= f2))
+    throw std::runtime_error(
+        "." + d.kind +
+        " needs a positive integer points per decade and finite "
+        "0 < fstart <= fstop");
+  if (std::log10(f2 / f1) * ppd > kMaxSweepPoints)
+    throw std::runtime_error("." + d.kind + " sweep exceeds 1e6 points");
+  return an::log_frequencies(f1, f2, static_cast<int>(ppd));
 }
 
 // Publishes the netlist's solver structure back to the registry when
@@ -172,24 +186,24 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
   if (cli.range_json) {
     // Machine-readable value-range report: interval node bounds,
     // supply hull, headroom, dead devices, conditioning forecast.
-    out.fmt("%s\n", an::range_json(range).c_str());
+    out.add(an::range_json(range)).add('\n');
     return ckt::lint_has_errors(issues) ? 3 : 0;
   }
   if (cli.lint_json) {
-    out.fmt("%s\n", ckt::lint_json(issues).c_str());
+    out.add(ckt::lint_json(issues)).add('\n');
     if (ckt::lint_has_errors(issues)) return 3;
     return issues.empty() ? 0 : (cli.lint_strict ? 3 : 1);
   }
-  if (!issues.empty()) err.puts(ckt::lint_report(issues));
+  if (!issues.empty()) err.add(ckt::lint_report(issues));
   if (ckt::lint_has_errors(issues) ||
       (cli.lint_strict && !issues.empty())) {
-    err.fmt("netlist lint failed; not simulating\n");
+    err.add("netlist lint failed; not simulating\n");
     return 3;
   }
   if (cli.lint_only) return issues.empty() ? 0 : 1;
 
   if (parsed.directives.empty()) {
-    err.fmt("no analysis directives; running .op\n");
+    err.add("no analysis directives; running .op\n");
     parsed.directives.push_back({"op", {}});
   }
 
@@ -230,15 +244,15 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       held_op = an::solve_op(nl, op_opt);
     }
     if (!held_op.converged)
-      err.fmt("operating point failed: %s\n",
-              held_op.diag.message().c_str());
+      err.add("operating point failed: ").add(held_op.diag.message())
+          .add('\n');
     return held_op;
   };
 
   for (const auto& d : parsed.directives) {
-    out.fmt("* .%s", d.kind.c_str());
-    for (const auto& a : d.args) out.fmt(" %s", a.c_str());
-    out.fmt("  (T = %.1f C)\n", parsed.temp_c);
+    out.add("* .").add(d.kind);
+    for (const auto& a : d.args) out.add(' ').add(a);
+    out.add("  (T = ").fixed(parsed.temp_c, 1).add(" C)\n");
     if (d.kind == "dc" || d.kind == "tran" || (d.kind == "op" && cli.mc > 1))
       held_op = an::OpResult{};
 
@@ -249,7 +263,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       // structure, later samples adopt it -- the monte_carlo_shared
       // idiom, so statistics are bit-identical at any thread count.
       if (probes.empty()) {
-        err.fmt("mc: no probe nodes\n");
+        err.add("mc: no probe nodes\n");
         return 1;
       }
       num::Rng rng(cli.mc_seed);
@@ -280,20 +294,21 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
             return an::McTrial::of(op.v(probes[0]));
           },
           mo);
-      out.fmt("mc,%d samples,%d failures\n", cli.mc, stats.failures);
-      out.fmt("probe,mean,stddev,min,max\n");
-      out.fmt("v(%s),%.6g,%.6g,%.6g,%.6g\n",
-              nl.node_name(probes[0]).c_str(), stats.mean(), stats.stddev(),
-              stats.min(), stats.max());
+      out.add("mc,").integer(cli.mc).add(" samples,")
+          .integer(stats.failures).add(" failures\n")
+          .add("probe,mean,stddev,min,max\n")
+          .add("v(").add(nl.node_name(probes[0])).add("),").num(stats.mean())
+          .add(',').num(stats.stddev()).add(',').num(stats.min()).add(',')
+          .num(stats.max()).add('\n');
       if (budget_p && budget_p->exhausted()) {
-        err.fmt("mc truncated: %d of %d samples solved\n",
-                static_cast<int>(stats.samples.size()), cli.mc);
+        err.add("mc truncated: ").integer(stats.samples.size()).add(" of ")
+            .integer(cli.mc).add(" samples solved\n");
         return 4;
       }
     } else if (d.kind == "op") {
       const auto& op = operating_point();
       if (!op.converged) return 1;
-      out.puts(an::op_report(nl, op, range));
+      out.add(an::op_report(nl, op, range));
     } else if (d.kind == "dc") {
       if (d.args.empty())
         throw std::runtime_error(".dc needs a source name");
@@ -312,7 +327,6 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
           (stop - start) * step < 0.0)
         throw std::runtime_error(
             ".dc needs a finite, nonzero step from start toward stop");
-      constexpr double kMaxSweepPoints = 1e6;
       if (std::abs(stop - start) / std::abs(step) >= kMaxSweepPoints)
         throw std::runtime_error(".dc sweep exceeds 1e6 points");
       print_probe_header(out, nl, "v_sweep", probes);
@@ -327,48 +341,55 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       range = an::range_analysis(nl, {});
       for (const auto& pt : sweep) {
         if (!pt.op.converged) {
-          err.fmt("sweep point %g failed: %s\n", pt.value,
-                  pt.op.diag.message().c_str());
+          err.add("sweep point ").num(pt.value).add(" failed: ")
+              .add(pt.op.diag.message()).add('\n');
           continue;
         }
-        out.fmt("%g", pt.value);
-        for (auto p : probes) out.fmt(",%.6g", pt.op.v(p));
-        out.fmt("\n");
+        out.num(pt.value);
+        for (auto p : probes) out.add(',').num(pt.op.v(p));
+        out.add('\n');
       }
     } else if (d.kind == "ac") {
       // .ac dec N fstart fstop
-      const int ppd = static_cast<int>(arg_num(d, 1));
-      const double f1 = arg_num(d, 2), f2 = arg_num(d, 3);
+      const auto freqs = dec_grid(d, 0);
       if (!operating_point().converged) return 1;
-      const auto freqs = an::log_frequencies(f1, f2, ppd);
       an::AcOptions aopt;
       aopt.budget = budget_p;
       const auto ac = an::run_ac_diag(nl, freqs, aopt);
       if (!ac.ok() && !ac.truncated) {
-        err.fmt("ac analysis failed: %s\n", ac.diag.message().c_str());
+        err.add("ac analysis failed: ").add(ac.diag.message()).add('\n');
         return 1;
       }
-      out.fmt("freq");
+      out.add("freq");
       for (auto p : probes)
-        out.fmt(",mag(%s),phase_deg(%s)", nl.node_name(p).c_str(),
-                nl.node_name(p).c_str());
-      out.fmt("\n");
+        out.add(",mag(").add(nl.node_name(p)).add("),phase_deg(")
+            .add(nl.node_name(p)).add(')');
+      out.add('\n');
       for (std::size_t i = 0; i < ac.solutions.size(); ++i) {
-        out.fmt("%g", freqs[i]);
+        out.num(freqs[i]);
         for (auto p : probes) {
           const auto v = ac.v(i, p);
-          out.fmt(",%.6g,%.4g", std::abs(v), std::arg(v) * 180.0 / M_PI);
+          out.add(',').num(std::abs(v)).add(',')
+              .num(std::arg(v) * 180.0 / M_PI, 4);
         }
-        out.fmt("\n");
+        out.add('\n');
       }
       if (ac.truncated) {
-        err.fmt("ac grid truncated: %s\n", ac.diag.message().c_str());
+        err.add("ac grid truncated: ").add(ac.diag.message()).add('\n');
         return 4;
       }
     } else if (d.kind == "tran") {
       an::TranOptions t;
       t.dt = arg_num(d, 0);
       t.t_stop = arg_num(d, 1);
+      // A zero or negative step never reaches t_stop (the sample
+      // vectors grow until the process dies); a non-finite or
+      // non-positive stop yields a bare header.
+      if (!(t.dt > 0.0 && std::isfinite(t.dt)) ||
+          !(t.t_stop > 0.0 && std::isfinite(t.t_stop)))
+        throw std::runtime_error(".tran needs finite step > 0 and stop > 0");
+      if (t.t_stop / t.dt > kMaxSweepPoints)
+        throw std::runtime_error(".tran exceeds 1e6 steps");
       t.temp_k = temp_k;
       t.budget = budget_p;
       if (cli.pss) {
@@ -380,21 +401,15 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         po.budget = budget_p;
         use_lint_verdict();
         const auto r = an::run_pss_shooting(nl, po);
-        if (cli.telemetry) err.puts(r.telemetry.summary());
-        if (cli.tran_stats) out.fmt("%s\n", r.telemetry.json().c_str());
+        if (cli.telemetry) err.add(r.telemetry.summary());
+        if (cli.tran_stats) out.add(r.telemetry.json()).add('\n');
         if (!r.ok && !r.truncated) {
-          err.fmt("pss failed: %s\n", r.diag.message().c_str());
+          err.add("pss failed: ").add(r.diag.message()).add('\n');
           return 1;
         }
-        print_probe_header(out, nl, "time", probes);
-        for (std::size_t i = 0; i < r.time.size(); ++i) {
-          out.fmt("%g", r.time[i]);
-          for (auto p : probes)
-            out.fmt(",%.6g", p == ckt::kGround ? 0.0 : r.x[i][p - 1]);
-          out.fmt("\n");
-        }
+        print_rows(out, nl, probes, r.time, r.x);
         if (r.truncated) {
-          err.fmt("pss truncated: %s\n", r.diag.message().c_str());
+          err.add("pss truncated: ").add(r.diag.message()).add('\n');
           return 4;
         }
         continue;
@@ -418,31 +433,26 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
             et.used_ensemble
                 ? "lockstep"
                 : "per-sample (" + et.fallback_reason + ")";
-        err.fmt("ensemble: %zu lanes, %d blocks (width %d), %s, "
-                "%ld splits, %ld rejoins, %.1f samples/s\n",
-                et.samples, et.blocks, et.lane_width, mode.c_str(),
-                et.cohort_splits, et.cohort_rejoins, et.samples_per_sec);
+        err.add("ensemble: ").integer(et.samples).add(" lanes, ")
+            .integer(et.blocks).add(" blocks (width ").integer(et.lane_width)
+            .add("), ").add(mode).add(", ").integer(et.cohort_splits)
+            .add(" splits, ").integer(et.cohort_rejoins).add(" rejoins, ")
+            .fixed(et.samples_per_sec, 1).add(" samples/s\n");
         res = std::move(er.results[0]);
       } else {
         use_lint_verdict();
         res = an::run_transient(nl, t);
       }
-      if (cli.telemetry) err.puts(res.telemetry.summary());
+      if (cli.telemetry) err.add(res.telemetry.summary());
       if (cli.tran_stats)
-        out.fmt("%s\n", res.telemetry.reuse_stats_json().c_str());
+        out.add(res.telemetry.reuse_stats_json()).add('\n');
       if (!res.ok && !res.truncated) {
-        err.fmt("transient failed: %s\n", res.diag.message().c_str());
+        err.add("transient failed: ").add(res.diag.message()).add('\n');
         return 1;
       }
-      print_probe_header(out, nl, "time", probes);
-      for (std::size_t i = 0; i < res.time.size(); ++i) {
-        out.fmt("%g", res.time[i]);
-        for (auto p : probes)
-          out.fmt(",%.6g", p == ckt::kGround ? 0.0 : res.x[i][p - 1]);
-        out.fmt("\n");
-      }
+      print_rows(out, nl, probes, res.time, res.x);
       if (res.truncated) {
-        err.fmt("transient truncated: %s\n", res.diag.message().c_str());
+        err.add("transient truncated: ").add(res.diag.message()).add('\n');
         return 4;
       }
     } else if (d.kind == "noise") {
@@ -462,24 +472,23 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       nopt.input_source = d.args[1];
       nopt.temp_k = temp_k;
       nopt.budget = budget_p;
-      const int ppd = static_cast<int>(arg_num(d, 3));
-      const auto freqs =
-          an::log_frequencies(arg_num(d, 4), arg_num(d, 5), ppd);
+      const auto freqs = dec_grid(d, 2);
       if (!operating_point().converged) return 1;
       const auto res = an::run_noise_diag(nl, freqs, nopt);
       if (!res.ok() && !res.truncated) {
-        err.fmt("noise analysis failed: %s\n", res.diag.message().c_str());
+        err.add("noise analysis failed: ").add(res.diag.message()).add('\n');
         return 1;
       }
-      out.fmt("freq,onoise_V2_per_Hz,inoise_V_per_rtHz\n");
+      out.add("freq,onoise_V2_per_Hz,inoise_V_per_rtHz\n");
       for (const auto& p : res.points)
-        out.fmt("%g,%.6g,%.6g\n", p.freq_hz, p.s_out, std::sqrt(p.s_in));
+        out.num(p.freq_hz).add(',').num(p.s_out).add(',')
+            .num(std::sqrt(p.s_in)).add('\n');
       if (res.truncated) {
-        err.fmt("noise grid truncated: %s\n", res.diag.message().c_str());
+        err.add("noise grid truncated: ").add(res.diag.message()).add('\n');
         return 4;
       }
     } else {
-      err.fmt("unsupported directive .%s (skipped)\n", d.kind.c_str());
+      err.add("unsupported directive .").add(d.kind).add(" (skipped)\n");
     }
   }
   return 0;
@@ -564,7 +573,7 @@ DeckResult run_deck(const std::string& deck_text, const DeckOptions& opt,
   try {
     code = run_deck_impl(deck_text, opt, registry, out, err, r.warm);
   } catch (const std::exception& e) {
-    err.fmt("error: %s\n", e.what());
+    err.add("error: ").add(e.what()).add('\n');
     code = 1;
   }
   r.exit_code = code;

@@ -5,7 +5,7 @@
 // library so the one-shot CLI, the --jobs batch mode and the msim_serve
 // daemon execute the exact same code path: a daemon job's captured
 // output is byte-identical to the equivalent CLI invocation by
-// construction, not by parallel maintenance of two printf sequences.
+// construction, not by parallel maintenance of two output sequences.
 //
 // With a CacheRegistry attached, the job adopts the registry's shared
 // solver structure for its topology before the first solve (warm jobs

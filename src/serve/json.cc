@@ -2,11 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "core/json_escape.h"
+#include "core/text_writer.h"
 
 namespace msim::serve {
 namespace {
@@ -234,19 +234,16 @@ void Json::dump_to(std::string& out) const {
     case Type::kBool:
       out += bool_ ? "true" : "false";
       break;
-    case Type::kNumber: {
-      char buf[32];
+    case Type::kNumber:
       if (std::isfinite(num_) && num_ == std::floor(num_) &&
           std::fabs(num_) < 1e15) {
-        std::snprintf(buf, sizeof buf, "%.0f", num_);
+        core::append_fixed(out, num_, 0);
       } else if (std::isfinite(num_)) {
-        std::snprintf(buf, sizeof buf, "%.17g", num_);
+        core::append_general(out, num_, 17);
       } else {
-        std::snprintf(buf, sizeof buf, "null");  // JSON has no inf/nan
+        out += "null";  // JSON has no inf/nan
       }
-      out += buf;
       break;
-    }
     case Type::kString:
       append_quoted(out, str_);
       break;

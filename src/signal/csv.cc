@@ -1,29 +1,27 @@
 #include "signal/csv.h"
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "core/text_writer.h"
 
 namespace msim::sig {
 
 std::string to_csv(const CsvTable& table) {
-  std::ostringstream os;
+  core::TextWriter out;
   for (std::size_t i = 0; i < table.columns.size(); ++i) {
-    if (i) os << ',';
-    os << table.columns[i];
+    if (i) out.add(',');
+    out.add(table.columns[i]);
   }
-  os << '\n';
-  char buf[40];
+  out.add('\n');
   for (const auto& row : table.rows) {
     for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      std::snprintf(buf, sizeof buf, "%.9g", row[i]);
-      os << buf;
+      if (i) out.add(',');
+      out.num(row[i], 9);
     }
-    os << '\n';
+    out.add('\n');
   }
-  return os.str();
+  return out.take();
 }
 
 void write_csv(const std::string& path, const CsvTable& table) {

@@ -1,9 +1,18 @@
-// Tests for the OP report renderer and the CSV exporter.
+// Tests for the OP report renderer, the CSV exporter and the text
+// writer every report prints its numbers through.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "analysis/op.h"
 #include "analysis/op_report.h"
@@ -17,6 +26,7 @@
 #include "spicefmt/parser.h"
 #include "spicefmt/writer.h"
 #include "core/mic_amp.h"
+#include "core/text_writer.h"
 #include "numeric/units.h"
 #include "golden_util.h"
 
@@ -207,6 +217,108 @@ r5 e 0 1
   EXPECT_NE(rep.find("0 V\n"), std::string::npos) << rep;
   EXPECT_NE(rep.find("1 fV\n"), std::string::npos) << rep;
   EXPECT_NE(rep.find("1.5 kV\n"), std::string::npos) << rep;
+}
+
+// printf's own rendering of one value, the reference the writer must
+// reproduce byte for byte.
+std::string printf_text(const char* format, double v) {
+  char buf[400];
+  const int n = std::snprintf(buf, sizeof buf, format, v);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+TEST(TextWriter, MatchesPrintfByteForByte) {
+  // Every (conversion, precision) pair the sources print through.
+  struct Form {
+    const char* printf_format;
+    bool fixed;
+    int prec;
+  };
+  const Form forms[] = {{"%g", false, 6},  {"%.6g", false, 6},
+                        {"%.4g", false, 4}, {"%.3g", false, 3},
+                        {"%.9g", false, 9}, {"%.17g", false, 17},
+                        {"%.1f", true, 1},  {"%.3f", true, 3},
+                        {"%.0f", true, 0}};
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, nan, -nan, kMax, -kMax, DBL_MIN, -DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+      // Rounding ties and carries at each precision.
+      0.5, 1.5, 2.5, -2.5, 0.05, 0.15, 0.25, 9.5, 99.95, 999999.5,
+      9.9999995, 0.000099999995, 1e-5, 1e-4, 123456.5, 1234567.0, 1e15,
+      1e16, 1e17, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e21, 1e22, 1e-300, 5e-324};
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::uniform_int_distribution<int> decade(-30, 30);
+  constexpr std::size_t kRandom = 1'000'000;
+  for (std::size_t i = 0; i < kRandom; ++i) {
+    if (i % 2 == 0) {
+      // Any bit pattern: every exponent, subnormals, infinities, NaNs.
+      const std::uint64_t bits = rng();
+      double v;
+      std::memcpy(&v, &bits, sizeof v);
+      values.push_back(v);
+    } else {
+      // Circuit magnitudes: a mantissa in [1, 10) at a decade in
+      // [1e-30, 1e30], either sign.
+      const double v = mantissa(rng) * std::pow(10.0, decade(rng));
+      values.push_back(rng() & 1 ? -v : v);
+    }
+  }
+  for (const auto& f : forms) {
+    std::size_t mismatches = 0;
+    for (const double v : values) {
+      std::string got;
+      if (f.fixed)
+        core::append_fixed(got, v, f.prec);
+      else
+        core::append_general(got, v, f.prec);
+      const std::string want = printf_text(f.printf_format, v);
+      if (got != want && ++mismatches <= 5)
+        ADD_FAILURE() << f.printf_format << " of " << printf_text("%a", v)
+                      << ": writer '" << got << "', printf '" << want << "'";
+    }
+    EXPECT_EQ(mismatches, 0u) << f.printf_format;
+  }
+  // "%.1f" of DBL_MAX is 311 characters plus the sign; the widest fixed
+  // form the writer accepts still fits.
+  EXPECT_EQ(core::TextWriter().fixed(-kMax, 1).str(),
+            printf_text("%.1f", -kMax));
+  EXPECT_EQ(core::TextWriter().fixed(-kMax, core::kMaxFixedPrecision).str(),
+            printf_text("%.17f", -kMax));
+}
+
+TEST(TextWriter, IntegersAndChainedTextMatchPrintf) {
+  char buf[64];
+  for (const long v : {0L, 1L, -1L, 42L, LONG_MIN, LONG_MAX}) {
+    std::snprintf(buf, sizeof buf, "%ld", v);
+    EXPECT_EQ(core::TextWriter().integer(v).str(), buf);
+  }
+  for (const int v : {INT_MIN, -7, 0, 8, INT_MAX}) {
+    std::snprintf(buf, sizeof buf, "%d", v);
+    EXPECT_EQ(core::TextWriter().integer(v).str(), buf);
+  }
+  for (const std::size_t v : {std::size_t{0}, std::size_t{51}, SIZE_MAX}) {
+    std::snprintf(buf, sizeof buf, "%zu", v);
+    EXPECT_EQ(core::TextWriter().integer(v).str(), buf);
+  }
+  std::snprintf(buf, sizeof buf, "* .tran %s  (T = %.1f C) %g,%.4g\n", "1u",
+                27.0, 1e-5, -179.99999);
+  EXPECT_EQ(core::TextWriter()
+                .add("* .tran ")
+                .add("1u")
+                .add("  (T = ")
+                .fixed(27.0, 1)
+                .add(" C) ")
+                .num(1e-5)
+                .add(',')
+                .num(-179.99999, 4)
+                .add('\n')
+                .take(),
+            buf);
 }
 
 }  // namespace

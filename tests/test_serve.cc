@@ -655,6 +655,53 @@ TEST(ServeDeck, DcSweepRejectsDegenerateSteps) {
   EXPECT_NE(ok.out.find("\n1,"), std::string::npos);  // reached stop
 }
 
+TEST(ServeDeck, AcNoiseTranRejectDegenerateArguments) {
+  auto rc = [](const std::string& directive) {
+    return "* rc\nv1 in 0 dc 0 ac 1 sin(0 1 1k)\nr1 in out 1k\n"
+           "c1 out 0 100n\n" +
+           directive + "\n.end\n";
+  };
+  // A frequency at or below zero logs to nan rows; a non-integer or
+  // out-of-range points-per-decade overflows the grid's int count; lin
+  // and oct used to run as dec; a zero or negative step never reaches
+  // the stop time (allocation until the process dies); a non-finite or
+  // non-positive stop printed a bare header.  Each is refused before
+  // the grid or the time loop: exit 1, an error line, no rows.
+  std::vector<std::string> bad;
+  for (const char* grid :
+       {"dec 10 0 1e6", "dec 10 -5 1e6", "dec nan 10 1e6", "dec 0 10 1e6",
+        "dec 1e10 10 1e6", "dec 2.5 10 1e6", "dec 10 1e6 10",
+        "dec 10 10 inf", "dec 10 nan 1e6", "lin 5 10 1e3", "oct 5 10 1e3",
+        "dec 1e6 1 1e6"}) {
+    bad.push_back(std::string(".ac ") + grid);
+    bad.push_back(std::string(".noise out v1 ") + grid);
+  }
+  for (const char* tran :
+       {".tran 0 1m", ".tran -1u 1m", ".tran nan 1m", ".tran 1u nan",
+        ".tran 1u -1m", ".tran 1u 0", ".tran inf 1m", ".tran 1p 1"})
+    bad.push_back(tran);
+  for (const bool pss : {false, true}) {
+    DeckOptions opt;
+    opt.pss = pss;
+    for (const auto& directive : bad) {
+      if (pss && directive.rfind(".tran", 0) != 0) continue;
+      const DeckResult r = run_no_memo(rc(directive), nullptr, opt);
+      EXPECT_EQ(r.exit_code, 1) << directive;
+      EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << directive << "\n" << r.err;
+      // Only the directive's own "* .ac ..." echo line, no header or row.
+      EXPECT_EQ(r.out.rfind("* ", 0), 0u) << directive;
+      EXPECT_EQ(r.out.find('\n'), r.out.size() - 1) << directive << r.out;
+    }
+  }
+  // The well-formed grids and steps still run.
+  for (const char* ok : {".ac dec 10 10 10", ".ac dec 3 10 1e3",
+                         ".noise out v1 dec 3 10 1e3", ".tran 1u 20u"}) {
+    const DeckResult r = run_no_memo(rc(ok), nullptr);
+    EXPECT_EQ(r.exit_code, 0) << ok << r.err;
+    EXPECT_GT(std::count(r.out.begin(), r.out.end(), '\n'), 2) << ok;
+  }
+}
+
 // -------------------------------------------------------------------
 // Deck runner: whole-result memoization.
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Static checks over src/: clang-tidy with the curated .clang-tidy set,
-# warnings promoted to errors, plus the whole test suite under an
-# AddressSanitizer + UBSan + _GLIBCXX_ASSERTIONS build and the
-# concurrency suites under ThreadSanitizer (the worker pool, the
-# lockstep ensemble, and the serve registry / job scheduler are the
-# places the engine shares mutable state across threads).
+# Static checks over src/: a grep gate against printf-family calls,
+# clang-tidy with the curated .clang-tidy set, warnings promoted to
+# errors, plus the whole test suite under an AddressSanitizer + UBSan +
+# _GLIBCXX_ASSERTIONS build and the concurrency suites under
+# ThreadSanitizer (the worker pool, the lockstep ensemble, and the serve
+# registry / job scheduler are the places the engine shares mutable
+# state across threads).
 # Intended as a CI gate:
 #
 #   tools/run_static_checks.sh [--require-tools] [build-dir]
@@ -106,6 +107,25 @@ run_tsan_suites() {
   return 0
 }
 
+# ---- no printf-family formatting under src/ -------------------------
+# Everything msim prints formats its numbers through core/text_writer.h
+# (std::to_chars, printf's bytes without the format-string path).  A
+# printf, fprintf, sprintf, snprintf or vsnprintf call (v- forms too)
+# under src/ is a finding.
+check_no_printf() {
+  local hits
+  hits="$(grep -rnE '\b(printf|fprintf|sprintf|snprintf|vprintf|vfprintf|vsprintf|vsnprintf)[[:space:]]*\(' \
+          "$repo_root/src" --include='*.cc' --include='*.h')"
+  if [ -n "$hits" ]; then
+    echo "$hits" >&2
+    echo "run_static_checks: printf-family calls under src/ (use core/text_writer.h)" >&2
+    return 1
+  fi
+  echo "run_static_checks: no printf-family calls under src/" >&2
+  return 0
+}
+
+check_no_printf || exit 1
 run_sanitized_suite || exit 1
 run_tsan_suites || exit 1
 
