@@ -9,8 +9,10 @@
 #include <charconv>
 #include <concepts>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 namespace msim::core {
@@ -19,29 +21,36 @@ namespace msim::core {
 // the point and up to 17 decimals fit the fixed-form buffer.
 inline constexpr int kMaxFixedPrecision = 17;
 
-// printf's "%.<prec>g".
+// Appends one to_chars result; a precision too wide for the caller's
+// buffer leaves no valid text, so it throws rather than append garbage.
+inline void append_chars(std::string& out, const char* buf,
+                         std::to_chars_result r) {
+  if (r.ec != std::errc{})
+    throw std::length_error("text writer: precision too wide");
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
+// printf's "%.<prec>g", prec <= 17.
 inline void append_general(std::string& out, double v, int prec = 6) {
-  char buf[32];  // "-d.<16 digits>e-308" at the widest (prec <= 17)
-  out.append(buf,
-             std::to_chars(buf, buf + sizeof buf, v,
-                           std::chars_format::general, prec)
-                 .ptr);
+  char buf[32];  // "-d.<16 digits>e-308" at the widest
+  append_chars(out, buf,
+               std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::general, prec));
 }
 
 // printf's "%.<prec>f", prec <= kMaxFixedPrecision.
 inline void append_fixed(std::string& out, double v, int prec) {
   char buf[std::numeric_limits<double>::max_exponent10 + 3 +
            kMaxFixedPrecision];
-  out.append(buf,
-             std::to_chars(buf, buf + sizeof buf, v,
-                           std::chars_format::fixed, prec)
-                 .ptr);
+  append_chars(out, buf,
+               std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::fixed, prec));
 }
 
 // printf's "%d" / "%ld" / "%zu".
 inline void append_int(std::string& out, std::integral auto v) {
   char buf[24];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  append_chars(out, buf, std::to_chars(buf, buf + sizeof buf, v));
 }
 
 // Appends text and numbers into one string.  `Self` is the derived
@@ -71,7 +80,6 @@ class BasicTextWriter {
     return self();
   }
 
-  const std::string& str() const { return s_; }
   std::string take() { return std::move(s_); }
 
  protected:

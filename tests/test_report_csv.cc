@@ -12,6 +12,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/op.h"
@@ -285,25 +286,29 @@ TEST(TextWriter, MatchesPrintfByteForByte) {
   }
   // "%.1f" of DBL_MAX is 311 characters plus the sign; the widest fixed
   // form the writer accepts still fits.
-  EXPECT_EQ(core::TextWriter().fixed(-kMax, 1).str(),
+  EXPECT_EQ(core::TextWriter().fixed(-kMax, 1).take(),
             printf_text("%.1f", -kMax));
-  EXPECT_EQ(core::TextWriter().fixed(-kMax, core::kMaxFixedPrecision).str(),
+  EXPECT_EQ(core::TextWriter().fixed(-kMax, core::kMaxFixedPrecision).take(),
             printf_text("%.17f", -kMax));
+  // A precision past the buffers is refused, not written as garbage.
+  EXPECT_THROW(core::TextWriter().fixed(-kMax, core::kMaxFixedPrecision + 1),
+               std::length_error);
+  EXPECT_THROW(core::TextWriter().num(-1e-300, 40), std::length_error);
 }
 
 TEST(TextWriter, IntegersAndChainedTextMatchPrintf) {
   char buf[64];
   for (const long v : {0L, 1L, -1L, 42L, LONG_MIN, LONG_MAX}) {
     std::snprintf(buf, sizeof buf, "%ld", v);
-    EXPECT_EQ(core::TextWriter().integer(v).str(), buf);
+    EXPECT_EQ(core::TextWriter().integer(v).take(), buf);
   }
   for (const int v : {INT_MIN, -7, 0, 8, INT_MAX}) {
     std::snprintf(buf, sizeof buf, "%d", v);
-    EXPECT_EQ(core::TextWriter().integer(v).str(), buf);
+    EXPECT_EQ(core::TextWriter().integer(v).take(), buf);
   }
   for (const std::size_t v : {std::size_t{0}, std::size_t{51}, SIZE_MAX}) {
     std::snprintf(buf, sizeof buf, "%zu", v);
-    EXPECT_EQ(core::TextWriter().integer(v).str(), buf);
+    EXPECT_EQ(core::TextWriter().integer(v).take(), buf);
   }
   std::snprintf(buf, sizeof buf, "* .tran %s  (T = %.1f C) %g,%.4g\n", "1u",
                 27.0, 1e-5, -179.99999);

@@ -667,6 +667,27 @@ TEST(ValueRange, SparseConditioningForecastEqualsDense) {
   }
 }
 
+TEST(ValueRange, RailViolationMessageKeepsLongNodeNames) {
+  // rail_violation.sp with a 150-character bias node: the message
+  // carries the whole name and still ends with the supply range (it
+  // used to be cut at 191 bytes).
+  ckt::Netlist nl;
+  const std::string name(150, 'n');
+  const auto vdd = nl.node("vdd"), a = nl.node("a"), nb = nl.node(name);
+  nl.add<dev::VSource>("vdd", vdd, ckt::kGround, 2.6);
+  nl.add<dev::VSource>("vb", nb, ckt::kGround, 3.4);
+  nl.add<dev::Resistor>("r1", vdd, a, 10e3);
+  nl.add<dev::Resistor>("r2", a, ckt::kGround, 10e3);
+  nl.add<dev::Resistor>("r3", nb, a, 100e3);
+  nl.assign_unknowns();
+  const auto rep = an::range_analysis(nl);
+  ASSERT_EQ(rep.rail_violations.size(), 1u);
+  EXPECT_EQ(rep.rail_violations[0].message,
+            "node '" + name +
+                "' is provably confined to [3.4, 3.4] V, entirely above "
+                "the supply range [0, 2.6] V");
+}
+
 TEST(ValueRange, JsonReportIsStructured) {
   ckt::Netlist nl;
   const auto vdd = nl.node("vdd");
