@@ -420,11 +420,12 @@ std::string describe_job(const DeckResult& r) {
 
 TEST(ServeDeck, JobBytesMatchGoldens) {
   // Byte-exact job output recorded from the original deck runner: the
-  // lint report, op_report (including its value-range section) and
-  // every directive's CSV, cold and warm.
+  // lint report, op_report (including its value-range section), every
+  // directive's CSV and the --mc, --pss, --range and --lint outputs,
+  // cold and warm.
   struct Deck {
     std::string name, text;
-    DeckOptions opt = {};  // --probe list empty = the default eight
+    DeckOptions opt = {};  // an empty probe_arg probes the default eight
   };
   const auto with = [](auto set) {
     DeckOptions o;
