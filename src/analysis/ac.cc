@@ -24,6 +24,7 @@ struct ChunkFailure {
 
 std::vector<double> log_frequencies(double f_start_hz, double f_stop_hz,
                                     int points_per_decade) {
+  if (f_stop_hz == f_start_hz) return {f_start_hz};
   std::vector<double> f;
   const double lg0 = std::log10(f_start_hz);
   const double lg1 = std::log10(f_stop_hz);
@@ -148,13 +149,6 @@ AcResult run_ac(ckt::Netlist& nl, const std::vector<double>& freqs_hz,
   if (!r.ok())
     throw std::runtime_error("AC analysis failed: " + r.diag.message());
   return r;
-}
-
-std::complex<double> ac_transfer(ckt::Netlist& nl, double freq_hz,
-                                 ckt::NodeId p, ckt::NodeId n,
-                                 const AcOptions& opt) {
-  const AcResult r = run_ac(nl, {freq_hz}, opt);
-  return r.vdiff(0, p, n);
 }
 
 }  // namespace msim::an

@@ -60,7 +60,7 @@ struct AcResult {
 };
 
 // Logarithmically spaced frequency grid, `points_per_decade` per decade,
-// inclusive of both endpoints.
+// inclusive of both endpoints; equal endpoints give the single point.
 std::vector<double> log_frequencies(double f_start_hz, double f_stop_hz,
                                     int points_per_decade);
 
@@ -75,12 +75,6 @@ AcResult run_ac_diag(ckt::Netlist& nl,
 // std::runtime_error carrying diag.message() on failure.
 AcResult run_ac(ckt::Netlist& nl, const std::vector<double>& freqs_hz,
                 const AcOptions& opt = {});
-
-// Single-frequency transfer: complex output vdiff(p,n) given the current
-// AC excitation pattern.
-std::complex<double> ac_transfer(ckt::Netlist& nl, double freq_hz,
-                                 ckt::NodeId p, ckt::NodeId n,
-                                 const AcOptions& opt = {});
 
 inline double to_db(double mag) { return 20.0 * std::log10(mag); }
 

@@ -15,7 +15,6 @@
 #include "devices/mosfet.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
-#include "devices/tanh_vccs.h"
 
 namespace msim::an {
 namespace {
@@ -76,7 +75,6 @@ enum BatchKind : int {
   kVccsKind,
   kCccsKind,
   kCcvsKind,
-  kTanhVccsKind,
   kMosSwitchKind,
 };
 
@@ -93,7 +91,6 @@ int batch_kind(const ckt::Device* d) {
   if (dynamic_cast<const dev::Vccs*>(d)) return kVccsKind;
   if (dynamic_cast<const dev::Cccs*>(d)) return kCccsKind;
   if (dynamic_cast<const dev::Ccvs*>(d)) return kCcvsKind;
-  if (dynamic_cast<const dev::TanhVccs*>(d)) return kTanhVccsKind;
   if (dynamic_cast<const dev::MosSwitch*>(d)) return kMosSwitchKind;
   return kOtherKind;
 }
@@ -117,7 +114,6 @@ void stamp_run(int kind, const ckt::Device* const* devs, std::size_t n,
     case kVccsKind: dev::Vccs::stamp_batch(devs, n, ctx); break;
     case kCccsKind: dev::Cccs::stamp_batch(devs, n, ctx); break;
     case kCcvsKind: dev::Ccvs::stamp_batch(devs, n, ctx); break;
-    case kTanhVccsKind: dev::TanhVccs::stamp_batch(devs, n, ctx); break;
     case kMosSwitchKind: dev::MosSwitch::stamp_batch(devs, n, ctx); break;
     default:
       for (std::size_t i = 0; i < n; ++i) devs[i]->stamp(ctx);

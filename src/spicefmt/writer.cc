@@ -9,7 +9,6 @@
 #include "devices/mosfet.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
-#include "devices/tanh_vccs.h"
 
 namespace msim::spice {
 namespace {
@@ -103,9 +102,6 @@ std::string write_netlist(const ckt::Netlist& nl,
       os << card_name('s', d->name()) << " " << n(0) << " " << n(1) << " "
          << mod << (sw->is_on() ? " on" : " off") << "\n";
       models << ".model " << mod << " sw ron=" << sw->r_on() << "\n";
-    } else if (dynamic_cast<const dev::TanhVccs*>(d)) {
-      os << "* behavioral tanh transconductor '" << d->name()
-         << "' has no SPICE card\n";
     } else if (dynamic_cast<const dev::Cccs*>(d) ||
                dynamic_cast<const dev::Ccvs*>(d)) {
       os << "* current-controlled source '" << d->name()

@@ -11,8 +11,8 @@
 namespace msim::spice {
 
 // Serializes the netlist.  Nonlinear devices get a dedicated .model card
-// each (named "<device>_m"); behavioral elements without a SPICE
-// equivalent (tanh transconductors) are emitted as comments.
+// each (named "<device>_m"); devices without a serializable card
+// (current-controlled sources, unknown classes) are emitted as comments.
 std::string write_netlist(const ckt::Netlist& nl,
                           const std::string& title = "msim netlist");
 

@@ -135,4 +135,10 @@ TEST(Ac, DifferentialProbeHelper) {
   EXPECT_NEAR(std::abs(r.vdiff(0, a, b)), 1.0 / 3.0, 1e-6);
 }
 
+TEST(Ac, LogFrequenciesWithEqualEndpointsIsOnePoint) {
+  const auto f = an::log_frequencies(10.0, 10.0, 10);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0], 10.0);
+}
+
 }  // namespace

@@ -29,7 +29,6 @@
 #include "devices/mos_switch.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
-#include "devices/tanh_vccs.h"
 #include "numeric/sparse.h"
 #include "spicefmt/parser.h"
 
@@ -459,8 +458,8 @@ void expect_image_matches_point_assembly(const ckt::Netlist& nl,
 }
 
 // Every device class the rigs and decks leave out of stamp_ac coverage:
-// a BJT stage with an inductor, diode, VCVS, CCCS, CCVS, TanhVccs, a
-// closed switch and AC-driven voltage and current sources.
+// a BJT stage with an inductor, diode, VCVS, CCCS, CCVS, a closed switch
+// and AC-driven voltage and current sources.
 std::unique_ptr<ckt::Netlist> every_device_deck() {
   auto nl = std::make_unique<ckt::Netlist>();
   const auto vdd = nl->node("vdd"), in = nl->node("in"), b = nl->node("b");
@@ -488,7 +487,6 @@ std::unique_ptr<ckt::Netlist> every_device_deck() {
   nl->add<dev::ISource>("I1", gnd, o2, dev::Waveform::dc(0.0).with_ac(1e-6));
   nl->add<dev::Ccvs>("H1", o3, gnd, sense, 100.0);
   nl->add<dev::Resistor>("Ro3", o3, gnd, 1e3);
-  nl->add<dev::TanhVccs>("G1", o4, gnd, c, gnd, 1e-3, 1e-4);
   nl->add<dev::Resistor>("Ro4", o4, gnd, 1e3);
   nl->add<dev::MosSwitch>("S1", o4, o3, 100.0, 1e12, true);
   return nl;

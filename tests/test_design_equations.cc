@@ -91,6 +91,22 @@ TEST(Eq6Eq7, ComplementaryInputCoversRailToRail) {
   EXPECT_GT(va, vb);    // and the ranges overlap
 }
 
+TEST(Eq3, TailNoiseIsImbalanceTimesCurrentNoiseOverGmSquared) {
+  // 2 % imbalance, 1e-22 A^2/Hz tail noise, gm = 1 mS:
+  // 0.02 * 1e-22 / (1e-3)^2 = 2e-18 V^2/Hz.
+  EXPECT_NEAR(eq3_tail_noise(0.02, 1e-22, 1e-3), 2e-18, 1e-30);
+  // A balanced pair (A = 0) rejects the tail noise entirely.
+  EXPECT_EQ(eq3_tail_noise(0.0, 1e-22, 1e-3), 0.0);
+}
+
+TEST(Eq8, LowSwingMirrorsHighSwing) {
+  for (double v : {0.9, 1.3, 2.5})
+    for (double i : {1e-3, 35e-3})
+      for (double beta : {0.05, 0.2, 1.0})
+        EXPECT_EQ(eq8_swing_low(-v, i, beta), -eq8_swing_high(v, i, beta))
+            << v << " " << i << " " << beta;
+}
+
 TEST(Eq8, SwingApproachesRailsWithWideDevices) {
   const double vdd = 1.3;
   // 30 mW into 50 ohm needs ~35 mA peaks; beta = 0.2 A/V^2 keeps the

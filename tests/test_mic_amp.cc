@@ -244,4 +244,22 @@ TEST(MicAmp, NoiseGrowsAtLowGainSetting) {
   EXPECT_GT(in_noise_at(0), in_noise_at(5));
 }
 
+TEST(MicAmp, ClosedLoopShowsNoPeaking) {
+  // A closed-loop magnitude response with no significant peaking implies
+  // a healthy phase margin (peaking of 1.3x corresponds to PM ~ 45 deg
+  // for a two-pole loop).
+  auto r = make_mic_rig();
+  r->mic.set_gain_code(5);
+  ASSERT_TRUE(an::solve_op(r->nl).converged);
+  const auto freqs = an::log_frequencies(1e3, 50e6, 20);
+  const auto ac = an::run_ac(r->nl, freqs);
+  double peak = 0.0, dc_gain = 0.0;
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    const double m = std::abs(ac.vdiff(i, r->mic.outp, r->mic.outn));
+    if (i == 0) dc_gain = m;
+    peak = std::max(peak, m);
+  }
+  EXPECT_LT(peak, dc_gain * 1.3);  // no severe closed-loop peaking
+}
+
 }  // namespace

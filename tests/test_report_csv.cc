@@ -1,5 +1,5 @@
-// Tests for the OP report renderer, the CSV exporter and the text
-// writer every report prints its numbers through.
+// Tests for the OP report renderer and the text writer every report
+// prints its numbers through.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -23,7 +23,6 @@
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "process/process.h"
-#include "signal/csv.h"
 #include "spicefmt/parser.h"
 #include "spicefmt/writer.h"
 #include "core/mic_amp.h"
@@ -60,41 +59,6 @@ TEST(OpReport, ListsNodesDevicesAndRegions) {
   EXPECT_NE(rep.find("Vdd"), std::string::npos);
   // Engineering notation shows up (uA-scale drain current).
   EXPECT_NE(rep.find("uA"), std::string::npos);
-}
-
-TEST(Csv, RendersHeaderAndRows) {
-  sig::CsvTable t;
-  t.columns = {"x", "y"};
-  t.add_row({1.0, 2.5});
-  t.add_row({2.0, -3.125e-9});
-  const std::string s = sig::to_csv(t);
-  EXPECT_EQ(s, "x,y\n1,2.5\n2,-3.125e-09\n");
-}
-
-TEST(Csv, WritesFileRoundTrip) {
-  sig::CsvTable t;
-  t.columns = {"f", "mag"};
-  for (int i = 1; i <= 5; ++i)
-    t.add_row({double(i) * 10.0, 1.0 / i});
-  const std::string path = "/tmp/msim_csv_test.csv";
-  sig::write_csv(path, t);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "f,mag");
-  int lines = 0;
-  std::string line;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 5);
-  std::remove(path.c_str());
-}
-
-TEST(Csv, ThrowsOnBadPath) {
-  sig::CsvTable t;
-  t.columns = {"a"};
-  EXPECT_THROW(sig::write_csv("/nonexistent_dir_xyz/file.csv", t),
-               std::runtime_error);
 }
 
 // --- op_report byte identity ----------------------------------------------

@@ -701,6 +701,12 @@ TEST(ServeDeck, AcNoiseTranRejectDegenerateArguments) {
     EXPECT_EQ(r.exit_code, 0) << ok << r.err;
     EXPECT_GT(std::count(r.out.begin(), r.out.end(), '\n'), 2) << ok;
   }
+  // Equal endpoints are one frequency: the echo, the header and exactly
+  // one data row.
+  const DeckResult one = run_no_memo(rc(".ac dec 10 10 10"), nullptr);
+  ASSERT_EQ(one.exit_code, 0) << one.err;
+  EXPECT_EQ(std::count(one.out.begin(), one.out.end(), '\n'), 3) << one.out;
+  EXPECT_NE(one.out.find("\n10,"), std::string::npos) << one.out;
 }
 
 // -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Static checks over src/: a grep gate against printf-family calls,
+# Static checks over src/: a grep gate against printf-family calls, a
+# grep gate against headers that nothing outside tests and examples reaches,
 # clang-tidy with the curated .clang-tidy set, warnings promoted to
 # errors, plus the whole test suite under an AddressSanitizer + UBSan +
 # _GLIBCXX_ASSERTIONS build and the concurrency suites under
@@ -125,7 +126,64 @@ check_no_printf() {
   return 0
 }
 
+# ---- every header under src/ is reached -----------------------------
+# A module stays only if something the paper's results run reaches it.
+# A header under src/ is reached when a live file includes it: any file
+# in bench/, tools/ or perfbench/src/, a reached header, or a src/ .cc
+# whose own header is reached (or that has none).  A module's own .cc
+# does not keep its header, and tests and examples do not keep a module.
+# An unreached header is a finding.  The allowed exceptions:
+check_module_reach() {
+  local allowed=(
+    "analysis/sensitivity.h"  # awaits the Table-1 linearised-variance oracle
+    "analysis/transfer.h"     # examples/full_chip.cpp's .tf output resistance
+    "core/characterize.h"     # examples/datasheet.cpp; deck Monte-Carlo will reuse it
+    "numeric/rootfind.h"      # examples/bandgap_trim.cpp's Brent trim of the PTAT weight
+  )
+  local -A reached=()
+  local h rel file header live changed=1 unreached=""
+  for h in "${allowed[@]}"; do reached[$h]=1; done
+  # Every (includer, included) pair once, as "file:header".
+  local edges
+  edges="$(grep -rHoE '#include "[^"]+"' --include='*.cc' --include='*.h' \
+             --include='*.cpp' "$repo_root/src" "$repo_root/bench" \
+             "$repo_root/tools" "$repo_root/perfbench/src" |
+           sed -E 's/:#include "(.*)"$/:\1/')"
+  while [ "$changed" -eq 1 ]; do
+    changed=0
+    while IFS=: read -r file header; do
+      [ -n "${reached[$header]:-}" ] && continue
+      [ -f "$repo_root/src/$header" ] || continue
+      rel="${file#"$repo_root/src/"}"
+      if [ "$rel" = "$file" ]; then
+        live=1                                   # bench/, tools/, perfbench/src/
+      elif [ "$rel" = "${header%.h}.cc" ]; then
+        live=0                                   # the module's own .cc
+      elif [[ "$rel" == *.h ]]; then
+        live="${reached[$rel]:-0}"
+      elif [ -f "$repo_root/src/${rel%.cc}.h" ]; then
+        live="${reached[${rel%.cc}.h]:-0}"
+      else
+        live=1                                   # a .cc with no header
+      fi
+      if [ "$live" -eq 1 ]; then reached[$header]=1; changed=1; fi
+    done <<< "$edges"
+  done
+  while IFS= read -r h; do
+    rel="${h#"$repo_root/src/"}"
+    [ -n "${reached[$rel]:-}" ] || unreached="$unreached  src/$rel\n"
+  done < <(find "$repo_root/src" -name '*.h' | sort)
+  if [ -n "$unreached" ]; then
+    printf '%b' "$unreached" >&2
+    echo "run_static_checks: headers under src/ that nothing outside tests and examples reaches" >&2
+    return 1
+  fi
+  echo "run_static_checks: every header under src/ is reached" >&2
+  return 0
+}
+
 check_no_printf || exit 1
+check_module_reach || exit 1
 run_sanitized_suite || exit 1
 run_tsan_suites || exit 1
 
