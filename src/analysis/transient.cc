@@ -43,6 +43,53 @@ struct StepWorkspace {
   bool factor_trap = true;
 };
 
+// The two accepted states before the current one, x1 = x(t - h1) and
+// x2 = x(t - h1 - h2), with the steps that led on from them.  Every
+// nonlinear step starts Newton from a predictor extrapolated through
+// them (SPICE2's, L. W. Nagel, UCB/ERL M520, 1975), and the adaptive
+// loop's LTE estimate reads the same points.
+struct StepHistory {
+  num::RealVector x1, x2;
+  double h1 = 0.0, h2 = 0.0;
+  int count = 0;  // states held: 0, 1 or 2
+
+  // Newton start for a step of h from x: the quadratic through the last
+  // three accepted points in Newton divided-difference form (3x - 3x1 +
+  // x2 at constant step), the line through the last two when only one
+  // state is held, else x itself.
+  void predict(const num::RealVector& x, double h,
+               num::RealVector& out) const {
+    if (count == 0) {
+      out = x;
+      return;
+    }
+    out.resize(x.size());
+    const double a1 = h / h1;
+    if (count == 1) {
+      for (std::size_t i = 0; i < x.size(); ++i)
+        out[i] = x[i] + a1 * (x[i] - x1[i]);
+      return;
+    }
+    const double b = h * (h + h1) / (h1 + h2);
+    const double a = a1 + b / h1;
+    const double c = b / h2;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      out[i] = x[i] + a * (x[i] - x1[i]) - c * (x1[i] - x2[i]);
+  }
+
+  // Accepts the step of h from x to x_new by rotating buffers, no copy:
+  // x_new becomes the current state, x the newest history entry, and
+  // x_new is left holding scratch for the next predict().
+  void accept(num::RealVector& x, num::RealVector& x_new, double h) {
+    std::swap(x1, x2);
+    std::swap(x1, x);
+    std::swap(x, x_new);
+    h2 = h1;
+    h1 = h;
+    count = std::min(count + 1, 2);
+  }
+};
+
 // The fixed-dt loop recomputes each step as `t_target - t`, so the
 // nominal dt jitters by an ulp of t from step to step.  Treat those as
 // the same step size: the linear fast path snaps the RHS to the
@@ -260,21 +307,20 @@ std::vector<double> TranResult::diff_wave(ckt::NodeId p,
 namespace {
 
 // Divided-difference LTE estimate for the trapezoidal rule:
-// LTE ~ h^3 x''' / 12 with x''' ~ 6 * DD3 over the last four points.
-double lte_estimate(const std::vector<double>& ts,
-                    const std::vector<num::RealVector>& xs, double t_new,
+// LTE ~ h^3 x''' / 12 with x''' ~ 6 * DD3 over the last three accepted
+// points (history and x) and the candidate x_new.
+double lte_estimate(const StepHistory& hs, const num::RealVector& x,
                     const num::RealVector& x_new, double h) {
-  const std::size_t n = ts.size();
-  if (n < 3) return 0.0;  // not enough history: accept
-  const double t0 = ts[n - 3], t1 = ts[n - 2], t2 = ts[n - 1];
+  if (hs.count < 2) return 0.0;  // not enough history: accept
+  const double h1 = hs.h1, h2 = hs.h2;
   double worst = 0.0;
   for (std::size_t i = 0; i < x_new.size(); ++i) {
-    const double d01 = (xs[n - 2][i] - xs[n - 3][i]) / (t1 - t0);
-    const double d12 = (xs[n - 1][i] - xs[n - 2][i]) / (t2 - t1);
-    const double d23 = (x_new[i] - xs[n - 1][i]) / (t_new - t2);
-    const double dd012 = (d12 - d01) / (t2 - t0);
-    const double dd123 = (d23 - d12) / (t_new - t1);
-    const double ddd = (dd123 - dd012) / (t_new - t0);  // ~ x'''/6
+    const double d01 = (hs.x1[i] - hs.x2[i]) / h2;
+    const double d12 = (x[i] - hs.x1[i]) / h1;
+    const double d23 = (x_new[i] - x[i]) / h;
+    const double dd012 = (d12 - d01) / (h1 + h2);
+    const double dd123 = (d23 - d12) / (h + h1);
+    const double ddd = (dd123 - dd012) / (h + h1 + h2);  // ~ x'''/6
     worst = std::max(worst, std::abs(h * h * h * ddd * 0.5));
   }
   return worst;
@@ -393,6 +439,8 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
       opt.budget->add_skew_ms(opt.budget->max_wall_ms + 1.0);
   };
 
+  StepHistory hist;
+  num::RealVector x_try;  // Newton candidate, reused step to step
   if (!opt.adaptive) {
     // Fixed base step (exactly reproducible sampling for FFT work);
     // Newton failures trigger transparent sub-stepping to the boundary,
@@ -409,7 +457,13 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
       while (t < t_target - 1e-18) {
         dt = std::min(dt, t_target - t);
         note_dt(dt);
-        num::RealVector x_try = x;
+        // Newton starts from the predictor, except on the linear fast
+        // path (one exact solve) and once this base step has halved:
+        // its retries restart from the accepted checkpoint.
+        if (linear || halvings > 0)
+          x_try = x;
+        else
+          hist.predict(x, dt, x_try);
         p.time = t + dt;
         p.dt = dt;
         // PSS restart: stamp backward-Euler until the first accepted
@@ -427,7 +481,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
             opt.step_hook->on_accepted(nl, ws.sys, p, x, x_try);
           for (const auto& d : nl.devices())
             d->accept_step(x_try, dt, p.use_trapezoidal);
-          x = std::move(x_try);
+          hist.accept(x, x_try, dt);
           t += dt;
           ++tel.accepted_steps;
           if (opt.budget) opt.budget->note_step();
@@ -457,12 +511,10 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     return r;
   }
 
-  // Adaptive stepping with LTE control.  A short accepted-point history
-  // feeds the divided-difference estimator (kept separate from the
-  // recorded output so record_after still works).
+  // Adaptive stepping with LTE control.  The step history feeds both
+  // the predictor and the divided-difference estimator (kept separate
+  // from the recorded output so record_after still works).
   const double dt_max = opt.dt_max > 0.0 ? opt.dt_max : 50.0 * opt.dt;
-  std::vector<double> hist_t{t};
-  std::vector<num::RealVector> hist_x{x};
   double dt = opt.dt;
   int rejections = 0;
   while (t < opt.t_stop * (1.0 - 1e-12)) {
@@ -473,7 +525,11 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     }
     dt = std::min(dt, opt.t_stop - t);
     note_dt(dt);
-    num::RealVector x_try = x;
+    // After a rejection the retry restarts from the accepted point.
+    if (rejections > 0)
+      x_try = x;
+    else
+      hist.predict(x, dt, x_try);
     p.time = t + dt;
     p.dt = dt;
     const StepOutcome out = newton_step(nl, p, opt, ws, x_try);
@@ -482,7 +538,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
       return truncate(opt.budget ? opt.budget->stop_reason()
                                  : core::StopReason::kDeadline);
     double err = 0.0;
-    if (out.ok) err = lte_estimate(hist_t, hist_x, t + dt, x_try, dt);
+    if (out.ok) err = lte_estimate(hist, x, x_try, dt);
     if (!out.ok || (err > opt.lte_tol && dt > opt.dt_min * 1.01)) {
       if (out.ok)
         ++tel.rejected_lte;
@@ -502,16 +558,10 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     rejections = 0;
     for (const auto& d : nl.devices())
       d->accept_step(x_try, dt, p.use_trapezoidal);
-    x = std::move(x_try);
+    hist.accept(x, x_try, dt);
     t += dt;
     ++tel.accepted_steps;
     if (opt.budget) opt.budget->note_step();
-    hist_t.push_back(t);
-    hist_x.push_back(x);
-    if (hist_t.size() > 4) {
-      hist_t.erase(hist_t.begin());
-      hist_x.erase(hist_x.begin());
-    }
     if (opt.record && t >= opt.record_after) {
       r.time.push_back(t);
       r.x.push_back(x);
@@ -602,6 +652,7 @@ struct EnsembleBlock {
 
   // Per-lane persistent state.
   std::vector<num::RealVector> x;    // last accepted state
+  std::vector<StepHistory> hist;     // the states before it
   // Per-iteration scratch (lane-indexed / active-indexed).
   std::vector<num::RealVector> xs;   // Newton candidates
   std::vector<num::RealVector> xn;   // Newton updates
@@ -624,7 +675,14 @@ bool cohort_newton(EnsembleBlock& b, const Cohort& co,
   out.assign(nl, StepOutcome{});
   b.sys.invalidate_lanes(co.mem.data(), static_cast<int>(co.mem.size()));
 
-  for (int k : co.mem) b.xs[k] = b.x[k];
+  // Per-lane predictor, skipped like run_transient's once the cohort's
+  // base step has halved.
+  for (int k : co.mem) {
+    if (co.halvings > 0)
+      b.xs[k] = b.x[k];
+    else
+      b.hist[k].predict(b.x[k], p.dt, b.xs[k]);
+  }
   b.active = co.mem;
 
   for (int it = 0; it < opt.max_newton && !b.active.empty(); ++it) {
@@ -710,6 +768,7 @@ void run_ensemble_block(EnsembleBlock& b) {
   }
 
   b.x.resize(nl);
+  b.hist.resize(nl);
   b.xs.resize(nl);
   b.xn.resize(nl);
   b.okv.reset(new bool[nl]);
@@ -884,7 +943,7 @@ void run_ensemble_block(EnsembleBlock& b) {
       for (int k : acc) {
         for (const auto& d : b.lanes[k]->devices())
           d->accept_step(b.xs[k], dt, p.use_trapezoidal);
-        b.x[k] = b.xs[k];
+        b.hist[k].accept(b.x[k], b.xs[k], dt);
         ++b.results[k]->telemetry.accepted_steps;
         if (b.budget) b.budget->note_step();
       }

@@ -154,10 +154,12 @@ TEST(Ensemble, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Lockstep full Newton against a golden recorded by the build that
-// still carried modified-Newton reuse, run with reuse switched off:
-// every lane factors on every iteration and its last recorded state
-// matches to the bit.
+// Lockstep full Newton against its golden: every lane factors on every
+// iteration and its last recorded state matches to the bit.  Each lane
+// starts Newton from its own predictor; the golden recorded before the
+// predictor stays as a tolerance reference (1e-9 of the span of its
+// states), and the saving is pinned: every step of these lanes took 2
+// iterations from the last accepted point, and 1.89 from the predictor.
 TEST(Ensemble, LockstepFinalsMatchFullNewtonGolden) {
   constexpr std::size_t kSamples = 4;
   an::TranEnsembleOptions eo;
@@ -167,8 +169,13 @@ TEST(Ensemble, LockstepFinalsMatchFullNewtonGolden) {
       an::run_transient_ensemble(kSamples, configure_mic_sample, eo);
   ASSERT_TRUE(er.ensemble.used_ensemble) << er.ensemble.fallback_reason;
   EXPECT_EQ(er.ensemble.fallback_lanes, 0);
+  // Per lane, the reference holds the lane index, t, then the state.
+  const auto ref = golden::numbers(
+      golden::read("transient/mic_ensemble_finals.txt"));
+  std::vector<double> ref_x, got_x;
+  std::size_t pos = 0;
   std::string text;
-  long iterations = 0;
+  long iterations = 0, steps = 0;
   for (std::size_t i = 0; i < kSamples; ++i) {
     const auto& r = er.results[i];
     ASSERT_TRUE(r.ok) << "sample " << i << ": " << r.diag.message();
@@ -177,9 +184,21 @@ TEST(Ensemble, LockstepFinalsMatchFullNewtonGolden) {
     std::snprintf(buf, sizeof buf, "lane %zu t %a\n", i, r.time.back());
     text += buf + golden::hex_rows(r.x.back());
     iterations += r.telemetry.newton_iterations;
+    steps += r.telemetry.accepted_steps;
+    const auto& xf = r.x.back();
+    ASSERT_LE(pos + 2 + xf.size(), ref.size());
+    EXPECT_EQ(ref[pos], static_cast<double>(i));
+    EXPECT_EQ(ref[pos + 1], r.time.back());
+    ref_x.insert(ref_x.end(), ref.begin() + pos + 2,
+                 ref.begin() + pos + 2 + xf.size());
+    got_x.insert(got_x.end(), xf.begin(), xf.end());
+    pos += 2 + xf.size();
   }
-  golden::expect("transient/mic_ensemble_finals.txt", text);
+  EXPECT_EQ(pos, ref.size());
+  golden::expect("transient/mic_ensemble_finals_predictor.txt", text);
+  golden::expect_near(ref_x, got_x, 1e-9 * golden::span(ref_x));
   EXPECT_EQ(er.ensemble.factor_count, iterations);
+  EXPECT_LE(iterations, 1.95 * steps);
 }
 
 // Budget expiry mid-ensemble: the in-flight block's lanes return

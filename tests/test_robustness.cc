@@ -467,6 +467,61 @@ TEST(FaultPoint, FailedFactorizationInTransientInvalidatesAndRecovers) {
   EXPECT_NEAR(r.x.back()[0], ref.x.back()[0], 1e-3);
 }
 
+TEST(FaultPoint, MidRunFactorizationFailureHalvesOneBaseStep) {
+  // One forced factor() failure deep into a nonlinear run: that base
+  // step halves and restarts Newton from the accepted point, and the
+  // next base step extrapolates its predictor through the two half
+  // steps.  The run must recover and track a clean run.
+  FaultGuard guard;
+  auto build = [](ckt::Netlist& nl) {
+    const auto in = nl.node("in");
+    const auto out = nl.node("out");
+    nl.add<dev::VSource>("Vin", in, ckt::kGround,
+                         dev::Waveform::sine(0.0, 2.0, 1e3));
+    nl.add<dev::Diode>("D1", in, out, dev::DiodeParams{});
+    nl.add<dev::Resistor>("RL", out, ckt::kGround, 1e4);
+    nl.add<dev::Capacitor>("CL", out, ckt::kGround, 1e-9);
+  };
+  an::TranOptions t;
+  t.t_stop = 1e-3;
+  t.dt = 5e-6;
+
+  ckt::Netlist ref_nl;
+  build(ref_nl);
+  const auto ref = an::run_transient(ref_nl, t);
+  ASSERT_TRUE(ref.ok) << ref.diag.message();
+
+  ckt::Netlist count_nl;
+  build(count_nl);
+  const long op_factors =
+      an::solve_op(count_nl).solver_stats.factor_count;
+  // Lands about a third of the way into the run.
+  const long skips = op_factors + ref.telemetry.factor_count / 3;
+
+  ckt::Netlist nl;
+  build(nl);
+  fp::arm("sparse_factor_fail", 1, skips);
+  const auto r = an::run_transient(nl, t);
+  EXPECT_EQ(fp::trip_count("sparse_factor_fail"), 1);
+  ASSERT_TRUE(r.ok) << r.diag.message();
+  EXPECT_EQ(r.telemetry.rejected_newton, 1);
+  EXPECT_EQ(r.telemetry.min_dt_used, 0.5 * t.dt);
+  EXPECT_EQ(r.telemetry.accepted_steps, ref.telemetry.accepted_steps + 1);
+  const auto out = nl.node("out");
+  const auto w = r.node_wave(out);
+  const auto w_ref = ref.node_wave(ref_nl.node("out"));
+  ASSERT_EQ(w.size(), w_ref.size());
+  // Bit-identical up to the halved step, within Newton's tolerance after.
+  std::size_t first_diff = w.size();
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (w[i] != w_ref[i] && first_diff == w.size()) first_diff = i;
+    EXPECT_NEAR(w[i], w_ref[i], t.vtol + t.reltol * std::abs(w_ref[i]))
+        << "t = " << r.time[i];
+  }
+  EXPECT_GT(first_diff, w.size() / 4);
+  EXPECT_LT(first_diff, w.size());
+}
+
 TEST(FaultPoint, DeviceEvalNanIsRejectedAndRecovered) {
   // One poisoned assembly: the Newton update goes non-finite, the
   // solver rejects it and retries cleanly instead of propagating NaN

@@ -1,5 +1,6 @@
 // Transient factorization tests: full-Newton bit identity on the
-// class-AB buffer (waveform and PSS THD against recorded goldens), the
+// class-AB buffer (waveform and PSS THD against recorded goldens, the
+// predictor's Newton-iteration saving on the PSS run), the
 // linear fast path's one-factorization contract, and the determinism of
 // run_transient_sweep across thread counts.
 #include <gtest/gtest.h>
@@ -40,10 +41,12 @@ void expect_full_newton(const an::TranTelemetry& tel) {
   EXPECT_EQ(tel.factor_count, tel.newton_iterations + forced);
 }
 
-// The goldens under tests/golden/transient/ were recorded by the build
-// that still carried modified-Newton factorization reuse, run with
-// reuse switched off.  Full Newton is now the only nonlinear path and
-// its arithmetic is unchanged, so the waveform must match to the bit.
+// Every nonlinear step starts Newton from the second-order predictor
+// (StepHistory in transient.cc).  The *_predictor goldens hold its bits;
+// the goldens recorded before it, when each step started from the last
+// accepted point, stay as tolerance references: both runs stop inside
+// the same Newton tolerance, so they agree to well under 1e-9 of the
+// reference's swing.
 TEST(TransientReuse, ClassAbBufferWaveformMatchesFullNewtonGolden) {
   auto rig = driven_buffer();
   an::TranOptions t;
@@ -51,9 +54,12 @@ TEST(TransientReuse, ClassAbBufferWaveformMatchesFullNewtonGolden) {
   t.dt = 2e-6;
   const auto r = an::run_transient(rig->nl, t);
   ASSERT_TRUE(r.ok) << r.diag.message();
-  golden::expect("transient/buffer_hd_diff_wave.txt",
-                 golden::hex_rows(r.diff_wave(rig->drv.outp,
-                                              rig->drv.outn)));
+  const auto w = r.diff_wave(rig->drv.outp, rig->drv.outn);
+  golden::expect("transient/buffer_hd_diff_wave_predictor.txt",
+                 golden::hex_rows(w));
+  const auto ref = golden::numbers(
+      golden::read("transient/buffer_hd_diff_wave.txt"));
+  golden::expect_near(ref, w, 1e-9 * golden::span(ref));
   expect_full_newton(r.telemetry);
   // The JSON view still carries both counters.
   const auto js = r.telemetry.reuse_stats_json();
@@ -64,6 +70,10 @@ TEST(TransientReuse, ClassAbBufferWaveformMatchesFullNewtonGolden) {
 // Shooting PSS rides the held LU of each accepted step for its Phi
 // columns; with full Newton that is always the step's last iteration's
 // factorization.  THD and the periodic boundary state match the golden.
+// This is perfbench's tone-thd op (0.3 V per side, dt 1 us): 3000
+// accepted steps, which took 8196 Newton iterations when every step
+// started from the last accepted point; the predictor must keep at
+// least 40 % of them off.
 TEST(TransientReuse, BufferPssThdMatchesFullNewtonGolden) {
   auto rig = driven_buffer();
   an::PssOptions o;
@@ -74,9 +84,17 @@ TEST(TransientReuse, BufferPssThdMatchesFullNewtonGolden) {
       r.harmonics(r.diff_wave(rig->drv.outp, rig->drv.outn)).thd;
   char buf[64];
   std::snprintf(buf, sizeof buf, "thd: %a\nx0:\n", thd);
-  golden::expect("transient/buffer_pss_thd.txt",
+  golden::expect("transient/buffer_pss_thd_predictor.txt",
                  buf + golden::hex_rows(r.x0));
+  const auto ref =
+      golden::numbers(golden::read("transient/buffer_pss_thd.txt"));
+  ASSERT_EQ(ref.size(), 1 + r.x0.size());
+  EXPECT_NEAR(thd, ref[0], 1e-9 * ref[0]);
+  const std::vector<double> ref_x0(ref.begin() + 1, ref.end());
+  golden::expect_near(ref_x0, r.x0, 1e-9 * golden::span(ref_x0));
   expect_full_newton(r.telemetry.tran);
+  EXPECT_EQ(r.telemetry.tran.accepted_steps, 3000);
+  EXPECT_LE(r.telemetry.tran.newton_iterations, 0.6 * 8196);
 }
 
 // A purely linear circuit at constant dt needs exactly one numeric
