@@ -2,8 +2,10 @@
 """Alternating end-to-end benchmark pairs between two checkouts.
 
     python3 tools/perf_pairs.py --parent DIR --change DIR \\
-        --workloads tone-thd table1-mc --seeds 1 7919 --pairs 10
+        [--workloads tone-thd table1-mc] --seeds 1 7919 --pairs 10
 
+Without --workloads it runs every workload the change's BENCHMARK.json
+names, so a change is checked on the workloads it should not move too.
 For every workload and seed, runs `perfbench/run.py` N times in each
 checkout (DIR is a checkout root holding perfbench/ and src/), one parent
 run and one change run per pair, alternating which side goes first.  It
@@ -91,7 +93,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent checkout root")
     ap.add_argument("--change", required=True, help="change checkout root")
-    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--workloads", nargs="+",
+                    help="default: every workload in the change's "
+                    "BENCHMARK.json")
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
@@ -105,13 +109,15 @@ def main():
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
             ap.error("%s has no perfbench/run.py" % root)
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
-        specs = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    specs = bench["end_to_end"]
+    workloads = a.workloads or [w["name"] for w in bench["workloads"]]
 
     failed = False
     raw = []
     out = ["| workload | seed | metric | parent | change | Δ | wins |",
            "|---|---:|---|---:|---:|---:|---:|"]
-    for workload in a.workloads:
+    for workload in workloads:
         for seed in a.seeds:
             pairs = []
             for i in range(a.pairs):
