@@ -83,10 +83,11 @@ struct McTrial {
 // Structure-shared Monte-Carlo: the trial is split into `build` (derive
 // sample i's perturbed netlist from its RNG stream) and `measure`
 // (solve it, return the scalar / diagnosis), and the samples run through
-// run_samples: sample 0 primes the solver cache, every later sample with
-// the same topology fingerprint adopts it.  Monte-Carlo perturbations
-// move parameter VALUES, never topology, so in practice every sample
-// shares.  Failed samples (diag not ok, or a NaN value) are excluded
+// run_samples: sample 0 primes the solver cache and its operating point,
+// every later sample with the same topology fingerprint adopts both, so
+// its solve_op starts Newton from sample 0's x (1-2 iterations on the
+// mic rig instead of 17 from zero).  Monte-Carlo perturbations move
+// parameter VALUES, never topology, so in practice every sample shares.  Failed samples (diag not ok, or a NaN value) are excluded
 // from statistics and recorded with their structured cause in
 // `failure_diags`.  Each sample counts one budget step; samples the
 // budget stopped become structured kBudgetExceeded failures

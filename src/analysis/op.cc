@@ -113,6 +113,7 @@ bool newton_solve_damped(const ckt::Netlist& nl, const AssembleParams& p,
 void finalize(ckt::Netlist& nl, const OpOptions& opt, OpResult& r) {
   if (!r.converged) return;
   for (const auto& d : nl.devices()) d->save_op(r.x, opt.temp_k);
+  nl.set_op_solution(r.x);
 }
 
 // Fills r.diag from the outcome of the homotopy stage that failed last.
@@ -162,11 +163,12 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
   nl.assign_unknowns();
   for (const auto& d : nl.devices()) d->set_temperature(opt.temp_k);
 
+  // Start point: the caller's initial_guess, else the seed another
+  // netlist's solution handed over (Netlist::adopt_op_seed), else zeros.
   r.x.assign(static_cast<std::size_t>(nl.unknown_count()), 0.0);
-  if (!opt.initial_guess.empty() &&
-      opt.initial_guess.size() == r.x.size()) {
-    r.x = opt.initial_guess;
-  }
+  const num::RealVector& start =
+      opt.initial_guess.empty() ? nl.op_seed() : opt.initial_guess;
+  if (start.size() == r.x.size()) r.x = start;
 
   AssembleParams p;
   p.mode = ckt::AnalysisMode::kDcOp;

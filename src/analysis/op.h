@@ -19,7 +19,9 @@ struct OpOptions {
   double max_step = 0.4;    // max per-unknown Newton update [V or A]
   double gmin = 1e-12;      // final junction gmin
   double gshunt = 1e-12;
-  num::RealVector initial_guess;  // optional (size 0 -> zeros)
+  // Optional Newton start.  Size 0 -> the netlist's op_seed() (sample
+  // 0's solution in a Monte-Carlo batch), else zeros.
+  num::RealVector initial_guess;
   // Pre-solve static pass (an::preflight): lint plus structural-rank
   // analysis.  Errors (duplicate device names, ideal-voltage-source
   // loops, structural singularity, stamp-contract breaches) fail fast
@@ -55,8 +57,9 @@ struct OpResult {
 };
 
 // Solves the DC operating point and, on success, calls save_op() on all
-// devices so that AC / noise analyses can follow immediately.  Never
-// throws on solver failure: inspect result.diag for the cause.
+// devices so that AC / noise analyses can follow immediately, and
+// records x as the netlist's op_solution().  Never throws on solver
+// failure: inspect result.diag for the cause.
 OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt = {});
 
 }  // namespace msim::an

@@ -23,12 +23,13 @@ struct SampleOptions {
 
 // Runs samples 0..n-1, each on its own fresh netlist: build(i, nl), then
 // run(i, nl).  Sample 0 runs first, serially, and primes its solver
-// cache (pattern, symbolic LU, stamp slots); every later sample whose
-// topology fingerprint matches adopts that cache between build and run,
-// and any other sample analyzes itself like a standalone run.  Callbacks
-// must depend only on i and write only i's own slots; the adopted cache
-// is always sample 0's, so results are bit-identical at any thread
-// count.  Samples the budget stops are never built or run (callers
+// cache (pattern, symbolic LU, stamp slots) and its operating point;
+// every later sample whose topology fingerprint matches adopts both
+// between build and run -- the cache changes no number, the OP becomes
+// the seed every solve_op of the sample starts Newton from -- and any
+// other sample analyzes itself like a standalone run.  Callbacks must
+// depend only on i and write only i's own slots; what a sample adopts is
+// always sample 0's, so results are bit-identical at any thread count.  Samples the budget stops are never built or run (callers
 // pre-fill their result slots with a skip marker); with `note_steps`
 // each sample counts one budget step.
 inline void run_samples(
@@ -52,7 +53,10 @@ inline void run_samples(
         if (!claim()) return;
         ckt::Netlist nl;
         build(j + 1, nl);
-        if (nl.topology_fingerprint() == fp0) nl.adopt_solver_cache(nl0);
+        if (nl.topology_fingerprint() == fp0) {
+          nl.adopt_solver_cache(nl0);
+          nl.adopt_op_seed(nl0);
+        }
         run(j + 1, nl);
       },
       opt.budget);

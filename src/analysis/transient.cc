@@ -645,7 +645,6 @@ struct EnsembleBlock {
   EnsembleSystem sys;
   const TranOptions* opt = nullptr;       // shared (validated equal)
   core::RunBudget* budget = nullptr;
-  const num::RealVector* nominal_x = nullptr;  // warm start for lane OPs
   std::vector<ckt::Netlist*> lanes;
   std::vector<TranResult*> results;       // global slots, lane-indexed
   bool fell_back = false;                 // sys.init refused -> per-sample
@@ -773,10 +772,11 @@ void run_ensemble_block(EnsembleBlock& b) {
   b.xn.resize(nl);
   b.okv.reset(new bool[nl]);
 
-  // Per-lane operating point, warm-started from the nominal OP: the
-  // perturbed samples sit within millivolts of the nominal solution, so
-  // plain Newton from the nominal x converges in a few iterations and
-  // skips the whole homotopy ladder that dominates cold-start OP cost.
+  // Per-lane operating point, seeded with the nominal OP (every lane
+  // adopted it, see Netlist::adopt_op_seed): the perturbed samples sit
+  // within millivolts of the nominal solution, so plain Newton from it
+  // converges in a few iterations and skips the whole homotopy ladder
+  // that dominates cold-start OP cost.
   OpOptions op_opt;
   op_opt.temp_k = opt.temp_k;
   op_opt.vtol = opt.vtol;
@@ -787,7 +787,6 @@ void run_ensemble_block(EnsembleBlock& b) {
   op_opt.lint_strict = opt.lint_strict;
   op_opt.solver = opt.solver;
   op_opt.budget = b.budget;
-  op_opt.initial_guess = *b.nominal_x;
 
   std::vector<char> running(nl, 0);
   for (std::size_t k = 0; k < nl; ++k) {
@@ -1061,10 +1060,9 @@ TranEnsembleResult run_transient_ensemble(
     for (std::size_t i = 1; i < n && !why; ++i)
       if (nls[i]->topology_fingerprint() != fp0) why = "topology_differs";
   }
-  OpResult nominal;
   if (!why) {
     // One nominal OP (full homotopy ladder) primes sample 0's solver
-    // cache and provides the warm start every lane's OP reuses.
+    // cache and provides the seed every lane's OP starts from.
     OpOptions op0;
     op0.temp_k = base.temp_k;
     op0.vtol = base.vtol;
@@ -1075,19 +1073,21 @@ TranEnsembleResult run_transient_ensemble(
     op0.lint_strict = base.lint_strict;
     op0.solver = base.solver;
     op0.budget = opt.budget;
-    nominal = solve_op(*nls[0], op0);
-    if (!nominal.converged) why = "nominal_op_failed";
+    if (!solve_op(*nls[0], op0).converged) why = "nominal_op_failed";
   }
   if (why) {
     nls.clear();
     return fall_back(why);
   }
 
-  // Hoisted cache share: every sample adopts the nominal structural
-  // cache (pattern, symbolic LU, stamp slots) exactly once, outside any
-  // per-trial work.
-  for (std::size_t i = 1; i < n; ++i)
-    nls[i]->adopt_solver_cache(*nls[0]);
+  // Hoisted share, outside any per-trial work: every sample adopts the
+  // nominal structural cache (pattern, symbolic LU, stamp slots) once,
+  // and every lane -- lane 0 too, whose own solve_op never seeds itself
+  // -- the nominal OP as its seed.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) nls[i]->adopt_solver_cache(*nls[0]);
+    nls[i]->adopt_op_seed(*nls[0]);
+  }
 
   const std::vector<core::IndexBlock> blocks = core::partition_blocks(
       n, static_cast<std::size_t>(et.lane_width));
@@ -1104,7 +1104,6 @@ TranEnsembleResult run_transient_ensemble(
     EnsembleBlock& b = ctxs[bi];
     b.opt = &base;
     b.budget = opt.budget;
-    b.nominal_x = &nominal.x;
     for (std::size_t i = blocks[bi].begin; i < blocks[bi].end; ++i) {
       b.lanes.push_back(nls[i].get());
       b.results.push_back(&er.results[i]);

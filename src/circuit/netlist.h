@@ -137,6 +137,22 @@ class Netlist {
   // the same reason as solver_cache(): derived state, not content.
   StructuralVerdict& structural_verdict() const { return verdict_; }
 
+  // Operating-point hand-off, derived state like the solver cache.
+  // solve_op records its last converged x in op_solution(), and starts
+  // from op_seed() -- exactly as from an initial_guess -- when its
+  // caller passes none.  A netlist never seeds itself: only
+  // adopt_op_seed fills the seed, so repeated solves and sweeps over
+  // one netlist start where they always did.  Monte-Carlo samples
+  // (an::run_samples) and ensemble lanes adopt sample 0's solution:
+  // a perturbed sample's OP sits within microvolts of it, so Newton
+  // converges in one or two iterations instead of ~17 from zero.
+  // Kept apart from adopt_solver_cache, which changes no number, and
+  // never carried by the serve registry.
+  void set_op_solution(const num::RealVector& x) { op_x_ = x; }
+  const num::RealVector& op_solution() const { return op_x_; }
+  const num::RealVector& op_seed() const { return op_seed_; }
+  void adopt_op_seed(const Netlist& other) { op_seed_ = other.op_x_; }
+
  private:
   // Transparent hash: the name indexes below look string_views up
   // without building a std::string key per call.
@@ -167,6 +183,8 @@ class Netlist {
   std::uint64_t assigned_rev_ = 0;
   mutable num::SolverCache solver_cache_;
   mutable StructuralVerdict verdict_;
+  num::RealVector op_x_;
+  num::RealVector op_seed_;
 };
 
 }  // namespace msim::ckt

@@ -41,7 +41,11 @@ TEST(NumericGolden, MicAmpOpAtEveryGainCode) {
 // One 20-sample batch of the Table-1 dAcl Monte-Carlo, as the table1-mc
 // benchmark workload runs it: per sample, build the mic rig, perturb both
 // resistor strings, solve the operating point and take the 1 kHz
-// differential gain in dB; one thread.
+// differential gain in dB; one thread.  Every sample after the first
+// starts Newton from sample 0's operating point; the golden recorded
+// when each sample started from zero stays as a tolerance reference
+// (1e-9 of the span of its values; the seeded start moved them by at
+// most 1e-13 dB on a 0.042 dB span).
 TEST(NumericGolden, Table1McBatchSamples) {
   const auto pm = proc::ProcessModel::cmos12();
   constexpr int kCode = 3;
@@ -69,8 +73,11 @@ TEST(NumericGolden, Table1McBatchSamples) {
       mo);
   ASSERT_EQ(st.failures, 0);
   ASSERT_EQ(st.samples.size(), 20u);
-  golden::expect("numeric/table1_mc_samples.txt",
+  golden::expect("numeric/table1_mc_samples_seeded.txt",
                  golden::hex_rows(st.samples));
+  const auto ref =
+      golden::numbers(golden::read("numeric/table1_mc_samples.txt"));
+  golden::expect_near(ref, st.samples, 1e-9 * golden::span(ref));
 }
 
 // Every unknown of the mic-amp AC solution (real, imaginary) at five

@@ -1,15 +1,24 @@
 // Operating-point solver robustness: homotopy fallbacks, pathological
-// circuits, initial-guess reuse, and structured failure diagnostics
+// circuits, initial-guess reuse, the Monte-Carlo operating-point seed,
+// and structured failure diagnostics
 // (SolveDiag) exercised through the fault-injection netlists under
 // tests/faults/.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <fstream>
+#include <numeric>
+#include <sstream>
+#include <vector>
 
 #include "analysis/ac.h"
 #include "analysis/montecarlo.h"
 #include "analysis/noise.h"
 #include "analysis/op.h"
+#include "analysis/sample_loop.h"
 #include "analysis/sweep.h"
 #include "analysis/transient.h"
+#include "bench_util.h"
 #include "core/bias.h"
 #include "circuit/lint.h"
 #include "circuit/netlist.h"
@@ -94,6 +103,144 @@ TEST(OpRobustness, InitialGuessAcceleratesResolve) {
   ASSERT_TRUE(op2.converged);
   EXPECT_LE(op2.iterations, op1.iterations);
   EXPECT_LE(op2.iterations, 3);
+}
+
+// ---- operating-point seed (Netlist::adopt_op_seed) -------------------
+
+// Builds Table-1 Monte-Carlo sample i: the mic rig at gain code 3 with
+// both resistor strings perturbed from RNG stream 1000 + i.
+void build_table1_sample(std::size_t i, ckt::Netlist& nl) {
+  const auto pm = proc::ProcessModel::cmos12();
+  num::Rng rng(1000 + i);
+  auto parts = bench::build_mic_into(nl, {}, pm);
+  bench::perturb_mic_strings(parts.mic, pm, rng);
+  parts.mic.set_gain_code(3);
+}
+
+// Two converged operating points of one circuit agree to the tolerance
+// Newton stops at (vtol + reltol * |x| per unknown).
+void expect_same_op(const an::OpResult& got, const an::OpResult& ref,
+                    const char* what) {
+  const an::OpOptions tol;
+  ASSERT_EQ(got.x.size(), ref.x.size()) << what;
+  for (std::size_t k = 0; k < ref.x.size(); ++k)
+    EXPECT_NEAR(got.x[k], ref.x[k], tol.vtol + tol.reltol * std::abs(ref.x[k]))
+        << what << ", unknown " << k;
+}
+
+// A 20-sample Table-1 batch as the table1-mc workload runs it: sample 0
+// solves from zero (17 iterations), every later sample starts from its
+// operating point and needs at most two.
+TEST(OpSeed, Table1BatchSpendsAtMostTwoIterationsPerSeededSample) {
+  num::Rng rng(1);
+  const auto pm = proc::ProcessModel::cmos12();
+  an::McOptions mo;
+  mo.threads = 1;  // samples run in order
+  std::vector<int> iterations;
+  const an::McStats st = an::monte_carlo_shared(
+      20, rng,
+      [&](num::Rng& r, ckt::Netlist& nl) {
+        auto parts = bench::build_mic_into(nl, {}, pm);
+        bench::perturb_mic_strings(parts.mic, pm, r);
+        parts.mic.set_gain_code(3);
+      },
+      [&](ckt::Netlist& nl) {
+        const auto op = an::solve_op(nl);
+        iterations.push_back(op.iterations);
+        return op.converged ? an::McTrial::of(0.0)
+                            : an::McTrial::failed(op.diag);
+      },
+      mo);
+  ASSERT_EQ(st.failures, 0);
+  ASSERT_EQ(iterations.size(), 20u);
+  EXPECT_LE(iterations[0], 17);
+  EXPECT_LE(std::accumulate(iterations.begin(), iterations.end(), 0),
+            17 + 2 * 19)
+      << ::testing::PrintToString(iterations);
+}
+
+// The seed changes where Newton starts, not where it lands: every seeded
+// sample's operating point matches a cold solve of the same sample.
+TEST(OpSeed, SeededSamplesMatchTheirColdSolves) {
+  constexpr std::size_t kSamples = 12;
+  std::vector<an::OpResult> seeded(kSamples);
+  an::run_samples(kSamples, {}, false, build_table1_sample,
+                  [&](std::size_t i, ckt::Netlist& nl) {
+                    seeded[i] = an::solve_op(nl);
+                  });
+  for (std::size_t i = 1; i < kSamples; ++i) {
+    ckt::Netlist nl;
+    build_table1_sample(i, nl);
+    const auto cold = an::solve_op(nl);
+    ASSERT_TRUE(cold.converged && seeded[i].converged) << "sample " << i;
+    EXPECT_LT(seeded[i].iterations, cold.iterations) << "sample " << i;
+    expect_same_op(seeded[i], cold, "mic sample");
+  }
+}
+
+// The bandgap core has a second, zero-current operating point.  Seeded
+// from sample 0, every perturbed sample still lands on the state a cold
+// solve finds.
+TEST(OpSeed, BandgapSamplesLandOnTheColdState) {
+  const std::string text = [] {
+    std::ifstream in(std::string(MSIM_TEST_DIR) +
+                     "/../examples/netlists/bandgap_core.sp");
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }();
+  // The --mc spread on resistors, plus MOS threshold and beta mismatch.
+  const auto build = [&](std::size_t i, ckt::Netlist& nl) {
+    nl = std::move(*spice::parse_netlist(text).netlist);
+    num::Rng r(77 + i);
+    for (const auto& d : nl.devices()) {
+      if (auto* res = dynamic_cast<dev::Resistor*>(d.get()))
+        res->set_resistance(res->nominal_resistance() *
+                            (1.0 + 0.01 * r.normal()));
+      if (auto* m = dynamic_cast<dev::Mosfet*>(d.get()))
+        m->apply_mismatch(r.normal(0.0, 5e-3), r.normal(0.0, 0.02));
+    }
+  };
+  constexpr std::size_t kSamples = 24;
+  std::vector<an::OpResult> seeded(kSamples);
+  an::run_samples(kSamples, {}, false, build,
+                  [&](std::size_t i, ckt::Netlist& nl) {
+                    seeded[i] = an::solve_op(nl);
+                  });
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    ckt::Netlist nl;
+    build(i, nl);
+    const auto cold = an::solve_op(nl);
+    ASSERT_TRUE(cold.converged && seeded[i].converged) << "sample " << i;
+    expect_same_op(seeded[i], cold, "bandgap sample");
+  }
+}
+
+// A netlist never seeds itself: solving it again starts from zero and
+// takes the same path; only adopt_op_seed hands a solution over.
+TEST(OpSeed, RepeatedSolveOfOneNetlistStartsFromZero) {
+  ckt::Netlist nl;
+  build_table1_sample(0, nl);
+  const auto first = an::solve_op(nl);
+  const auto again = an::solve_op(nl);
+  ASSERT_TRUE(first.converged && again.converged);
+  EXPECT_EQ(again.iterations, first.iterations);
+  EXPECT_EQ(again.x, first.x);
+  EXPECT_EQ(nl.op_solution(), first.x);
+  EXPECT_TRUE(nl.op_seed().empty());
+
+  ckt::Netlist cold, seeded;
+  build_table1_sample(1, cold);
+  build_table1_sample(1, seeded);
+  seeded.adopt_op_seed(nl);
+  EXPECT_EQ(seeded.op_seed(), first.x);
+  // An explicit initial_guess still wins over the seed.
+  an::OpOptions from_zero;
+  from_zero.initial_guess.assign(first.x.size(), 0.0);
+  const auto ref = an::solve_op(cold);
+  const auto got = an::solve_op(seeded, from_zero);
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.x, ref.x);
 }
 
 TEST(OpRobustness, ContinuationTracksSteepTransferCurve) {
