@@ -3,6 +3,7 @@
 // by the AC and noise analyses.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <complex>
 
@@ -103,6 +104,11 @@ class Waveform {
   double sine_freq() const { return sin_freq_; }
   double sine_delay() const { return sin_delay_; }
   double sine_damping() const { return sin_damp_; }
+  // The seven pulse() arguments in order: v1 v2 td tr tf pw period.
+  std::array<double, 7> pulse_args() const {
+    return {dc_, p_v2_, p_td_, p_tr_, p_tf_, p_pw_, p_per_};
+  }
+  const num::PiecewiseLinear& pwl_table() const { return pwl_; }
 
   double value(double t) const {
     switch (kind_) {

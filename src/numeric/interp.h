@@ -22,6 +22,8 @@ class PiecewiseLinear {
   std::size_t size() const { return xs_.size(); }
   double x_min() const { return xs_.front(); }
   double x_max() const { return xs_.back(); }
+  const std::vector<double>& xs() const { return xs_; }
+  const std::vector<double>& ys() const { return ys_; }
   // Extremes over the table values.  With flat extrapolation and linear
   // interior segments these bound the function everywhere, which is
   // what the value-range analysis widens a PWL source to.

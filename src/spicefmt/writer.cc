@@ -1,6 +1,7 @@
 #include "spicefmt/writer.h"
 
 #include <sstream>
+#include <vector>
 
 #include "devices/bjt.h"
 #include "devices/controlled.h"
@@ -26,9 +27,47 @@ std::string node_ref(const ckt::Netlist& nl, ckt::NodeId n) {
   return n == ckt::kGround ? "0" : nl.node_name(n);
 }
 
+// A source's value in the parser's syntax: `dc <v>`, or the transient
+// shape as sin(...)/pulse(...)/pwl(...).  `ac <mag>` goes before a
+// shape, whose arguments the parser reads to the end of the card.
 void write_waveform(std::ostringstream& os, const dev::Waveform& w) {
-  os << " dc " << w.dc_value();
+  using Kind = dev::Waveform::Kind;
+  if (w.kind() == Kind::kDc) os << " dc " << w.dc_value();
   if (w.ac_mag() != 0.0) os << " ac " << w.ac_mag();
+  const auto args = [&](const char* shape, const auto& values) {
+    os << " " << shape << "(";
+    const char* sep = "";
+    for (double v : values) {
+      os << sep << v;
+      sep = " ";
+    }
+    os << ")";
+  };
+  switch (w.kind()) {
+    case Kind::kDc:
+      break;
+    case Kind::kSin: {
+      // Trailing zero delay and damping are the parser's defaults.
+      std::vector<double> a = {w.dc_value(), w.sine_ampl(), w.sine_freq(),
+                               w.sine_delay(), w.sine_damping()};
+      while (a.size() > 3 && a.back() == 0.0) a.pop_back();
+      args("sin", a);
+      break;
+    }
+    case Kind::kPulse:
+      args("pulse", w.pulse_args());
+      break;
+    case Kind::kPwl: {
+      const auto& t = w.pwl_table();
+      std::vector<double> a;
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        a.push_back(t.xs()[i]);
+        a.push_back(t.ys()[i]);
+      }
+      args("pwl", a);
+      break;
+    }
+  }
 }
 
 }  // namespace

@@ -376,18 +376,23 @@ TEST(ServeDeck, WarmJobStillRunsValueDependentLint) {
 }
 
 // The Table-1 mic-amp between +-1.3 V rails as write_netlist renders
-// it, with `directives` before .end.
-std::string mic_deck(int code, const std::string& directives) {
+// it, with `directives` before .end.  With `tone` the inputs carry a
+// +-1 mV differential 1 kHz sine.
+std::string mic_deck(int code, const std::string& directives,
+                     bool tone = false) {
   ckt::Netlist nl;
   const auto pm = proc::ProcessModel::cmos12();
   const auto vdd = nl.node("vdd"), vss = nl.node("vss");
   const auto inp = nl.node("inp"), inn = nl.node("inn");
+  const auto input = [&](double sign) {
+    return (tone ? dev::Waveform::sine(0.0, sign * 1e-3, 1e3)
+                 : dev::Waveform::dc(0.0))
+        .with_ac(sign * 0.5);
+  };
   nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
   nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
-  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(0.5));
-  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(-0.5));
+  nl.add<dev::VSource>("Vinp", inp, ckt::kGround, input(1.0));
+  nl.add<dev::VSource>("Vinn", inn, ckt::kGround, input(-1.0));
   core::build_mic_amp(nl, pm, {}, vdd, vss, ckt::kGround, inp, inn)
       .set_gain_code(code);
   std::string deck = spice::write_netlist(nl, "mic-amp");
@@ -404,18 +409,32 @@ std::string strip_rate(std::string s) {
   return s.replace(start, end - start, "#");
 }
 
-// mic_deck with its inputs driven by a +-1 mV differential 1 kHz tone.
-std::string mic_sine_deck(int code, const std::string& directives) {
-  std::string deck = mic_deck(code, directives);
-  for (const auto& [card, tone] : {std::pair{"v_Vinp ", " sin(0 1m 1k)"},
-                                   std::pair{"v_Vinn ", " sin(0 -1m 1k)"}})
-    deck.insert(deck.find('\n', deck.find(card)), tone);
-  return deck;
-}
-
 std::string describe_job(const DeckResult& r) {
   return "exit " + std::to_string(r.exit_code) + "\n--- out\n" +
          strip_timing(r.out) + "--- err\n" + strip_rate(r.err);
+}
+
+// The "solved by ... in N iterations" line of a job's op report.
+std::string op_iterations_line(const DeckResult& r) {
+  const std::size_t at = r.out.find("solved by ");
+  if (at == std::string::npos) return {};
+  return r.out.substr(at, r.out.find('\n', at) - at);
+}
+
+// The registry carries structure, never an operating-point seed: a job
+// warmed by an earlier job over the same topology (here another gain
+// code, so another operating point) takes the cold job's Newton path.
+TEST(ServeRegistry, WarmOpJobTakesTheColdIterationCount) {
+  CacheRegistry reg;
+  ASSERT_EQ(run_no_memo(mic_deck(5, ".op\n"), &reg).exit_code, 0);
+  const DeckResult warm = run_no_memo(mic_deck(3, ".op\n"), &reg);
+  const DeckResult cold = run_no_memo(mic_deck(3, ".op\n"), nullptr);
+  ASSERT_EQ(warm.exit_code, 0) << warm.err;
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  EXPECT_TRUE(warm.warm);
+  EXPECT_FALSE(op_iterations_line(cold).empty()) << cold.out;
+  EXPECT_EQ(op_iterations_line(warm), op_iterations_line(cold));
+  EXPECT_EQ(strip_timing(warm.out), strip_timing(cold.out));
 }
 
 TEST(ServeDeck, JobBytesMatchGoldens) {
@@ -484,11 +503,11 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
   decks.push_back(
       {"rc_tran_ensemble", kTranDeck,
        with([](DeckOptions& o) { o.ensemble = 4; })});
-  decks.push_back({"mic_tran_sine", mic_sine_deck(2, ".tran 20u 1m\n"),
+  decks.push_back({"mic_tran_sine", mic_deck(2, ".tran 20u 1m\n", true),
                    with([](DeckOptions& o) {
                      o.probe_arg = "inp,inn,mic.outp,mic.outn";
                    })});
-  decks.push_back({"mic_pss_sine", mic_sine_deck(2, ".tran 20u 1m\n"),
+  decks.push_back({"mic_pss_sine", mic_deck(2, ".tran 20u 1m\n", true),
                    with([](DeckOptions& o) {
                      o.probe_arg = "inp,inn,mic.outp,mic.outn";
                      o.pss = true;

@@ -316,6 +316,58 @@ c1 d 0 1p
   EXPECT_NEAR(std::abs(ac2.v(0, d2)), g1, g1 * 1e-6);
 }
 
+// Sine, pulse and PWL sources survive write -> parse: same shape, same
+// arguments and the same value at every probed time.  DC/AC sources
+// keep their `dc <v> ac <m>` cards.
+TEST(SpiceWriter, TransientWaveformsRoundTrip) {
+  ckt::Netlist nl;
+  const auto a = nl.node("a"), b = nl.node("b");
+  nl.add<dev::VSource>("Vs", a, ckt::kGround,
+                       dev::Waveform::sine(0.1, 0.3, 1e3).with_ac(0.5));
+  nl.add<dev::VSource>("Vd", b, a,
+                       dev::Waveform::sine(0.0, -0.25, 2e3, 1e-4, 50.0));
+  nl.add<dev::ISource>("Ip", a, ckt::kGround,
+                       dev::Waveform::pulse(0.0, 1e-3, 1e-6, 2e-6, 3e-6,
+                                            5e-6, 2e-5));
+  nl.add<dev::ISource>("Iw", b, ckt::kGround,
+                       dev::Waveform::pwl({0.0, 1e-6, 3e-6}, {0.0, 2.0, -1.0}));
+  nl.add<dev::VSource>("Vdc", nl.node("c"), ckt::kGround,
+                       dev::Waveform::dc(1.5).with_ac(-0.5));
+  nl.add<dev::Resistor>("R1", a, b, 1e3);
+  nl.add<dev::Resistor>("R2", b, ckt::kGround, 1e3);
+  nl.add<dev::Resistor>("R3", nl.node("c"), ckt::kGround, 1e3);
+
+  const std::string text = spice::write_netlist(nl, "waveforms");
+  EXPECT_NE(text.find("v_Vs a 0 ac 0.5 sin(0.1 0.3 1000)\n"),
+            std::string::npos) << text;
+  EXPECT_NE(text.find("v_Vdc c 0 dc 1.5 ac -0.5\n"), std::string::npos)
+      << text;
+  const auto r = parse_netlist(text);
+
+  const auto wave = [](const ckt::Netlist& n, const char* name) {
+    if (auto* v = n.find_as<dev::VSource>(name)) return v->waveform();
+    return n.find_as<dev::ISource>(name)->waveform();
+  };
+  for (const auto& [orig, card] :
+       {std::pair{"Vs", "v_vs"}, std::pair{"Vd", "v_vd"},
+        std::pair{"Ip", "i_ip"}, std::pair{"Iw", "i_iw"},
+        std::pair{"Vdc", "v_vdc"}}) {
+    ASSERT_TRUE(r.netlist->find(card)) << card;
+    const dev::Waveform w0 = wave(nl, orig), w1 = wave(*r.netlist, card);
+    EXPECT_EQ(w1.kind(), w0.kind()) << card;
+    EXPECT_EQ(w1.ac_mag(), w0.ac_mag()) << card;
+    EXPECT_EQ(w1.sine_ampl(), w0.sine_ampl()) << card;
+    EXPECT_EQ(w1.sine_freq(), w0.sine_freq()) << card;
+    EXPECT_EQ(w1.sine_delay(), w0.sine_delay()) << card;
+    EXPECT_EQ(w1.sine_damping(), w0.sine_damping()) << card;
+    EXPECT_EQ(w1.pulse_args(), w0.pulse_args()) << card;
+    EXPECT_EQ(w1.pwl_table().xs(), w0.pwl_table().xs()) << card;
+    EXPECT_EQ(w1.pwl_table().ys(), w0.pwl_table().ys()) << card;
+    for (double t : {0.0, 5e-7, 1.5e-6, 4e-6, 1.2e-4, 3e-4})
+      EXPECT_EQ(w1.value(t), w0.value(t)) << card << " at t = " << t;
+  }
+}
+
 }  // namespace
 
 // --- .param and {expression} support (appended suite) ---------------------
