@@ -12,7 +12,8 @@ run and one change run per pair, alternating which side goes first.  It
 prints one Markdown table in the docs/performance.md format: per
 end-to-end metric the median and, in brackets, the quartiles of each
 side, the change in the median, and in how many pairs the change read
-better.  Directions, names and units come from the change's
+better; the `success_frac` row shows the share of operations that
+passed their check next to the timings.  Directions, names and units come from the change's
 BENCHMARK.json; `setup_s` is shown in ms.  `--json FILE` also writes
 every run's metrics.
 
@@ -69,8 +70,6 @@ def table_rows(workload, seed, pairs, specs):
     rows = []
     for spec in specs:
         name = spec["name"]
-        if name == "success_frac":
-            continue
         scale = 1e3 if spec["unit"] == "s" else 1.0
         label = "`%s`%s" % (name, " (ms)" if scale != 1.0 else "")
         par = [p[name] * scale for p, _ in pairs]
