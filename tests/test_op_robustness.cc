@@ -212,6 +212,7 @@ TEST(OpSeed, BandgapSamplesLandOnTheColdState) {
     build(i, nl);
     const auto cold = an::solve_op(nl);
     ASSERT_TRUE(cold.converged && seeded[i].converged) << "sample " << i;
+    if (i > 0) EXPECT_LT(seeded[i].iterations, cold.iterations);
     expect_same_op(seeded[i], cold, "bandgap sample");
   }
 }
