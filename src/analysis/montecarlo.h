@@ -85,10 +85,11 @@ struct McTrial {
 // (solve it, return the scalar / diagnosis), and the samples run through
 // run_samples: sample 0 primes the solver cache and its operating point,
 // every later sample with the same topology fingerprint adopts both, so
-// its solve_op starts Newton from sample 0's x (1-2 iterations on the
-// mic rig instead of 17 from zero).  Monte-Carlo perturbations move
-// parameter VALUES, never topology, so in practice every sample shares.  Failed samples (diag not ok, or a NaN value) are excluded
-// from statistics and recorded with their structured cause in
+// its solve_op starts Newton from sample 0's x (one iteration on the
+// Table-1 mic rig instead of 17 from zero).  Monte-Carlo perturbations move
+// parameter VALUES, never topology, so in practice every sample shares.
+// Failed samples (diag not ok, or a NaN value) are excluded from
+// statistics and recorded with their structured cause in
 // `failure_diags`.  Each sample counts one budget step; samples the
 // budget stopped become structured kBudgetExceeded failures
 // ("deadline_exceeded" in the detail), so statistics cover exactly the

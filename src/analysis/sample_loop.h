@@ -29,9 +29,10 @@ struct SampleOptions {
 // the seed every solve_op of the sample starts Newton from -- and any
 // other sample analyzes itself like a standalone run.  Callbacks must
 // depend only on i and write only i's own slots; what a sample adopts is
-// always sample 0's, so results are bit-identical at any thread count.  Samples the budget stops are never built or run (callers
-// pre-fill their result slots with a skip marker); with `note_steps`
-// each sample counts one budget step.
+// always sample 0's, so results are bit-identical at any thread count.
+// Samples the budget stops are never built or run (callers pre-fill
+// their result slots with a skip marker); with `note_steps` each sample
+// counts one budget step.
 inline void run_samples(
     std::size_t n, const SampleOptions& opt, bool note_steps,
     const std::function<void(std::size_t, ckt::Netlist&)>& build,
