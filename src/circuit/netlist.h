@@ -144,8 +144,8 @@ class Netlist {
   // adopt_op_seed fills the seed, so repeated solves and sweeps over
   // one netlist start where they always did.  Monte-Carlo samples
   // (an::run_samples) and ensemble lanes adopt sample 0's solution:
-  // a perturbed sample's OP sits within microvolts of it, so Newton
-  // converges in one or two iterations instead of ~17 from zero.
+  // a perturbed sample's OP sits close to it, so Newton converges in a
+  // few iterations (one on the Table-1 mic rig, 17 from zero).
   // Kept apart from adopt_solver_cache, which changes no number, and
   // never carried by the serve registry.
   void set_op_solution(const num::RealVector& x) { op_x_ = x; }

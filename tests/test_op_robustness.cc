@@ -107,14 +107,19 @@ TEST(OpRobustness, InitialGuessAcceleratesResolve) {
 
 // ---- operating-point seed (Netlist::adopt_op_seed) -------------------
 
-// Builds Table-1 Monte-Carlo sample i: the mic rig at gain code 3 with
-// both resistor strings perturbed from RNG stream 1000 + i.
-void build_table1_sample(std::size_t i, ckt::Netlist& nl) {
+// Builds one Table-1 Monte-Carlo sample: the mic rig at gain code 3
+// with both resistor strings perturbed from `rng`.
+void build_table1_sample(num::Rng& rng, ckt::Netlist& nl) {
   const auto pm = proc::ProcessModel::cmos12();
-  num::Rng rng(1000 + i);
   auto parts = bench::build_mic_into(nl, {}, pm);
   bench::perturb_mic_strings(parts.mic, pm, rng);
   parts.mic.set_gain_code(3);
+}
+
+// Sample i of a fixed Table-1 set, drawn from RNG stream 1000 + i.
+void build_table1_sample_at(std::size_t i, ckt::Netlist& nl) {
+  num::Rng rng(1000 + i);
+  build_table1_sample(rng, nl);
 }
 
 // Two converged operating points of one circuit agree to the tolerance
@@ -133,17 +138,11 @@ void expect_same_op(const an::OpResult& got, const an::OpResult& ref,
 // operating point and needs at most two.
 TEST(OpSeed, Table1BatchSpendsAtMostTwoIterationsPerSeededSample) {
   num::Rng rng(1);
-  const auto pm = proc::ProcessModel::cmos12();
   an::McOptions mo;
   mo.threads = 1;  // samples run in order
   std::vector<int> iterations;
   const an::McStats st = an::monte_carlo_shared(
-      20, rng,
-      [&](num::Rng& r, ckt::Netlist& nl) {
-        auto parts = bench::build_mic_into(nl, {}, pm);
-        bench::perturb_mic_strings(parts.mic, pm, r);
-        parts.mic.set_gain_code(3);
-      },
+      20, rng, build_table1_sample,
       [&](ckt::Netlist& nl) {
         const auto op = an::solve_op(nl);
         iterations.push_back(op.iterations);
@@ -164,13 +163,13 @@ TEST(OpSeed, Table1BatchSpendsAtMostTwoIterationsPerSeededSample) {
 TEST(OpSeed, SeededSamplesMatchTheirColdSolves) {
   constexpr std::size_t kSamples = 12;
   std::vector<an::OpResult> seeded(kSamples);
-  an::run_samples(kSamples, {}, false, build_table1_sample,
+  an::run_samples(kSamples, {}, false, build_table1_sample_at,
                   [&](std::size_t i, ckt::Netlist& nl) {
                     seeded[i] = an::solve_op(nl);
                   });
   for (std::size_t i = 1; i < kSamples; ++i) {
     ckt::Netlist nl;
-    build_table1_sample(i, nl);
+    build_table1_sample_at(i, nl);
     const auto cold = an::solve_op(nl);
     ASSERT_TRUE(cold.converged && seeded[i].converged) << "sample " << i;
     EXPECT_LT(seeded[i].iterations, cold.iterations) << "sample " << i;
@@ -221,7 +220,7 @@ TEST(OpSeed, BandgapSamplesLandOnTheColdState) {
 // takes the same path; only adopt_op_seed hands a solution over.
 TEST(OpSeed, RepeatedSolveOfOneNetlistStartsFromZero) {
   ckt::Netlist nl;
-  build_table1_sample(0, nl);
+  build_table1_sample_at(0, nl);
   const auto first = an::solve_op(nl);
   const auto again = an::solve_op(nl);
   ASSERT_TRUE(first.converged && again.converged);
@@ -231,8 +230,8 @@ TEST(OpSeed, RepeatedSolveOfOneNetlistStartsFromZero) {
   EXPECT_TRUE(nl.op_seed().empty());
 
   ckt::Netlist cold, seeded;
-  build_table1_sample(1, cold);
-  build_table1_sample(1, seeded);
+  build_table1_sample_at(1, cold);
+  build_table1_sample_at(1, seeded);
   seeded.adopt_op_seed(nl);
   EXPECT_EQ(seeded.op_seed(), first.x);
   // An explicit initial_guess still wins over the seed.
