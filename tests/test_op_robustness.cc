@@ -211,7 +211,9 @@ TEST(OpSeed, BandgapSamplesLandOnTheColdState) {
     build(i, nl);
     const auto cold = an::solve_op(nl);
     ASSERT_TRUE(cold.converged && seeded[i].converged) << "sample " << i;
-    if (i > 0) EXPECT_LT(seeded[i].iterations, cold.iterations);
+    if (i > 0) {
+      EXPECT_LT(seeded[i].iterations, cold.iterations) << "sample " << i;
+    }
     expect_same_op(seeded[i], cold, "bandgap sample");
   }
 }
