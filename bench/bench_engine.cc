@@ -384,6 +384,7 @@ struct PssRun {
   double pss_ms = 0.0;
   int settle_rounds = 0;
   int shooting_iterations = 0;
+  long phi_solves = 0;  // PssTelemetry::phi_solve_count
   double residual = 0.0;
   bool ok = false;
   bool agree = false;
@@ -452,13 +453,12 @@ PssRun run_pss(
       run.settle_rounds = rounds;
     }
 
-    // Shooting PSS: one certified point.  A one-period prefix is
-    // enough -- the boundary Newton handles whatever transient remains.
+    // Shooting PSS: one certified point, default options (a one-period
+    // prefix; the boundary Newton handles whatever transient remains).
     ckt::Netlist nl;
     const auto [outp, outn] = make(nl);
     an::PssOptions o;
     o.tran.dt = dt;
-    o.prefix_periods = 1.0;
     const auto t0 = Clock::now();
     const auto r = an::run_pss_shooting(nl, o);
     const double pss_ms = ms_since(t0);
@@ -472,6 +472,7 @@ PssRun run_pss(
       run.pss_thd = r.harmonics(r.diff_wave(outp, outn)).thd;
       run.pss_periods = r.telemetry.periods_integrated;
       run.shooting_iterations = r.telemetry.shooting_iterations;
+      run.phi_solves = r.telemetry.phi_solve_count;
       run.residual = r.telemetry.residual;
     }
   }
@@ -1409,13 +1410,14 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                  "\"speedup_vs_settle\": %.3f, "
                  "\"settle_periods\": %.2f, \"settle_rounds\": %d, "
                  "\"pss_periods\": %.2f, \"shooting_iterations\": %d, "
+                 "\"phi_solves\": %ld, "
                  "\"period_ratio\": %.3f, "
                  "\"settle_thd\": %.8e, \"pss_thd\": %.8e, "
                  "\"thd_rel_err\": %.3e, \"thd_agree\": %s, "
                  "\"periodicity_residual\": %.3e}%s\n",
                  r->name.c_str(), r->f0, r->pss_ms, r->settle_ms,
                  r->speedup(), r->settle_periods, r->settle_rounds,
-                 r->pss_periods, r->shooting_iterations,
+                 r->pss_periods, r->shooting_iterations, r->phi_solves,
                  r->period_ratio(), r->settle_thd, r->pss_thd,
                  r->rel_err(), r->agree ? "true" : "false", r->residual,
                  r == &pss_mic ? "" : ",");

@@ -47,13 +47,11 @@ class PhiPropagator final : public TranStepHook {
  public:
   explicit PhiPropagator(double dt_base) : dt_base_(dt_base) {}
 
-  // Arms the hook for one period integration, resetting Phi to the
-  // identity.  The M build itself is lazy (first accepted step).
+  // Resets Phi to the identity before a period integration that carries
+  // the hook.  The M build itself is lazy (first accepted step).
   void begin_run() {
-    active_ = true;
     if (built_) reset_columns();
   }
-  void end_run() { active_ = false; }
 
   int unknowns() const { return n_; }
   int dynamic_unknowns() const { return static_cast<int>(dyn_.size()); }
@@ -67,7 +65,6 @@ class PhiPropagator final : public TranStepHook {
                    const AssembleParams& p, const num::RealVector& x_prev,
                    const num::RealVector& x_new) override {
     (void)x_prev;
-    if (!active_) return;
     const auto t0 = std::chrono::steady_clock::now();
     if (!built_) build(nl, x_new, p);
     const std::size_t m = dyn_.size();
@@ -167,7 +164,6 @@ class PhiPropagator final : public TranStepHook {
   }
 
   double dt_base_;
-  bool active_ = false;
   bool built_ = false;
   int n_ = 0;
   num::RealSparseMatrix m_;          // history Jacobian M at dt_base
@@ -350,13 +346,20 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
   shot.record = true;
   shot.initial_state = &x0;
   shot.first_step_backward_euler = true;
-  shot.step_hook = &phi;
 
+  // The first shot after the settle prefix carries no Phi: when it is
+  // already periodic (the usual case) it is the result and Phi would go
+  // unread; when it is not, it counts as one more settle period.  The
+  // hook only reads each step's held LU, so a shot's states are the
+  // same bits with or without it.  A warm start (budget checkpoint) is
+  // not periodic yet, so it carries Phi from its first shot.
+  bool carry_phi = opt.x_warm != nullptr;
+  int iter = 0;  // boundary updates applied
   num::RealVector delta(x0.size());
-  for (int iter = 0;; ++iter) {
-    phi.begin_run();
+  for (;;) {
+    shot.step_hook = carry_phi ? &phi : nullptr;
+    if (carry_phi) phi.begin_run();
     TranResult tr = run_transient(nl, shot);
-    phi.end_run();
     merge_tran(tel.tran, tr.telemetry);
     tel.phi_solve_count = phi.solve_count();
     tel.phi_ns = phi.phi_ns();
@@ -394,6 +397,11 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
       res.x.assign(tr.x.begin(),
                    tr.x.begin() + static_cast<std::ptrdiff_t>(keep));
       return res;
+    }
+    if (!carry_phi) {
+      x0 = std::move(tr.x_final);
+      carry_phi = true;
+      continue;
     }
     if (iter >= opt.max_shooting) {
       res.diag.status = SolveStatus::kNonConvergence;
@@ -450,7 +458,7 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
       }
     }
     for (std::size_t i = 0; i < x0.size(); ++i) x0[i] += delta[i];
-    tel.shooting_iterations = iter + 1;
+    tel.shooting_iterations = ++iter;
   }
 }
 

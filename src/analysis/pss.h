@@ -24,6 +24,14 @@
 // the dense Newton boundary system is m x m with m = dynamic unknowns,
 // typically far smaller than the full MNA dimension.
 //
+// Only the periods whose results are used get integrated: a one-period
+// settle prefix, then a first shot without the Phi ride-along.  If that
+// shot is already periodic it is the result (two periods, no Phi
+// solve); if not, it counts as a second settle period and every later
+// shot carries Phi for the boundary Newton update.  A warm start
+// (PssOptions::x_warm) skips the prefix and carries Phi from its first
+// shot.
+//
 // Restart purity: each shot runs with TranOptions::initial_state plus
 // first_step_backward_euler, which makes x(T) a pure function of x0
 // (see transient.h).  For a linear circuit the period map is affine, so
@@ -58,9 +66,11 @@ struct PssOptions {
   // Samples per period (dt = 1/(f0 * spp), exactly coherent).  0 =
   // derive from tran.dt via sig::plan_coherent_capture.
   int samples_per_period = 0;
-  // Settle prefix integrated once before the first shot to put the
-  // Newton start inside the basin (skipped when x_warm is set).
-  double prefix_periods = 2.0;
+  // Settle prefix integrated once before the first shot (skipped when
+  // x_warm is set).  The first shot after it carries no Phi and becomes
+  // a further settle period when it is not periodic, so one prefix
+  // period puts the Newton start as deep into the basin as two did.
+  double prefix_periods = 1.0;
   // Newton updates on the boundary map before giving up.
   int max_shooting = 8;
   // Periodicity tolerance: converged when
@@ -90,6 +100,7 @@ struct PssTelemetry {
   std::vector<double> residual_history;  // one entry per completed shot
   int unknowns = 0;
   int dynamic_unknowns = 0;        // Phi columns actually propagated
+                                   // (0 when no shot carried Phi)
   long phi_solve_count = 0;        // solve_held substitutions for Phi
   long phi_ns = 0;  // Phi ride-along cost (M build + solves + matvecs),
                     // disjoint from the stamp/factor/solve breakdown in

@@ -1,7 +1,8 @@
 // Shooting-Newton periodic steady state: THD agreement with the settle
 // oracle on the class-AB buffer, the periodicity-residual contract and
 // restart purity of the period map, one-update convergence on a linear
-// circuit, structured budget/cancel partials, and thread-count
+// circuit, which shots carry the Phi ride-along, structured
+// budget/cancel partials, and thread-count
 // determinism of MC-over-PSS through monte_carlo_shared.
 #include <gtest/gtest.h>
 
@@ -72,6 +73,28 @@ TEST(Pss, LinearRcConvergesInOneShootingUpdate) {
   // first step of each period with backward Euler, a once-per-period
   // O(dt^2) kink that reads as ~1e-5 THD at 512 samples/period.
   EXPECT_LT(h.thd, 2e-5);
+}
+
+// A start state far from steady state: the first shot (no Phi) fails
+// the periodicity test and becomes a second settle period, so the run is
+// prefix + that shot + one Phi shot + the post-update shot that closes
+// the orbit.  Phi rides exactly the two shots that carry it.
+TEST(Pss, UnsettledFirstShotBecomesASettlePeriod) {
+  ckt::Netlist nl;
+  build_rc(nl);
+  an::PssOptions o;
+  o.samples_per_period = 512;
+  o.prefix_periods = 0.25;
+  const auto r = an::run_pss_shooting(nl, o);
+  ASSERT_TRUE(r.ok) << r.diag.message();
+  EXPECT_EQ(r.telemetry.shooting_iterations, 1);
+  EXPECT_LT(r.telemetry.residual, 1e-10);
+  ASSERT_EQ(r.telemetry.residual_history.size(), 3u);
+  EXPECT_GT(r.telemetry.residual_history[0], o.ptol_abs + o.ptol_rel);
+  EXPECT_EQ(r.telemetry.periods_integrated, 3.25);
+  EXPECT_GT(r.telemetry.phi_solve_count, 0);
+  EXPECT_EQ(r.telemetry.phi_solve_count,
+            2L * r.telemetry.dynamic_unknowns * o.samples_per_period);
 }
 
 // The tone auto-detector: one undamped, undelayed sine is a tone; any
@@ -174,6 +197,21 @@ TEST(Pss, BufferHdThdMatchesSettleOracle) {
   }
 }
 
+// The buffer is periodic after one settle period, so the first shot is
+// the result: two periods integrated, no Phi solve, no boundary update.
+TEST(Pss, SettledFirstShotCarriesNoPhi) {
+  auto rig = bench::make_drv_rig();
+  rig->vsp->set_waveform(dev::Waveform::sine(0.0, 0.3, 1e3));
+  rig->vsn->set_waveform(dev::Waveform::sine(0.0, -0.3, 1e3));
+  an::PssOptions o;
+  o.tran.dt = 1e-6;
+  const auto r = an::run_pss_shooting(rig->nl, o);
+  ASSERT_TRUE(r.ok) << r.diag.message();
+  EXPECT_EQ(r.telemetry.periods_integrated, 2.0);
+  EXPECT_EQ(r.telemetry.phi_solve_count, 0);
+  EXPECT_EQ(r.telemetry.shooting_iterations, 0);
+}
+
 // ------------------------------------- periodicity residual + purity
 
 // The converged boundary state must actually close the orbit: re-
@@ -225,7 +263,7 @@ TEST(Pss, BudgetPartialAndWarmResume) {
   rig->vsn->set_waveform(dev::Waveform::sine(0.0, -0.3, 1e3));
 
   core::RunBudget budget;
-  budget.max_steps = 300;  // well inside the 2-period settle prefix
+  budget.max_steps = 300;  // well inside the 1-period settle prefix
   an::PssOptions o;
   o.tran.dt = 1e-6;
   o.budget = &budget;

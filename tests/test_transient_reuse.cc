@@ -70,10 +70,12 @@ TEST(TransientReuse, ClassAbBufferWaveformMatchesFullNewtonGolden) {
 // Shooting PSS rides the held LU of each accepted step for its Phi
 // columns; with full Newton that is always the step's last iteration's
 // factorization.  THD and the periodic boundary state match the golden.
-// This is perfbench's tone-thd op (0.3 V per side, dt 1 us): 3000
-// accepted steps, which took 8196 Newton iterations when every step
-// started from the last accepted point; the predictor must keep at
-// least 40 % of them off.
+// This is perfbench's tone-thd op (0.3 V per side, dt 1 us).  The
+// buffer is periodic after one settle period, so the first shot (which
+// carries no Phi) is the result: 2000 accepted steps.  The goldens
+// recorded when the run integrated a two-period prefix plus a Phi shot
+// (3000 steps) stay as tolerance references: both results close the
+// same orbit to within the Newton tolerance.
 TEST(TransientReuse, BufferPssThdMatchesFullNewtonGolden) {
   auto rig = driven_buffer();
   an::PssOptions o;
@@ -84,17 +86,20 @@ TEST(TransientReuse, BufferPssThdMatchesFullNewtonGolden) {
       r.harmonics(r.diff_wave(rig->drv.outp, rig->drv.outn)).thd;
   char buf[64];
   std::snprintf(buf, sizeof buf, "thd: %a\nx0:\n", thd);
-  golden::expect("transient/buffer_pss_thd_predictor.txt",
+  golden::expect("transient/buffer_pss_thd_first_shot.txt",
                  buf + golden::hex_rows(r.x0));
-  const auto ref =
-      golden::numbers(golden::read("transient/buffer_pss_thd.txt"));
-  ASSERT_EQ(ref.size(), 1 + r.x0.size());
-  EXPECT_NEAR(thd, ref[0], 1e-9 * ref[0]);
-  const std::vector<double> ref_x0(ref.begin() + 1, ref.end());
-  golden::expect_near(ref_x0, r.x0, 1e-9 * golden::span(ref_x0));
+  for (const char* name : {"transient/buffer_pss_thd.txt",
+                           "transient/buffer_pss_thd_predictor.txt"}) {
+    SCOPED_TRACE(name);
+    const auto ref = golden::numbers(golden::read(name));
+    ASSERT_EQ(ref.size(), 1 + r.x0.size());
+    EXPECT_NEAR(thd, ref[0], 1e-9 * ref[0]);
+    const std::vector<double> ref_x0(ref.begin() + 1, ref.end());
+    golden::expect_near(ref_x0, r.x0, 1e-9 * golden::span(ref_x0));
+  }
   expect_full_newton(r.telemetry.tran);
-  EXPECT_EQ(r.telemetry.tran.accepted_steps, 3000);
-  EXPECT_LE(r.telemetry.tran.newton_iterations, 0.6 * 8196);
+  EXPECT_EQ(r.telemetry.tran.accepted_steps, 2000);
+  EXPECT_LE(r.telemetry.tran.newton_iterations, 2717);
 }
 
 // A purely linear circuit at constant dt needs exactly one numeric

@@ -239,8 +239,11 @@ def main():
             marker = "DISAGREE"
             failures.append(f"pss_configs/{name}: PSS THD disagrees "
                             f"with the settle oracle")
-        print(f"  pss_configs/{name:<18} {cfg.get('pss_periods', 0):.2f} "
-              f"vs {cfg.get('settle_periods', 0):.1f} periods "
+        # phi_solves is absent from baselines written before it existed.
+        phi = cfg.get("phi_solves")
+        phi = "" if phi is None else f" ({phi} phi solves)"
+        print(f"  pss_configs/{name:<18} {cfg.get('pss_periods', 0):.2f}"
+              f"{phi} vs {cfg.get('settle_periods', 0):.1f} periods "
               f"({ratio:5.2f}x) thd drel {cfg.get('thd_rel_err', 0):.1e} "
               f"[{marker}]")
 
