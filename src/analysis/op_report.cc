@@ -21,7 +21,10 @@ class Report : public core::BasicTextWriter<Report> {
   Report() { s_.reserve(4096); }
 
   // Engineering notation: "4.7 kV", "-12 uA"; below a femto the plain
-  // %.3g value.
+  // %.3g value.  The prefix is picked after rounding to the three
+  // printed digits: a value that rounds up to the next decade
+  // (|v| >= 0.9995 x scale) takes that scale's prefix, so 999.96 prints
+  // "1 kV", not "1e+03 V".
   Report& eng(double v, std::string_view unit) {
     static const struct {
       double scale;
@@ -32,7 +35,7 @@ class Report : public core::BasicTextWriter<Report> {
     const double a = std::abs(v);
     if (a == 0.0) return add("0 ").add(unit);
     for (const auto& s : kScales)
-      if (a >= s.scale)
+      if (a >= 0.9995 * s.scale)
         return num(v / s.scale, 3).add(' ').add(s.prefix).add(unit);
     return num(v, 3).add(' ').add(unit);
   }

@@ -171,10 +171,11 @@ r5 e 0 1
 .end
 )");
   golden::expect("op_report/eng_edges.txt", rep);
-  // 999.96 rounds across the prefix boundary but keeps its prefix.
-  EXPECT_NE(rep.find("1e+03 V\n"), std::string::npos) << rep;
-  EXPECT_NE(rep.find("1e+03 uV\n"), std::string::npos) << rep;
-  EXPECT_NE(rep.find("-1e+03 mV\n"), std::string::npos) << rep;
+  // 999.96 rounds across the prefix boundary and takes the next prefix.
+  EXPECT_NE(rep.find(" 1 kV\n"), std::string::npos) << rep;
+  EXPECT_NE(rep.find(" 1 mV\n"), std::string::npos) << rep;
+  EXPECT_NE(rep.find(" -1 V\n"), std::string::npos) << rep;
+  EXPECT_EQ(rep.find("e+03"), std::string::npos) << rep;
   EXPECT_NE(rep.find("999 V\n"), std::string::npos) << rep;
   EXPECT_NE(rep.find("-1.5 V\n"), std::string::npos) << rep;
   EXPECT_NE(rep.find("1e-16 V\n"), std::string::npos) << rep;  // sub-femto
@@ -182,6 +183,20 @@ r5 e 0 1
   EXPECT_NE(rep.find("0 V\n"), std::string::npos) << rep;
   EXPECT_NE(rep.find("1 fV\n"), std::string::npos) << rep;
   EXPECT_NE(rep.find("1.5 kV\n"), std::string::npos) << rep;
+}
+
+// A node a femtovolt-scale fraction under 1 V (the 1 mOhm / 1 TOhm
+// divider) prints as 1 V: the prefix follows the rounded value.
+TEST(OpReport, PrefixFollowsRounding) {
+  const std::string rep = solved_report(
+      "divider\nv1 a 0 dc 1\nr1 a b 1m\nr2 b 0 1e12\nc1 b 0 1p\n.op\n");
+  EXPECT_NE(rep.find("\n  b                        1 V\n"), std::string::npos)
+      << rep;
+  EXPECT_EQ(rep.find("e+03"), std::string::npos) << rep;
+  const std::string kv =
+      solved_report("kilo\nv1 a 0 999.96\nr1 a 0 1\n.op\n");
+  EXPECT_NE(kv.find("\n  a                        1 kV\n"), std::string::npos)
+      << kv;
 }
 
 // printf's own rendering of one value, the reference the writer must
