@@ -1,5 +1,6 @@
 #include "spicefmt/writer.h"
 
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -28,12 +29,16 @@ std::string node_ref(const ckt::Netlist& nl, ckt::NodeId n) {
 }
 
 // A source's value in the parser's syntax: `dc <v>`, or the transient
-// shape as sin(...)/pulse(...)/pwl(...).  `ac <mag>` goes before a
-// shape, whose arguments the parser reads to the end of the card.
+// shape as sin(...)/pulse(...)/pwl(...).  `ac <mag> [<phase deg>]` goes
+// before a shape, whose arguments the parser reads to the end of the
+// card.
 void write_waveform(std::ostringstream& os, const dev::Waveform& w) {
   using Kind = dev::Waveform::Kind;
   if (w.kind() == Kind::kDc) os << " dc " << w.dc_value();
-  if (w.ac_mag() != 0.0) os << " ac " << w.ac_mag();
+  if (w.ac_mag() != 0.0) {
+    os << " ac " << w.ac_mag();
+    if (w.ac_phase() != 0.0) os << " " << w.ac_phase() * 180.0 / M_PI;
+  }
   const auto args = [&](const char* shape, const auto& values) {
     os << " " << shape << "(";
     const char* sep = "";

@@ -368,6 +368,27 @@ TEST(SpiceWriter, TransientWaveformsRoundTrip) {
   }
 }
 
+// A source's AC phase is written in degrees after its magnitude, so a
+// re-parsed deck drives .ac/.noise with the same phasor; a phase-0
+// source prints the bytes it always has.
+TEST(SpiceWriter, AcPhaseRoundTrips) {
+  const auto r0 = parse_netlist(
+      "t\nV1 IN 0 DC 1 AC 1 45 ; inline comment\nv2 a 0 dc 2.5 ac 1\n"
+      "r1 in a 1k\nr2 a 0 1k\n");
+  const std::string text = spice::write_netlist(*r0.netlist, "t");
+  EXPECT_NE(text.find("v_v1 in 0 dc 1 ac 1 45\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("v_v2 a 0 dc 2.5 ac 1\n"), std::string::npos) << text;
+  const auto r1 = parse_netlist(text);
+  const double phase =
+      r1.netlist->find_as<dev::VSource>("v_v1")->waveform().ac_phase();
+  const double quarter = M_PI / 4.0;
+  EXPECT_LE(std::abs(phase - quarter),
+            std::nextafter(quarter, 1.0) - quarter);
+  EXPECT_EQ(r1.netlist->find_as<dev::VSource>("v_v2")->waveform().ac_phase(),
+            0.0);
+}
+
 }  // namespace
 
 // --- .param and {expression} support (appended suite) ---------------------
