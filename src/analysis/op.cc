@@ -35,7 +35,7 @@ bool newton_solve(const ckt::Netlist& nl, const AssembleParams& p,
                   const OpOptions& opt, NewtonWorkspace& ws,
                   num::RealVector& x, int& iters, NewtonOutcome& out) {
   out = NewtonOutcome{};
-  for (int it = 0; it < opt.max_iterations; ++it) {
+  for (int it = 0; it < kOpMaxIterations; ++it) {
     if (opt.budget) {
       opt.budget->note_newton_iteration();
       const core::StopReason stop = opt.budget->stop_reason();
@@ -70,7 +70,7 @@ bool newton_solve(const ckt::Netlist& nl, const AssembleParams& p,
         return false;
       }
       double dx = x_new[i] - x[i];
-      if (std::abs(dx) > opt.vtol + opt.reltol * std::abs(x_new[i]))
+      if (std::abs(dx) > kNewtonVtol + kNewtonReltol * std::abs(x_new[i]))
         converged = false;
       if (std::abs(dx) > out.max_dx) {
         out.max_dx = std::abs(dx);

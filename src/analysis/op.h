@@ -11,11 +11,16 @@
 
 namespace msim::an {
 
+// Newton convergence test shared by the operating point and every
+// transient step: an update converges when each unknown moved by at
+// most kNewtonVtol + kNewtonReltol * |x| [V or A].
+inline constexpr double kNewtonVtol = 1e-9;
+inline constexpr double kNewtonReltol = 1e-6;
+// Newton iterations per homotopy stage of the operating point.
+inline constexpr int kOpMaxIterations = 300;
+
 struct OpOptions {
   double temp_k = 300.15;
-  double vtol = 1e-9;       // absolute unknown tolerance
-  double reltol = 1e-6;     // relative unknown tolerance
-  int max_iterations = 300;
   double max_step = 0.4;    // max per-unknown Newton update [V or A]
   double gmin = 1e-12;      // final junction gmin
   double gshunt = 1e-12;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -181,7 +182,6 @@ void merge_tran(TranTelemetry& a, const TranTelemetry& b) {
   a.accepted_steps += b.accepted_steps;
   a.rejected_newton += b.rejected_newton;
   a.rejected_nonfinite += b.rejected_nonfinite;
-  a.rejected_lte += b.rejected_lte;
   a.newton_iterations += b.newton_iterations;
   if (a.min_dt_used == 0.0 ||
       (b.min_dt_used != 0.0 && b.min_dt_used < a.min_dt_used))
@@ -305,11 +305,22 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
   int spp = opt.samples_per_period;
   if (spp <= 0)
     spp = sig::plan_coherent_capture(f0, opt.tran.dt).samples_per_period;
+  if (spp <= 0) {
+    // A step so small against the period that the per-period step count
+    // overflows: integrating it would never finish.
+    res.diag.status = SolveStatus::kBadTopology;
+    res.diag.stage = "pss";
+    std::ostringstream os;
+    os << "tone period " << period << " s needs more than "
+       << std::numeric_limits<int>::max() << " steps of " << opt.tran.dt
+       << " s";
+    res.diag.detail = os.str();
+    return res;
+  }
   const double dt = period / spp;
   res.dt = dt;
 
   TranOptions base = opt.tran;
-  base.adaptive = false;  // the step hook rides the fixed-step loop
   base.dt = dt;
   base.record = false;
   base.record_after = 0.0;
@@ -386,7 +397,7 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
     tel.residual = resid;
     tel.residual_history.push_back(resid);
 
-    if (resid <= opt.ptol_abs + opt.ptol_rel * xmax) {
+    if (resid <= kPssTolAbs + kPssTolRel * xmax) {
       res.ok = true;
       res.x0 = x0;
       // Drop the duplicate t = T endpoint: the remaining samples cover
@@ -403,7 +414,7 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
       carry_phi = true;
       continue;
     }
-    if (iter >= opt.max_shooting) {
+    if (iter >= kPssMaxShooting) {
       res.diag.status = SolveStatus::kNonConvergence;
       res.diag.stage = "pss_shooting";
       res.diag.residual = resid;

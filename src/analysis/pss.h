@@ -60,6 +60,13 @@ namespace msim::an {
 // PssOptions::f0_hz explicitly.
 double single_tone_hz(const ckt::Netlist& nl);
 
+// Newton updates on the boundary map before shooting gives up.
+inline constexpr int kPssMaxShooting = 8;
+// Periodicity tolerance: a shot is periodic when
+//   max|x(T) - x(0)| <= kPssTolAbs + kPssTolRel * max|x(T)|.
+inline constexpr double kPssTolAbs = 1e-7;
+inline constexpr double kPssTolRel = 1e-6;
+
 struct PssOptions {
   // Tone frequency; 0 = auto-detect via single_tone_hz(nl).
   double f0_hz = 0.0;
@@ -71,15 +78,9 @@ struct PssOptions {
   // a further settle period when it is not periodic, so one prefix
   // period puts the Newton start as deep into the basin as two did.
   double prefix_periods = 1.0;
-  // Newton updates on the boundary map before giving up.
-  int max_shooting = 8;
-  // Periodicity tolerance: converged when
-  //   max|x(T) - x(0)| <= ptol_abs + ptol_rel * max|x(T)|.
-  double ptol_abs = 1e-7;
-  double ptol_rel = 1e-6;
   // Engine knobs forwarded to every integration (dt / t_stop / record /
-  // adaptive / initial_state / step_hook are overridden by the PSS
-  // driver; solver, tolerances, temp_k etc. apply as usual).
+  // initial_state / step_hook are overridden by the PSS driver; solver,
+  // Newton limits, temp_k etc. apply as usual).
   TranOptions tran;
   // Optional budget / cancel hook; overrides tran.budget when set.
   // Expiry returns a structured partial with the best boundary state so

@@ -112,7 +112,7 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
   // shrink intervals, so stopping at the cap leaves a sound (merely
   // looser) over-approximation.
   HullGraph g;
-  for (int sweep = 0; sweep < std::max(1, opt.max_sweeps); ++sweep) {
+  for (int sweep = 0; sweep < kRangeMaxSweeps; ++sweep) {
     ctx.begin_sweep(/*record_structure=*/sweep == 0);
     for (const auto& d : nl.devices()) d->range_eval(ctx);
     if (sweep == 0) g = build_hull_graph(nl, ctx);
@@ -154,8 +154,8 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
     // exactly onto a rail, and a bound merely touching the rail is
     // normal operation, never a violation.
     const double eps = 1e-9 * std::max(1.0, rep.supply_hull.mag());
-    const double lo_rail = rep.supply_hull.lo - opt.rail_margin - eps;
-    const double hi_rail = rep.supply_hull.hi + opt.rail_margin + eps;
+    const double lo_rail = rep.supply_hull.lo - eps;
+    const double hi_rail = rep.supply_hull.hi + eps;
     for (int node = 1; node <= node_rows; ++node) {
       const num::Interval iv = rep.bounds[static_cast<std::size_t>(node - 1)];
       const bool above = iv.lo > hi_rail;
@@ -171,8 +171,8 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
                       .add(", ").num(iv.hi, 4).add("] V, entirely ")
                       .add(above ? "above" : "below")
                       .add(" the supply range [")
-                      .num(rep.supply_hull.lo - opt.rail_margin, 4).add(", ")
-                      .num(rep.supply_hull.hi + opt.rail_margin, 4)
+                      .num(rep.supply_hull.lo, 4).add(", ")
+                      .num(rep.supply_hull.hi, 4)
                       .add("] V")
                       .take();
       rep.rail_violations.push_back(std::move(v));
@@ -199,72 +199,70 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
   for (const auto& c : ctx.currents())
     rep.currents.push_back({c.dev->name(), c.amps});
 
-  if (opt.with_conditioning) {
-    // One O(nnz) assembly at the bound midpoints (a feasible-ish point;
-    // mid() is finite even for top intervals) into the netlist's shared
-    // CSR skeleton.  Each row's magnitude is scaled by its columns'
-    // voltage spans, and the max/min spread over rows forecasts the
-    // condition of the factorization the solver is about to attempt.
-    num::RealVector x(static_cast<std::size_t>(n), 0.0);
-    for (int i = 0; i < n; ++i)
-      x[static_cast<std::size_t>(i)] =
-          rep.bounds[static_cast<std::size_t>(i)].mid();
-    num::RealSparseMatrix jac;
-    num::RealVector rhs;
-    AssembleParams p;
-    p.temp_k = opt.temp_k;
-    try {
-      jac = mna_skeleton(nl);
-      assemble_real(nl, x, p, jac, rhs);
-    } catch (const std::logic_error&) {
-      // A device wrote outside its declared stamp pattern (the
-      // stamp_contract lint names it): no forecast for this netlist.
-      return rep;
-    }
+  // One O(nnz) assembly at the bound midpoints (a feasible-ish point;
+  // mid() is finite even for top intervals) into the netlist's shared
+  // CSR skeleton.  Each row's magnitude is scaled by its columns'
+  // voltage spans, and the max/min spread over rows forecasts the
+  // condition of the factorization the solver is about to attempt.
+  num::RealVector x(static_cast<std::size_t>(n), 0.0);
+  for (int i = 0; i < n; ++i)
+    x[static_cast<std::size_t>(i)] =
+        rep.bounds[static_cast<std::size_t>(i)].mid();
+  num::RealSparseMatrix jac;
+  num::RealVector rhs;
+  AssembleParams p;
+  p.temp_k = opt.temp_k;
+  try {
+    jac = mna_skeleton(nl);
+    assemble_real(nl, x, p, jac, rhs);
+  } catch (const std::logic_error&) {
+    // A device wrote outside its declared stamp pattern (the
+    // stamp_contract lint names it): no forecast for this netlist.
+    return rep;
+  }
 
-    double vmax = 1.0;
-    for (const auto& iv : rep.bounds)
-      if (iv.bounded()) vmax = std::max(vmax, iv.mag());
-    if (rep.supply_bounded) vmax = std::max(vmax, rep.supply_hull.mag());
-    const double vfloor = 1e-6 * vmax;
-    std::vector<double> vscale(static_cast<std::size_t>(n), 1.0);
-    for (int i = 0; i < n; ++i) {
-      const num::Interval iv = rep.bounds[static_cast<std::size_t>(i)];
-      if (iv.bounded())
-        vscale[static_cast<std::size_t>(i)] = std::max(iv.mag(), vfloor);
-      else if (i < node_rows && rep.supply_bounded)
-        vscale[static_cast<std::size_t>(i)] =
-            std::max(rep.supply_hull.mag(), vfloor);
-      else
-        vscale[static_cast<std::size_t>(i)] = std::max(1.0, vfloor);
+  double vmax = 1.0;
+  for (const auto& iv : rep.bounds)
+    if (iv.bounded()) vmax = std::max(vmax, iv.mag());
+  if (rep.supply_bounded) vmax = std::max(vmax, rep.supply_hull.mag());
+  const double vfloor = 1e-6 * vmax;
+  std::vector<double> vscale(static_cast<std::size_t>(n), 1.0);
+  for (int i = 0; i < n; ++i) {
+    const num::Interval iv = rep.bounds[static_cast<std::size_t>(i)];
+    if (iv.bounded())
+      vscale[static_cast<std::size_t>(i)] = std::max(iv.mag(), vfloor);
+    else if (i < node_rows && rep.supply_bounded)
+      vscale[static_cast<std::size_t>(i)] =
+          std::max(rep.supply_hull.mag(), vfloor);
+    else
+      vscale[static_cast<std::size_t>(i)] = std::max(1.0, vfloor);
+  }
+  // Entries at or below the guard-conductance scale (gshunt, gmin,
+  // off-switch leakage) are excluded: rows held up only by guards are
+  // deliberately regularized, not ill-conditioned circuit equations.
+  const double guard = 10.0 * p.gshunt;
+  double rmax = 0.0;
+  double rmin = std::numeric_limits<double>::infinity();
+  const std::vector<int>& row_ptr = jac.row_ptr();
+  const std::vector<int>& cols = jac.cols();
+  const std::vector<double>& vals = jac.values();
+  for (int r = 0; r < n; ++r) {
+    double m = 0.0;
+    for (int k = row_ptr[static_cast<std::size_t>(r)];
+         k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+      const double a = std::abs(vals[static_cast<std::size_t>(k)]);
+      if (a <= guard) continue;
+      m = std::max(
+          m, a * vscale[static_cast<std::size_t>(
+                     cols[static_cast<std::size_t>(k)])]);
     }
-    // Entries at or below the guard-conductance scale (gshunt, gmin,
-    // off-switch leakage) are excluded: rows held up only by guards are
-    // deliberately regularized, not ill-conditioned circuit equations.
-    const double guard = 10.0 * p.gshunt;
-    double rmax = 0.0;
-    double rmin = std::numeric_limits<double>::infinity();
-    const std::vector<int>& row_ptr = jac.row_ptr();
-    const std::vector<int>& cols = jac.cols();
-    const std::vector<double>& vals = jac.values();
-    for (int r = 0; r < n; ++r) {
-      double m = 0.0;
-      for (int k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const double a = std::abs(vals[static_cast<std::size_t>(k)]);
-        if (a <= guard) continue;
-        m = std::max(
-            m, a * vscale[static_cast<std::size_t>(
-                       cols[static_cast<std::size_t>(k)])]);
-      }
-      if (m == 0.0) continue;
-      rmax = std::max(rmax, m);
-      rmin = std::min(rmin, m);
-    }
-    if (rmax > 0.0 && std::isfinite(rmin) && rmin > 0.0) {
-      rep.cond_available = true;
-      rep.cond_forecast = rmax / rmin;
-    }
+    if (m == 0.0) continue;
+    rmax = std::max(rmax, m);
+    rmin = std::min(rmin, m);
+  }
+  if (rmax > 0.0 && std::isfinite(rmin) && rmin > 0.0) {
+    rep.cond_available = true;
+    rep.cond_forecast = rmax / rmin;
   }
   return rep;
 }
@@ -386,13 +384,13 @@ ckt::LintPass range_lint_pass(const RangeReport* report) {
                      "device '" + d.device + "' (" + d.type +
                          ") is provably off: " + d.reason,
                      d.line, ""});
-    if (rep.cond_available && rep.cond_forecast >= opt.cond_threshold) {
+    if (rep.cond_available && rep.cond_forecast >= kRangeCondThreshold) {
       out.push_back(
           {ckt::LintKind::kConditioning, ckt::LintSeverity::kWarning, "", "",
            core::TextWriter()
                .add("interval-scaled row magnitudes spread over ")
                .num(rep.cond_forecast, 3).add(" (threshold ")
-               .num(opt.cond_threshold, 3)
+               .num(kRangeCondThreshold, 3)
                .add("): the MNA factorization is likely ill-conditioned at "
                     "any feasible operating point")
                .take(),

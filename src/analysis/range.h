@@ -14,7 +14,7 @@
 // The verdicts derived from the fixed point:
 //
 //  * rail violation (error)  -- a node's bound lies ENTIRELY outside
-//    the supply hull +- margin.  Because switch resistances are
+//    the supply hull.  Because switch resistances are
 //    analysed as the [r_on, r_off] union, the bound covers every PGA
 //    gain code at once; overlap with the rails never fires (a bound
 //    merely reaching a rail is normal for supply and probe nodes).
@@ -23,7 +23,7 @@
 //    bias, a BJT with both junctions provably reverse-biased.
 //  * conditioning forecast (warning) -- the interval-scaled row-
 //    magnitude spread of one sparse assembly at the bound midpoints
-//    predicts a condition number >= the threshold.
+//    predicts a condition number >= kRangeCondThreshold.
 //
 // All bounds are for the DC (operating-point) abstraction with source
 // waveforms widened to their min/max hull.  See docs/static_analysis.md.
@@ -38,17 +38,14 @@
 
 namespace msim::an {
 
+// Fixed-point sweep cap (truncation widening): bounds after k sweeps
+// are sound for any k, so the cap trades precision for time only.
+inline constexpr int kRangeMaxSweeps = 16;
+// Interval-scaled row-magnitude spread that trips the conditioning
+// forecast warning.
+inline constexpr double kRangeCondThreshold = 1e12;
+
 struct RangeOptions {
-  // Fixed-point sweep cap (truncation widening): bounds after k sweeps
-  // are sound for any k, so the cap trades precision for time only.
-  int max_sweeps = 16;
-  // Extra allowance beyond the supply hull before a rail violation
-  // fires [V].
-  double rail_margin = 0.0;
-  // Interval-scaled row-magnitude spread that trips the conditioning
-  // forecast warning.
-  double cond_threshold = 1e12;
-  bool with_conditioning = true;
   // Supply-node override.  Empty -> auto-detect by name (vdd/vcc/vss/
   // vee prefixes, case-insensitive).  Without any bounded supply node
   // the rail and headroom verdicts are skipped entirely (no claim is

@@ -46,8 +46,7 @@ struct StepWorkspace {
 // The two accepted states before the current one, x1 = x(t - h1) and
 // x2 = x(t - h1 - h2), with the steps that led on from them.  Every
 // nonlinear step starts Newton from a predictor extrapolated through
-// them (SPICE2's, L. W. Nagel, UCB/ERL M520, 1975), and the adaptive
-// loop's LTE estimate reads the same points.
+// them (SPICE2's, L. W. Nagel, UCB/ERL M520, 1975).
 struct StepHistory {
   num::RealVector x1, x2;
   double h1 = 0.0, h2 = 0.0;
@@ -143,7 +142,7 @@ StepOutcome newton_step(const ckt::Netlist& nl, const AssembleParams& p,
         max_dx = adx;
         worst = static_cast<int>(i);
       }
-      if (adx > opt.vtol + opt.reltol * std::abs(x_new[i]))
+      if (adx > kNewtonVtol + kNewtonReltol * std::abs(x_new[i]))
         converged = false;
     }
     out.max_dx = max_dx;
@@ -225,7 +224,6 @@ std::string TranTelemetry::summary() const {
      << "  accepted steps       " << accepted_steps << "\n"
      << "  rejected (newton)    " << rejected_newton << "\n"
      << "  rejected (nonfinite) " << rejected_nonfinite << "\n"
-     << "  rejected (lte)       " << rejected_lte << "\n"
      << "  newton iterations    " << newton_iterations << "\n"
      << "  factorizations       " << factor_count << " (reused "
      << reuse_count << (linear_fast_path_used ? ", linear fast path" : "")
@@ -306,26 +304,6 @@ std::vector<double> TranResult::diff_wave(ckt::NodeId p,
 
 namespace {
 
-// Divided-difference LTE estimate for the trapezoidal rule:
-// LTE ~ h^3 x''' / 12 with x''' ~ 6 * DD3 over the last three accepted
-// points (history and x) and the candidate x_new.
-double lte_estimate(const StepHistory& hs, const num::RealVector& x,
-                    const num::RealVector& x_new, double h) {
-  if (hs.count < 2) return 0.0;  // not enough history: accept
-  const double h1 = hs.h1, h2 = hs.h2;
-  double worst = 0.0;
-  for (std::size_t i = 0; i < x_new.size(); ++i) {
-    const double d01 = (hs.x1[i] - hs.x2[i]) / h2;
-    const double d12 = (x[i] - hs.x1[i]) / h1;
-    const double d23 = (x_new[i] - x[i]) / h;
-    const double dd012 = (d12 - d01) / (h1 + h2);
-    const double dd123 = (d23 - d12) / (h + h1);
-    const double ddd = (dd123 - dd012) / (h + h1 + h2);  // ~ x'''/6
-    worst = std::max(worst, std::abs(h * h * h * ddd * 0.5));
-  }
-  return worst;
-}
-
 // Fills a kNonConvergence/kSingular/kNonFinite diag for a step that the
 // recovery logic could not push past even at the smallest dt.
 void fill_step_diag(const ckt::Netlist& nl, const StepOutcome& out,
@@ -393,10 +371,8 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
   ws.sys.init(nl, opt.solver);
   // Linear fast path: no nonlinear devices means the implicit step is a
   // single exact solve, and the factorization survives the whole
-  // constant-dt run (fixed-step mode only; adaptive runs change dt on
-  // nearly every step, which is what the factorization is keyed on).
-  const bool linear =
-      opt.linear_fast_path && !opt.adaptive && ws.sys.all_linear();
+  // constant-dt run.
+  const bool linear = opt.linear_fast_path && ws.sys.all_linear();
   r.telemetry.linear_fast_path_used = linear;
 
   num::RealVector x = std::move(x0);
@@ -407,16 +383,6 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
   }
 
   auto& tel = r.telemetry;
-  auto note_dt = [&tel](double dt) {
-    if (tel.min_dt_used == 0.0 || dt < tel.min_dt_used)
-      tel.min_dt_used = dt;
-  };
-  auto note_reject = [&tel](const StepOutcome& out) {
-    if (out.fail == SolveStatus::kNonFinite)
-      ++tel.rejected_nonfinite;
-    else
-      ++tel.rejected_newton;
-  };
   // Partial-result exit for budget expiry / cancellation: keep the
   // waveform recorded so far, expose the last-accepted state as a
   // restart checkpoint, and diagnose the cut instead of throwing.
@@ -432,145 +398,77 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     r.diag = budget_stop_diag(reason, "tran", os.str());
     return r;
   };
-  // Deterministic wall-clock skew injection: lets tests drive the
-  // deadline path without sleeping (see docs/robustness.md).
-  auto skew_faultpoint = [&]() {
-    if (opt.budget && MSIM_FAULTPOINT("slow_step_skew"))
-      opt.budget->add_skew_ms(opt.budget->max_wall_ms + 1.0);
-  };
 
   StepHistory hist;
   num::RealVector x_try;  // Newton candidate, reused step to step
-  if (!opt.adaptive) {
-    // Fixed base step (exactly reproducible sampling for FFT work);
-    // Newton failures trigger transparent sub-stepping to the boundary,
-    // restarting each retry from the last accepted checkpoint `x`.
-    while (t < opt.t_stop - 0.5 * opt.dt) {
-      if (opt.budget) {
-        skew_faultpoint();
-        const core::StopReason stop = opt.budget->stop_reason();
-        if (stop != core::StopReason::kNone) return truncate(stop);
-      }
-      double dt = opt.dt;
-      const double t_target = std::min(t + opt.dt, opt.t_stop);
-      int halvings = 0;
-      while (t < t_target - 1e-18) {
-        dt = std::min(dt, t_target - t);
-        note_dt(dt);
-        // Newton starts from the predictor, except on the linear fast
-        // path (one exact solve) and once this base step has halved:
-        // its retries restart from the accepted checkpoint.
-        if (linear || halvings > 0)
-          x_try = x;
-        else
-          hist.predict(x, dt, x_try);
-        p.time = t + dt;
-        p.dt = dt;
-        // PSS restart: stamp backward-Euler until the first accepted
-        // step re-anchors the capacitor current history (see
-        // TranOptions::first_step_backward_euler).
-        p.use_trapezoidal =
-            opt.use_trapezoidal && !(opt.first_step_backward_euler &&
-                                     tel.accepted_steps == 0);
-        const StepOutcome out = linear
-                                    ? linear_step(nl, p, opt, ws, x_try)
-                                    : newton_step(nl, p, opt, ws, x_try);
-        tel.newton_iterations += out.iterations;
-        if (out.ok) {
-          if (opt.step_hook)
-            opt.step_hook->on_accepted(nl, ws.sys, p, x, x_try);
-          for (const auto& d : nl.devices())
-            d->accept_step(x_try, dt, p.use_trapezoidal);
-          hist.accept(x, x_try, dt);
-          t += dt;
-          ++tel.accepted_steps;
-          if (opt.budget) opt.budget->note_step();
-        } else if (is_budget_stop(out.fail)) {
-          // The budget ran out mid-step; the candidate is discarded and
-          // the last accepted state becomes the checkpoint.
-          return truncate(opt.budget ? opt.budget->stop_reason()
-                                     : core::StopReason::kDeadline);
-        } else {
-          note_reject(out);
-          if (++halvings > opt.max_halvings ||
-              0.5 * dt < opt.dt_min) {
-            fill_step_diag(nl, out, t, dt, r);
-            return r;
-          }
-          dt *= 0.5;
-        }
-      }
-      if (opt.record && t >= opt.record_after) {
-        r.time.push_back(t);
-        r.x.push_back(x);
-      }
-    }
-    r.ok = true;
-    r.t_final = t;
-    r.x_final = x;
-    return r;
-  }
-
-  // Adaptive stepping with LTE control.  The step history feeds both
-  // the predictor and the divided-difference estimator (kept separate
-  // from the recorded output so record_after still works).
-  const double dt_max = opt.dt_max > 0.0 ? opt.dt_max : 50.0 * opt.dt;
-  double dt = opt.dt;
-  int rejections = 0;
-  while (t < opt.t_stop * (1.0 - 1e-12)) {
+  // Fixed base step (exactly reproducible sampling for FFT work);
+  // Newton failures trigger transparent sub-stepping to the boundary,
+  // restarting each retry from the last accepted checkpoint `x`.
+  while (t < opt.t_stop - 0.5 * opt.dt) {
     if (opt.budget) {
-      skew_faultpoint();
+      // Deterministic wall-clock skew injection: lets tests drive the
+      // deadline path without sleeping (see docs/robustness.md).
+      if (MSIM_FAULTPOINT("slow_step_skew"))
+        opt.budget->add_skew_ms(opt.budget->max_wall_ms + 1.0);
       const core::StopReason stop = opt.budget->stop_reason();
       if (stop != core::StopReason::kNone) return truncate(stop);
     }
-    dt = std::min(dt, opt.t_stop - t);
-    note_dt(dt);
-    // After a rejection the retry restarts from the accepted point.
-    if (rejections > 0)
-      x_try = x;
-    else
-      hist.predict(x, dt, x_try);
-    p.time = t + dt;
-    p.dt = dt;
-    const StepOutcome out = newton_step(nl, p, opt, ws, x_try);
-    tel.newton_iterations += out.iterations;
-    if (is_budget_stop(out.fail))
-      return truncate(opt.budget ? opt.budget->stop_reason()
-                                 : core::StopReason::kDeadline);
-    double err = 0.0;
-    if (out.ok) err = lte_estimate(hist, x, x_try, dt);
-    if (!out.ok || (err > opt.lte_tol && dt > opt.dt_min * 1.01)) {
-      if (out.ok)
-        ++tel.rejected_lte;
+    double dt = opt.dt;
+    const double t_target = std::min(t + opt.dt, opt.t_stop);
+    int halvings = 0;
+    while (t < t_target - 1e-18) {
+      dt = std::min(dt, t_target - t);
+      if (tel.min_dt_used == 0.0 || dt < tel.min_dt_used)
+        tel.min_dt_used = dt;
+      // Newton starts from the predictor, except on the linear fast
+      // path (one exact solve) and once this base step has halved:
+      // its retries restart from the accepted checkpoint.
+      if (linear || halvings > 0)
+        x_try = x;
       else
-        note_reject(out);
-      dt = std::max(0.5 * dt, opt.dt_min);
-      if (++rejections > 60 + opt.max_halvings * 8) {
-        fill_step_diag(nl, out, t, dt, r);
-        if (out.ok) {  // the limiter was LTE, not Newton
-          r.diag.status = SolveStatus::kNonConvergence;
-          r.diag.detail += " (LTE above tolerance at dt_min)";
+        hist.predict(x, dt, x_try);
+      p.time = t + dt;
+      p.dt = dt;
+      // PSS restart: stamp backward-Euler until the first accepted
+      // step re-anchors the capacitor current history (see
+      // TranOptions::first_step_backward_euler).
+      p.use_trapezoidal =
+          opt.use_trapezoidal && !(opt.first_step_backward_euler &&
+                                   tel.accepted_steps == 0);
+      const StepOutcome out = linear
+                                  ? linear_step(nl, p, opt, ws, x_try)
+                                  : newton_step(nl, p, opt, ws, x_try);
+      tel.newton_iterations += out.iterations;
+      if (out.ok) {
+        if (opt.step_hook)
+          opt.step_hook->on_accepted(nl, ws.sys, p, x, x_try);
+        for (const auto& d : nl.devices())
+          d->accept_step(x_try, dt, p.use_trapezoidal);
+        hist.accept(x, x_try, dt);
+        t += dt;
+        ++tel.accepted_steps;
+        if (opt.budget) opt.budget->note_step();
+      } else if (is_budget_stop(out.fail)) {
+        // The budget ran out mid-step; the candidate is discarded and
+        // the last accepted state becomes the checkpoint.
+        return truncate(opt.budget ? opt.budget->stop_reason()
+                                   : core::StopReason::kDeadline);
+      } else {
+        if (out.fail == SolveStatus::kNonFinite)
+          ++tel.rejected_nonfinite;
+        else
+          ++tel.rejected_newton;
+        if (++halvings > opt.max_halvings || 0.5 * dt < kTranDtMin) {
+          fill_step_diag(nl, out, t, dt, r);
+          return r;
         }
-        return r;
+        dt *= 0.5;
       }
-      continue;
     }
-    rejections = 0;
-    for (const auto& d : nl.devices())
-      d->accept_step(x_try, dt, p.use_trapezoidal);
-    hist.accept(x, x_try, dt);
-    t += dt;
-    ++tel.accepted_steps;
-    if (opt.budget) opt.budget->note_step();
     if (opt.record && t >= opt.record_after) {
       r.time.push_back(t);
       r.x.push_back(x);
     }
-    // Step-size controller: grow gently when the error leaves margin.
-    if (err < 0.25 * opt.lte_tol)
-      dt = std::min(dt * 1.5, dt_max);
-    else if (err < 0.7 * opt.lte_tol)
-      dt = std::min(dt * 1.1, dt_max);
   }
   r.ok = true;
   r.t_final = t;
@@ -722,7 +620,7 @@ bool cohort_newton(EnsembleBlock& b, const Cohort& co,
           max_dx = adx;
           worst = static_cast<int>(u);
         }
-        if (adx > opt.vtol + opt.reltol * std::abs(xnk[u]))
+        if (adx > kNewtonVtol + kNewtonReltol * std::abs(xnk[u]))
           converged = false;
       }
       if (!finite) {
@@ -779,8 +677,6 @@ void run_ensemble_block(EnsembleBlock& b) {
   // that dominates cold-start OP cost.
   OpOptions op_opt;
   op_opt.temp_k = opt.temp_k;
-  op_opt.vtol = opt.vtol;
-  op_opt.reltol = opt.reltol;
   op_opt.gmin = opt.gmin;
   op_opt.gshunt = opt.gshunt;
   op_opt.lint = opt.lint;
@@ -967,7 +863,7 @@ void run_ensemble_block(EnsembleBlock& b) {
         else
           ++tel.rejected_newton;
       }
-      if (co.halvings + 1 > opt.max_halvings || 0.5 * dt < opt.dt_min) {
+      if (co.halvings + 1 > opt.max_halvings || 0.5 * dt < kTranDtMin) {
         for (int k : rej)
           fill_step_diag(*b.lanes[k], out[k], co.t, dt, *b.results[k]);
       } else {
@@ -1043,9 +939,7 @@ TranEnsembleResult run_transient_ensemble(
   // sweep with the reason recorded in the telemetry.
   const TranOptions& base = topts[0];
   const char* why = nullptr;
-  if (base.adaptive) {
-    why = "adaptive";  // per-lane LTE dt controllers diverge immediately
-  } else if (base.solver == SolverKind::kDense) {
+  if (base.solver == SolverKind::kDense) {
     why = "dense_solver";
   } else if (base.initial_state || base.step_hook ||
              base.first_step_backward_euler) {
@@ -1065,8 +959,6 @@ TranEnsembleResult run_transient_ensemble(
     // cache and provides the seed every lane's OP starts from.
     OpOptions op0;
     op0.temp_k = base.temp_k;
-    op0.vtol = base.vtol;
-    op0.reltol = base.reltol;
     op0.gmin = base.gmin;
     op0.gshunt = base.gshunt;
     op0.lint = base.lint;

@@ -7,7 +7,7 @@
 // period).
 //
 // Recovery contract: a step whose Newton iteration fails or produces a
-// non-finite state is rejected, dt is halved down to dt_min, and the
+// non-finite state is rejected, dt is halved down to kTranDtMin, and the
 // solve restarts from the last accepted checkpoint (device integration
 // state only advances on accepted steps).  Every rejection is counted in
 // TranTelemetry; a run that still cannot advance reports a structured
@@ -27,8 +27,8 @@
 
 namespace msim::an {
 
-// Observation hook fired after every ACCEPTED advance of the fixed-step
-// loop (adaptive runs never fire it).  At the call, `sys` still holds
+// Observation hook fired after every ACCEPTED advance of the step loop.
+// At the call, `sys` still holds
 // the step's assembled Jacobian and numeric factorization -- the PSS
 // shooting analysis propagates its sensitivity matrix Phi = dx(T)/dx(0)
 // through RealSystem::solve_held here, riding the LUs the step already
@@ -43,12 +43,13 @@ class TranStepHook {
                            const num::RealVector& x_new) = 0;
 };
 
+// Smallest sub-step the halving recovery tries before it gives up [s].
+inline constexpr double kTranDtMin = 1e-12;
+
 struct TranOptions {
   double t_stop = 1e-3;
   double dt = 1e-6;
   double temp_k = 300.15;
-  double vtol = 1e-9;
-  double reltol = 1e-6;
   int max_newton = 80;
   double max_step = 0.5;      // Newton damping clamp
   double gmin = 1e-12;
@@ -65,15 +66,6 @@ struct TranOptions {
   // Skip storing points before this time (settling removal).
   double record_after = 0.0;
 
-  // Adaptive stepping: when enabled, `dt` is the initial step and the
-  // controller grows/shrinks it between [dt_min, dt_max] based on a
-  // divided-difference local-truncation-error estimate (trapezoidal
-  // LTE ~ h^3 x'''/12).  lte_tol is the per-step error target [V].
-  bool adaptive = false;
-  double dt_min = 1e-12;
-  double dt_max = 0.0;        // 0 -> 50x the base dt
-  double lte_tol = 100e-6;
-
   // Linear-solver engine: the sparse path reuses one cached symbolic LU
   // across every Newton iteration of every time step.
   SolverKind solver = SolverKind::kSparse;
@@ -81,7 +73,7 @@ struct TranOptions {
   // Nonlinear implicit steps run full Newton: every iteration factors.
   // When the netlist has no nonlinear devices the implicit step is a
   // plain linear solve: stamp only the RHS and reuse one factorization
-  // for the whole constant-dt run (fixed-step mode only).
+  // for the whole constant-dt run.
   bool linear_fast_path = true;
 
   // Optional run budget / cancel hook, polled at timestep and Newton-
@@ -95,7 +87,7 @@ struct TranOptions {
   // Start the run from this state at t = 0 instead of solving a DC
   // operating point (device integration history is reset onto it via
   // begin_transient, exactly as for an OP).  The pointee must outlive
-  // the run.  Fixed-step mode only.
+  // the run.
   const num::RealVector* initial_state = nullptr;
   // Stamp the run's FIRST accepted step backward-Euler, trapezoidal
   // after.  BE never reads the capacitor current history that
@@ -105,8 +97,8 @@ struct TranOptions {
   // run becomes a pure function of the starting state, which is what
   // lets PSS Newton-iterate on the period map x(0) -> x(T).
   bool first_step_backward_euler = false;
-  // Per-accepted-step observation hook (fixed-step mode only; borrowed,
-  // must outlive the run).  Null = none.
+  // Per-accepted-step observation hook (borrowed, must outlive the
+  // run).  Null = none.
   TranStepHook* step_hook = nullptr;
 
   bool operator==(const TranOptions&) const = default;
@@ -117,7 +109,6 @@ struct TranTelemetry {
   long accepted_steps = 0;
   long rejected_newton = 0;     // failure-driven dt cuts (Newton stalled)
   long rejected_nonfinite = 0;  // NaN/Inf state rejections
-  long rejected_lte = 0;        // LTE-driven dt cuts (adaptive only)
   long newton_iterations = 0;   // total Newton iterations over the run
   double min_dt_used = 0.0;     // smallest dt ever attempted (0 = none)
   // Initial operating point: homotopy method and iteration count.
@@ -157,9 +148,6 @@ struct TranTelemetry {
   long ensemble_cohort_rejoins = 0;
   double ensemble_samples_per_sec = 0.0;
 
-  long rejected_total() const {
-    return rejected_newton + rejected_nonfinite + rejected_lte;
-  }
   // Multi-line human-readable summary (CLI / log output).
   std::string summary() const;
   // One-line JSON object with the factorization-reuse fields
@@ -225,8 +213,8 @@ std::vector<TranResult> run_transient_sweep(
 // a single slot-table replay (lane-blocked values, device-outer /
 // lane-inner kernels) and each lane keeps its own numeric LU over the
 // shared symbolic analysis.  One nominal operating point is solved
-// first and warm-starts every lane's OP.  Per-sample local-truncation
-// control is preserved by dt COHORTS: lanes still agreeing on dt step
+// first and warm-starts every lane's OP.  Per-sample step halving is
+// preserved by dt COHORTS: lanes still agreeing on dt step
 // together; a lane whose sub-step is rejected splits off with its own
 // halving ladder and rejoins at the next base-step boundary, so one
 // stiff sample never serializes the rest.
@@ -269,9 +257,9 @@ struct TranEnsembleResult {
 // Runs sample i by calling configure(i, nl, opt) on a fresh netlist,
 // exactly like run_transient_sweep, then advances all samples in
 // lockstep.  Whenever a lockstep precondition fails -- differing
-// TranOptions across samples, adaptive stepping, the dense solver,
-// topology disagreement, n == 1 (bit-identity contract with
-// run_transient) or a failed nominal OP -- the whole run is
+// TranOptions across samples, the dense solver, a PSS restart, topology
+// disagreement, n == 1 (bit-identity contract with run_transient) or a
+// failed nominal OP -- the whole run is
 // run_transient_sweep(n, configure) instead, with the reason in the
 // telemetry; a block whose lockstep set-up is refused runs its lanes
 // per sample.  Same determinism contract as the sweep:

@@ -42,27 +42,27 @@ std::unique_ptr<MicBench> mic_bench(const MicAmpDesign& d,
   return b;
 }
 
-// Differential THD of a tone-driven rig, by shooting PSS (default: one
-// steady period, orders fewer settle periods) or by the settle-and-
-// record transient oracle, per DistortionOptions.  Returns -1 on solver
-// failure.
+// Tone periods the settle-and-record fallback integrates and discards
+// before its recorded periods.
+constexpr double kSettlePeriods = 2.0;
+
+// Differential THD of a tone-driven rig: shooting PSS (one steady
+// period) when the rigged deck carries a single periodic tone, else --
+// or when shooting fails to converge -- the settle-and-record
+// transient.  Returns -1 on solver failure.
 double rig_thd(ckt::Netlist& nl, ckt::NodeId outp, ckt::NodeId outn,
-               double f0, double dt, const DistortionOptions& o) {
-  const bool pss =
-      o.use_pss == 1 || (o.use_pss != 0 && an::single_tone_hz(nl) > 0.0);
-  if (pss) {
+               double f0, double dt) {
+  if (an::single_tone_hz(nl) > 0.0) {
     an::PssOptions po;
     po.f0_hz = f0;
     po.tran.dt = dt;
     const auto r = an::run_pss_shooting(nl, po);
     if (r.ok) return r.harmonics(r.diff_wave(outp, outn)).thd;
-    if (o.use_pss == 1) return -1.0;
-    // Auto mode: shooting failed to converge, fall through to settle.
   }
   const double period = 1.0 / f0;
   an::TranOptions t;
   t.dt = sig::plan_coherent_capture(f0, dt).dt;
-  t.record_after = o.settle_periods * period;
+  t.record_after = kSettlePeriods * period;
   t.t_stop = t.record_after + 3.0 * period;
   const auto tr = an::run_transient(nl, t);
   if (!tr.ok) return -1.0;
@@ -74,8 +74,7 @@ double rig_thd(ckt::Netlist& nl, ckt::NodeId outp, ckt::NodeId outn,
 MicAmpDatasheet characterize_mic_amp(const MicAmpDesign& d,
                                      const proc::ProcessModel& pm,
                                      int gain_code, int mc_samples,
-                                     unsigned seed,
-                                     const DistortionOptions& dopt) {
+                                     unsigned seed) {
   MicAmpDatasheet ds;
   auto b = mic_bench(d, pm);
   b->mic.set_gain_code(gain_code);
@@ -139,7 +138,7 @@ MicAmpDatasheet characterize_mic_amp(const MicAmpDesign& d,
     b->vinp->set_waveform(dev::Waveform::sine(0.0, a_in, 1e3));
     b->vinn->set_waveform(dev::Waveform::sine(0.0, -a_in, 1e3));
     const double thd =
-        rig_thd(b->nl, b->mic.outp, b->mic.outn, 1e3, 2e-6, dopt);
+        rig_thd(b->nl, b->mic.outp, b->mic.outn, 1e3, 2e-6);
     if (thd >= 0.0)
       ds.thd_db = thd > 0.0 ? 20.0 * std::log10(thd) : -300.0;
   }
@@ -181,8 +180,7 @@ MicAmpDatasheet characterize_mic_amp(const MicAmpDesign& d,
 
 DriverDatasheet characterize_driver(const DriverDesign& d,
                                     const proc::ProcessModel& pm,
-                                    double vsup,
-                                    const DistortionOptions& dopt) {
+                                    double vsup) {
   DriverDatasheet ds;
   auto build = [&](ckt::Netlist& nl, dev::VSource*& vsp,
                    dev::VSource*& vsn) {
@@ -224,7 +222,7 @@ DriverDatasheet characterize_driver(const DriverDesign& d,
     auto drv = build(nl, vsp, vsn);
     vsp->set_waveform(dev::Waveform::sine(0.0, vp, 1e3));
     vsn->set_waveform(dev::Waveform::sine(0.0, -vp, 1e3));
-    return rig_thd(nl, drv.outp, drv.outn, 1e3, 1e-6, dopt);
+    return rig_thd(nl, drv.outp, drv.outn, 1e3, 1e-6);
   };
   ds.thd_full_swing = thd_at(1.0);
   for (double vp = 0.8; vp <= vsup / 2.0 + 0.2; vp += 0.05) {

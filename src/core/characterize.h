@@ -14,21 +14,6 @@
 
 namespace msim::core {
 
-// Distortion-path measurement knobs shared by both characterizations.
-// The default rides the shooting-PSS analysis (one steady tone period
-// instead of settle-and-record); the transient settle path is kept as
-// the agreement oracle (tests/test_pss.cc, bench_engine pss_configs).
-struct DistortionOptions {
-  // PSS/settle selection: 1 forces shooting PSS, 0 forces the settle
-  // transient, -1 (default) uses PSS whenever the rigged deck carries a
-  // single periodic tone (an::single_tone_hz) and falls back to settle
-  // when it does not or when shooting fails to converge.
-  int use_pss = -1;
-  // Settle path only: tone periods integrated and discarded before the
-  // recorded (measured) periods.
-  double settle_periods = 2.0;
-};
-
 struct MicAmpDatasheet {
   bool valid = false;
   double gain_db = 0.0;          // at the selected code, 1 kHz
@@ -50,8 +35,7 @@ MicAmpDatasheet characterize_mic_amp(const MicAmpDesign& d,
                                      const proc::ProcessModel& pm,
                                      int gain_code = 5,
                                      int mc_samples = 11,
-                                     unsigned seed = 1995,
-                                     const DistortionOptions& dopt = {});
+                                     unsigned seed = 1995);
 
 struct DriverDatasheet {
   bool valid = false;
@@ -65,7 +49,6 @@ struct DriverDatasheet {
 
 DriverDatasheet characterize_driver(const DriverDesign& d,
                                     const proc::ProcessModel& pm,
-                                    double vsup = 2.6,
-                                    const DistortionOptions& dopt = {});
+                                    double vsup = 2.6);
 
 }  // namespace msim::core

@@ -99,11 +99,6 @@ double arg_num(const spice::AnalysisDirective& d, std::size_t i) {
   return spice::parse_value(d.args[i]);
 }
 
-// The most points a .dc, .ac or .noise sweep or a .tran may ask for: a
-// tiny-but-valid step would otherwise exhaust memory before any cancel
-// or budget check runs.
-constexpr double kMaxSweepPoints = 1e6;
-
 // The frequency grid of `.ac dec N fstart fstop` (args from `i` on) or
 // the tail of a .noise card.  Checked before any cast or loop: a zero,
 // negative or non-finite frequency logs to nan, and an out-of-range
@@ -395,6 +390,12 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
       if (cli.pss) {
         // Shooting-Newton PSS: the deck's tone fixes the period, the
         // .tran step is the sample-spacing request (snapped coherent).
+        // Every shot integrates whole periods whatever t_stop says, so
+        // the step count per period is what must stay bounded.
+        const double f0 = an::single_tone_hz(nl);
+        if (f0 > 0.0 && 1.0 / f0 / t.dt > kMaxSweepPoints)
+          throw std::runtime_error(
+              "--pss tone period exceeds 1e6 steps of the .tran step");
         an::PssOptions po;
         po.tran.dt = t.dt;
         po.tran.temp_k = temp_k;
@@ -529,6 +530,13 @@ bool decode_result(const std::string& s, DeckResult& r) {
 }
 
 }  // namespace
+
+std::string check_count(const char* key, double v, double limit) {
+  if (v >= 0.0 && v <= limit && v == std::floor(v)) return "";
+  return core::TextWriter()
+      .add(key).add(" must be an integer in [0, ").num(limit, 16).add("]")
+      .take();
+}
 
 std::string options_signature(const DeckOptions& o) {
   std::ostringstream sig;

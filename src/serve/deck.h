@@ -24,6 +24,24 @@
 
 namespace msim::serve {
 
+// The most points a .dc, .ac or .noise sweep or a .tran may ask for,
+// and the most steps one --pss period may take: a tiny-but-valid step
+// would otherwise exhaust memory before any cancel or budget check runs.
+inline constexpr double kMaxSweepPoints = 1e6;
+// The most samples an --mc or --ensemble job may ask for: every sample
+// holds its own parsed netlist and solution, so the count bounds what
+// one job can allocate.
+inline constexpr double kMaxSamples = 1e4;
+// The largest --mc-seed a job may carry: above 2^53 a JSON number no
+// longer holds every integer.
+inline constexpr double kMaxSeed = 9007199254740992.0;
+
+// Checks a count option read as a double (a JSON number, a command-line
+// word) before any cast: "" when `v` is an integer in [0, limit], else
+// an error line naming `key`.  NaN, infinities, fractions, negatives and
+// values above the limit are all refused.
+std::string check_count(const char* key, double v, double limit);
+
 // Mirrors msim_cli's command-line options (minus the input path; the
 // deck travels as text).
 struct DeckOptions {

@@ -141,8 +141,17 @@ bool read_line_matching(ClientConn& c,
   }
 }
 
-DeckOptions options_from_json(const Json& req) {
+// The job options of a submit request.  The counts are checked before
+// any cast; a bad one leaves `error` set and the options unusable.
+DeckOptions options_from_json(const Json& req, std::string& error) {
   DeckOptions o;
+  const double ensemble = req["ensemble"].as_number(1);
+  const double mc = req["mc"].as_number(0);
+  const double mc_seed = req["mc_seed"].as_number(1);
+  error = check_count("ensemble", ensemble, kMaxSamples);
+  if (error.empty()) error = check_count("mc", mc, kMaxSamples);
+  if (error.empty()) error = check_count("mc_seed", mc_seed, kMaxSeed);
+  if (!error.empty()) return o;
   o.probe_arg = req["probe"].as_string();
   o.lint_only = req["lint_only"].as_bool(false);
   o.lint_json = req["lint"].as_bool(false);
@@ -150,10 +159,10 @@ DeckOptions options_from_json(const Json& req) {
   o.range_json = req["range"].as_bool(false);
   o.telemetry = req["telemetry"].as_bool(true);
   o.tran_stats = req["tran_stats"].as_bool(false);
-  o.ensemble = static_cast<int>(req["ensemble"].as_number(1));
+  o.ensemble = static_cast<int>(ensemble);
   o.pss = req["pss"].as_bool(false);
-  o.mc = static_cast<int>(req["mc"].as_number(0));
-  o.mc_seed = static_cast<std::uint64_t>(req["mc_seed"].as_number(1));
+  o.mc = static_cast<int>(mc);
+  o.mc_seed = static_cast<std::uint64_t>(mc_seed);
   o.use_result_cache = req["result_cache"].as_bool(true);
   for (const auto& d : req["lint_disable"].items())
     o.lint_disable.push_back(d.as_string());
@@ -387,6 +396,15 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
     return;
   }
   std::string id = req["id"].as_string();
+  std::string bad_option;
+  DeckOptions dopt = options_from_json(req, bad_option);
+  if (!bad_option.empty()) {
+    Json r = reply("submit", false);
+    r.set("id", id);
+    r.set("error", bad_option);
+    send_line(conn, r);
+    return;
+  }
   auto ctl = std::make_shared<JobCtl>();
   ctl->budget.max_wall_ms = req["budget_ms"].as_number(0.0);
   ctl->budget.cancel = &ctl->token;
@@ -418,7 +436,7 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
   send_line(conn, ack);
 
   scheduler_.submit([this, conn, ctl, id, deck = req["deck"].as_string(),
-                     dopt = options_from_json(req)]() mutable {
+                     dopt = std::move(dopt)]() mutable {
     dopt.budget = &ctl->budget;
     DeckResult res = run_deck(deck, dopt, &registry_);
     ctl->done.store(true);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "signal/fft.h"
 
@@ -73,7 +74,10 @@ CoherentPlan plan_coherent_capture(double f0_hz, double dt_request,
   if (f0_hz <= 0.0) return p;
   const double period = 1.0 / f0_hz;
   if (dt_request <= 0.0) dt_request = period / 1000.0;
-  long n = std::lround(period / dt_request);
+  const double n_req = period / dt_request;
+  // More steps than the int count holds (or a NaN request): no plan.
+  if (!(n_req < std::numeric_limits<int>::max())) return p;
+  long n = std::lround(n_req);
   if (n < min_samples_per_period) n = min_samples_per_period;
   p.samples_per_period = static_cast<int>(n);
   p.dt = period / static_cast<double>(n);

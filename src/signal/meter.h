@@ -37,7 +37,9 @@ HarmonicAnalysis measure_harmonics(const std::vector<double>& x, double dt,
 // on the plan put every harmonic dead on a DFT bin, so the rectangular-
 // window Goertzel of measure_harmonics is leakage-free -- this is how
 // the transient/PSS distortion rigs choose dt.  A dt_request <= 0 asks
-// for the default 1000 samples per period.
+// for the default 1000 samples per period.  The plan is empty
+// (samples_per_period 0) when f0_hz <= 0 or when one period needs more
+// steps than an int counts.
 struct CoherentPlan {
   int samples_per_period = 0;  // N: N * dt covers one period exactly
   double dt = 0.0;             // snapped step, (1/f0) / N

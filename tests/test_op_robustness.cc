@@ -123,13 +123,13 @@ void build_table1_sample_at(std::size_t i, ckt::Netlist& nl) {
 }
 
 // Two converged operating points of one circuit agree to the tolerance
-// Newton stops at (vtol + reltol * |x| per unknown).
+// Newton stops at (kNewtonVtol + kNewtonReltol * |x| per unknown).
 void expect_same_op(const an::OpResult& got, const an::OpResult& ref,
                     const char* what) {
-  const an::OpOptions tol;
   ASSERT_EQ(got.x.size(), ref.x.size()) << what;
   for (std::size_t k = 0; k < ref.x.size(); ++k)
-    EXPECT_NEAR(got.x[k], ref.x[k], tol.vtol + tol.reltol * std::abs(ref.x[k]))
+    EXPECT_NEAR(got.x[k], ref.x[k],
+                an::kNewtonVtol + an::kNewtonReltol * std::abs(ref.x[k]))
         << what << ", unknown " << k;
 }
 
@@ -424,32 +424,6 @@ TEST(FaultInjection, MonteCarloCollectsPerSampleDiagnostics) {
 
 // ---- transient step rejection and recovery --------------------------
 
-TEST(TranRecovery, AdaptiveRunRejectsThenRecovers) {
-  // RC driven by a fast sine, started with a deliberately huge dt: the
-  // LTE controller must reject, shrink, and still finish the run.
-  ckt::Netlist nl;
-  const auto in = nl.node("in");
-  const auto out = nl.node("out");
-  nl.add<dev::VSource>("Vin", in, ckt::kGround,
-                       dev::Waveform::sine(0.0, 1.0, 10e3));
-  nl.add<dev::Resistor>("R1", in, out, 1e3);
-  nl.add<dev::Capacitor>("C1", out, ckt::kGround, 10e-9);
-  an::TranOptions t;
-  t.adaptive = true;
-  t.t_stop = 200e-6;
-  t.dt = 50e-6;  // far above what the 10 kHz sine tolerates
-  t.dt_min = 1e-9;
-  t.lte_tol = 20e-6;
-  const auto r = an::run_transient(nl, t);
-  ASSERT_TRUE(r.ok) << r.diag.message();
-  EXPECT_GT(r.telemetry.rejected_lte, 0);
-  EXPECT_GT(r.telemetry.accepted_steps, 0);
-  EXPECT_GT(r.telemetry.newton_iterations, 0);
-  EXPECT_LT(r.telemetry.min_dt_used, t.dt);
-  EXPECT_EQ(r.telemetry.op_method, "newton");
-  EXPECT_NEAR(r.time.back(), t.t_stop, 1e-9);
-}
-
 TEST(TranRecovery, FixedStepHalvesThroughNewtonFailure) {
   // Diode rectifier with a starved Newton budget: full-dt steps across
   // the steep conduction edge fail, the halving recovery must finish
@@ -469,7 +443,10 @@ TEST(TranRecovery, FixedStepHalvesThroughNewtonFailure) {
   t.max_step = 0.05;
   const auto r = an::run_transient(nl, t);
   ASSERT_TRUE(r.ok) << r.diag.message();
+  EXPECT_EQ(r.telemetry.op_method, "newton");
   EXPECT_GT(r.telemetry.rejected_newton, 0);
+  EXPECT_GT(r.telemetry.accepted_steps, 0);
+  EXPECT_GT(r.telemetry.newton_iterations, r.telemetry.accepted_steps);
   EXPECT_LT(r.telemetry.min_dt_used, t.dt);
   // The recorded grid still lands on the fixed base step boundaries.
   EXPECT_NEAR(r.time.back(), t.t_stop, 1e-12);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "analysis/montecarlo.h"
@@ -90,7 +91,7 @@ TEST(Pss, UnsettledFirstShotBecomesASettlePeriod) {
   EXPECT_EQ(r.telemetry.shooting_iterations, 1);
   EXPECT_LT(r.telemetry.residual, 1e-10);
   ASSERT_EQ(r.telemetry.residual_history.size(), 3u);
-  EXPECT_GT(r.telemetry.residual_history[0], o.ptol_abs + o.ptol_rel);
+  EXPECT_GT(r.telemetry.residual_history[0], an::kPssTolAbs + an::kPssTolRel);
   EXPECT_EQ(r.telemetry.periods_integrated, 3.25);
   EXPECT_GT(r.telemetry.phi_solve_count, 0);
   EXPECT_EQ(r.telemetry.phi_solve_count,
@@ -176,7 +177,7 @@ TEST(Pss, BufferHdThdMatchesSettleOracle) {
     const auto r = an::run_pss_shooting(rig->nl, o);
     ASSERT_TRUE(r.ok) << "vp=" << vp << ": " << r.diag.message();
     EXPECT_LE(r.telemetry.residual,
-              o.ptol_abs + o.ptol_rel * 2.0)  // xmax < 2 V on this rig
+              an::kPssTolAbs + an::kPssTolRel * 2.0)  // xmax < 2 V on this rig
         << "vp=" << vp;
     const double thd_pss =
         r.harmonics(r.diff_wave(rig->drv.outp, rig->drv.outn)).thd;
@@ -243,7 +244,7 @@ TEST(Pss, PeriodicityResidualContractAndRestartPurity) {
     resid = std::max(resid, std::abs(once.x_final[i] - r.x0[i]));
     xmax = std::max(xmax, std::abs(once.x_final[i]));
   }
-  EXPECT_LE(resid, o.ptol_abs + o.ptol_rel * xmax);
+  EXPECT_LE(resid, an::kPssTolAbs + an::kPssTolRel * xmax);
   EXPECT_EQ(resid, r.telemetry.residual);  // same map, same arithmetic
 
   const auto again = an::run_transient(rig->nl, t);
@@ -371,12 +372,40 @@ TEST(Pss, TelemetryRendering) {
 }
 
 // Coherent-capture planning and the windowed fallback (sig::meter).
+// A tone so slow against the step that one period needs more steps
+// than an int counts is refused with a diag before any integration (a
+// 1 uHz tone at 1 us wrapped the step count negative and the transient
+// loop never ended).
+TEST(Pss, PeriodOfTooManyStepsIsRefused) {
+  ckt::Netlist nl;
+  const auto in = nl.node("in");
+  const auto out = nl.node("out");
+  nl.add<dev::VSource>("V1", in, ckt::kGround,
+                       dev::Waveform::sine(0.0, 1.0, 1e-6));
+  nl.add<dev::Resistor>("R1", in, out, 1e3);
+  nl.add<dev::Capacitor>("C1", out, ckt::kGround, 100e-9);
+  an::PssOptions o;
+  o.tran.dt = 1e-6;
+  const auto r = an::run_pss_shooting(nl, o);
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.diag.status, an::SolveStatus::kBadTopology);
+  EXPECT_EQ(r.diag.stage, "pss");
+  EXPECT_NE(r.diag.detail.find("steps"), std::string::npos) << r.diag.detail;
+  EXPECT_EQ(r.telemetry.periods_integrated, 0.0);
+  EXPECT_EQ(r.telemetry.tran.accepted_steps, 0);
+  EXPECT_TRUE(r.x.empty());
+}
+
 TEST(Pss, CoherentPlanAndWindowedFallback) {
   // 1 kHz at a 3 us request: 333 samples, dt snapped to 1/333 ms.
   const auto p = sig::plan_coherent_capture(1e3, 3e-6);
   EXPECT_EQ(p.samples_per_period, 333);
   EXPECT_NEAR(p.dt * p.samples_per_period, 1e-3, 1e-15);
   EXPECT_TRUE(p.snapped);
+  // A period of more steps than an int counts has no plan: 1e12 steps
+  // (a 1 uHz tone at 1 us) used to wrap to a negative count.
+  EXPECT_EQ(sig::plan_coherent_capture(1e-6, 1e-6).samples_per_period, 0);
   // An already-coherent request is left alone.
   const auto q = sig::plan_coherent_capture(1e3, 2e-6);
   EXPECT_EQ(q.samples_per_period, 500);

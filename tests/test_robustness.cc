@@ -116,6 +116,7 @@ TEST(Budget, TransientStepCapKeepsWaveformAndCheckpoint) {
   EXPECT_FALSE(r.ok);
   ASSERT_TRUE(r.truncated);
   EXPECT_EQ(r.telemetry.accepted_steps, 10);
+  EXPECT_LT(r.t_checkpoint, t.t_stop);
   EXPECT_TRUE(r.telemetry.budget_truncated);
   EXPECT_EQ(r.telemetry.budget_stop, "steps");
   EXPECT_EQ(r.diag.status, an::SolveStatus::kBudgetExceeded);
@@ -147,23 +148,6 @@ TEST(Budget, TransientCancelBeforeOpIsStructured) {
   EXPECT_EQ(r.diag.status, an::SolveStatus::kCancelled);
   EXPECT_TRUE(r.telemetry.budget_truncated);
   EXPECT_EQ(r.telemetry.budget_stop, "cancelled");
-}
-
-TEST(Budget, AdaptiveTransientHonorsStepCap) {
-  ckt::Netlist nl;
-  build_rc(nl);
-  core::RunBudget budget;
-  budget.max_steps = 6;
-  an::TranOptions t;
-  t.adaptive = true;
-  t.t_stop = 200e-6;
-  t.dt = 1e-6;
-  t.budget = &budget;
-  const auto r = an::run_transient(nl, t);
-  ASSERT_TRUE(r.truncated);
-  EXPECT_EQ(r.telemetry.accepted_steps, 6);
-  EXPECT_EQ(r.telemetry.budget_stop, "steps");
-  EXPECT_LT(r.t_checkpoint, t.t_stop);
 }
 
 TEST(Budget, MonteCarloBudgetSkipsAreStructuredFailures) {
@@ -515,7 +499,8 @@ TEST(FaultPoint, MidRunFactorizationFailureHalvesOneBaseStep) {
   std::size_t first_diff = w.size();
   for (std::size_t i = 0; i < w.size(); ++i) {
     if (w[i] != w_ref[i] && first_diff == w.size()) first_diff = i;
-    EXPECT_NEAR(w[i], w_ref[i], t.vtol + t.reltol * std::abs(w_ref[i]))
+    EXPECT_NEAR(w[i], w_ref[i],
+                an::kNewtonVtol + an::kNewtonReltol * std::abs(w_ref[i]))
         << "t = " << r.time[i];
   }
   EXPECT_GT(first_diff, w.size() / 4);

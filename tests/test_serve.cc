@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/ac.h"
@@ -700,19 +701,32 @@ TEST(ServeDeck, AcNoiseTranRejectDegenerateArguments) {
        {".tran 0 1m", ".tran -1u 1m", ".tran nan 1m", ".tran 1u nan",
         ".tran 1u -1m", ".tran 1u 0", ".tran inf 1m", ".tran 1p 1"})
     bad.push_back(tran);
+  auto expect_refused = [](const std::string& deck, const DeckOptions& opt,
+                           const std::string& what) {
+    const DeckResult r = run_no_memo(deck, nullptr, opt);
+    EXPECT_EQ(r.exit_code, 1) << what;
+    EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << what << "\n" << r.err;
+    // Only the directive's own "* .ac ..." echo line, no header or row.
+    EXPECT_EQ(r.out.rfind("* ", 0), 0u) << what;
+    EXPECT_EQ(r.out.find('\n'), r.out.size() - 1) << what << r.out;
+  };
   for (const bool pss : {false, true}) {
     DeckOptions opt;
     opt.pss = pss;
     for (const auto& directive : bad) {
       if (pss && directive.rfind(".tran", 0) != 0) continue;
-      const DeckResult r = run_no_memo(rc(directive), nullptr, opt);
-      EXPECT_EQ(r.exit_code, 1) << directive;
-      EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << directive << "\n" << r.err;
-      // Only the directive's own "* .ac ..." echo line, no header or row.
-      EXPECT_EQ(r.out.rfind("* ", 0), 0u) << directive;
-      EXPECT_EQ(r.out.find('\n'), r.out.size() - 1) << directive << r.out;
+      expect_refused(rc(directive), opt, directive);
     }
   }
+  // --pss integrates whole tone periods whatever the .tran stop says: a
+  // 1 uHz tone at a 1 us step is 1e12 steps a period, which wrapped the
+  // step count negative and never finished.
+  DeckOptions pss;
+  pss.pss = true;
+  expect_refused(
+      "* slow tone\nv1 in 0 sin(0 1 1e-6)\nr1 in out 1k\nc1 out 0 100n\n"
+      ".tran 1u 1m\n.end\n",
+      pss, "1 uHz tone");
   // The well-formed grids and steps still run.
   for (const char* ok : {".ac dec 10 10 10", ".ac dec 3 10 1e3",
                          ".noise out v1 dec 3 10 1e3", ".tran 1u 20u"}) {
@@ -1181,6 +1195,38 @@ TEST(ServeSmoke, MalformedAndUnknownRequestsAnswerErrors) {
   nodeck.set("op", "submit");
   const Json r2 = serve::request(so.socket_path, nodeck, &err);
   EXPECT_FALSE(r2["ok"].as_bool(true));
+
+  // Sample counts and the seed are checked before any cast: a NaN, an
+  // infinity, a fraction, a negative or an over-limit value is a submit
+  // error naming the field, and no job is queued.
+  Json sub = Json::object();
+  sub.set("op", "submit");
+  sub.set("deck", kOpDeck);
+  std::string head = sub.dump();
+  head.pop_back();  // the closing brace; each case appends its field
+  const int bfd = connect_client(so.socket_path);
+  ASSERT_GE(bfd, 0);
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"mc", "-nan"}, {"mc", "-1"}, {"mc", "2.5"}, {"mc", "1e999"},
+           {"mc", "10001"}, {"mc", "-inf"}, {"ensemble", "-nan"},
+           {"ensemble", "-3"}, {"ensemble", "0.5"}, {"ensemble", "1e12"},
+           {"mc_seed", "-1"}, {"mc_seed", "1.5"}, {"mc_seed", "1e300"}}) {
+    const std::string line = head + ",\"" + key + "\":" + value + "}";
+    ASSERT_TRUE(send_all(bfd, line + "\n"));
+    const std::string got = read_line(bfd);
+    const Json rb = Json::parse(got, &err);
+    EXPECT_EQ(rb["op"].as_string(), "submit") << line << " -> " << got;
+    EXPECT_FALSE(rb["ok"].as_bool(true)) << line << " -> " << got;
+    EXPECT_EQ(rb["error"].as_string().rfind(key + " must be an integer", 0),
+              0u)
+        << line << " -> " << got;
+  }
+  ::close(bfd);
+  Json jobstats = Json::object();
+  jobstats.set("op", "stats");
+  const Json st = serve::request(so.socket_path, jobstats, &err);
+  EXPECT_EQ(st["jobs"]["submitted"].as_number(-1), 0.0) << st.dump();
 
   // A line of 100 000 '[' and a line over the 1 MiB cap each get an
   // error reply on the same connection (the over-cap bytes are dropped

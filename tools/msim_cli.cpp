@@ -40,7 +40,8 @@
 // steady-state solve; the CSV holds exactly one coherent steady period.
 // `--mc N` turns each .op into an N-sample Monte-Carlo run (1% gaussian
 // resistor spread, statistics over the first probe; deterministic
-// stream from `--mc-seed K`).
+// stream from `--mc-seed K`).  N and K must be integers: N in
+// [0, 10000], K in [0, 2^53]; anything else exits 2 with an error line.
 // `--jobs list.txt` batch mode: runs every deck file named in the list
 // (one path per line, '#' comments) through ONE shared solver-cache
 // registry -- repeated topologies adopt the first job's sparsity
@@ -51,6 +52,7 @@
 // The execution core lives in src/serve/deck.cc (serve::run_deck),
 // shared verbatim with the msim_serve daemon: a daemon job's bytes are
 // this CLI's bytes by construction.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,6 +82,21 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 // Job list: one deck path per line; blank lines and '#' comments skip.
+// Reads the count word after `flag` (--mc, --ensemble, --mc-seed) into
+// `v`.  A word that is not wholly a number reads as NaN, so
+// serve::check_count refuses it with the fractions, negatives and
+// values over `limit`; the refusal is printed as an error line.
+bool read_count(const char* flag, const char* word, double limit,
+                double& v) {
+  char* end = nullptr;
+  v = std::strtod(word, &end);
+  if (end == word || *end != '\0') v = std::nan("");
+  const std::string e = serve::check_count(flag, v, limit);
+  if (e.empty()) return true;
+  std::fprintf(stderr, "error: %s\n", e.c_str());
+  return false;
+}
+
 bool read_job_list(const std::string& path, std::vector<std::string>& out) {
   std::string text;
   if (!serve::read_file(path, text)) return false;
@@ -108,6 +125,7 @@ bool read_job_list(const std::string& path, std::vector<std::string>& out) {
 int main(int argc, char** argv) {
   std::string path, jobs_path;
   serve::DeckOptions opt;
+  double count = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--probe") == 0 && i + 1 < argc)
       opt.probe_arg = argv[++i];
@@ -127,14 +145,22 @@ int main(int argc, char** argv) {
       opt.tran_stats = true;
     else if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc)
       opt.budget_ms = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--ensemble") == 0 && i + 1 < argc)
-      opt.ensemble = std::atoi(argv[++i]);
+    else if (std::strcmp(argv[i], "--ensemble") == 0 && i + 1 < argc) {
+      if (!read_count("--ensemble", argv[++i], serve::kMaxSamples, count))
+        return 2;
+      opt.ensemble = static_cast<int>(count);
+    }
     else if (std::strcmp(argv[i], "--pss") == 0)
       opt.pss = true;
-    else if (std::strcmp(argv[i], "--mc") == 0 && i + 1 < argc)
-      opt.mc = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--mc-seed") == 0 && i + 1 < argc)
-      opt.mc_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    else if (std::strcmp(argv[i], "--mc") == 0 && i + 1 < argc) {
+      if (!read_count("--mc", argv[++i], serve::kMaxSamples, count))
+        return 2;
+      opt.mc = static_cast<int>(count);
+    } else if (std::strcmp(argv[i], "--mc-seed") == 0 && i + 1 < argc) {
+      if (!read_count("--mc-seed", argv[++i], serve::kMaxSeed, count))
+        return 2;
+      opt.mc_seed = static_cast<std::uint64_t>(count);
+    }
     else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
       jobs_path = argv[++i];
     else if (std::strcmp(argv[i], "--no-result-cache") == 0)

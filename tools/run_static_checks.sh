@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Static checks over src/: a grep gate against printf-family calls, a
 # grep gate against headers that nothing outside tests and examples reaches,
-# clang-tidy with the curated .clang-tidy set, warnings promoted to
-# errors, plus the whole test suite under an AddressSanitizer + UBSan +
+# a grep gate against option fields that no caller sets, clang-tidy with
+# the curated .clang-tidy set, warnings promoted to errors, plus the
+# whole test suite under an AddressSanitizer + UBSan +
 # _GLIBCXX_ASSERTIONS build and the concurrency suites under
 # ThreadSanitizer (the worker pool, the lockstep ensemble, and the serve
 # registry / job scheduler are the places the engine shares mutable
@@ -182,8 +183,60 @@ check_module_reach() {
   return 0
 }
 
+# ---- every option field is set by a caller ---------------------------
+# An option stays an option only if some caller sets it.  For every
+# field with a default value in a `struct *Options` under src/, some
+# file outside the struct's own module (its .h and .cc) must assign it
+# (`.field =` or `->field =`); files in src/, bench/, tools/,
+# perfbench/src/, examples/ and tests/ count.  The match is by field
+# name, so a same-named field of another struct also keeps it.  A field
+# nothing sets is a finding: make it a named constant.
+check_option_reach() {
+  local roots=("$repo_root/src" "$repo_root/bench" "$repo_root/tools"
+               "$repo_root/perfbench/src" "$repo_root/examples"
+               "$repo_root/tests")
+  local hdr mod rel st field unset=""
+  while IFS= read -r hdr; do
+    mod="${hdr%.h}"
+    rel="${hdr#"$repo_root/"}"
+    # "Struct field" for each defaulted member (`T name = v;` or
+    # `T name{v};`) at the struct's own brace depth.
+    while read -r st field; do
+      if ! grep -rlE "(\.|->)$field[[:space:]]*=([^=]|\$)" "${roots[@]}" \
+             --include='*.h' --include='*.cc' --include='*.cpp' 2>/dev/null |
+           grep -qvE "^$mod\.(h|cc)\$"; then
+        unset="$unset  $rel: $st::$field\n"
+      fi
+    done < <(awk '
+      /^[[:space:]]*struct [A-Za-z0-9_]*Options[[:space:]]*\{/ {
+        name = $2; depth = 1; next
+      }
+      depth > 0 {
+        line = $0; sub(/\/\/.*/, "", line)
+        opens = gsub(/\{/, "{", line); closes = gsub(/\}/, "}", line)
+        if (depth == 1 && line !~ /\(/ &&
+            line ~ /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>,* ]*[ *&][A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=|\{)/) {
+          sub(/[[:space:]]*(=|\{).*/, "", line)
+          k = split(line, words, /[ *&]+/)
+          print name, words[k]
+        }
+        depth += opens - closes
+        if (depth < 0) depth = 0
+      }' "$hdr")
+  done < <(grep -rlE 'struct [A-Za-z0-9_]*Options[[:space:]]*\{' \
+             "$repo_root/src" --include='*.h' | sort)
+  if [ -n "$unset" ]; then
+    printf '%b' "$unset" >&2
+    echo "run_static_checks: option fields that no caller outside their module sets (make them constants)" >&2
+    return 1
+  fi
+  echo "run_static_checks: every option field is set by a caller" >&2
+  return 0
+}
+
 check_no_printf || exit 1
 check_module_reach || exit 1
+check_option_reach || exit 1
 run_sanitized_suite || exit 1
 run_tsan_suites || exit 1
 
