@@ -371,8 +371,9 @@ TranRun run_tran(const std::string& name, int repeats,
 // and accept once two consecutive estimates agree within the gate
 // tolerance -- every integrated period of every round counts toward
 // its cost.  Shooting PSS carries the certificate internally (the
-// boundary residual ||x(0) - x(T)||), so its cost is one prefix period
-// plus one period per shot, and it records exactly one coherent period.
+// boundary residual ||x(0) - x(T)||), so its cost is a quarter-period
+// pre-roll plus one period per shot, and it records exactly one coherent
+// period.
 struct PssRun {
   std::string name;
   double f0 = 1e3;
@@ -453,8 +454,9 @@ PssRun run_pss(
       run.settle_rounds = rounds;
     }
 
-    // Shooting PSS: one certified point, default options (a one-period
-    // prefix; the boundary Newton handles whatever transient remains).
+    // Shooting PSS: one certified point, default options (a quarter-
+    // period pre-roll ending at phase 0; the boundary Newton handles
+    // whatever transient remains).
     ckt::Netlist nl;
     const auto [outp, outn] = make(nl);
     an::PssOptions o;

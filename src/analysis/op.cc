@@ -172,6 +172,7 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
 
   AssembleParams p;
   p.mode = ckt::AnalysisMode::kDcOp;
+  p.time = opt.source_time;
   p.temp_k = opt.temp_k;
   p.gshunt = opt.gshunt;
 

@@ -45,6 +45,10 @@ struct OpOptions {
   // iterations or homotopy stages; the budget is shared (not owned) and
   // may be polled concurrently by other analyses.  Null = unlimited.
   core::RunBudget* budget = nullptr;
+  // Time at which the sources are read [s]: the operating point of a
+  // transient that starts at TranOptions::t_start.  At 0 every source
+  // reads Waveform::dc_value().
+  double source_time = 0.0;
 };
 
 struct OpResult {

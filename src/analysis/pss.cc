@@ -321,6 +321,7 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
   res.dt = dt;
 
   TranOptions base = opt.tran;
+  base.t_start = 0.0;
   base.dt = dt;
   base.record = false;
   base.record_after = 0.0;
@@ -331,22 +332,28 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
 
   PssTelemetry& tel = res.telemetry;
 
-  // Warm start: either the caller's boundary state, or a short settle
-  // prefix from the DC operating point to land inside Newton's basin.
+  // Warm start: either the caller's boundary state, or a pre-roll over
+  // the last kPssPreRollPeriods of a period (rounded up to whole steps)
+  // from the DC operating point at its first instant.  It ends at T,
+  // the tone's phase 0, where every shot starts.  It runs on
+  // [T - n*dt, T], not [-n*dt, 0]: a sine reads its offset before t = 0
+  // (Waveform::value), so a negative start would drive it with DC.
   num::RealVector x0;
   if (opt.x_warm) {
     x0 = *opt.x_warm;
   } else {
+    const int n_pre = static_cast<int>(std::ceil(kPssPreRollPeriods * spp));
     TranOptions pre = base;
-    const double pp = opt.prefix_periods > 0.0 ? opt.prefix_periods : 1.0;
-    pre.t_stop = pp * period;
+    pre.t_start = period - n_pre * dt;
+    pre.t_stop = period;
     TranResult tr = run_transient(nl, pre);
     merge_tran(tel.tran, tr.telemetry);
     if (!tr.ok) {
-      tel.periods_integrated += tr.t_checkpoint / period;
+      if (tr.truncated)
+        tel.periods_integrated += (tr.t_checkpoint - pre.t_start) / period;
       return fail_from(res, std::move(tr), "pss_prefix");
     }
-    tel.periods_integrated += pp;
+    tel.periods_integrated += static_cast<double>(n_pre) / spp;
     x0 = std::move(tr.x_final);
   }
   tel.unknowns = static_cast<int>(x0.size());
@@ -358,9 +365,9 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
   shot.initial_state = &x0;
   shot.first_step_backward_euler = true;
 
-  // The first shot after the settle prefix carries no Phi: when it is
+  // The first shot after the pre-roll carries no Phi: when it is
   // already periodic (the usual case) it is the result and Phi would go
-  // unread; when it is not, it counts as one more settle period.  The
+  // unread; when it is not, it counts as one settle period.  The
   // hook only reads each step's held LU, so a shot's states are the
   // same bits with or without it.  A warm start (budget checkpoint) is
   // not periodic yet, so it carries Phi from its first shot.

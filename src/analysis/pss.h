@@ -24,13 +24,17 @@
 // the dense Newton boundary system is m x m with m = dynamic unknowns,
 // typically far smaller than the full MNA dimension.
 //
-// Only the periods whose results are used get integrated: a one-period
-// settle prefix, then a first shot without the Phi ride-along.  If that
-// shot is already periodic it is the result (two periods, no Phi
-// solve); if not, it counts as a second settle period and every later
+// Only the periods whose results are used get integrated.  A cold run
+// first integrates a pre-roll: the last kPssPreRollPeriods of a period,
+// t in [0.75 T, T] on the step grid, started from the DC operating
+// point with the sources at their values at its start, so it ends at
+// the tone's phase 0 where every shot starts.  The first shot after it carries no Phi.
+// If that shot is already periodic it is the result (1.25 periods, no
+// Phi solve); if not, it counts as a settle period and every later
 // shot carries Phi for the boundary Newton update.  A warm start
-// (PssOptions::x_warm) skips the prefix and carries Phi from its first
-// shot.
+// (PssOptions::x_warm) skips the pre-roll and carries Phi from its
+// first shot.  Every shot integrates t in [0, T], so the result's time
+// axis and phase do not depend on the pre-roll.
 //
 // Restart purity: each shot runs with TranOptions::initial_state plus
 // first_step_backward_euler, which makes x(T) a pure function of x0
@@ -62,6 +66,13 @@ double single_tone_hz(const ckt::Netlist& nl);
 
 // Newton updates on the boundary map before shooting gives up.
 inline constexpr int kPssMaxShooting = 8;
+// Pre-roll length of a cold run, in periods (rounded up to whole
+// steps).  On the class-AB buffer at 0.15, 0.3 and 1.0 V per side it
+// leaves a first-shot residual of 4e-14 to 1e-13 against a 1.4e-6
+// tolerance.  Shorter ones cost margin and robustness: at 0.1 periods
+// the 0.15 V buffer's operating point needs gmin stepping (993 Newton
+// iterations), and at 0.05 the 1.0 V buffer's first shot fails.
+inline constexpr double kPssPreRollPeriods = 0.25;
 // Periodicity tolerance: a shot is periodic when
 //   max|x(T) - x(0)| <= kPssTolAbs + kPssTolRel * max|x(T)|.
 inline constexpr double kPssTolAbs = 1e-7;
@@ -73,30 +84,25 @@ struct PssOptions {
   // Samples per period (dt = 1/(f0 * spp), exactly coherent).  0 =
   // derive from tran.dt via sig::plan_coherent_capture.
   int samples_per_period = 0;
-  // Settle prefix integrated once before the first shot (skipped when
-  // x_warm is set).  The first shot after it carries no Phi and becomes
-  // a further settle period when it is not periodic, so one prefix
-  // period puts the Newton start as deep into the basin as two did.
-  double prefix_periods = 1.0;
-  // Engine knobs forwarded to every integration (dt / t_stop / record /
-  // initial_state / step_hook are overridden by the PSS driver; solver,
-  // Newton limits, temp_k etc. apply as usual).
+  // Engine knobs forwarded to every integration (t_start / t_stop / dt /
+  // record / initial_state / step_hook are overridden by the PSS driver;
+  // solver, Newton limits, temp_k etc. apply as usual).
   TranOptions tran;
   // Optional budget / cancel hook; overrides tran.budget when set.
   // Expiry returns a structured partial with the best boundary state so
   // far as a restart handle (see PssResult).
   core::RunBudget* budget = nullptr;
   // Warm-start boundary state (e.g. a prior PssResult::x0 or a budget
-  // checkpoint); skips the settle prefix.  Borrowed, must outlive the
-  // call.
+  // checkpoint); skips the pre-roll.  Borrowed, must outlive the call.
   const num::RealVector* x_warm = nullptr;
 };
 
 // Effort accounting for one PSS solve.
 struct PssTelemetry {
   int shooting_iterations = 0;     // Newton boundary updates applied
-  double periods_integrated = 0.0; // prefix + one per shot (the headline
-                                   // number settle-and-FFT is compared on)
+  double periods_integrated = 0.0; // pre-roll + one per shot (the
+                                   // headline number settle-and-FFT is
+                                   // compared on)
   double residual = 0.0;           // final max|x(T) - x(0)|
   std::vector<double> residual_history;  // one entry per completed shot
   int unknowns = 0;
@@ -106,7 +112,7 @@ struct PssTelemetry {
   long phi_ns = 0;  // Phi ride-along cost (M build + solves + matvecs),
                     // disjoint from the stamp/factor/solve breakdown in
                     // `tran` below
-  TranTelemetry tran;              // aggregated over prefix + all shots
+  TranTelemetry tran;              // aggregated over pre-roll + all shots
   // Multi-line human-readable summary (CLI / log output).
   std::string summary() const;
   // One-line JSON object (bench harness, msim_cli --tran-stats).
@@ -115,8 +121,9 @@ struct PssTelemetry {
 
 struct PssResult {
   bool ok = false;
-  SolveDiag diag;           // stage "pss", "pss_prefix", "pss_period",
-                            // "pss_shooting" or "pss_boundary"
+  SolveDiag diag;           // stage "pss", "pss_prefix" (the pre-roll),
+                            // "pss_period", "pss_shooting" or
+                            // "pss_boundary"
   PssTelemetry telemetry;
   double f0_hz = 0.0;
   double dt = 0.0;          // coherent step actually used
@@ -131,7 +138,8 @@ struct PssResult {
   // `x_checkpoint` is the last accepted state of the interrupted
   // integration -- pass it back as PssOptions::x_warm to resume.
   bool truncated = false;
-  double t_checkpoint = 0.0;  // time within the interrupted run
+  double t_checkpoint = 0.0;  // time within the interrupted run (a
+                              // pre-roll's clock ends at T)
   num::RealVector x_checkpoint;
 
   // Waveform of one node voltage over the steady period.

@@ -321,16 +321,40 @@ void fill_step_diag(const ckt::Netlist& nl, const StepOutcome& out,
   r.diag.detail = os.str();
 }
 
+// The options run_transient refuses: a step that is not finite and
+// positive never moves the clock, and a span that is not finite or not
+// forward has no end to reach.  An ok() diag when the options are valid.
+SolveDiag option_diag(const TranOptions& opt) {
+  std::ostringstream os;
+  if (!(std::isfinite(opt.dt) && opt.dt > 0.0))
+    os << "dt = " << opt.dt << " s is not a finite step > 0";
+  else if (!(std::isfinite(opt.t_start) && std::isfinite(opt.t_stop) &&
+             opt.t_start < opt.t_stop))
+    os << "span [" << opt.t_start << ", " << opt.t_stop
+       << "] s is not finite and forward";
+  else if (opt.max_halvings < 0)
+    os << "max_halvings = " << opt.max_halvings << " is negative";
+  else
+    return SolveDiag::success();
+  SolveDiag d;
+  d.status = SolveStatus::kBadTopology;
+  d.stage = "tran";
+  d.detail = "invalid options: " + os.str();
+  return d;
+}
+
 // Body of run_transient; the workspace lives in the caller so the
 // factorization stats reach the telemetry on every return path.
 TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
                                StepWorkspace& ws) {
   TranResult r;
+  r.diag = option_diag(opt);
+  if (!r.diag.ok()) return r;
 
   num::RealVector x0;
   if (opt.initial_state) {
-    // Periodic restart: the caller supplies x(0) from an earlier run
-    // (PSS shooting update, budget checkpoint); no DC solve.
+    // Periodic restart: the caller supplies x(t_start) from an earlier
+    // run (PSS shooting update, budget checkpoint); no DC solve.
     nl.assign_unknowns();  // idempotent; solve_op normally does this
     x0 = *opt.initial_state;
     r.telemetry.op_method = "initial_state";
@@ -343,6 +367,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     op_opt.lint_strict = opt.lint_strict;
     op_opt.solver = opt.solver;
     op_opt.budget = opt.budget;
+    op_opt.source_time = opt.t_start;
     const OpResult op = solve_op(nl, op_opt);
     if (!op.converged) {
       r.diag = op.diag;
@@ -376,9 +401,9 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
   r.telemetry.linear_fast_path_used = linear;
 
   num::RealVector x = std::move(x0);
-  double t = 0.0;
-  if (opt.record && opt.record_after <= 0.0) {
-    r.time.push_back(0.0);
+  double t = opt.t_start;
+  if (opt.record && opt.record_after <= t) {
+    r.time.push_back(t);
     r.x.push_back(x);
   }
 
@@ -939,11 +964,15 @@ TranEnsembleResult run_transient_ensemble(
   // sweep with the reason recorded in the telemetry.
   const TranOptions& base = topts[0];
   const char* why = nullptr;
-  if (base.solver == SolverKind::kDense) {
+  if (!option_diag(base).ok()) {
+    why = "invalid_options";  // run_transient diagnoses each sample
+  } else if (base.solver == SolverKind::kDense) {
     why = "dense_solver";
   } else if (base.initial_state || base.step_hook ||
              base.first_step_backward_euler) {
     why = "pss_restart";  // lockstep lanes share one DC warm start
+  } else if (base.t_start != 0.0) {
+    why = "t_start";  // lockstep lanes start from the OP at t = 0
   } else {
     // Every sample's budget is the ensemble's, so == compares the rest.
     for (std::size_t i = 1; i < n && !why; ++i)

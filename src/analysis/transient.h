@@ -47,6 +47,13 @@ class TranStepHook {
 inline constexpr double kTranDtMin = 1e-12;
 
 struct TranOptions {
+  // The run covers [t_start, t_stop]: the initial operating point reads
+  // the sources at t_start, and the first recorded point, every step's
+  // time and t_checkpoint / t_final are on that clock.  run_transient
+  // refuses (a kBadTopology diag, stage "tran") a dt that is not finite
+  // and positive, a t_start or t_stop that is not finite, t_start >=
+  // t_stop, and max_halvings < 0.
+  double t_start = 0.0;
   double t_stop = 1e-3;
   double dt = 1e-6;
   double temp_k = 300.15;
@@ -84,7 +91,7 @@ struct TranOptions {
   core::RunBudget* budget = nullptr;
 
   // --- Periodic-restart support (PSS shooting; see analysis/pss.h) ---
-  // Start the run from this state at t = 0 instead of solving a DC
+  // Start the run from this state at t_start instead of solving a DC
   // operating point (device integration history is reset onto it via
   // begin_transient, exactly as for an OP).  The pointee must outlive
   // the run.
@@ -181,8 +188,9 @@ struct TranResult {
   std::vector<double> diff_wave(ckt::NodeId p, ckt::NodeId n) const;
 };
 
-// Runs a transient from the DC operating point at t = 0.  Never throws
-// on solver failure: inspect result.diag.
+// Runs a transient from the DC operating point at t_start (or from
+// initial_state).  Never throws on solver failure or invalid options:
+// inspect result.diag.
 TranResult run_transient(ckt::Netlist& nl, const TranOptions& opt);
 
 // Batched waveform sweeps (gain steps, amplitude sweeps for HD curves,
@@ -257,9 +265,10 @@ struct TranEnsembleResult {
 // Runs sample i by calling configure(i, nl, opt) on a fresh netlist,
 // exactly like run_transient_sweep, then advances all samples in
 // lockstep.  Whenever a lockstep precondition fails -- differing
-// TranOptions across samples, the dense solver, a PSS restart, topology
-// disagreement, n == 1 (bit-identity contract with run_transient) or a
-// failed nominal OP -- the whole run is
+// TranOptions across samples, options run_transient refuses, the dense
+// solver, a PSS restart, a t_start other than 0, topology disagreement,
+// n == 1 (bit-identity contract with run_transient) or a failed nominal
+// OP -- the whole run is
 // run_transient_sweep(n, configure) instead, with the reason in the
 // telemetry; a block whose lockstep set-up is refused runs its lanes
 // per sample.  Same determinism contract as the sweep:

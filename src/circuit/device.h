@@ -81,7 +81,8 @@ class StampContext {
       : mode_(mode), x_(x), rhs_(rhs) {}
 
   AnalysisMode mode() const { return mode_; }
-  double time = 0.0;    // current transient time (s); 0 for DC
+  double time = 0.0;    // time the sources are read at (s): the transient
+                        // step's, or OpOptions::source_time for DC
   double dt = 0.0;      // current transient step (s); 0 for DC
   double temp_k = 300.15;
   double gmin = 0.0;    // homotopy conductance added by nonlinear junctions

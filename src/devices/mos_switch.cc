@@ -15,9 +15,7 @@ void MosSwitch::set_clock(Waveform clock, double threshold) {
 }
 
 void MosSwitch::stamp(ckt::StampContext& ctx) const {
-  const bool on =
-      ctx.mode() == ckt::AnalysisMode::kTransient ? on_at(ctx.time)
-                                                  : on_at(0.0);
+  const bool on = on_at(ctx.time);
   ctx.add_conductance(nodes_[0], nodes_[1], 1.0 / (on ? r_on_ : r_off_));
 }
 

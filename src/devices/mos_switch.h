@@ -28,9 +28,11 @@ class MosSwitch : public ckt::Device {
   double r_on() const { return r_on_; }
   double resistance() const { return on_ ? r_on_ : r_off_; }
 
-  // Clocked operation (switched-capacitor circuits): during transient
-  // analysis the switch is on whenever clock(t) > threshold; DC/AC use
-  // the clock value at t = 0.  set_on() is ignored while clocked.
+  // Clocked operation (switched-capacitor circuits): the switch is on
+  // whenever clock(t) > threshold, read at the stamp's time (a transient
+  // step's, or the operating point's OpOptions::source_time); AC and
+  // noise use the clock value at t = 0.  set_on() is ignored while
+  // clocked.
   void set_clock(Waveform clock, double threshold = 0.5);
   void clear_clock() { clock_.reset(); }
   bool is_clocked() const { return clock_.has_value(); }

@@ -21,9 +21,8 @@ void VSource::stamp(ckt::StampContext& ctx) const {
   ctx.add_node_jac(nodes_[1], ib, -1.0);
   ctx.add_branch_jac(ib, nodes_[0], 1.0);
   ctx.add_branch_jac(ib, nodes_[1], -1.0);
-  const double v = (ctx.mode() == ckt::AnalysisMode::kDcOp)
-                       ? wave_.dc_value() * ctx.source_scale
-                       : wave_.value(ctx.time);
+  double v = wave_.value(ctx.time);
+  if (ctx.mode() == ckt::AnalysisMode::kDcOp) v *= ctx.source_scale;
   ctx.add_rhs(ib, v);
 }
 
@@ -48,9 +47,8 @@ ISource::ISource(std::string name, ckt::NodeId p, ckt::NodeId n,
     : ISource(std::move(name), p, n, Waveform::dc(dc_amps)) {}
 
 void ISource::stamp(ckt::StampContext& ctx) const {
-  const double i = (ctx.mode() == ckt::AnalysisMode::kDcOp)
-                       ? wave_.dc_value() * ctx.source_scale
-                       : wave_.value(ctx.time);
+  double i = wave_.value(ctx.time);
+  if (ctx.mode() == ckt::AnalysisMode::kDcOp) i *= ctx.source_scale;
   // Current i leaves node p and enters node n.
   ctx.add_current_into(nodes_[0], -i);
   ctx.add_current_into(nodes_[1], i);

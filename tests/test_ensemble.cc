@@ -396,6 +396,30 @@ TEST(Ensemble, TopologyDiffersFallbackEqualsSweep) {
   }
 }
 
+// Lockstep lanes start from the operating point at t = 0, so a run that
+// starts its clock elsewhere is the plain sweep: each sample starts from
+// its own operating point at t_start.
+TEST(Ensemble, StartTimeFallbackEqualsSweep) {
+  constexpr std::size_t kSamples = 3;
+  const auto configure = [](std::size_t i, ckt::Netlist& nl,
+                            an::TranOptions& t) {
+    configure_mic_sample(i, nl, t);
+    t.t_start = 0.25e-3;
+    t.t_stop = 0.35e-3;
+  };
+  const auto er = an::run_transient_ensemble(kSamples, configure);
+  EXPECT_FALSE(er.ensemble.used_ensemble);
+  EXPECT_EQ(er.ensemble.fallback_reason, "t_start");
+  const auto sweep = an::run_transient_sweep(kSamples, configure);
+  ASSERT_EQ(er.results.size(), kSamples);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    ASSERT_TRUE(sweep[i].ok) << sweep[i].diag.message();
+    EXPECT_EQ(sweep[i].time.front(), 0.25e-3);
+    expect_bit_identical(er.results[i], sweep[i],
+                         "sample " + std::to_string(i));
+  }
+}
+
 // Structure-shared Monte-Carlo driver: statistics bit-identical across
 // thread counts while adopting the sample-0 solver cache everywhere.
 TEST(Ensemble, MonteCarloSharedDeterministicAcrossThreads) {

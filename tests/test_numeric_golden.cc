@@ -1,5 +1,6 @@
 // Bit-identity goldens for the Newton and small-signal numeric paths:
-// the mic-amp operating point at every gain code, one Table-1 gain-
+// the mic-amp operating point at every gain code, the class-AB buffer's
+// operating point under sine, pulse and PWL drive, one Table-1 gain-
 // accuracy Monte-Carlo batch, and the mic-amp AC response.  Each golden
 // holds C99 hex floats, so any change to the stamping, factorization or
 // solve arithmetic shows up as a byte difference.
@@ -16,6 +17,7 @@
 #include "analysis/op.h"
 #include "bench_util.h"
 #include "core/mic_amp.h"
+#include "devices/sources.h"
 #include "golden_util.h"
 #include "numeric/rng.h"
 #include "process/process.h"
@@ -36,6 +38,35 @@ TEST(NumericGolden, MicAmpOpAtEveryGainCode) {
     text += "code " + std::to_string(k) + ":\n" + golden::hex_rows(op.x);
   }
   golden::expect("numeric/mic_op_codes.txt", text);
+}
+
+// solve_op on the class-AB buffer whose inputs carry a sine, a pulse and
+// a PWL waveform, each nonzero at t = 0: the operating point reads every
+// source at t = 0, and these bits were recorded when it read
+// Waveform::dc_value() instead.
+TEST(NumericGolden, BufferOpUnderSinePulsePwlDrive) {
+  struct Drive {
+    const char* name;
+    dev::Waveform p, n;
+  };
+  const Drive drives[] = {
+      {"sine", dev::Waveform::sine(0.05, 0.3, 1e3),
+       dev::Waveform::sine(-0.05, -0.3, 1e3)},
+      {"pulse", dev::Waveform::pulse(0.1, -0.2, 0.0, 1e-6, 1e-6, 0.5e-3, 1e-3),
+       dev::Waveform::pulse(-0.1, 0.2, 0.0, 1e-6, 1e-6, 0.5e-3, 1e-3)},
+      {"pwl", dev::Waveform::pwl({0.0, 1e-3}, {-0.08, 0.3}),
+       dev::Waveform::pwl({0.0, 1e-3}, {0.08, -0.3})},
+  };
+  std::string text;
+  for (const Drive& d : drives) {
+    auto rig = bench::make_drv_rig();
+    rig->vsp->set_waveform(d.p);
+    rig->vsn->set_waveform(d.n);
+    const auto op = an::solve_op(rig->nl);
+    ASSERT_TRUE(op.converged) << d.name;
+    text += std::string(d.name) + ":\n" + golden::hex_rows(op.x);
+  }
+  golden::expect("numeric/buffer_op_sine_pulse_pwl.txt", text);
 }
 
 // One 20-sample batch of the Table-1 dAcl Monte-Carlo, as the table1-mc

@@ -1,9 +1,9 @@
 // Shooting-Newton periodic steady state: THD agreement with the settle
 // oracle on the class-AB buffer, the periodicity-residual contract and
 // restart purity of the period map, one-update convergence on a linear
-// circuit, which shots carry the Phi ride-along, structured
-// budget/cancel partials, and thread-count
-// determinism of MC-over-PSS through monte_carlo_shared.
+// circuit, which shots carry the Phi ride-along, the pre-roll's start at
+// its sources' DC point, structured budget/cancel partials, and
+// thread-count determinism of MC-over-PSS through monte_carlo_shared.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -40,14 +40,15 @@ ckt::NodeId build_rc(ckt::Netlist& nl) {
 // For a linear circuit the period map is affine and Phi is exact (the
 // per-step LUs are the true Jacobians), so a single Newton boundary
 // update must land on the periodic orbit to machine precision -- even
-// from a start state far outside steady state.
+// from a start state far outside steady state: the RC's time constant
+// is T/10, so the quarter-period pre-roll leaves its capacitor about 8 %
+// of its start error off the orbit.
 TEST(Pss, LinearRcConvergesInOneShootingUpdate) {
   ckt::Netlist nl;
   const auto out = build_rc(nl);
 
   an::PssOptions o;
   o.samples_per_period = 512;
-  o.prefix_periods = 0.25;  // deliberately far from steady state
   const auto r = an::run_pss_shooting(nl, o);
   ASSERT_TRUE(r.ok) << r.diag.message();
   EXPECT_EQ(r.f0_hz, 1e3);
@@ -77,15 +78,14 @@ TEST(Pss, LinearRcConvergesInOneShootingUpdate) {
 }
 
 // A start state far from steady state: the first shot (no Phi) fails
-// the periodicity test and becomes a second settle period, so the run is
-// prefix + that shot + one Phi shot + the post-update shot that closes
-// the orbit.  Phi rides exactly the two shots that carry it.
+// the periodicity test and becomes a settle period, so the run is the
+// pre-roll + that shot + one Phi shot + the post-update shot that
+// closes the orbit.  Phi rides exactly the two shots that carry it.
 TEST(Pss, UnsettledFirstShotBecomesASettlePeriod) {
   ckt::Netlist nl;
   build_rc(nl);
   an::PssOptions o;
   o.samples_per_period = 512;
-  o.prefix_periods = 0.25;
   const auto r = an::run_pss_shooting(nl, o);
   ASSERT_TRUE(r.ok) << r.diag.message();
   EXPECT_EQ(r.telemetry.shooting_iterations, 1);
@@ -145,6 +145,36 @@ TEST(Pss, SingleToneDetection) {
   }
 }
 
+// A transient's clock starts at t_start, as the PSS pre-roll's does at
+// 0.75 T: the operating point reads the sources there (at DC the RC
+// passes its input, so the capacitor sits at the sine's value at
+// t_start), the first recorded point is at t_start, and the run ends at
+// t_stop after (t_stop - t_start) / dt steps.
+TEST(Pss, PreRollStartsAtItsSourcesDcPoint) {
+  ckt::Netlist nl;
+  const auto out = build_rc(nl);
+  const auto in = nl.find_node("in");
+  const double period = 1e-3;
+  an::TranOptions t;
+  t.t_start = 0.75 * period;
+  t.t_stop = period;
+  t.dt = period / 512;
+  const auto r = an::run_transient(nl, t);
+  ASSERT_TRUE(r.ok) << r.diag.message();
+  ASSERT_EQ(r.time.size(), 129u);
+  EXPECT_EQ(r.time.front(), t.t_start);
+  EXPECT_NEAR(r.t_final, t.t_stop, 1e-15);
+  EXPECT_EQ(r.telemetry.accepted_steps, 128);
+
+  const double v_start = std::sin(2.0 * M_PI * 1e3 * t.t_start);  // -1 V
+  EXPECT_NEAR(r.x.front()[static_cast<std::size_t>(in - 1)], v_start,
+              1e-12);
+  // The 1e-12 S node shunts load the 1 kOhm resistor: v_out is
+  // v_in / (1 + 1e-9).
+  EXPECT_NEAR(r.x.front()[static_cast<std::size_t>(out - 1)], v_start,
+              1e-8);
+}
+
 // ------------------------------------------------- class-AB buffer THD
 
 double settle_thd(double vp, double f0, double settle_periods) {
@@ -164,7 +194,7 @@ double settle_thd(double vp, double f0, double settle_periods) {
 
 // PSS THD on the Fig. 9 buffer rig agrees with a deeply settled
 // transient oracle across drive amplitudes, while integrating a small
-// fixed number of periods (prefix + one per shot) instead of the
+// fixed number of periods (pre-roll + one per shot) instead of the
 // oracle's settle-plus-record span.
 TEST(Pss, BufferHdThdMatchesSettleOracle) {
   const double f0 = 1e3;
@@ -193,13 +223,14 @@ TEST(Pss, BufferHdThdMatchesSettleOracle) {
     // Effort: the whole PSS solve stays within a handful of periods
     // (the oracle above integrated 11).  Zero shooting iterations is
     // legal -- the fast-settling buffer can already be periodic after
-    // the prefix, making the first shot its own convergence proof.
+    // the pre-roll, making the first shot its own convergence proof.
     EXPECT_LE(r.telemetry.periods_integrated, 8.0) << "vp=" << vp;
   }
 }
 
-// The buffer is periodic after one settle period, so the first shot is
-// the result: two periods integrated, no Phi solve, no boundary update.
+// The buffer is periodic after the quarter-period pre-roll, so the
+// first shot is the result: 1.25 periods integrated, no Phi solve, no
+// boundary update.
 TEST(Pss, SettledFirstShotCarriesNoPhi) {
   auto rig = bench::make_drv_rig();
   rig->vsp->set_waveform(dev::Waveform::sine(0.0, 0.3, 1e3));
@@ -208,7 +239,7 @@ TEST(Pss, SettledFirstShotCarriesNoPhi) {
   o.tran.dt = 1e-6;
   const auto r = an::run_pss_shooting(rig->nl, o);
   ASSERT_TRUE(r.ok) << r.diag.message();
-  EXPECT_EQ(r.telemetry.periods_integrated, 2.0);
+  EXPECT_EQ(r.telemetry.periods_integrated, 1.25);
   EXPECT_EQ(r.telemetry.phi_solve_count, 0);
   EXPECT_EQ(r.telemetry.shooting_iterations, 0);
 }
@@ -264,7 +295,7 @@ TEST(Pss, BudgetPartialAndWarmResume) {
   rig->vsn->set_waveform(dev::Waveform::sine(0.0, -0.3, 1e3));
 
   core::RunBudget budget;
-  budget.max_steps = 300;  // well inside the 1-period settle prefix
+  budget.max_steps = 100;  // well inside the 250-step pre-roll
   an::PssOptions o;
   o.tran.dt = 1e-6;
   o.budget = &budget;
@@ -278,6 +309,8 @@ TEST(Pss, BudgetPartialAndWarmResume) {
       << "detail = " << cut.diag.detail;
   ASSERT_FALSE(cut.x_checkpoint.empty());
   EXPECT_LT(cut.telemetry.periods_integrated, 2.0);
+  // 100 of the pre-roll's steps, counted from its start at 0.75 T.
+  EXPECT_NEAR(cut.telemetry.periods_integrated, 0.1, 1e-9);
 
   // Resume from the checkpoint with an unconstrained budget.
   an::PssOptions o2;
@@ -332,7 +365,6 @@ TEST(Pss, MonteCarloOverPssIsThreadCountDeterministic) {
         [&](ckt::Netlist& nl) {
           an::PssOptions o;
           o.samples_per_period = 250;
-          o.prefix_periods = 1.0;
           auto r = an::run_pss_shooting(nl, o);
           if (!r.ok) return an::McTrial::failed(r.diag);
           return an::McTrial::of(r.harmonics(r.diff_wave(outp, outn)).thd);

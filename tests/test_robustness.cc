@@ -4,14 +4,22 @@
 // result (never an exception): transient keeps the accepted waveform
 // plus a restart checkpoint, MC keeps per-sample diagnostics for the
 // samples the budget skipped, AC/noise keep the solved grid prefix,
-// sweeps mark the points that never ran.  The faultpoint tests walk the
+// sweeps mark the points that never ran.  Transient options that would
+// never finish come back as a diag.  The faultpoint tests walk the
 // recovery paths that only fire when something actually breaks: failed
 // factorizations, NaN device evaluations, failed cache adoption, and
 // the sparse solver's iterative-refinement health monitor.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <future>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/ac.h"
@@ -47,8 +55,8 @@ void build_diode_stack(ckt::Netlist& nl) {
   for (int i = 0; i < 4; ++i) {
     const auto next = (i == 3) ? ckt::kGround
                                : nl.node("n" + std::to_string(i + 1));
-    nl.add<dev::Diode>("D" + std::to_string(i), prev, next,
-                       dev::DiodeParams{});
+    nl.add<dev::Diode>(std::string("D").append(std::to_string(i)), prev,
+                       next, dev::DiodeParams{});
     prev = next;
   }
 }
@@ -289,6 +297,83 @@ TEST(Budget, TransientSweepMarksCasesNotRun) {
     EXPECT_TRUE(an::is_budget_stop(results[i].diag.status));
     EXPECT_NE(results[i].diag.detail.find("case not run"),
               std::string::npos);
+  }
+}
+
+// ---- invalid transient options: a diag, never a hang ---------------
+
+// Runs f on a thread of its own and waits at most 10 s for its result.
+// f owns everything it touches, so a run that overstays (and fails the
+// test) can be left detached without dangling references.
+template <class T>
+std::optional<T> within_timeout(std::function<T()> f) {
+  auto done = std::make_shared<std::promise<T>>();
+  std::future<T> result = done->get_future();
+  std::thread([done, f = std::move(f)] { done->set_value(f()); }).detach();
+  if (result.wait_for(std::chrono::seconds(10)) != std::future_status::ready)
+    return std::nullopt;
+  return result.get();
+}
+
+// The option sets run_transient refuses, each with what it spoils.
+std::vector<std::pair<const char*, an::TranOptions>> invalid_tran_options() {
+  std::vector<std::pair<const char*, an::TranOptions>> cases;
+  const auto add = [&](const char* name, auto edit) {
+    an::TranOptions t;
+    t.t_stop = 20e-6;
+    t.dt = 1e-6;
+    edit(t);
+    cases.emplace_back(name, t);
+  };
+  add("dt = 0", [](an::TranOptions& t) { t.dt = 0.0; });
+  add("dt < 0", [](an::TranOptions& t) { t.dt = -1e-6; });
+  add("dt = NaN", [](an::TranOptions& t) { t.dt = std::nan(""); });
+  add("dt = inf", [](an::TranOptions& t) { t.dt = INFINITY; });
+  add("t_start = t_stop", [](an::TranOptions& t) { t.t_start = t.t_stop; });
+  add("t_stop = NaN", [](an::TranOptions& t) { t.t_stop = std::nan(""); });
+  add("t_stop = inf", [](an::TranOptions& t) { t.t_stop = INFINITY; });
+  add("max_halvings < 0", [](an::TranOptions& t) { t.max_halvings = -1; });
+  return cases;
+}
+
+void expect_invalid_options_diag(const an::TranResult& r) {
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.diag.status, an::SolveStatus::kBadTopology);
+  EXPECT_EQ(r.diag.stage, "tran");
+  EXPECT_NE(r.diag.detail.find("invalid options"), std::string::npos)
+      << r.diag.detail;
+  EXPECT_TRUE(r.time.empty());
+}
+
+TEST(InvalidOptions, TransientReturnsADiag) {
+  for (const auto& [name, opt] : invalid_tran_options()) {
+    SCOPED_TRACE(name);
+    const auto r = within_timeout<an::TranResult>([opt = opt] {
+      ckt::Netlist nl;
+      build_rc(nl);
+      return an::run_transient(nl, opt);
+    });
+    ASSERT_TRUE(r.has_value()) << "run_transient did not return";
+    expect_invalid_options_diag(*r);
+  }
+}
+
+TEST(InvalidOptions, EnsembleReturnsADiagPerSample) {
+  for (const auto& [name, opt] : invalid_tran_options()) {
+    SCOPED_TRACE(name);
+    const auto er = within_timeout<an::TranEnsembleResult>([opt = opt] {
+      return an::run_transient_ensemble(
+          4, [opt](std::size_t, ckt::Netlist& nl, an::TranOptions& t) {
+            build_rc(nl);
+            t = opt;
+          });
+    });
+    ASSERT_TRUE(er.has_value()) << "run_transient_ensemble did not return";
+    EXPECT_FALSE(er->ensemble.used_ensemble);
+    EXPECT_EQ(er->ensemble.fallback_reason, "invalid_options");
+    ASSERT_EQ(er->results.size(), 4u);
+    for (const auto& r : er->results) expect_invalid_options_diag(r);
   }
 }
 

@@ -1,5 +1,6 @@
 // Transient analysis tests: RC step response, sine steady state,
-// trapezoidal accuracy order, diode rectifier, slew measurement.
+// trapezoidal accuracy order, diode rectifier, a run started at t_start,
+// slew measurement.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +8,7 @@
 #include "analysis/transient.h"
 #include "circuit/netlist.h"
 #include "devices/diode.h"
+#include "devices/mos_switch.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "signal/meter.h"
@@ -141,6 +143,32 @@ TEST(Transient, PwlSourceFollowsBreakpoints) {
     const double t = r.time[i];
     const double expected = t <= 1e-3 ? t / 1e-3 : 1.0 - 2.0 * (t - 1e-3) / 1e-3;
     EXPECT_NEAR(r.x[i][a - 1], expected, 1e-9);
+  }
+}
+
+// A run that starts its clock at t_start starts from the operating
+// point at t_start: a clocked switch reads its clock there, as a source
+// reads its waveform.  The divider's switch is off at t = 0 and on from
+// 0.5 ms on.
+TEST(Transient, StartTimeOperatingPointReadsClockedSwitch) {
+  ckt::Netlist nl;
+  const auto a = nl.node("a");
+  const auto mid = nl.node("mid");
+  nl.add<dev::VSource>("V1", a, ckt::kGround, 1.0);
+  nl.add<dev::Resistor>("R1", a, mid, 1e3);
+  auto* sw = nl.add<dev::MosSwitch>("S1", mid, ckt::kGround, 1e3);
+  sw->set_clock(
+      dev::Waveform::pulse(0.0, 1.0, 0.5e-3, 1e-9, 1e-9, 1e-3, 2e-3));
+  for (const double t_start : {0.0, 0.6e-3}) {
+    an::TranOptions opt;
+    opt.t_start = t_start;
+    opt.t_stop = t_start + 0.05e-3;
+    opt.dt = 10e-6;
+    const auto r = an::run_transient(nl, opt);
+    ASSERT_TRUE(r.ok) << r.diag.message();
+    EXPECT_EQ(r.time.front(), t_start);
+    EXPECT_NEAR(r.x.front()[mid - 1], t_start > 0.0 ? 0.5 : 1.0, 1e-6)
+        << "t_start = " << t_start;
   }
 }
 
