@@ -9,7 +9,6 @@
 
 #include "analysis/montecarlo.h"
 #include "bench_util.h"
-#include "signal/psophometric.h"
 
 using namespace bench;
 
@@ -49,71 +48,23 @@ int main() {
     op = an::solve_op(rig->nl);
   }
 
-  // --- noise rows ------------------------------------------------------
-  an::NoiseOptions nopt;
-  nopt.out_p = rig->mic.outp;
-  nopt.out_n = rig->mic.outn;
-  nopt.input_source = "Vinp";
-  nopt.temp_k = num::celsius_to_kelvin(25.0);
-  const auto freqs = an::log_frequencies(100.0, 20e3, 30);
-  const auto noise = an::run_noise(rig->nl, freqs, nopt);
-
-  auto spot_nv = [&](double f_target) {
-    double best = 1e18, val = 0.0;
-    for (const auto& p : noise.points) {
-      const double d = std::abs(std::log(p.freq_hz / f_target));
-      if (d < best) {
-        best = d;
-        val = std::sqrt(p.s_in) * 1e9;
-      }
-    }
-    return val;
-  };
-  const double n300 = spot_nv(300.0);
-  const double n1k = spot_nv(1e3);
-  const double navg =
-      noise.input_referred_avg_density(300.0, 3400.0) * 1e9;
-  row("V_N,in (300 Hz)", "<= 7 nV/rtHz", fmt("%.2f nV/rtHz", n300),
-      n300 <= 7.7);
-  row("V_N,in (1 kHz)", "<= 6 nV/rtHz", fmt("%.2f nV/rtHz", n1k),
-      n1k <= 6.6);
+  // --- noise rows and psophometric S/N -----------------------------------
+  const auto noise = core::mic_noise(rig->nl, rig->mic);
+  row("V_N,in (300 Hz)", "<= 7 nV/rtHz", fmt("%.2f nV/rtHz", noise.n300_nv),
+      noise.n300_nv <= 7.7);
+  row("V_N,in (1 kHz)", "<= 6 nV/rtHz", fmt("%.2f nV/rtHz", noise.n1k_nv),
+      noise.n1k_nv <= 6.6);
   row("avg V_N,in (0.3-3.4 kHz)", "<= 5.1 nV/rtHz",
-      fmt("%.2f nV/rtHz", navg), navg <= 5.9);
-
-  // --- psophometric S/N --------------------------------------------------
-  auto psd_out = [&](double f) {
-    const auto& pts = noise.points;
-    for (std::size_t i = 1; i < pts.size(); ++i) {
-      if (pts[i].freq_hz >= f) {
-        const double t = (f - pts[i - 1].freq_hz) /
-                         (pts[i].freq_hz - pts[i - 1].freq_hz);
-        return pts[i - 1].s_out + t * (pts[i].s_out - pts[i - 1].s_out);
-      }
-    }
-    return pts.back().s_out;
-  };
-  const double snr = sig::weighted_snr_db(0.6, psd_out, 300.0, 3400.0);
-  row("S/N psophometric (at 40 dB)", ">= 87 dB", fmt("%.1f dB", snr),
-      snr >= 86.5);
+      fmt("%.2f nV/rtHz", noise.navg_nv), noise.navg_nv <= 5.9);
+  row("S/N psophometric (at 40 dB)", ">= 87 dB",
+      fmt("%.1f dB", noise.snr_psoph_db), noise.snr_psoph_db >= 86.5);
 
   // --- HD at 0.2 Vp ------------------------------------------------------
   {
-    rig->vinp->set_waveform(dev::Waveform::sine(0.0, 1e-3, 1e3));
-    rig->vinn->set_waveform(dev::Waveform::sine(0.0, -1e-3, 1e3));
-    an::TranOptions t;
-    t.t_stop = 5e-3;
-    t.dt = 2e-6;
-    t.record_after = 2e-3;
-    const auto res = an::run_transient(rig->nl, t);
-    double thd_db = 0.0;
-    if (res.ok) {
-      const auto w = res.diff_wave(rig->mic.outp, rig->mic.outn);
-      thd_db = sig::measure_harmonics(w, t.dt, 1e3).thd_db;
-    }
+    const auto h = core::mic_tone(rig->nl, *rig, 1e-3);
+    const double thd_db = h ? h->thd_db : 0.0;
     row("HD (0.2 Vp)", "<= -52 dB", fmt("%.1f dB", thd_db),
-        res.ok && thd_db <= -52.0);
-    rig->vinp->set_waveform(dev::Waveform::dc(0.0).with_ac(0.5));
-    rig->vinn->set_waveform(dev::Waveform::dc(0.0).with_ac(-0.5));
+        h && thd_db <= -52.0);
   }
 
   // --- gain accuracy (Monte Carlo over string matching) ------------------

@@ -1,31 +1,14 @@
 // E4 - Table 2: characteristics of the power buffer amplifier.
 //
-// Rows: rail-to-rail input, V_o,max at 0.6 % / 0.3 % HD (amplitude sweep
-// to the THD crossings), I_Q with Monte-Carlo spread, PSRR(1 kHz) and
-// slew rate.
+// Rows: rail-to-rail input, V_o,max at 0.6 % / 0.3 % HD (one amplitude
+// sweep, both limits read from it), I_Q with Monte-Carlo spread,
+// PSRR(1 kHz), slew rate and power into the load.
 #include <algorithm>
 
 #include "analysis/montecarlo.h"
 #include "bench_util.h"
 
 using namespace bench;
-
-namespace {
-
-// Finds the largest per-side amplitude whose THD stays below `limit`.
-double swing_at_thd(double vsup, double limit) {
-  double best = 0.0;
-  for (double vp = 0.6; vp <= 1.45; vp += 0.05) {
-    auto rig = make_drv_rig(vsup);
-    const double thd = drv_thd(*rig, vp);
-    if (thd < 0.0) break;
-    if (thd <= limit)
-      best = vp;
-  }
-  return best;
-}
-
-}  // namespace
 
 int main() {
   header("Table 2: power buffer characteristics");
@@ -51,8 +34,9 @@ int main() {
 
   // --- output swing at distortion limits (Vsup = 2.6 V) -------------------
   {
-    const double v06 = swing_at_thd(2.6, 0.006);
-    const double v03 = swing_at_thd(2.6, 0.003);
+    const auto sweep = core::drv_swing_sweep(2.6);
+    const double v06 = sweep.max_vp(0.006);
+    const double v03 = sweep.max_vp(0.003);
     // Paper: 4 Vpp (i.e. +-1 V/side) at <= 0.6 % HD, "200 mV from both
     // supply voltages"; Table 2 lists the margins from the rails.
     row("V_o,max (0.6 % HD)", "~1.1 V/side (200 mV off rail)",
@@ -120,41 +104,18 @@ int main() {
   // --- slew rate ------------------------------------------------------------
   {
     auto rig = make_drv_rig(3.0);
-    rig->vsp->set_waveform(dev::Waveform::pulse(-0.5, 0.5, 20e-6, 1e-9,
-                                                1e-9, 60e-6, 200e-6));
-    rig->vsn->set_waveform(dev::Waveform::pulse(0.5, -0.5, 20e-6, 1e-9,
-                                                1e-9, 60e-6, 200e-6));
-    an::TranOptions t;
-    t.t_stop = 60e-6;
-    t.dt = 20e-9;
-    const auto res = an::run_transient(rig->nl, t);
-    double sr = 0.0;
-    if (res.ok) {
-      const auto w = res.diff_wave(rig->drv.outp, rig->drv.outn);
-      for (std::size_t i = 1; i < w.size(); ++i)
-        sr = std::max(sr, std::abs(w[i] - w[i - 1]) /
-                              (res.time[i] - res.time[i - 1]));
-    }
-    row("SR (Vin = +-1 V)", "2.5 V/us", fmt("%.1f V/us", sr * 1e-6),
-        sr >= 2.5e6);
+    const double sr = core::drv_slew_v_per_us(rig->nl, *rig);
+    row("SR (Vin = +-1 V)", "2.5 V/us", fmt("%.1f V/us", sr), sr >= 2.5);
   }
 
   // --- power into the load ----------------------------------------------------
   {
     auto rig = make_drv_rig(3.0);
-    rig->vsp->set_waveform(dev::Waveform::sine(0.0, 0.87, 1e3));
-    rig->vsn->set_waveform(dev::Waveform::sine(0.0, -0.87, 1e3));
-    an::TranOptions t;
-    t.t_stop = 4e-3;
-    t.dt = 1e-6;
-    t.record_after = 1e-3;
-    const auto res = an::run_transient(rig->nl, t);
+    const auto h = core::drv_tone(rig->nl, *rig, 0.87);
     double p_mw = 0.0, thd = 1.0;
-    if (res.ok) {
-      const auto w = res.diff_wave(rig->drv.outp, rig->drv.outn);
-      const double vrms = sig::rms_ac(w);
-      p_mw = vrms * vrms / 50.0 * 1e3;
-      thd = sig::measure_harmonics(w, t.dt, 1e3).thd;
+    if (h) {
+      p_mw = core::tone_power_mw(*h, 50.0);
+      thd = h->thd;
     }
     row("P into 50 ohm at 3 V, 0.5 % HD", "30 mW",
         fmt("%.1f mW at ", p_mw) + fmt("%.2f %% HD", thd * 100.0),

@@ -28,8 +28,8 @@ int main() {
     }
     std::printf(
         "%-6s %-9.2f %-10.1f %-9.2f %-9.2f %-9.2f %-9.1f %-8.2f %-9.2f\n",
-        c.name, ds.gain_db, ds.gain_error_db * 1e3, ds.noise_300_nv,
-        ds.noise_1k_nv, ds.noise_avg_nv, ds.snr_psoph_db, ds.iq_ma,
+        c.name, ds.gain_db, ds.gain_error_db * 1e3, ds.noise.n300_nv,
+        ds.noise.n1k_nv, ds.noise.navg_nv, ds.noise.snr_psoph_db, ds.iq_ma,
         ds.offset_sigma_mv);
   }
 

@@ -12,28 +12,14 @@
 #include "analysis/ac.h"
 #include "analysis/op.h"
 #include "circuit/netlist.h"
-#include "core/mic_amp.h"
-#include "devices/sources.h"
-#include "process/process.h"
+#include "core/characterize.h"
 
 using namespace msim;
 
 int main() {
   // Build the transistor-level PGA once; the AGC only flips switches.
   ckt::Netlist nl;
-  const auto vdd = nl.node("vdd");
-  const auto vss = nl.node("vss");
-  const auto inp = nl.node("inp");
-  const auto inn = nl.node("inn");
-  nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
-  nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
-  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(0.5));
-  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(-0.5));
-  const auto pm = proc::ProcessModel::cmos12();
-  auto mic = core::build_mic_amp(nl, pm, {}, vdd, vss, ckt::kGround, inp,
-                                 inn);
+  auto mic = core::build_mic_into(nl).mic;
 
   // Acoustic scenario: speaker distance changes -> mic EMF (rms) swings
   // over ~30 dB, far more than the modulator's comfortable range.

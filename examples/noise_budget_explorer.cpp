@@ -11,10 +11,8 @@
 #include "analysis/noise.h"
 #include "analysis/op.h"
 #include "circuit/netlist.h"
+#include "core/characterize.h"
 #include "core/design_equations.h"
-#include "core/mic_amp.h"
-#include "devices/sources.h"
-#include "process/process.h"
 
 using namespace msim;
 
@@ -29,19 +27,7 @@ struct Result {
 
 Result evaluate(const core::MicAmpDesign& d) {
   ckt::Netlist nl;
-  const auto vdd = nl.node("vdd");
-  const auto vss = nl.node("vss");
-  const auto inp = nl.node("inp");
-  const auto inn = nl.node("inn");
-  nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
-  nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
-  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(0.5));
-  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(-0.5));
-  const auto pm = proc::ProcessModel::cmos12();
-  auto mic = core::build_mic_amp(nl, pm, d, vdd, vss, ckt::kGround, inp,
-                                 inn);
+  auto mic = core::build_mic_into(nl, d).mic;
   mic.set_gain_code(5);
   Result r;
   const auto op = an::solve_op(nl);

@@ -9,14 +9,9 @@
 #include "analysis/ac.h"
 #include "analysis/noise.h"
 #include "analysis/op.h"
-#include "analysis/transient.h"
 #include "circuit/netlist.h"
-#include "core/class_ab_driver.h"
-#include "core/mic_amp.h"
-#include "devices/passive.h"
-#include "devices/sources.h"
+#include "core/characterize.h"
 #include "process/process.h"
-#include "signal/meter.h"
 #include "signal/psophometric.h"
 
 using namespace msim;
@@ -30,20 +25,9 @@ int main() {
               "Vmod [Vrms]", "S/N psoph [dB]");
   for (int code : {0, 2, 5}) {
     ckt::Netlist nl;
-    const auto vdd = nl.node("vdd");
-    const auto vss = nl.node("vss");
-    const auto inp = nl.node("inp");
-    const auto inn = nl.node("inn");
-    nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
-    nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
     // 6 mVrms microphone EMF, split differentially.
     const double vmic_rms = 6e-3;
-    nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                         dev::Waveform::dc(0.0).with_ac(0.5));
-    nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                         dev::Waveform::dc(0.0).with_ac(-0.5));
-    auto mic = core::build_mic_amp(nl, pm, {}, vdd, vss, ckt::kGround,
-                                   inp, inn);
+    auto mic = core::build_mic_into(nl, {}, pm).mic;
     mic.set_gain_code(code);
     if (!an::solve_op(nl).converged) continue;
     const auto ac = an::run_ac(nl, {1e3});
@@ -68,39 +52,15 @@ int main() {
 
   // ------------------------------------------------ receive path
   std::printf("\nreceive path: DAC -> class-AB buffer -> 50 ohm earpiece\n");
+  // The buffer at 3 V in its inverting connection, the DAC's 1 kHz
+  // sine (0.9 V per side) on its sources; one steady period by shooting
+  // PSS.
   ckt::Netlist nl;
-  const auto vdd = nl.node("vdd");
-  const auto vss = nl.node("vss");
-  const auto dac_p = nl.node("dac_p");
-  const auto dac_n = nl.node("dac_n");
-  const auto fb_p = nl.node("fb_p");
-  const auto fb_n = nl.node("fb_n");
-  nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.5);
-  nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.5);
-  nl.add<dev::VSource>("Vdacp", dac_p, ckt::kGround,
-                       dev::Waveform::sine(0.0, 0.9, 1e3));
-  nl.add<dev::VSource>("Vdacn", dac_n, ckt::kGround,
-                       dev::Waveform::sine(0.0, -0.9, 1e3));
-  const auto drv = core::build_class_ab_driver(nl, pm, {}, vdd, vss,
-                                               ckt::kGround, fb_p, fb_n);
-  nl.add<dev::Resistor>("Ra1", dac_p, fb_n, 20e3);
-  nl.add<dev::Resistor>("Rf1", drv.outp, fb_n, 20e3);
-  nl.add<dev::Resistor>("Ra2", dac_n, fb_p, 20e3);
-  nl.add<dev::Resistor>("Rf2", drv.outn, fb_p, 20e3);
-  nl.add<dev::Resistor>("RL", drv.outp, drv.outn, 50.0);
-
-  an::TranOptions t;
-  t.t_stop = 5e-3;
-  t.dt = 1e-6;
-  t.record_after = 2e-3;
-  const auto tr = an::run_transient(nl, t);
-  if (tr.ok) {
-    const auto w = tr.diff_wave(drv.outp, drv.outn);
-    const auto h = sig::measure_harmonics(w, t.dt, 1e3);
-    const double vrms = sig::rms_ac(w);
+  const auto drv = core::build_drv_into(nl, 3.0, {}, 0.0, pm);
+  if (const auto h = core::drv_tone(nl, drv, 0.9)) {
     std::printf("  output: %.2f Vpp, %.1f mW into 50 ohm, THD %.3f %%\n",
-                2.0 * h.fundamental_amp, vrms * vrms / 50.0 * 1e3,
-                h.thd * 100.0);
+                2.0 * h->fundamental_amp, core::tone_power_mw(*h, 50.0),
+                h->thd * 100.0);
   }
   return 0;
 }

@@ -41,6 +41,8 @@ AcResult run_ac_diag(ckt::Netlist& nl,
                      const AcOptions& opt) {
   AcResult r;
   r.freqs_hz = freqs_hz;
+  r.diag = frequency_grid_diag(freqs_hz, "ac", true);
+  if (!r.diag.ok()) return r;
   if (opt.lint) {
     SolveDiag pre = preflight(nl);
     if (!pre.ok()) {

@@ -66,7 +66,9 @@ std::vector<double> log_frequencies(double f_start_hz, double f_stop_hz,
 
 // Non-throwing entry point: on a singular MNA matrix the result carries
 // a structured diag (with the zero-pivot unknown and the frequency in
-// detail) and the solutions computed so far.
+// detail) and the solutions computed so far.  A frequency that is not
+// finite or is negative is refused before any solve (an "invalid
+// options" diag naming its index); an empty grid returns ok and empty.
 AcResult run_ac_diag(ckt::Netlist& nl,
                      const std::vector<double>& freqs_hz,
                      const AcOptions& opt = {});

@@ -1,5 +1,6 @@
 #include "analysis/diag.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace msim::an {
@@ -43,6 +44,23 @@ SolveDiag budget_stop_diag(core::StopReason reason, std::string stage,
   else
     d.detail = std::move(detail);
   return d;
+}
+
+SolveDiag frequency_grid_diag(const std::vector<double>& freqs_hz,
+                              const char* stage, bool zero_ok) {
+  for (std::size_t i = 0; i < freqs_hz.size(); ++i) {
+    const double f = freqs_hz[i];
+    if (std::isfinite(f) && (f > 0.0 || (zero_ok && f == 0.0))) continue;
+    std::ostringstream os;
+    os << "invalid options: f[" << i << "] = " << f << " Hz is not finite and "
+       << (zero_ok ? ">= 0" : "> 0");
+    SolveDiag d;
+    d.status = SolveStatus::kBadTopology;
+    d.stage = stage;
+    d.detail = os.str();
+    return d;
+  }
+  return SolveDiag::success();
 }
 
 std::string unknown_label(const ckt::Netlist& nl, int idx) {

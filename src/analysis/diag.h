@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "circuit/netlist.h"
 #include "core/budget.h"
@@ -70,6 +71,13 @@ struct SolveDiag {
 // reason ("deadline", "iterations", "steps") recorded in `detail`.
 SolveDiag budget_stop_diag(core::StopReason reason, std::string stage,
                            std::string detail = {});
+
+// The frequency-grid check of the AC and noise entry points: a
+// kBadTopology "invalid options" diag at `stage` naming the first point
+// that is not finite, is negative, or -- unless `zero_ok` -- is 0 Hz.
+// An ok() diag for a valid grid, the empty one included.
+SolveDiag frequency_grid_diag(const std::vector<double>& freqs_hz,
+                              const char* stage, bool zero_ok);
 
 // Label for MNA unknown index `idx` (post assign_unknowns()): node
 // voltages render as "v(<name>)", device branch currents as

@@ -92,6 +92,8 @@ NoiseResult run_noise_diag(ckt::Netlist& nl,
     early.diag.detail = "noise analysis needs an output node";
     return early;
   }
+  early.diag = frequency_grid_diag(freqs_hz, "noise", false);
+  if (!early.diag.ok()) return early;
   if (opt.lint) {
     SolveDiag pre = preflight(nl);
     if (!pre.ok()) {

@@ -82,7 +82,9 @@ struct NoiseResult {
 };
 
 // Non-throwing entry point: failures are reported through result.diag
-// (points computed before the failure are retained).
+// (points computed before the failure are retained).  A frequency that
+// is not finite and > 0 is refused before any solve (an "invalid
+// options" diag naming its index); an empty grid returns ok and empty.
 NoiseResult run_noise_diag(ckt::Netlist& nl,
                            const std::vector<double>& freqs_hz,
                            const NoiseOptions& opt);

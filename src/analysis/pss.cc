@@ -202,6 +202,26 @@ void merge_tran(TranTelemetry& a, const TranTelemetry& b) {
   a.refine_count += b.refine_count;
 }
 
+// The options run_pss_shooting refuses: a tone frequency that is NaN
+// or negative, and -- when the step is derived from tran.dt -- a dt that
+// is not finite and > 0, which would otherwise snap to a default step
+// unannounced.  An ok() diag when the options are valid.
+SolveDiag option_diag(const PssOptions& opt) {
+  std::ostringstream os;
+  if (std::isnan(opt.f0_hz) || opt.f0_hz < 0.0)
+    os << "f0_hz = " << opt.f0_hz << " is not >= 0 (0 = auto-detect)";
+  else if (opt.samples_per_period <= 0 &&
+           !(std::isfinite(opt.tran.dt) && opt.tran.dt > 0.0))
+    os << "tran.dt = " << opt.tran.dt << " s is not a finite step > 0";
+  else
+    return SolveDiag::success();
+  SolveDiag d;
+  d.status = SolveStatus::kBadTopology;
+  d.stage = "pss";
+  d.detail = "invalid options: " + os.str();
+  return d;
+}
+
 // Propagates a failed/truncated integration into the PSS result,
 // prefixing the analysis phase onto whatever stage the engine reported.
 PssResult& fail_from(PssResult& res, TranResult&& tr, const char* stage) {
@@ -292,6 +312,8 @@ sig::HarmonicAnalysis PssResult::harmonics(const std::vector<double>& wave,
 
 PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
   PssResult res;
+  res.diag = option_diag(opt);
+  if (!res.diag.ok()) return res;
   const double f0 = opt.f0_hz > 0.0 ? opt.f0_hz : single_tone_hz(nl);
   res.f0_hz = f0;
   if (f0 <= 0.0) {

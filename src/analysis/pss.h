@@ -60,8 +60,7 @@ namespace msim::an {
 // must be the same undamped, undelayed sine (any pulse/PWL source, a
 // damped or delayed sine, or two different sine frequencies make the
 // forcing non-periodic over one candidate period).  Returns 0 when no
-// such tone exists -- callers then fall back to settle-and-FFT or pass
-// PssOptions::f0_hz explicitly.
+// such tone exists -- callers then pass PssOptions::f0_hz explicitly.
 double single_tone_hz(const ckt::Netlist& nl);
 
 // Newton updates on the boundary map before shooting gives up.
@@ -79,10 +78,12 @@ inline constexpr double kPssTolAbs = 1e-7;
 inline constexpr double kPssTolRel = 1e-6;
 
 struct PssOptions {
-  // Tone frequency; 0 = auto-detect via single_tone_hz(nl).
+  // Tone frequency; 0 = auto-detect via single_tone_hz(nl).  NaN or
+  // negative is refused with an "invalid options" diag.
   double f0_hz = 0.0;
   // Samples per period (dt = 1/(f0 * spp), exactly coherent).  0 =
-  // derive from tran.dt via sig::plan_coherent_capture.
+  // derive from tran.dt via sig::plan_coherent_capture; tran.dt must then
+  // be finite and > 0, else the "invalid options" diag.
   int samples_per_period = 0;
   // Engine knobs forwarded to every integration (t_start / t_stop / dt /
   // record / initial_state / step_hook are overridden by the PSS driver;

@@ -9,6 +9,7 @@
 #include "analysis/op.h"
 #include "analysis/transient.h"
 #include "circuit/netlist.h"
+#include "core/characterize.h"
 #include "core/mic_amp.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
@@ -22,25 +23,15 @@ TEST(CrossValidation, AcGainMatchesTransientAmplitude) {
   // For the transistor mic amp, the AC small-signal gain and the
   // transient fundamental must agree to well under a percent.
   ckt::Netlist nl;
-  const auto vdd = nl.node("vdd");
-  const auto vss = nl.node("vss");
-  const auto inp = nl.node("inp");
-  const auto inn = nl.node("inn");
-  nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
-  nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
-  auto* vinp = nl.add<dev::VSource>(
-      "Vinp", inp, ckt::kGround, dev::Waveform::dc(0.0).with_ac(0.5));
-  auto* vinn = nl.add<dev::VSource>(
-      "Vinn", inn, ckt::kGround, dev::Waveform::dc(0.0).with_ac(-0.5));
-  auto mic = core::build_mic_amp(nl, proc::ProcessModel::cmos12(), {},
-                                 vdd, vss, ckt::kGround, inp, inn);
+  auto p = core::build_mic_into(nl);
+  auto& mic = p.mic;
   mic.set_gain_code(3);  // 28 dB
   ASSERT_TRUE(an::solve_op(nl).converged);
   const auto ac = an::run_ac(nl, {1e3});
   const double g_ac = std::abs(ac.vdiff(0, mic.outp, mic.outn));
 
-  vinp->set_waveform(dev::Waveform::sine(0.0, 0.5e-3, 1e3));
-  vinn->set_waveform(dev::Waveform::sine(0.0, -0.5e-3, 1e3));
+  p.vinp->set_waveform(dev::Waveform::sine(0.0, 0.5e-3, 1e3));
+  p.vinn->set_waveform(dev::Waveform::sine(0.0, -0.5e-3, 1e3));
   an::TranOptions t;
   t.t_stop = 4e-3;
   t.dt = 2e-6;
@@ -58,18 +49,7 @@ TEST(CrossValidation, NoiseFloorMatchesGmFormula) {
   // hand formula 4kT*gamma/gm summed over the four input devices plus
   // load and network terms, within 15 %.
   ckt::Netlist nl;
-  const auto vdd = nl.node("vdd");
-  const auto vss = nl.node("vss");
-  const auto inp = nl.node("inp");
-  const auto inn = nl.node("inn");
-  nl.add<dev::VSource>("Vdd", vdd, ckt::kGround, 1.3);
-  nl.add<dev::VSource>("Vss", vss, ckt::kGround, -1.3);
-  nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(0.5));
-  nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                       dev::Waveform::dc(0.0).with_ac(-0.5));
-  auto mic = core::build_mic_amp(nl, proc::ProcessModel::cmos12(), {},
-                                 vdd, vss, ckt::kGround, inp, inn);
+  auto mic = core::build_mic_into(nl).mic;
   mic.set_gain_code(5);
   ASSERT_TRUE(an::solve_op(nl).converged);
 

@@ -12,6 +12,7 @@
 #include "circuit/netlist.h"
 #include "core/bandgap.h"
 #include "core/bias.h"
+#include "core/characterize.h"
 #include "core/class_ab_driver.h"
 #include "core/mic_amp.h"
 #include "devices/passive.h"
@@ -128,19 +129,8 @@ TEST(Integration, CornersStillMeetKeySpecs) {
        {proc::Corner::kSS, proc::Corner::kFF, proc::Corner::kSF,
         proc::Corner::kFS}) {
     ckt::Netlist nl;
-    const auto nvdd = nl.node("vdd");
-    const auto nvss = nl.node("vss");
-    const auto inp = nl.node("inp");
-    const auto inn = nl.node("inn");
-    nl.add<dev::VSource>("Vdd", nvdd, ckt::kGround, 1.3);
-    nl.add<dev::VSource>("Vss", nvss, ckt::kGround, -1.3);
-    nl.add<dev::VSource>("Vinp", inp, ckt::kGround,
-                         dev::Waveform::dc(0.0).with_ac(0.5));
-    nl.add<dev::VSource>("Vinn", inn, ckt::kGround,
-                         dev::Waveform::dc(0.0).with_ac(-0.5));
-    const auto pm = proc::ProcessModel::cmos12(corner);
-    auto mic = core::build_mic_amp(nl, pm, core::MicAmpDesign{}, nvdd,
-                                   nvss, ckt::kGround, inp, inn, "mic");
+    auto mic =
+        core::build_mic_into(nl, {}, proc::ProcessModel::cmos12(corner)).mic;
     mic.set_gain_code(5);
     ASSERT_TRUE(an::solve_op(nl).converged)
         << "corner " << static_cast<int>(corner);

@@ -151,7 +151,8 @@ TEST(MicAmp, DistortionAt0p2VpBeatsMinus52dB) {
   t.record_after = 2e-3;
   const auto res = an::run_transient(r->nl, t);
   ASSERT_TRUE(res.ok);
-  const auto w = res.diff_wave(r->mic.outp, r->mic.outn);
+  auto w = res.diff_wave(r->mic.outp, r->mic.outn);
+  if (w.size() > 1500) w.resize(1500);  // three whole periods
   const auto h = sig::measure_harmonics(w, t.dt, 1e3);
   EXPECT_NEAR(h.fundamental_amp, 0.2, 0.01);  // 2 mVp * 100
   EXPECT_LT(h.thd_db, -52.0);                 // Table 1: HD <= -52 dB

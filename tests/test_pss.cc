@@ -187,9 +187,14 @@ double settle_thd(double vp, double f0, double settle_periods) {
   t.t_stop = t.record_after + 3.0 / f0;
   const auto tr = an::run_transient(rig->nl, t);
   if (!tr.ok) return -1.0;
-  return sig::measure_harmonics(tr.diff_wave(rig->drv.outp, rig->drv.outn),
-                                t.dt, f0)
-      .thd;
+  auto w = tr.diff_wave(rig->drv.outp, rig->drv.outn);
+  // Three whole periods: a fence-post sample past them would leak the
+  // fundamental into the harmonic bins.
+  const std::size_t n3 =
+      3u * static_cast<std::size_t>(
+               sig::plan_coherent_capture(f0, t.dt).samples_per_period);
+  if (w.size() > n3) w.resize(n3);
+  return sig::measure_harmonics(w, t.dt, f0).thd;
 }
 
 // PSS THD on the Fig. 9 buffer rig agrees with a deeply settled

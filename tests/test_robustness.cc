@@ -4,8 +4,9 @@
 // result (never an exception): transient keeps the accepted waveform
 // plus a restart checkpoint, MC keeps per-sample diagnostics for the
 // samples the budget skipped, AC/noise keep the solved grid prefix,
-// sweeps mark the points that never ran.  Transient options that would
-// never finish come back as a diag.  The faultpoint tests walk the
+// sweeps mark the points that never ran.  Transient and PSS options
+// that would never finish, and AC/noise grids with a point that cannot
+// be solved, come back as a diag.  The faultpoint tests walk the
 // recovery paths that only fire when something actually breaks: failed
 // factorizations, NaN device evaluations, failed cache adoption, and
 // the sparse solver's iterative-refinement health monitor.
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <future>
 #include <memory>
 #include <optional>
@@ -26,6 +28,7 @@
 #include "analysis/montecarlo.h"
 #include "analysis/noise.h"
 #include "analysis/op.h"
+#include "analysis/pss.h"
 #include "analysis/sweep.h"
 #include "analysis/transient.h"
 #include "circuit/lint.h"
@@ -375,6 +378,90 @@ TEST(InvalidOptions, EnsembleReturnsADiagPerSample) {
     ASSERT_EQ(er->results.size(), 4u);
     for (const auto& r : er->results) expect_invalid_options_diag(r);
   }
+}
+
+// Shooting PSS refuses a NaN or negative tone frequency, and a tran.dt
+// that is not finite and > 0 when the step is derived from it, rather
+// than auto-detecting or snapping to a default step.
+TEST(InvalidOptions, PssReturnsADiag) {
+  std::vector<std::pair<const char*, an::PssOptions>> cases;
+  const auto add = [&](const char* name, auto edit) {
+    an::PssOptions o;
+    o.tran.dt = 1e-6;
+    edit(o);
+    cases.emplace_back(name, o);
+  };
+  add("dt = 0", [](an::PssOptions& o) { o.tran.dt = 0.0; });
+  add("dt < 0", [](an::PssOptions& o) { o.tran.dt = -1e-6; });
+  add("dt = NaN", [](an::PssOptions& o) { o.tran.dt = std::nan(""); });
+  add("dt = inf", [](an::PssOptions& o) { o.tran.dt = INFINITY; });
+  add("f0 = NaN", [](an::PssOptions& o) { o.f0_hz = std::nan(""); });
+  add("f0 < 0", [](an::PssOptions& o) { o.f0_hz = -10e3; });
+  for (const auto& [name, opt] : cases) {
+    SCOPED_TRACE(name);
+    const auto r = within_timeout<an::PssResult>([opt = opt] {
+      ckt::Netlist nl;
+      build_rc(nl);
+      return an::run_pss_shooting(nl, opt);
+    });
+    ASSERT_TRUE(r.has_value()) << "run_pss_shooting did not return";
+    EXPECT_FALSE(r->ok);
+    EXPECT_EQ(r->diag.status, an::SolveStatus::kBadTopology);
+    EXPECT_EQ(r->diag.stage, "pss");
+    EXPECT_NE(r->diag.detail.find("invalid options"), std::string::npos)
+        << r->diag.detail;
+    EXPECT_TRUE(r->time.empty());
+  }
+  // A set samples_per_period makes tran.dt unread.
+  an::PssOptions o;
+  o.samples_per_period = 64;
+  o.tran.dt = 0.0;
+  ckt::Netlist nl;
+  build_rc(nl);
+  EXPECT_TRUE(an::run_pss_shooting(nl, o).ok);
+}
+
+// AC accepts 0 Hz but refuses a frequency that is not finite or is
+// negative; noise refuses 0 Hz too.  The diag names the bad point's
+// index, and no point is solved.  An empty grid is ok and empty.
+TEST(InvalidOptions, AcAndNoiseRefuseBadFrequencies) {
+  ckt::Netlist nl;
+  const auto in = nl.node("in");
+  const auto out = nl.node("out");
+  nl.add<dev::VSource>("V1", in, ckt::kGround,
+                       dev::Waveform::dc(0.0).with_ac(1.0));
+  nl.add<dev::Resistor>("R1", in, out, 1e3);
+  nl.add<dev::Capacitor>("C1", out, ckt::kGround, 1e-9);
+  an::NoiseOptions nopt;
+  nopt.out_p = out;
+  nopt.input_source = "V1";
+  const auto expect_refused = [](const an::SolveDiag& d, const char* stage) {
+    EXPECT_EQ(d.status, an::SolveStatus::kBadTopology);
+    EXPECT_EQ(d.stage, stage);
+    EXPECT_NE(d.detail.find("invalid options: f[1]"), std::string::npos)
+        << d.detail;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double f : {std::nan(""), inf, -inf, -1e3, 0.0}) {
+    SCOPED_TRACE(f);
+    const auto ac = an::run_ac_diag(nl, {1e3, f});
+    if (f == 0.0) {
+      ASSERT_TRUE(ac.ok()) << ac.diag.message();
+      EXPECT_NEAR(std::abs(ac.v(1, out)), 1.0, 1e-6);
+    } else {
+      expect_refused(ac.diag, "ac");
+      EXPECT_TRUE(ac.solutions.empty());
+    }
+    const auto nr = an::run_noise_diag(nl, {1e3, f}, nopt);
+    expect_refused(nr.diag, "noise");
+    EXPECT_TRUE(nr.points.empty());
+  }
+  const auto ac = an::run_ac_diag(nl, {});
+  EXPECT_TRUE(ac.ok());
+  EXPECT_TRUE(ac.solutions.empty());
+  const auto nr = an::run_noise_diag(nl, {}, nopt);
+  EXPECT_TRUE(nr.ok());
+  EXPECT_TRUE(nr.points.empty());
 }
 
 // ---- lint: non-finite device parameters -----------------------------

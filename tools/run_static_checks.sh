@@ -138,7 +138,6 @@ check_module_reach() {
   local allowed=(
     "analysis/sensitivity.h"  # awaits the Table-1 linearised-variance oracle
     "analysis/transfer.h"     # examples/full_chip.cpp's .tf output resistance
-    "core/characterize.h"     # examples/datasheet.cpp; deck Monte-Carlo will reuse it
     "numeric/rootfind.h"      # examples/bandgap_trim.cpp's Brent trim of the PTAT weight
   )
   local -A reached=()
