@@ -15,7 +15,10 @@
 // doubling-verified settle oracle (periods integrated, wall time, THD
 // agreement) and gates on the two estimates agreeing;
 // tools/bench_compare.py --pss-threshold additionally gates the
-// period_ratio.
+// period_ratio.  The cold_path section times the fixed costs of a cold
+// solve (symbolic analysis, value-range pass and the first solve after
+// it, RealSystem::init) on the
+// mic amp, the class-AB buffer and the chip; it carries no gate.
 //
 //   --smoke          shrink every scenario (sample counts, repeats,
 //                    transient spans) so the whole harness plus all of
@@ -34,6 +37,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -275,6 +279,132 @@ RangePrepassRun run_range_prepass(const std::string& name,
   }
   run.added_fraction = run.analysis_ms / scenario_wall_ms;
   return run;
+}
+
+// ------------------------------------------------------------ cold path
+
+// The fixed costs of a cold solve, one row per matrix: `analyze` is a
+// fresh SparseLu's first factor of the matrix (the Markowitz analysis,
+// its compiled elimination program and one numeric refactor); `range`
+// is range_analysis on a netlist fresh from its build, which builds the
+// CSR skeleton and records the DC slot tables that the first solve then
+// replays; `first_op` is that solve (solve_op without its lint, on the
+// netlist the range pass just ran on); `init` is RealSystem::init on a
+// netlist whose skeleton is cached.  Each is timed once per repeat on
+// one thread; the rows give median, min and interquartile range in
+// microseconds.
+struct Spread {
+  double median = 0.0, min = 0.0, iqr = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double i = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(i);
+    const double f = i - static_cast<double>(lo);
+    return lo + 1 < v.size() ? v[lo] * (1.0 - f) + v[lo + 1] * f : v[lo];
+  };
+  return {at(0.5), v.front(), at(0.75) - at(0.25)};
+}
+
+struct ColdPathRun {
+  std::string name;
+  int repeats = 0;
+  int unknowns = 0, nnz = 0, factor_nnz = 0;
+  Spread analyze_us, range_us, first_op_us, init_us;
+};
+
+// `build` returns a fresh netlist of the rig (unknowns not assigned);
+// the matrix is its Jacobian at `x_at_op` ? the operating point : 0, in
+// `mode`.
+ColdPathRun run_cold_path(
+    const std::string& name, int repeats, ckt::AnalysisMode mode,
+    bool x_at_op,
+    const std::function<std::shared_ptr<ckt::Netlist>()>& build) {
+  const auto us_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+        .count();
+  };
+  ColdPathRun run;
+  run.name = name;
+  run.repeats = repeats;
+  const auto nl = build();
+  nl->assign_unknowns();
+  num::RealVector x(static_cast<std::size_t>(nl->unknown_count()), 0.0);
+  an::AssembleParams p;
+  p.mode = mode;
+  if (x_at_op) {
+    const auto op = an::solve_op(*nl);
+    if (!op.converged) {
+      std::fprintf(stderr, "cold path '%s': OP failed\n", name.c_str());
+      std::exit(1);
+    }
+    x = op.x;
+  }
+  if (mode == ckt::AnalysisMode::kTransient) {
+    p.dt = 1e-6;
+    for (const auto& d : nl->devices()) d->begin_transient(x);
+  }
+  an::RealSystem sys;
+  sys.init(*nl, an::SolverKind::kSparse);
+  sys.assemble(*nl, x, p);
+  const num::RealSparseMatrix& jac = sys.sparse_jac();
+  run.unknowns = jac.rows();
+  run.nnz = jac.nnz();
+  // Each cost in its own loop, so one's working set does not evict
+  // another's; the range pass's netlists are all built first.
+  std::vector<double> analyze, range, first_op, init;
+  for (int rep = 0; rep < repeats; ++rep) {
+    num::RealSparseLu lu;
+    const auto t0 = Clock::now();
+    lu.factor(jac);
+    analyze.push_back(us_since(t0));
+    run.factor_nnz = lu.factor_nnz();
+    if (lu.singular()) {
+      std::fprintf(stderr, "cold path '%s': singular\n", name.c_str());
+      std::exit(1);
+    }
+  }
+  for (int rep = 0; rep < repeats; ++rep) {
+    an::RealSystem fresh;
+    const auto t0 = Clock::now();
+    fresh.init(*nl, an::SolverKind::kSparse);
+    init.push_back(us_since(t0));
+  }
+  std::vector<std::shared_ptr<ckt::Netlist>> fresh(
+      static_cast<std::size_t>(repeats));
+  for (auto& f : fresh) {
+    f = build();
+    f->assign_unknowns();
+  }
+  an::OpOptions no_lint;
+  no_lint.lint = false;
+  for (const auto& f : fresh) {
+    auto t0 = Clock::now();
+    const auto rr = an::range_analysis(*f);
+    range.push_back(us_since(t0));
+    t0 = Clock::now();
+    const bool converged = an::solve_op(*f, no_lint).converged;
+    first_op.push_back(us_since(t0));
+    if (rr.unknowns == 0 || !converged) {
+      std::fprintf(stderr, "cold path '%s': range pass or OP failed\n",
+                   name.c_str());
+      std::exit(1);
+    }
+  }
+  run.analyze_us = spread_of(analyze);
+  run.range_us = spread_of(range);
+  run.first_op_us = spread_of(first_op);
+  run.init_us = spread_of(init);
+  return run;
+}
+
+// Shares ownership of a rig through its netlist.
+template <typename Rig>
+std::shared_ptr<ckt::Netlist> netlist_of(std::unique_ptr<Rig> rig) {
+  std::shared_ptr<Rig> owner = std::move(rig);
+  return std::shared_ptr<ckt::Netlist>(owner, &owner->nl);
 }
 
 // ------------------------------------------------- transient fast path
@@ -941,6 +1071,30 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                 r->name.c_str(), r->analysis_ms,
                 100.0 * r->added_fraction);
 
+  // Fixed costs of a cold solve (single-threaded).
+  const int kColdRepeats = smoke ? 5 : 41;
+  const auto cold_mic = run_cold_path(
+      "mic-x0", kColdRepeats, ckt::AnalysisMode::kDcOp, false,
+      [] { return netlist_of(bench::make_mic_rig()); });
+  const auto cold_drv = run_cold_path(
+      "buffer-tran", kColdRepeats, ckt::AnalysisMode::kTransient, true,
+      [] { return netlist_of(bench::make_drv_rig()); });
+  const auto cold_chip = run_cold_path(
+      "chip-x0", kColdRepeats, ckt::AnalysisMode::kDcOp, false,
+      [] { return netlist_of(bench::make_chip_rig()); });
+  std::printf("engine harness: cold-path fixed costs, us "
+              "(median / min / IQR of %d, 1 thread)\n",
+              kColdRepeats);
+  for (const ColdPathRun* r : {&cold_mic, &cold_drv, &cold_chip})
+    std::printf("  %-12s n=%-4d analyze %.2f / %.2f / %.2f  "
+                "range %.2f / %.2f / %.2f  first_op %.2f / %.2f / %.2f  "
+                "init %.2f / %.2f / %.2f\n",
+                r->name.c_str(), r->unknowns, r->analyze_us.median,
+                r->analyze_us.min, r->analyze_us.iqr, r->range_us.median,
+                r->range_us.min, r->range_us.iqr, r->first_op_us.median,
+                r->first_op_us.min, r->first_op_us.iqr, r->init_us.median,
+                r->init_us.min, r->init_us.iqr);
+
   // Transient hot path on the paper's waveform workloads.  Nonlinear
   // circuits run full Newton (one timed policy); the linear RC row
   // times its fast path against full Newton.
@@ -1397,6 +1551,27 @@ int run_harness(const char* out_path, bool smoke, int mc_samples,
                  r->name.c_str(), r->analysis_ms,
                  r == &range_mic ? sparse1.wall_ms : chip_sparse1.wall_ms,
                  r->added_fraction, r == &range_chip ? "" : ",");
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"cold_path\": [\n");
+  for (const ColdPathRun* r : {&cold_mic, &cold_drv, &cold_chip}) {
+    const auto spread = [&](const char* key, const Spread& v) {
+      std::fprintf(f,
+                   ", \"%s\": {\"median\": %.3f, \"min\": %.3f, "
+                   "\"iqr\": %.3f}",
+                   key, v.median, v.min, v.iqr);
+    };
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"threads\": 1, "
+                 "\"repeats\": %d, \"unknowns\": %d, \"nnz\": %d, "
+                 "\"factor_nnz\": %d",
+                 r->name.c_str(), r->repeats, r->unknowns, r->nnz,
+                 r->factor_nnz);
+    spread("analyze_us", r->analyze_us);
+    spread("range_us", r->range_us);
+    spread("first_op_us", r->first_op_us);
+    spread("init_us", r->init_us);
+    std::fprintf(f, "}%s\n", r == &cold_chip ? "" : ",");
+  }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"transient_configs\": [\n");
   json_tran(f, tran_mic, false);

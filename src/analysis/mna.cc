@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <typeinfo>
 
 #include "analysis/structural.h"
 #include "core/faultpoint.h"
@@ -60,7 +61,9 @@ struct SampledClock {
 // Concrete device classes with a batched stamp loop.  kOtherKind runs
 // make the plain per-device virtual calls (heterogeneous/behavioral
 // fallback).  The hierarchy is flat (every device derives directly from
-// ckt::Device), so the dynamic_cast chain below is order-independent.
+// ckt::Device), so a device's kind is its exact dynamic type: one
+// typeid comparison per class, and a class derived from one of these
+// takes the virtual path.
 enum BatchKind : int {
   kOtherKind = 0,
   kResistorKind,
@@ -79,19 +82,20 @@ enum BatchKind : int {
 };
 
 int batch_kind(const ckt::Device* d) {
-  if (dynamic_cast<const dev::Resistor*>(d)) return kResistorKind;
-  if (dynamic_cast<const dev::Capacitor*>(d)) return kCapacitorKind;
-  if (dynamic_cast<const dev::Inductor*>(d)) return kInductorKind;
-  if (dynamic_cast<const dev::Mosfet*>(d)) return kMosfetKind;
-  if (dynamic_cast<const dev::Diode*>(d)) return kDiodeKind;
-  if (dynamic_cast<const dev::Bjt*>(d)) return kBjtKind;
-  if (dynamic_cast<const dev::VSource*>(d)) return kVSourceKind;
-  if (dynamic_cast<const dev::ISource*>(d)) return kISourceKind;
-  if (dynamic_cast<const dev::Vcvs*>(d)) return kVcvsKind;
-  if (dynamic_cast<const dev::Vccs*>(d)) return kVccsKind;
-  if (dynamic_cast<const dev::Cccs*>(d)) return kCccsKind;
-  if (dynamic_cast<const dev::Ccvs*>(d)) return kCcvsKind;
-  if (dynamic_cast<const dev::MosSwitch*>(d)) return kMosSwitchKind;
+  const std::type_info& t = typeid(*d);
+  if (t == typeid(dev::Resistor)) return kResistorKind;
+  if (t == typeid(dev::Capacitor)) return kCapacitorKind;
+  if (t == typeid(dev::Inductor)) return kInductorKind;
+  if (t == typeid(dev::Mosfet)) return kMosfetKind;
+  if (t == typeid(dev::Diode)) return kDiodeKind;
+  if (t == typeid(dev::Bjt)) return kBjtKind;
+  if (t == typeid(dev::VSource)) return kVSourceKind;
+  if (t == typeid(dev::ISource)) return kISourceKind;
+  if (t == typeid(dev::Vcvs)) return kVcvsKind;
+  if (t == typeid(dev::Vccs)) return kVccsKind;
+  if (t == typeid(dev::Cccs)) return kCccsKind;
+  if (t == typeid(dev::Ccvs)) return kCcvsKind;
+  if (t == typeid(dev::MosSwitch)) return kMosSwitchKind;
   return kOtherKind;
 }
 
@@ -163,18 +167,31 @@ std::uint8_t slot_pass_bit(bool newton_pass, ckt::AnalysisMode mode) {
 // The large-signal device loop; `Jac` is RealMatrix or RealSparseMatrix.
 // With slot tables (sparse only) each device replays its window of the
 // recorded linear or nonlinear pass; an unpredicted write searches.
+// With `record` set, a pass the tables have not recorded is recorded
+// into them instead (every write searched once and resolved).
 template <typename Jac>
 void stamp_real(const ckt::Netlist& nl, const num::RealVector& x,
                 const AssembleParams& p, Jac& jac, num::RealVector& rhs,
-                const num::StampSlotTables* t = nullptr) {
+                const num::StampSlotTables* t = nullptr,
+                num::StampSlotTables* record = nullptr) {
   ckt::StampContext ctx(p.mode, x, jac, rhs);
   set_params(ctx, p);
+  if (record) t = record;
   std::size_t next[2] = {0, 0};  // per pass: the next device's window
   for (const auto& d : nl.devices()) {
     if (t) {
       const bool nonlinear = d->is_nonlinear();
       const num::StampSlotPass& pass = slot_pass(*t, nonlinear, p.mode);
       const std::size_t w = next[nonlinear]++;
+      if (record && !pass.recorded) {
+        num::StampSlotPass& out = slot_pass(*record, nonlinear, p.mode);
+        const int b = static_cast<int>(out.slots.size());
+        ctx.arm_slot_record(&out.slots);
+        d->stamp(ctx);
+        ctx.disarm_slots();
+        out.windows.emplace_back(b, static_cast<int>(out.slots.size()));
+        continue;
+      }
       if (pass.recorded && w < pass.windows.size())
         ctx.arm_slot_replay(pass.slots.data() + pass.windows[w].first,
                             pass.windows[w].second - pass.windows[w].first);
@@ -298,8 +315,29 @@ void assemble_real(const ckt::Netlist& nl, const num::RealVector& x,
   rhs.assign(static_cast<std::size_t>(nl.unknown_count()), 0.0);
 
   // Replaying the Newton system's recorded passes makes the same writes
-  // in the same order, resolved to value indices: no pattern search.
-  stamp_real(nl, x, p, jac, rhs, cached_slots(nl, jac));
+  // in the same order, resolved to value indices: no pattern search.  A
+  // DC assembly on a netlist whose DC passes are not recorded yet (the
+  // range pass's forecast, ahead of the first solve) records them and
+  // publishes them as RealSystem does, so the solve replays them: one
+  // searched assembly per netlist.
+  const num::StampSlotTables* t = cached_slots(nl, jac);
+  std::shared_ptr<num::StampSlotTables> rec;
+  if (t && p.mode == ckt::AnalysisMode::kDcOp &&
+      !(t->base_dcop.recorded && t->newton_dcop.recorded)) {
+    rec = std::make_shared<num::StampSlotTables>(*t);
+    for (num::StampSlotPass* pass : {&rec->base_dcop, &rec->newton_dcop})
+      if (!pass->recorded) {
+        *pass = num::StampSlotPass{};
+        pass->slots.reserve(2 * static_cast<std::size_t>(jac.nnz()));
+        pass->windows.reserve(nl.devices().size());
+      }
+  }
+  stamp_real(nl, x, p, jac, rhs, t, rec.get());
+  if (rec) {
+    rec->base_dcop.recorded = true;
+    rec->newton_dcop.recorded = true;
+    nl.solver_cache().slots = std::move(rec);
+  }
 
   add_gshunt_diag(nl, jac, p.gshunt);
 }
@@ -575,9 +613,9 @@ void RealSystem::assemble_rhs_only(const ckt::Netlist& nl,
   stats_.stamp_ns += stamp_clock_.end_ns();
 }
 
-bool RealSystem::factor(const char* reason) {
+bool RealSystem::factor(FactorReason reason) {
   ++stats_.factor_count;
-  ++stats_.refactor_reasons[reason];
+  ++stats_.by_reason[static_cast<int>(reason)];
   g_factor_calls.fetch_add(1, std::memory_order_relaxed);
   // Fault-injection site: a forced numeric-factorization failure, seen
   // by callers exactly like a singular matrix (recovery paths: Newton
@@ -678,7 +716,7 @@ void RealSystem::solve(num::RealVector& x) {
         // Refinement could not rescue the cached LU: refactor the
         // freshly assembled matrix and solve against it.
         stats_.solve_ns += solve_clock_.end_ns();
-        if (factor("iterative_refinement")) {
+        if (factor(FactorReason::kIterativeRefinement)) {
           solve_clock_.begin();
           slu_.solve(rhs_, x);
           stats_.solve_ns += solve_clock_.end_ns();
@@ -885,7 +923,11 @@ EnsembleSystem& EnsembleSystem::operator=(EnsembleSystem&&) noexcept =
 
 int EnsembleSystem::lanes() const { return impl_->nlanes; }
 int EnsembleSystem::unknowns() const { return impl_->n; }
-const FactorStats& EnsembleSystem::stats() const { return impl_->stats; }
+FactorStats EnsembleSystem::stats() const {
+  FactorStats s = impl_->stats;
+  s.fill_reasons();
+  return s;
+}
 
 int EnsembleSystem::lane_singular_col(int lane) const {
   return impl_->lus[static_cast<std::size_t>(lane)].singular_col();
@@ -1045,7 +1087,7 @@ void EnsembleSystem::update(const int* active, int nactive,
     if (!ok[i]) continue;
     const int k = active[i];
     ++im.stats.factor_count;
-    ++im.stats.refactor_reasons["full_newton"];
+    ++im.stats.by_reason[static_cast<int>(FactorReason::kFullNewton)];
     g_factor_calls.fetch_add(1, std::memory_order_relaxed);
     // Same injected-failure semantics as RealSystem::factor.
     if (MSIM_FAULTPOINT("sparse_factor_fail")) {

@@ -52,6 +52,18 @@ struct AssembleParams {
 // pre-pass rejects bad topologies *before* any factorization runs.
 long factor_call_count();
 
+// Why a RealSystem factored afresh: a Newton iteration; on the
+// transient linear fast path the first factorization, an integrator
+// change or a dt change; or a failed iterative refinement.
+enum class FactorReason : int {
+  kFullNewton,
+  kInitial,
+  kIntegratorChange,
+  kDtChange,
+  kIterativeRefinement,
+};
+inline constexpr int kFactorReasons = 5;
+
 // Factorization telemetry kept by one RealSystem.  Newton iterations
 // factor every time; the transient linear fast path solves against one
 // held factorization.  Every fresh factorization records why it was
@@ -60,6 +72,11 @@ long factor_call_count();
 struct FactorStats {
   long factor_count = 0;  // fresh numeric factorizations
   long reuse_count = 0;   // solves against a held factorization
+  // Fresh factorizations by FactorReason, counted on the factor path;
+  // refactor_reasons names the nonzero ones ("full_newton", "initial",
+  // "integrator_change", "dt_change", "iterative_refinement") and is
+  // filled when a system's stats are read.
+  long by_reason[kFactorReasons] = {};
   std::map<std::string, long> refactor_reasons;
   // Wall-clock breakdown of where the solver spends its time
   // (steady_clock nanoseconds): device evaluation + matrix/rhs assembly,
@@ -73,18 +90,16 @@ struct FactorStats {
   // Numerical-health monitor: iterative-refinement rounds run by
   // RealSystem::solve after a failed residual check on an ill-
   // conditioned factorization.  A refinement that still fails forces a
-  // fresh factorization, tagged "iterative_refinement" in
-  // refactor_reasons.
+  // fresh factorization (FactorReason::kIterativeRefinement).
   long refine_count = 0;
 
-  void merge(const FactorStats& o) {
-    factor_count += o.factor_count;
-    reuse_count += o.reuse_count;
-    for (const auto& [k, v] : o.refactor_reasons) refactor_reasons[k] += v;
-    stamp_ns += o.stamp_ns;
-    factor_ns += o.factor_ns;
-    solve_ns += o.solve_ns;
-    refine_count += o.refine_count;
+  void fill_reasons() {
+    static constexpr const char* kNames[kFactorReasons] = {
+        "full_newton", "initial", "integrator_change", "dt_change",
+        "iterative_refinement"};
+    refactor_reasons.clear();
+    for (int i = 0; i < kFactorReasons; ++i)
+      if (by_reason[i] > 0) refactor_reasons[kNames[i]] = by_reason[i];
   }
 };
 
@@ -144,10 +159,9 @@ class RealSystem {
   // factorization for a whole constant-dt run.
   void assemble_rhs_only(const ckt::Netlist& nl, const num::RealVector& x,
                          const AssembleParams& p);
-  // Factors the assembled matrix; false when singular.  `reason` tags
-  // the factorization in stats() ("initial", "dt_change", ...); the
-  // default covers plain full-Newton use.
-  bool factor(const char* reason = "full_newton");
+  // Factors the assembled matrix; false when singular.  `reason` is
+  // counted in stats().
+  bool factor(FactorReason reason = FactorReason::kFullNewton);
   int singular_col() const;
   // Numerical-health probe of the last sparse factorization (0.0 in
   // dense mode or before any factor()): a cheap condition-number lower
@@ -170,7 +184,11 @@ class RealSystem {
   bool all_linear() const { return nonlinear_.empty(); }
 
   // Factorization telemetry since the last reset_stats().
-  const FactorStats& stats() const { return stats_; }
+  FactorStats stats() const {
+    FactorStats s = stats_;
+    s.fill_reasons();
+    return s;
+  }
   void reset_stats() { stats_ = FactorStats{}; }
   // Records one reuse of the current factorization for callers that
   // solve() against it without refactoring (the linear fast path).
@@ -337,7 +355,7 @@ class EnsembleSystem {
   int lane_singular_col(int lane) const;
 
   // Aggregate factor/reuse/phase-time telemetry across all lanes.
-  const FactorStats& stats() const;
+  FactorStats stats() const;
 
  private:
   struct Impl;

@@ -180,11 +180,9 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
   NewtonWorkspace ws;
   ws.sys.init(nl, opt.solver);
   // Copies the workspace's factorization telemetry into the result on
-  // every exit path below.
-  auto finish = [&]() -> OpResult& {
-    r.solver_stats = ws.sys.stats();
-    return r;
-  };
+  // every exit path below, which then returns the local (moved, not
+  // copied).
+  auto finish = [&]() { r.solver_stats = ws.sys.stats(); };
 
   // 1. Plain Newton at final gmin.
   p.gmin = opt.gmin;
@@ -194,7 +192,8 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
     r.converged = true;
     r.method = "newton";
     finalize(nl, opt, r);
-    return finish();
+    finish();
+    return r;
   }
   // A structurally singular matrix will not be cured by homotopy: the
   // zero pivot is topological, so diagnose it immediately.  A budget
@@ -203,7 +202,8 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
   if (out.fail == SolveStatus::kSingularMatrix ||
       is_budget_stop(out.fail)) {
     fill_failure_diag(nl, out, "newton", r);
-    return finish();
+    finish();
+    return r;
   }
 
   // Shared helper: relax gmin from `g0` down to the target in half-decade
@@ -227,12 +227,14 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
     r.converged = true;
     r.method = "gmin";
     finalize(nl, opt, r);
-    return finish();
+    finish();
+    return r;
   }
   NewtonOutcome gmin_out = out;
   if (is_budget_stop(out.fail)) {
     fill_failure_diag(nl, out, "gmin", r);
-    return finish();
+    finish();
+    return r;
   }
 
   // 3. Source stepping at elevated gmin, then a gmin ladder at full
@@ -254,7 +256,8 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
       r.converged = true;
       r.method = "source";
       finalize(nl, opt, r);
-      return finish();
+      finish();
+    return r;
     }
   }
 
@@ -263,7 +266,8 @@ OpResult solve_op(ckt::Netlist& nl, const OpOptions& opt) {
   // source stepping never produced one.
   fill_failure_diag(nl, out.bad_unknown >= 0 ? out : gmin_out,
                     ok ? "source+gmin" : "source", r);
-  return finish();
+  finish();
+  return r;
 }
 
 }  // namespace msim::an

@@ -188,10 +188,10 @@ StepOutcome linear_step(const ckt::Netlist& nl, const AssembleParams& p,
   } else {
     ws.sys.invalidate_base();
     ws.sys.assemble(nl, x, p);
-    if (!ws.sys.factor(!ws.have_factor ? "initial"
+    if (!ws.sys.factor(!ws.have_factor ? FactorReason::kInitial
                        : same_dt(p.dt, ws.factor_dt)
-                           ? "integrator_change"
-                           : "dt_change")) {
+                           ? FactorReason::kIntegratorChange
+                           : FactorReason::kDtChange)) {
       ws.have_factor = false;
       out.fail = SolveStatus::kSingularMatrix;
       out.bad_unknown = ws.sys.singular_col();

@@ -264,14 +264,23 @@ DriverDatasheet characterize_driver(const DriverDesign& d,
     ds.iq_leg_ma = p.drv.out_probe_p->current(op.x) * 1e3;
   }
 
-  // THD at 4 Vpp differential and the 0.6 % HD swing ceiling.
-  {
+  // THD at 4 Vpp differential and the 0.6 % HD swing ceiling, both from
+  // the swing sweep: its k = 8 amplitude is 0.6 + 0.05 * 8 == 1.0 V per
+  // side exactly, on the rig a separate tone would build.  Only a sweep
+  // that stopped short of it (a failed tone, or vsup < 1.7 V) needs the
+  // separate tone.
+  const SwingSweep sweep = drv_swing_sweep(vsup, d, pm);
+  const auto full = std::find(sweep.vp.begin(), sweep.vp.end(), 1.0);
+  if (full != sweep.vp.end()) {
+    ds.thd_full_swing = sweep.thd[static_cast<std::size_t>(
+        full - sweep.vp.begin())];
+  } else {
     ckt::Netlist nl;
     const auto h = drv_tone(nl, build_drv_into(nl, vsup, d, 0.0, pm), 1.0);
     if (!h) return ds;
     ds.thd_full_swing = h->thd;
   }
-  ds.swing_06_v = drv_swing_sweep(vsup, d, pm).max_vp(0.006);
+  ds.swing_06_v = sweep.max_vp(0.006);
 
   {
     ckt::Netlist nl;

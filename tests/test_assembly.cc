@@ -20,6 +20,7 @@
 #include "analysis/noise.h"
 #include "analysis/op.h"
 #include "analysis/op_report.h"
+#include "analysis/range.h"
 #include "analysis/transient.h"
 #include "bench_util.h"
 #include "circuit/netlist.h"
@@ -92,6 +93,36 @@ TEST(AssemblySlots, AcImageReplaysAndPointsSearchNothing) {
   an::ComplexSystem sys(replayed);
   for (double f : {1e3, 1e4, 1e5}) sys.assemble(2.0 * M_PI * f);
   EXPECT_EQ(num::sparse_search_count() - s0, 0);
+}
+
+TEST(AssemblySlots, ColdSolveAfterRangePassSearchesNothing) {
+  // A cold job runs the value-range pass before its first solve.  The
+  // pass's conditioning forecast records the DC slot tables (the job's
+  // one searched assembly) and the solve replays them: the pair
+  // searches exactly as much as the solve alone, and the solve nothing.
+  an::OpOptions no_lint;
+  no_lint.lint = false;
+  auto alone = bench::make_mic_rig();
+  alone->nl.assign_unknowns();
+  long s0 = num::sparse_search_count();
+  const auto ref = an::solve_op(alone->nl, no_lint);
+  ASSERT_TRUE(ref.converged);
+  const long solve_alone = num::sparse_search_count() - s0;
+
+  auto rig = bench::make_mic_rig();
+  rig->nl.assign_unknowns();
+  s0 = num::sparse_search_count();
+  (void)an::range_analysis(rig->nl);
+  const long range = num::sparse_search_count() - s0;
+  EXPECT_TRUE(rig->nl.solver_cache().slots->base_dcop.recorded);
+  EXPECT_TRUE(rig->nl.solver_cache().slots->newton_dcop.recorded);
+  s0 = num::sparse_search_count();
+  const auto op = an::solve_op(rig->nl, no_lint);
+  ASSERT_TRUE(op.converged);
+  EXPECT_EQ(num::sparse_search_count() - s0, 0);
+  EXPECT_EQ(range, solve_alone);
+  EXPECT_GT(range, 0);
+  EXPECT_EQ(op.x, ref.x);
 }
 
 TEST(AssemblySlots, AdoptedCacheReplaysFromTheFirstAssembly) {

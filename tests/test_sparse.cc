@@ -379,6 +379,166 @@ TEST(SparseLu, SymbolicAnalysisMatchesGolden) {
   golden::expect("numeric/symbolic.txt", text);
 }
 
+// ---- complex kernels against std::complex operators -----------------
+
+using Complex = std::complex<double>;
+
+// Factor values, solve and transpose solve of `a` along the symbolic
+// `s`, written with std::complex's operators (whose products call
+// libgcc's __muldc3 for a NaN result): the reference for the LU
+// kernels, which write the product out.
+struct ComplexReference {
+  std::vector<Complex> lu;
+  bool singular = false;
+  std::vector<Complex> x, xt;
+};
+
+ComplexReference complex_reference(const num::SparseSymbolic& s,
+                                   const num::ComplexSparseMatrix& a,
+                                   const std::vector<Complex>& b) {
+  ComplexReference ref;
+  const auto n = static_cast<std::size_t>(s.n);
+  const std::size_t nl = s.l_cols.size();
+  ref.lu.assign(nl + s.u_cols.size(), Complex{});
+  for (std::size_t k = 0; k < a.values().size(); ++k)
+    ref.lu[static_cast<std::size_t>(s.a_pos[k])] = a.values()[k];
+  Complex* lu = ref.lu.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int k = s.l_ptr[i]; k < s.l_ptr[i + 1]; ++k) {
+      const Complex m = lu[k] / lu[s.l_diag[static_cast<std::size_t>(k)]];
+      lu[k] = m;
+      if (m == Complex{}) continue;
+      for (int q = s.l_upd[static_cast<std::size_t>(k)];
+           q < s.l_upd[static_cast<std::size_t>(k) + 1]; ++q) {
+        const auto [target, source] = s.upd[static_cast<std::size_t>(q)];
+        lu[target] -= m * lu[source];
+      }
+    }
+    if (std::abs(lu[nl + static_cast<std::size_t>(s.u_ptr[i])]) < 1e-30)
+      ref.singular = true;
+  }
+  if (ref.singular) return ref;
+  const Complex* u = lu + nl;
+  std::vector<Complex> y(n);
+  for (std::size_t i = 0; i < n; ++i)
+    y[i] = b[static_cast<std::size_t>(s.rowperm[i])];
+  for (std::size_t i = 0; i < n; ++i)
+    for (int k = s.l_ptr[i]; k < s.l_ptr[i + 1]; ++k)
+      y[i] -= lu[k] * y[static_cast<std::size_t>(s.l_cols[k])];
+  for (std::size_t i = n; i-- > 0;) {
+    for (int k = s.u_ptr[i] + 1; k < s.u_ptr[i + 1]; ++k)
+      y[i] -= u[k] * y[static_cast<std::size_t>(s.u_cols[k])];
+    y[i] = y[i] / u[s.u_ptr[i]];
+  }
+  ref.x.assign(n, Complex{});
+  for (std::size_t j = 0; j < n; ++j)
+    ref.x[static_cast<std::size_t>(s.colperm[j])] = y[j];
+  std::vector<Complex> v(n);
+  for (std::size_t j = 0; j < n; ++j)
+    v[j] = b[static_cast<std::size_t>(s.colperm[j])];
+  for (std::size_t j = 0; j < n; ++j) {
+    v[j] /= u[s.u_ptr[j]];
+    for (int k = s.u_ptr[j] + 1; k < s.u_ptr[j + 1]; ++k)
+      v[static_cast<std::size_t>(s.u_cols[k])] -= u[k] * v[j];
+  }
+  for (std::size_t j = n; j-- > 0;)
+    for (int k = s.l_ptr[j]; k < s.l_ptr[j + 1]; ++k)
+      v[static_cast<std::size_t>(s.l_cols[k])] -= lu[k] * v[j];
+  ref.xt.assign(n, Complex{});
+  for (std::size_t i = 0; i < n; ++i)
+    ref.xt[static_cast<std::size_t>(s.rowperm[i])] = v[i];
+  return ref;
+}
+
+bool same_bits(const Complex& p, const Complex& q) {
+  return std::memcmp(&p, &q, sizeof(Complex)) == 0;
+}
+
+// A fresh factorization of `a` (its own analysis), its solve and its
+// transpose solve against the reference along the same symbolic; false
+// when `a` is singular.
+bool expect_complex_kernels_match(const num::ComplexSparseMatrix& a,
+                                  const std::string& label) {
+  num::ComplexSparseLu lu;
+  lu.factor(a);
+  if (lu.singular()) return false;
+  std::vector<Complex> b(static_cast<std::size_t>(a.rows()));
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = Complex(1.0 + 0.37 * double(i), 0.5 - 0.11 * double(i));
+  const auto ref = complex_reference(*lu.export_symbolic(), a, b);
+  EXPECT_FALSE(ref.singular) << label;
+  const auto x = lu.solve(b);
+  const auto xt = lu.solve_transpose(b);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_TRUE(same_bits(x[i], ref.x[i])) << label << " x[" << i << "]";
+    EXPECT_TRUE(same_bits(xt[i], ref.xt[i])) << label << " xt[" << i << "]";
+  }
+  return true;
+}
+
+// The mic amp's AC matrix at gain code 2 and 10 kHz.
+num::ComplexSparseMatrix mic_ac_matrix() {
+  auto rig = bench::make_mic_rig();
+  rig->mic.set_gain_code(2);
+  EXPECT_TRUE(an::solve_op(rig->nl).converged);
+  const an::AcImage image(rig->nl, an::SolverKind::kSparse, 1e-12);
+  an::ComplexSystem sys(image);
+  sys.assemble(2.0 * 3.141592653589793 * 1e4);
+  return sys.sparse_jac();
+}
+
+TEST(SparseLu, ComplexKernelsMatchStdComplexBitForBit) {
+  int factored = 0;
+  for (std::uint64_t seed = 1001; seed <= 1200; ++seed)
+    factored += expect_complex_kernels_match(
+        random_pattern<Complex>(seed), "random_complex_" +
+                                           std::to_string(seed));
+  EXPECT_GE(factored, 150);
+  EXPECT_TRUE(expect_complex_kernels_match(mic_ac_matrix(), "mic ac"));
+}
+
+// A NaN or inf entry fails the factorization as before: the pivot
+// check lets it through and the solution is non-finite, in the same
+// unknowns as the std::complex reference's.
+TEST(SparseLu, ComplexNonFiniteEntryFailsAsBefore) {
+  const auto clean = mic_ac_matrix();
+  num::ComplexSparseLu analysed;
+  analysed.factor(clean);
+  ASSERT_FALSE(analysed.singular());
+  const auto sym = analysed.export_symbolic();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Complex> b(static_cast<std::size_t>(clean.rows()),
+                               Complex(1.0, -0.5));
+  for (const Complex bad : {Complex(nan, 0.0), Complex(inf, 0.0),
+                            Complex(0.0, -inf)}) {
+    for (const std::size_t k : {std::size_t{0}, clean.values().size() / 2}) {
+      auto a = clean;
+      a.values()[k] = bad;
+      num::ComplexSparseLu lu;
+      lu.adopt_symbolic(sym);
+      lu.factor(a);
+      const auto ref = complex_reference(*sym, a, b);
+      const std::string label = "entry " + std::to_string(k);
+      ASSERT_EQ(lu.singular(), ref.singular) << label;
+      if (lu.singular()) continue;
+      const auto x = lu.solve(b);
+      const auto xt = lu.solve_transpose(b);
+      int non_finite = 0;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(std::isfinite(std::abs(x[i])),
+                  std::isfinite(std::abs(ref.x[i])))
+            << label << " x[" << i << "]";
+        EXPECT_EQ(std::isfinite(std::abs(xt[i])),
+                  std::isfinite(std::abs(ref.xt[i])))
+            << label << " xt[" << i << "]";
+        non_finite += !std::isfinite(std::abs(x[i]));
+      }
+      EXPECT_GT(non_finite, 0) << label;
+    }
+  }
+}
+
 // ---- symbolic export / adoption -------------------------------------
 
 TEST(SparseLu, AdoptedSymbolicReproducesFromScratchFactorization) {

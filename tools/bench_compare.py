@@ -11,8 +11,9 @@ contract flags must also still hold in the candidate, and the
 structural pre-pass must stay cheap: every `structural_prepass` and
 `range_prepass` entry in the candidate must report an `added_fraction`
 below --prepass-threshold (default 0.01, i.e. <1% of its MC scenario's
-wall time).  Exit status is 0 when everything passes, 1 otherwise --
-suitable for CI gating.
+wall time).  The `cold_path` rows (fixed costs of a cold solve) are
+printed next to the baseline's, with no gate.  Exit status is 0 when
+everything passes, 1 otherwise -- suitable for CI gating.
 
 Wall-clock timings are noisy; the harness already reports best-of-N,
 and the 15% margin absorbs ordinary scheduler jitter.  Treat a failure
@@ -246,6 +247,24 @@ def main():
               f"{phi} vs {cfg.get('settle_periods', 0):.1f} periods "
               f"({ratio:5.2f}x) thd drel {cfg.get('thd_rel_err', 0):.1e} "
               f"[{marker}]")
+
+    # cold_path rows (the fixed costs of a cold solve: symbolic analysis,
+    # value-range pass, the first solve after it, RealSystem::init) are
+    # printed, not gated.
+    base_cold = by_name(base.get("cold_path", []))
+    for cfg in cand.get("cold_path", []):
+        name = cfg.get("name", "?")
+        for key in ("analyze_us", "range_us", "first_op_us", "init_us"):
+            cur = cfg.get(key, {})
+            line = (f"  cold_path/{name:<12} {key:<11} median "
+                    f"{cur.get('median', 0):9.2f} us (min "
+                    f"{cur.get('min', 0):.2f}, IQR {cur.get('iqr', 0):.2f}, "
+                    f"{cfg.get('threads', 1)} thread)")
+            old = base_cold.get(name, {}).get(key)
+            if old and cur.get("median"):
+                line += (f", baseline {old['median']:.2f} us "
+                         f"({old['median'] / cur['median']:.2f}x)")
+            print(line)
 
     # Assembly-mode gate, judged absolutely on the candidate: every
     # batched entry must keep its speedup over the binary-searched

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Static checks over src/: a grep gate against printf-family calls, a
 # grep gate against headers that nothing outside tests and examples reaches,
-# a grep gate against option fields that no caller sets, clang-tidy with
+# a grep gate against option fields that no caller sets, an objdump gate
+# against __muldc3 calls in the complex sparse LU kernels, clang-tidy with
 # the curated .clang-tidy set, warnings promoted to errors, plus the
 # whole test suite under an AddressSanitizer + UBSan +
 # _GLIBCXX_ASSERTIONS build and the concurrency suites under
@@ -233,9 +234,46 @@ check_option_reach() {
   return 0
 }
 
+# ---- complex LU kernels make no __muldc3 call ------------------------
+# SparseLu<std::complex<double>>'s refactor, solve and solve_transpose
+# write the complex product out (numeric/sparse.cc's mul), so no update
+# or substitution term pays a call to libgcc's __muldc3.  A __muldc3
+# call in those functions of the built numeric library is a finding;
+# so is not finding the functions at all.
+check_complex_kernels() {
+  if ! command -v objdump >/dev/null 2>&1; then
+    missing_tool "objdump not found (complex LU kernel gate)"
+    return 0
+  fi
+  if [ ! -f "$build_dir/CMakeCache.txt" ]; then
+    cmake -B "$build_dir" -S "$repo_root" >/dev/null || return 2
+  fi
+  cmake --build "$build_dir" --target msim_numeric >/dev/null || return 2
+  local lib="$build_dir/src/numeric/libmsim_numeric.a" report
+  report="$(objdump -dr --no-show-raw-insn -C "$lib" | awk '
+    /^[0-9a-f]+ <.*>:$/ {
+      watch = $0 ~ /SparseLu<std::complex<double> >::(refactor|solve|solve_transpose)\(/
+      if (watch) { fn = $0; print "fn " fn }
+    }
+    watch && /__muldc3/ { print "call " fn }' | sort -u)"
+  if [ "$(grep -c '^fn ' <<< "$report")" -lt 3 ]; then
+    echo "$report" >&2
+    echo "run_static_checks: complex SparseLu kernels not found in $lib" >&2
+    return 1
+  fi
+  if grep -q '^call ' <<< "$report"; then
+    grep '^call ' <<< "$report" >&2
+    echo "run_static_checks: complex SparseLu kernels call __muldc3 (write the product out)" >&2
+    return 1
+  fi
+  echo "run_static_checks: complex SparseLu kernels make no __muldc3 call" >&2
+  return 0
+}
+
 check_no_printf || exit 1
 check_module_reach || exit 1
 check_option_reach || exit 1
+check_complex_kernels || exit 1
 run_sanitized_suite || exit 1
 run_tsan_suites || exit 1
 
