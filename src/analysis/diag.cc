@@ -1,7 +1,8 @@
 #include "analysis/diag.h"
 
 #include <cmath>
-#include <sstream>
+
+#include "core/text_writer.h"
 
 namespace msim::an {
 
@@ -20,16 +21,16 @@ const char* to_string(SolveStatus s) {
 
 std::string SolveDiag::message() const {
   if (ok()) return "ok";
-  std::ostringstream os;
-  os << to_string(status);
-  if (!stage.empty()) os << " [stage " << stage << "]";
-  if (!unknown.empty()) os << " at " << unknown;
-  if (!device.empty()) os << " (device " << device << ")";
+  core::TextWriter w;
+  w.add(to_string(status));
+  if (!stage.empty()) w.add(" [stage ").add(stage).add(']');
+  if (!unknown.empty()) w.add(" at ").add(unknown);
+  if (!device.empty()) w.add(" (device ").add(device).add(')');
   if (status == SolveStatus::kNonConvergence)
-    os << ", max |dx| = " << residual;
-  if (iterations > 0) os << ", " << iterations << " iterations";
-  if (!detail.empty()) os << ": " << detail;
-  return os.str();
+    w.add(", max |dx| = ").num(residual);
+  if (iterations > 0) w.add(", ").integer(iterations).add(" iterations");
+  if (!detail.empty()) w.add(": ").add(detail);
+  return w.take();
 }
 
 SolveDiag budget_stop_diag(core::StopReason reason, std::string stage,
@@ -51,13 +52,13 @@ SolveDiag frequency_grid_diag(const std::vector<double>& freqs_hz,
   for (std::size_t i = 0; i < freqs_hz.size(); ++i) {
     const double f = freqs_hz[i];
     if (std::isfinite(f) && (f > 0.0 || (zero_ok && f == 0.0))) continue;
-    std::ostringstream os;
-    os << "invalid options: f[" << i << "] = " << f << " Hz is not finite and "
-       << (zero_ok ? ">= 0" : "> 0");
     SolveDiag d;
     d.status = SolveStatus::kBadTopology;
     d.stage = stage;
-    d.detail = os.str();
+    d.detail = core::TextWriter()
+                   .add("invalid options: f[").integer(i).add("] = ").num(f)
+                   .add(" Hz is not finite and ").add(zero_ok ? ">= 0" : "> 0")
+                   .take();
     return d;
   }
   return SolveDiag::success();

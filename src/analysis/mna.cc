@@ -923,11 +923,7 @@ EnsembleSystem& EnsembleSystem::operator=(EnsembleSystem&&) noexcept =
 
 int EnsembleSystem::lanes() const { return impl_->nlanes; }
 int EnsembleSystem::unknowns() const { return impl_->n; }
-FactorStats EnsembleSystem::stats() const {
-  FactorStats s = impl_->stats;
-  s.fill_reasons();
-  return s;
-}
+const FactorStats& EnsembleSystem::stats() const { return impl_->stats; }
 
 int EnsembleSystem::lane_singular_col(int lane) const {
   return impl_->lus[static_cast<std::size_t>(lane)].singular_col();

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,30 +53,32 @@ long factor_call_count();
 
 // Why a RealSystem factored afresh: a Newton iteration; on the
 // transient linear fast path the first factorization, an integrator
-// change or a dt change; or a failed iterative refinement.
+// change or a dt change; or a failed iterative refinement.  The
+// enumerators run in the alphabetical order of their names, the order
+// every telemetry view lists them in.
 enum class FactorReason : int {
+  kDtChange,
   kFullNewton,
   kInitial,
   kIntegratorChange,
-  kDtChange,
   kIterativeRefinement,
 };
 inline constexpr int kFactorReasons = 5;
+inline constexpr const char* kFactorReasonNames[kFactorReasons] = {
+    "dt_change", "full_newton", "initial", "integrator_change",
+    "iterative_refinement"};
 
-// Factorization telemetry kept by one RealSystem.  Newton iterations
-// factor every time; the transient linear fast path solves against one
-// held factorization.  Every fresh factorization records why it was
-// needed so the refactor policy is observable (TranTelemetry,
-// op_report, msim_cli --tran-stats).
+// The solver effort of one RealSystem or EnsembleSystem, and of any run
+// that sums them (TranTelemetry and TranEnsembleTelemetry derive from
+// it).  Newton iterations factor every time; the transient linear fast
+// path solves against one held factorization.  Every fresh
+// factorization records why it was needed so the refactor policy is
+// observable (TranTelemetry, op_report, msim_cli --tran-stats).
 struct FactorStats {
   long factor_count = 0;  // fresh numeric factorizations
   long reuse_count = 0;   // solves against a held factorization
-  // Fresh factorizations by FactorReason, counted on the factor path;
-  // refactor_reasons names the nonzero ones ("full_newton", "initial",
-  // "integrator_change", "dt_change", "iterative_refinement") and is
-  // filled when a system's stats are read.
+  // Fresh factorizations by FactorReason (named by kFactorReasonNames).
   long by_reason[kFactorReasons] = {};
-  std::map<std::string, long> refactor_reasons;
   // Wall-clock breakdown of where the solver spends its time
   // (steady_clock nanoseconds): device evaluation + matrix/rhs assembly,
   // numeric factorization, and substitution/residual work.  Makes
@@ -93,13 +94,15 @@ struct FactorStats {
   // fresh factorization (FactorReason::kIterativeRefinement).
   long refine_count = 0;
 
-  void fill_reasons() {
-    static constexpr const char* kNames[kFactorReasons] = {
-        "full_newton", "initial", "integrator_change", "dt_change",
-        "iterative_refinement"};
-    refactor_reasons.clear();
-    for (int i = 0; i < kFactorReasons; ++i)
-      if (by_reason[i] > 0) refactor_reasons[kNames[i]] = by_reason[i];
+  FactorStats& operator+=(const FactorStats& o) {
+    factor_count += o.factor_count;
+    reuse_count += o.reuse_count;
+    for (int i = 0; i < kFactorReasons; ++i) by_reason[i] += o.by_reason[i];
+    stamp_ns += o.stamp_ns;
+    factor_ns += o.factor_ns;
+    solve_ns += o.solve_ns;
+    refine_count += o.refine_count;
+    return *this;
   }
 };
 
@@ -183,13 +186,8 @@ class RealSystem {
   // devices (linear fast-path eligibility).
   bool all_linear() const { return nonlinear_.empty(); }
 
-  // Factorization telemetry since the last reset_stats().
-  FactorStats stats() const {
-    FactorStats s = stats_;
-    s.fill_reasons();
-    return s;
-  }
-  void reset_stats() { stats_ = FactorStats{}; }
+  // Factorization telemetry since construction.
+  const FactorStats& stats() const { return stats_; }
   // Records one reuse of the current factorization for callers that
   // solve() against it without refactoring (the linear fast path).
   void note_reuse() { ++stats_.reuse_count; }
@@ -215,8 +213,6 @@ class RealSystem {
     use_slots_ = use_slots;
     use_batches_ = use_batches;
   }
-  bool slots_enabled() const { return use_slots_; }
-  bool batches_enabled() const { return use_batches_; }
 
   num::RealVector& rhs() { return rhs_; }
   SolverKind kind() const { return kind_; }
@@ -355,7 +351,7 @@ class EnsembleSystem {
   int lane_singular_col(int lane) const;
 
   // Aggregate factor/reuse/phase-time telemetry across all lanes.
-  FactorStats stats() const;
+  const FactorStats& stats() const;
 
  private:
   struct Impl;

@@ -96,13 +96,12 @@ std::string op_report(const ckt::Netlist& nl, const OpResult& op,
   if (st.factor_count > 0)
     os.add("factorizations: ").integer(st.factor_count)
         .add(" (reused ").integer(st.reuse_count).add(")\n");
-  if (st.refine_count > 0) {
-    const auto it = st.refactor_reasons.find("iterative_refinement");
+  if (st.refine_count > 0)
     os.add("iterative refinement: ").integer(st.refine_count)
         .add(" rounds (forced refactors: ")
-        .integer(it == st.refactor_reasons.end() ? 0 : it->second)
+        .integer(st.by_reason[static_cast<int>(
+            FactorReason::kIterativeRefinement)])
         .add(")\n");
-  }
   if (st.stamp_ns + st.factor_ns + st.solve_ns > 0)
     os.add("solver time: stamp ").num(st.stamp_ns / 1e6, 3)
         .add(" ms, factor ").num(st.factor_ns / 1e6, 3).add(" ms, solve ")

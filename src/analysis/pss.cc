@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <sstream>
 #include <utility>
 
+#include "core/text_writer.h"
 #include "devices/sources.h"
 #include "numeric/lu.h"
 
@@ -178,47 +178,24 @@ class PhiPropagator final : public TranStepHook {
   long ns_ = 0;
 };
 
-void merge_tran(TranTelemetry& a, const TranTelemetry& b) {
-  a.accepted_steps += b.accepted_steps;
-  a.rejected_newton += b.rejected_newton;
-  a.rejected_nonfinite += b.rejected_nonfinite;
-  a.newton_iterations += b.newton_iterations;
-  if (a.min_dt_used == 0.0 ||
-      (b.min_dt_used != 0.0 && b.min_dt_used < a.min_dt_used))
-    a.min_dt_used = b.min_dt_used;
-  if (a.op_method.empty()) {
-    a.op_method = b.op_method;
-    a.op_iterations = b.op_iterations;
-  }
-  a.factor_count += b.factor_count;
-  a.reuse_count += b.reuse_count;
-  for (const auto& [k, v] : b.refactor_reasons) a.refactor_reasons[k] += v;
-  a.linear_fast_path_used |= b.linear_fast_path_used;
-  a.stamp_ns += b.stamp_ns;
-  a.factor_ns += b.factor_ns;
-  a.solve_ns += b.solve_ns;
-  a.budget_truncated |= b.budget_truncated;
-  if (!b.budget_stop.empty()) a.budget_stop = b.budget_stop;
-  a.refine_count += b.refine_count;
-}
-
 // The options run_pss_shooting refuses: a tone frequency that is NaN
 // or negative, and -- when the step is derived from tran.dt -- a dt that
 // is not finite and > 0, which would otherwise snap to a default step
 // unannounced.  An ok() diag when the options are valid.
 SolveDiag option_diag(const PssOptions& opt) {
-  std::ostringstream os;
+  core::TextWriter w;
+  w.add("invalid options: ");
   if (std::isnan(opt.f0_hz) || opt.f0_hz < 0.0)
-    os << "f0_hz = " << opt.f0_hz << " is not >= 0 (0 = auto-detect)";
+    w.add("f0_hz = ").num(opt.f0_hz).add(" is not >= 0 (0 = auto-detect)");
   else if (opt.samples_per_period <= 0 &&
            !(std::isfinite(opt.tran.dt) && opt.tran.dt > 0.0))
-    os << "tran.dt = " << opt.tran.dt << " s is not a finite step > 0";
+    w.add("tran.dt = ").num(opt.tran.dt).add(" s is not a finite step > 0");
   else
     return SolveDiag::success();
   SolveDiag d;
   d.status = SolveStatus::kBadTopology;
   d.stage = "pss";
-  d.detail = "invalid options: " + os.str();
+  d.detail = w.take();
   return d;
 }
 
@@ -266,27 +243,27 @@ double single_tone_hz(const ckt::Netlist& nl) {
 }
 
 std::string PssTelemetry::summary() const {
-  std::ostringstream os;
-  os << "pss: " << shooting_iterations << " shooting update(s), "
-     << periods_integrated << " period(s) integrated, residual " << residual
-     << "\n";
-  os << "pss: " << dynamic_unknowns << "/" << unknowns
-     << " dynamic unknown(s), " << phi_solve_count << " Phi solve(s), "
-     << static_cast<double>(phi_ns) / 1e6 << " ms Phi ride-along\n";
-  os << tran.summary();
-  return os.str();
+  return core::TextWriter()
+      .add("pss: ").integer(shooting_iterations)
+      .add(" shooting update(s), ").num(periods_integrated)
+      .add(" period(s) integrated, residual ").num(residual)
+      .add("\npss: ").integer(dynamic_unknowns).add('/').integer(unknowns)
+      .add(" dynamic unknown(s), ").integer(phi_solve_count)
+      .add(" Phi solve(s), ").num(static_cast<double>(phi_ns) / 1e6)
+      .add(" ms Phi ride-along\n").add(tran.summary())
+      .take();
 }
 
 std::string PssTelemetry::json() const {
-  std::ostringstream os;
-  os << "{\"shooting_iterations\":" << shooting_iterations
-     << ",\"periods_integrated\":" << periods_integrated
-     << ",\"residual\":" << residual
-     << ",\"dynamic_unknowns\":" << dynamic_unknowns
-     << ",\"unknowns\":" << unknowns
-     << ",\"phi_solve_count\":" << phi_solve_count
-     << ",\"phi_ms\":" << static_cast<double>(phi_ns) / 1e6 << "}";
-  return os.str();
+  return core::TextWriter()
+      .add("{\"shooting_iterations\":").integer(shooting_iterations)
+      .add(",\"periods_integrated\":").num(periods_integrated)
+      .add(",\"residual\":").num(residual)
+      .add(",\"dynamic_unknowns\":").integer(dynamic_unknowns)
+      .add(",\"unknowns\":").integer(unknowns)
+      .add(",\"phi_solve_count\":").integer(phi_solve_count)
+      .add(",\"phi_ms\":").num(static_cast<double>(phi_ns) / 1e6).add('}')
+      .take();
 }
 
 std::vector<double> PssResult::node_wave(ckt::NodeId n) const {
@@ -332,11 +309,12 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
     // overflows: integrating it would never finish.
     res.diag.status = SolveStatus::kBadTopology;
     res.diag.stage = "pss";
-    std::ostringstream os;
-    os << "tone period " << period << " s needs more than "
-       << std::numeric_limits<int>::max() << " steps of " << opt.tran.dt
-       << " s";
-    res.diag.detail = os.str();
+    res.diag.detail = core::TextWriter()
+                          .add("tone period ").num(period)
+                          .add(" s needs more than ")
+                          .integer(std::numeric_limits<int>::max())
+                          .add(" steps of ").num(opt.tran.dt).add(" s")
+                          .take();
     return res;
   }
   const double dt = period / spp;
@@ -347,7 +325,6 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
   base.dt = dt;
   base.record = false;
   base.record_after = 0.0;
-  base.budget = opt.budget ? opt.budget : opt.tran.budget;
   base.initial_state = nullptr;
   base.first_step_backward_euler = false;
   base.step_hook = nullptr;
@@ -369,7 +346,7 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
     pre.t_start = period - n_pre * dt;
     pre.t_stop = period;
     TranResult tr = run_transient(nl, pre);
-    merge_tran(tel.tran, tr.telemetry);
+    tel.tran += tr.telemetry;
     if (!tr.ok) {
       if (tr.truncated)
         tel.periods_integrated += (tr.t_checkpoint - pre.t_start) / period;
@@ -400,7 +377,7 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
     shot.step_hook = carry_phi ? &phi : nullptr;
     if (carry_phi) phi.begin_run();
     TranResult tr = run_transient(nl, shot);
-    merge_tran(tel.tran, tr.telemetry);
+    tel.tran += tr.telemetry;
     tel.phi_solve_count = phi.solve_count();
     tel.phi_ns = phi.phi_ns();
     tel.dynamic_unknowns = phi.dynamic_unknowns();
@@ -449,10 +426,11 @@ PssResult run_pss_shooting(ckt::Netlist& nl, const PssOptions& opt) {
       res.diag.residual = resid;
       res.diag.iterations = iter;
       res.diag.unknown = unknown_label(nl, static_cast<int>(worst));
-      std::ostringstream os;
-      os << "periodicity residual " << resid << " after " << iter
-         << " boundary update(s)";
-      res.diag.detail = os.str();
+      res.diag.detail = core::TextWriter()
+                            .add("periodicity residual ").num(resid)
+                            .add(" after ").integer(iter)
+                            .add(" boundary update(s)")
+                            .take();
       return res;
     }
 

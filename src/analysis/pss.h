@@ -87,12 +87,10 @@ struct PssOptions {
   int samples_per_period = 0;
   // Engine knobs forwarded to every integration (t_start / t_stop / dt /
   // record / initial_state / step_hook are overridden by the PSS driver;
-  // solver, Newton limits, temp_k etc. apply as usual).
+  // solver, Newton limits, temp_k etc. apply as usual).  tran.budget
+  // covers the whole solve: expiry returns a structured partial with the
+  // best boundary state so far as a restart handle (see PssResult).
   TranOptions tran;
-  // Optional budget / cancel hook; overrides tran.budget when set.
-  // Expiry returns a structured partial with the best boundary state so
-  // far as a restart handle (see PssResult).
-  core::RunBudget* budget = nullptr;
   // Warm-start boundary state (e.g. a prior PssResult::x0 or a budget
   // checkpoint); skips the pre-roll.  Borrowed, must outlive the call.
   const num::RealVector* x_warm = nullptr;

@@ -128,19 +128,13 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
 
   rep.bounds = ctx.intervals();
 
-  // Supply hull: every bounded supply-named (or overridden) node plus
-  // ground.  Without one bounded supply node no rail or headroom claim
-  // is made at all -- silence is the sound default.
-  auto is_supply = [&](const std::string& name) {
-    if (!opt.supply_nodes.empty())
-      return std::find(opt.supply_nodes.begin(), opt.supply_nodes.end(),
-                       name) != opt.supply_nodes.end();
-    return is_supply_name(name);
-  };
+  // Supply hull: every bounded supply-named node plus ground.  Without
+  // one bounded supply node no rail or headroom claim is made at all --
+  // silence is the sound default.
   num::Interval hull_iv = num::Interval::point(0.0);
   for (int node = 1; node <= node_rows; ++node) {
     const std::string& nm = nl.node_name(node);
-    if (!is_supply(nm)) continue;
+    if (!is_supply_name(nm)) continue;
     const num::Interval iv = rep.bounds[static_cast<std::size_t>(node - 1)];
     if (!iv.bounded()) continue;
     hull_iv = num::hull(hull_iv, iv);

@@ -46,11 +46,6 @@ inline constexpr int kRangeMaxSweeps = 16;
 inline constexpr double kRangeCondThreshold = 1e12;
 
 struct RangeOptions {
-  // Supply-node override.  Empty -> auto-detect by name (vdd/vcc/vss/
-  // vee prefixes, case-insensitive).  Without any bounded supply node
-  // the rail and headroom verdicts are skipped entirely (no claim is
-  // ever made from an unknown supply).
-  std::vector<std::string> supply_nodes;
   double temp_k = 300.15;
 };
 

@@ -370,10 +370,7 @@ SolveDiag preflight(ckt::Netlist& nl, const PreflightOptions& opt) {
   }
 
   g_full_runs.fetch_add(1, std::memory_order_relaxed);
-  ckt::LintOptions lint_opt;
-  lint_opt.disable = opt.disable;
-  lint_opt.enable = opt.enable;
-  const auto issues = ckt::lint(nl, lint_opt);
+  const auto issues = ckt::lint(nl);
   if (opt.use_cache && issues.empty()) record_clean_verdict(nl);
 
   const bool fatal = ckt::lint_has_errors(issues) ||

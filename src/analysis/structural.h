@@ -89,9 +89,6 @@ struct PreflightOptions {
   // Escalate warnings (floating nodes, cutsets, dangling terminals) to
   // a kBadTopology failure as well.
   bool strict = false;
-  // Per-pass selection forwarded to ckt::lint().
-  std::vector<std::string> disable;
-  std::vector<std::string> enable;
   // Reuse / populate the netlist's cached clean verdict.  Benchmarks
   // disable this to measure the cold pass.
   bool use_cache = true;

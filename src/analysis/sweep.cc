@@ -1,7 +1,5 @@
 #include "analysis/sweep.h"
 
-#include "core/parallel.h"
-
 namespace msim::an {
 
 std::vector<double> linspace(double lo, double hi, int n) {
@@ -69,31 +67,6 @@ std::vector<SweepPoint> temperature_sweep(ckt::Netlist& nl,
     }
     out.push_back(std::move(pt));
   }
-  return out;
-}
-
-std::vector<SweepPoint> parallel_sweep(
-    const std::vector<double>& values,
-    const std::function<OpResult(double)>& solve_point, int threads,
-    core::RunBudget* budget) {
-  std::vector<SweepPoint> out(values.size());
-  // Pre-fill the skip markers: workers stop claiming points once the
-  // budget expires, and untouched slots must read as structured budget
-  // diags, not default-constructed (non-converged, diag-less) results.
-  if (budget) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i].value = values[i];
-      out[i].op = budget_skipped_point(*budget, "parallel_sweep");
-    }
-  }
-  core::parallel_for(
-      threads, values.size(),
-      [&](std::size_t i) {
-        if (budget && budget->exhausted()) return;  // keep the marker
-        out[i].value = values[i];
-        out[i].op = solve_point(values[i]);
-      },
-      budget);
   return out;
 }
 

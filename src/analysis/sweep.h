@@ -25,7 +25,7 @@ struct SweepPoint {
 // prefix is kept and every remaining point carries a structured
 // kBudgetExceeded / kCancelled diag ("point not run") -- a partial
 // result, never an exception.  The same applies to temperature_sweep
-// and parallel_sweep below.
+// below.
 std::vector<SweepPoint> dc_sweep(ckt::Netlist& nl,
                                  const std::vector<double>& values,
                                  const std::function<void(double)>& apply,
@@ -36,20 +36,6 @@ std::vector<SweepPoint> dc_sweep(ckt::Netlist& nl,
 std::vector<SweepPoint> temperature_sweep(ckt::Netlist& nl,
                                           const std::vector<double>& temps_k,
                                           OpOptions opt = {});
-
-// Parallel sweep over independent points.  Unlike dc_sweep /
-// temperature_sweep, points do not share a netlist or continuation
-// state: `solve_point` must be self-contained (typically: build a fresh
-// rig for the value, solve, return the OpResult) because up to `threads`
-// invocations run concurrently.  Point i writes only result slot i, so
-// the output is bit-identical at any thread count (1 = serial, 0 =
-// auto).  Use the serial sweeps when curve continuation matters (e.g.
-// tracking a high-gain DC transfer curve); use this one for point-
-// independent grids (corners, temperatures of independently built rigs).
-std::vector<SweepPoint> parallel_sweep(
-    const std::vector<double>& values,
-    const std::function<OpResult(double)>& solve_point, int threads = 0,
-    core::RunBudget* budget = nullptr);
 
 // Uniform grid helper.
 std::vector<double> linspace(double lo, double hi, int n);

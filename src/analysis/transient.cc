@@ -5,12 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 
 #include "analysis/mna.h"
 #include "analysis/op.h"
 #include "core/faultpoint.h"
 #include "core/parallel.h"
+#include "core/text_writer.h"
 
 namespace msim::an {
 namespace {
@@ -216,70 +216,82 @@ StepOutcome linear_step(const ckt::Netlist& nl, const AssembleParams& p,
 
 }  // namespace
 
+TranTelemetry& TranTelemetry::operator+=(const TranTelemetry& b) {
+  FactorStats::operator+=(b);
+  accepted_steps += b.accepted_steps;
+  rejected_newton += b.rejected_newton;
+  rejected_nonfinite += b.rejected_nonfinite;
+  newton_iterations += b.newton_iterations;
+  if (min_dt_used == 0.0 ||
+      (b.min_dt_used != 0.0 && b.min_dt_used < min_dt_used))
+    min_dt_used = b.min_dt_used;
+  if (op_method.empty()) {
+    op_method = b.op_method;
+    op_iterations = b.op_iterations;
+  }
+  linear_fast_path_used |= b.linear_fast_path_used;
+  budget_truncated |= b.budget_truncated;
+  if (!b.budget_stop.empty()) budget_stop = b.budget_stop;
+  return *this;
+}
+
 std::string TranTelemetry::summary() const {
-  std::ostringstream os;
-  os << "transient telemetry:\n"
-     << "  op method            " << (op_method.empty() ? "-" : op_method)
-     << " (" << op_iterations << " iterations)\n"
-     << "  accepted steps       " << accepted_steps << "\n"
-     << "  rejected (newton)    " << rejected_newton << "\n"
-     << "  rejected (nonfinite) " << rejected_nonfinite << "\n"
-     << "  newton iterations    " << newton_iterations << "\n"
-     << "  factorizations       " << factor_count << " (reused "
-     << reuse_count << (linear_fast_path_used ? ", linear fast path" : "")
-     << ")\n";
-  if (!refactor_reasons.empty()) {
-    os << "  refactor reasons    ";
-    for (const auto& [k, v] : refactor_reasons) os << " " << k << "=" << v;
-    os << "\n";
+  core::TextWriter w;
+  w.add("transient telemetry:\n")
+      .add("  op method            ").add(op_method.empty() ? "-" : op_method)
+      .add(" (").integer(op_iterations).add(" iterations)\n")
+      .add("  accepted steps       ").integer(accepted_steps).add('\n')
+      .add("  rejected (newton)    ").integer(rejected_newton).add('\n')
+      .add("  rejected (nonfinite) ").integer(rejected_nonfinite).add('\n')
+      .add("  newton iterations    ").integer(newton_iterations).add('\n')
+      .add("  factorizations       ").integer(factor_count)
+      .add(" (reused ").integer(reuse_count)
+      .add(linear_fast_path_used ? ", linear fast path" : "").add(")\n");
+  if (std::any_of(std::begin(by_reason), std::end(by_reason),
+                  [](long n) { return n > 0; })) {
+    w.add("  refactor reasons    ");
+    for (int i = 0; i < kFactorReasons; ++i)
+      if (by_reason[i] > 0)
+        w.add(' ').add(kFactorReasonNames[i]).add('=').integer(by_reason[i]);
+    w.add('\n');
   }
-  if (stamp_ns + factor_ns + solve_ns > 0) {
-    os << "  solver time          stamp " << stamp_ns / 1000000.0
-       << " ms, factor " << factor_ns / 1000000.0 << " ms, solve "
-       << solve_ns / 1000000.0 << " ms\n";
-  }
-  os << "  min dt attempted     " << min_dt_used << " s\n";
+  if (stamp_ns + factor_ns + solve_ns > 0)
+    w.add("  solver time          stamp ").num(stamp_ns / 1e6)
+        .add(" ms, factor ").num(factor_ns / 1e6).add(" ms, solve ")
+        .num(solve_ns / 1e6).add(" ms\n");
+  w.add("  min dt attempted     ").num(min_dt_used).add(" s\n");
   if (refine_count > 0)
-    os << "  iterative refinement " << refine_count << " rounds\n";
+    w.add("  iterative refinement ").integer(refine_count).add(" rounds\n");
   if (budget_truncated)
-    os << "  budget truncated     yes (" << budget_stop << ")\n";
-  if (ensemble_lanes > 0) {
-    os << "  ensemble             " << ensemble_lanes << " lanes, "
-       << ensemble_cohort_splits << " cohort splits, "
-       << ensemble_cohort_rejoins << " rejoins";
-    if (ensemble_samples_per_sec > 0.0)
-      os << ", " << ensemble_samples_per_sec << " samples/s";
-    os << "\n";
-  }
-  return os.str();
+    w.add("  budget truncated     yes (").add(budget_stop).add(")\n");
+  return w.take();
 }
 
 std::string TranTelemetry::reuse_stats_json() const {
-  std::ostringstream os;
-  os << "{\"factor_count\": " << factor_count
-     << ", \"reuse_count\": " << reuse_count
-     << ", \"newton_iterations\": " << newton_iterations
-     << ", \"accepted_steps\": " << accepted_steps
-     << ", \"linear_fast_path\": "
-     << (linear_fast_path_used ? "true" : "false")
-     << ", \"stamp_ns\": " << stamp_ns << ", \"factor_ns\": " << factor_ns
-     << ", \"solve_ns\": " << solve_ns
-     << ", \"refine_count\": " << refine_count
-     << ", \"budget_truncated\": " << (budget_truncated ? "true" : "false")
-     << ", \"budget_stop\": \"" << budget_stop << "\""
-     << ", \"ensemble_lanes\": " << ensemble_lanes
-     << ", \"ensemble_cohort_splits\": " << ensemble_cohort_splits
-     << ", \"ensemble_cohort_rejoins\": " << ensemble_cohort_rejoins
-     << ", \"ensemble_samples_per_sec\": " << ensemble_samples_per_sec
-     << ", \"refactor_reasons\": {";
-  bool first = true;
-  for (const auto& [k, v] : refactor_reasons) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << k << "\": " << v;
+  core::TextWriter w;
+  w.add("{\"factor_count\": ").integer(factor_count)
+      .add(", \"reuse_count\": ").integer(reuse_count)
+      .add(", \"newton_iterations\": ").integer(newton_iterations)
+      .add(", \"accepted_steps\": ").integer(accepted_steps)
+      .add(", \"linear_fast_path\": ")
+      .add(linear_fast_path_used ? "true" : "false")
+      .add(", \"stamp_ns\": ").integer(stamp_ns)
+      .add(", \"factor_ns\": ").integer(factor_ns)
+      .add(", \"solve_ns\": ").integer(solve_ns)
+      .add(", \"refine_count\": ").integer(refine_count)
+      .add(", \"budget_truncated\": ")
+      .add(budget_truncated ? "true" : "false")
+      .add(", \"budget_stop\": \"").add(budget_stop)
+      .add("\", \"refactor_reasons\": {");
+  const char* sep = "";
+  for (int i = 0; i < kFactorReasons; ++i) {
+    if (by_reason[i] <= 0) continue;
+    w.add(sep).add('"').add(kFactorReasonNames[i]).add("\": ")
+        .integer(by_reason[i]);
+    sep = ", ";
   }
-  os << "}}";
-  return os.str();
+  w.add("}}");
+  return w.take();
 }
 
 std::vector<double> TranResult::node_wave(ckt::NodeId n) const {
@@ -316,30 +328,42 @@ void fill_step_diag(const ckt::Netlist& nl, const StepOutcome& out,
     r.diag.unknown = unknown_label(nl, out.bad_unknown);
     r.diag.device = device_touching_unknown(nl, out.bad_unknown);
   }
-  std::ostringstream os;
-  os << "step rejected at t = " << t << " s, dt = " << dt << " s";
-  r.diag.detail = os.str();
+  r.diag.detail = core::TextWriter()
+                      .add("step rejected at t = ").num(t).add(" s, dt = ")
+                      .num(dt).add(" s")
+                      .take();
+}
+
+// The detail of a budget stop's diag (run_transient and the ensemble).
+std::string truncation_detail(double t, long accepted_steps,
+                              core::StopReason reason) {
+  return core::TextWriter()
+      .add("truncated at t = ").num(t).add(" s after ")
+      .integer(accepted_steps).add(" accepted steps (")
+      .add(core::to_string(reason)).add(")")
+      .take();
 }
 
 // The options run_transient refuses: a step that is not finite and
 // positive never moves the clock, and a span that is not finite or not
 // forward has no end to reach.  An ok() diag when the options are valid.
 SolveDiag option_diag(const TranOptions& opt) {
-  std::ostringstream os;
+  core::TextWriter w;
+  w.add("invalid options: ");
   if (!(std::isfinite(opt.dt) && opt.dt > 0.0))
-    os << "dt = " << opt.dt << " s is not a finite step > 0";
+    w.add("dt = ").num(opt.dt).add(" s is not a finite step > 0");
   else if (!(std::isfinite(opt.t_start) && std::isfinite(opt.t_stop) &&
              opt.t_start < opt.t_stop))
-    os << "span [" << opt.t_start << ", " << opt.t_stop
-       << "] s is not finite and forward";
+    w.add("span [").num(opt.t_start).add(", ").num(opt.t_stop)
+        .add("] s is not finite and forward");
   else if (opt.max_halvings < 0)
-    os << "max_halvings = " << opt.max_halvings << " is negative";
+    w.add("max_halvings = ").integer(opt.max_halvings).add(" is negative");
   else
     return SolveDiag::success();
   SolveDiag d;
   d.status = SolveStatus::kBadTopology;
   d.stage = "tran";
-  d.detail = "invalid options: " + os.str();
+  d.detail = w.take();
   return d;
 }
 
@@ -417,10 +441,8 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
     r.x_checkpoint = x;
     tel.budget_truncated = true;
     tel.budget_stop = core::to_string(reason);
-    std::ostringstream os;
-    os << "truncated at t = " << t << " s after " << tel.accepted_steps
-       << " accepted steps (" << core::to_string(reason) << ")";
-    r.diag = budget_stop_diag(reason, "tran", os.str());
+    r.diag = budget_stop_diag(
+        reason, "tran", truncation_detail(t, tel.accepted_steps, reason));
     return r;
   };
 
@@ -506,14 +528,7 @@ TranResult run_transient_inner(ckt::Netlist& nl, const TranOptions& opt,
 TranResult run_transient(ckt::Netlist& nl, const TranOptions& opt) {
   StepWorkspace ws;
   TranResult r = run_transient_inner(nl, opt, ws);
-  const FactorStats& fs = ws.sys.stats();
-  r.telemetry.factor_count = fs.factor_count;
-  r.telemetry.reuse_count = fs.reuse_count;
-  r.telemetry.refactor_reasons = fs.refactor_reasons;
-  r.telemetry.stamp_ns = fs.stamp_ns;
-  r.telemetry.factor_ns = fs.factor_ns;
-  r.telemetry.solve_ns = fs.solve_ns;
-  r.telemetry.refine_count = fs.refine_count;
+  static_cast<FactorStats&>(r.telemetry) = ws.sys.stats();
   return r;
 }
 
@@ -770,11 +785,9 @@ void run_ensemble_block(EnsembleBlock& b) {
         r.x_checkpoint = b.x[k];
         r.telemetry.budget_truncated = true;
         r.telemetry.budget_stop = core::to_string(reason);
-        std::ostringstream os;
-        os << "truncated at t = " << co.t << " s after "
-           << r.telemetry.accepted_steps << " accepted steps ("
-           << core::to_string(reason) << ")";
-        r.diag = budget_stop_diag(reason, "tran_ensemble", os.str());
+        r.diag = budget_stop_diag(
+            reason, "tran_ensemble",
+            truncation_detail(co.t, r.telemetry.accepted_steps, reason));
       }
     }
     cohorts.clear();
@@ -902,13 +915,6 @@ void run_ensemble_block(EnsembleBlock& b) {
       }
     }
   }
-
-  for (std::size_t k = 0; k < nl; ++k) {
-    TranTelemetry& tel = b.results[k]->telemetry;
-    tel.ensemble_lanes = static_cast<int>(nl);
-    tel.ensemble_cohort_splits = b.splits;
-    tel.ensemble_cohort_rejoins = b.rejoins;
-  }
 }
 
 }  // namespace
@@ -931,8 +937,6 @@ TranEnsembleResult run_transient_ensemble(
     if (et.wall_ms > 0.0)
       et.samples_per_sec =
           static_cast<double>(n) / (et.wall_ms / 1000.0);
-    for (auto& r : er.results)
-      r.telemetry.ensemble_samples_per_sec = et.samples_per_sec;
   };
   // Whole-run fallback: the plain sweep (sample 0 primes, every later
   // sample with the same topology adopts its cache).
@@ -1044,11 +1048,7 @@ TranEnsembleResult run_transient_ensemble(
     et.cohort_splits += b.splits;
     et.cohort_rejoins += b.rejoins;
     et.max_cohorts = std::max(et.max_cohorts, b.max_cohorts);
-    const FactorStats& fs = b.sys.stats();
-    et.factor_count += fs.factor_count;
-    et.stamp_ns += fs.stamp_ns;
-    et.factor_ns += fs.factor_ns;
-    et.solve_ns += fs.solve_ns;
+    et += b.sys.stats();
   }
   et.used_ensemble = et.fallback_lanes < static_cast<int>(n);
   finalize();

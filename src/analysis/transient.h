@@ -15,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -111,8 +110,11 @@ struct TranOptions {
   bool operator==(const TranOptions&) const = default;
 };
 
-// Step-rejection and effort accounting for one transient run.
-struct TranTelemetry {
+// Step-rejection and effort accounting for one transient run.  The
+// FactorStats base is the run's RealSystem's (all zero for a lane of a
+// lockstep ensemble, whose solver effort is not separable per lane and
+// is summed in TranEnsembleTelemetry instead).
+struct TranTelemetry : FactorStats {
   long accepted_steps = 0;
   long rejected_newton = 0;     // failure-driven dt cuts (Newton stalled)
   long rejected_nonfinite = 0;  // NaN/Inf state rejections
@@ -121,39 +123,18 @@ struct TranTelemetry {
   // Initial operating point: homotopy method and iteration count.
   std::string op_method;
   int op_iterations = 0;
-  // Factorization telemetry: fresh numeric factorizations, solves
-  // against a reused one (linear fast path only), and why each fresh
-  // factorization was needed.
-  long factor_count = 0;
-  long reuse_count = 0;
-  std::map<std::string, long> refactor_reasons;
   bool linear_fast_path_used = false;
-  // Wall-clock breakdown (steady_clock ns) of the solver hot path:
-  // device evaluation + assembly vs numeric factorization vs
-  // substitution/residual work.  Copied from the RealSystem's
-  // FactorStats; the stamp share is what the zero-search slot cache and
-  // batched device loops attack.
-  long stamp_ns = 0;
-  long factor_ns = 0;
-  long solve_ns = 0;
   // Robustness accounting: whether a RunBudget / CancelToken cut the
   // run short (and which limit: "deadline", "iterations", "steps",
-  // "cancelled"), plus the numerical-health monitor's iterative-
-  // refinement rounds (see RealSystem::solve).
+  // "cancelled").
   bool budget_truncated = false;
   std::string budget_stop;
-  long refine_count = 0;
-  // Ensemble accounting (run_transient_ensemble lanes only; all zero
-  // for per-sample runs).  `ensemble_lanes` is the lockstep block width
-  // this sample ran in; splits/rejoins count the block's per-sample dt
-  // cohort events; samples_per_sec is the whole ensemble's throughput.
-  // Per-lane factor/stamp costs are not separable in lockstep mode, so
-  // factor_count/stamp_ns stay zero here -- the aggregate lives in
-  // TranEnsembleTelemetry.
-  int ensemble_lanes = 0;
-  long ensemble_cohort_splits = 0;
-  long ensemble_cohort_rejoins = 0;
-  double ensemble_samples_per_sec = 0.0;
+
+  // Sums the counters of a later run of the same analysis (PSS: the
+  // pre-roll and every shot).  Keeps the smallest nonzero min_dt_used,
+  // the first run's op_method/op_iterations, the OR of the flags and
+  // the last non-empty budget_stop.
+  TranTelemetry& operator+=(const TranTelemetry& b);
 
   // Multi-line human-readable summary (CLI / log output).
   std::string summary() const;
@@ -236,8 +217,10 @@ struct TranEnsembleOptions {
 };
 
 // Ensemble-level accounting (the per-lane TranTelemetry lives in each
-// sample's TranResult).
-struct TranEnsembleTelemetry {
+// sample's TranResult).  The FactorStats base sums the solver effort of
+// every lockstep block (per-lane shares are not separable in lockstep
+// assembly).
+struct TranEnsembleTelemetry : FactorStats {
   std::size_t samples = 0;
   int blocks = 0;
   int lane_width = 0;
@@ -247,12 +230,6 @@ struct TranEnsembleTelemetry {
   long cohort_splits = 0;
   long cohort_rejoins = 0;
   int max_cohorts = 0;  // peak simultaneous cohorts in any block
-  // Aggregate solver effort across all blocks (per-lane shares are not
-  // separable in lockstep assembly).
-  long factor_count = 0;
-  long stamp_ns = 0;
-  long factor_ns = 0;
-  long solve_ns = 0;
   double wall_ms = 0.0;
   double samples_per_sec = 0.0;
 };

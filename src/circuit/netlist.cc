@@ -24,10 +24,6 @@ NodeId Netlist::internal_node(std::string_view hint) {
   return node("_" + std::string(hint) + std::to_string(anon_counter_++));
 }
 
-bool Netlist::has_node(std::string_view name) const {
-  return by_name_.contains(name);
-}
-
 NodeId Netlist::find_node(std::string_view name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidNode : it->second;

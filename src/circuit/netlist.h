@@ -36,7 +36,6 @@ class Netlist {
   // Creates a fresh anonymous internal node (named "_n<k>").
   NodeId internal_node(std::string_view hint = "n");
 
-  bool has_node(std::string_view name) const;
   // Const lookup: the id of an existing node, or kInvalidNode when the
   // name was never used (no node is created).
   NodeId find_node(std::string_view name) const;

@@ -34,8 +34,6 @@ class MosSwitch : public ckt::Device {
   // noise use the clock value at t = 0.  set_on() is ignored while
   // clocked.
   void set_clock(Waveform clock, double threshold = 0.5);
-  void clear_clock() { clock_.reset(); }
-  bool is_clocked() const { return clock_.has_value(); }
 
   void stamp(ckt::StampContext& ctx) const final;
   // Stamps a run of devices that are all of this concrete class

@@ -20,8 +20,6 @@ class PiecewiseLinear {
 
   bool empty() const { return xs_.empty(); }
   std::size_t size() const { return xs_.size(); }
-  double x_min() const { return xs_.front(); }
-  double x_max() const { return xs_.back(); }
   const std::vector<double>& xs() const { return xs_; }
   const std::vector<double>& ys() const { return ys_; }
   // Extremes over the table values.  With flat extrapolation and linear

@@ -373,9 +373,6 @@ class SparseLu {
   double min_pivot() const requires std::is_same_v<T, double> {
     return min_pivot_;
   }
-  double max_pivot() const requires std::is_same_v<T, double> {
-    return max_pivot_;
-  }
   // Numerical-health probe over the last successful factorization: the
   // diagonal ratio max|U_ii| / min|U_ii| is a free lower bound on the
   // condition number (the true cond(A) can only be larger).  It costs

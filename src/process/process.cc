@@ -102,8 +102,4 @@ double ProcessModel::sample_resistor_mismatch(num::Rng& rng) const {
   return rng.normal(0.0, sigma_r_unit_);
 }
 
-double ProcessModel::sample_bjt_is_mismatch(num::Rng& rng) const {
-  return rng.normal(0.0, sigma_is_bjt_);
-}
-
 }  // namespace msim::proc

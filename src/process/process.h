@@ -48,12 +48,9 @@ class ProcessModel {
                                   double l_m) const;
   // Relative error of one matched unit resistor.
   double sample_resistor_mismatch(num::Rng& rng) const;
-  // Relative error of one bipolar saturation current (affects Vbe).
-  double sample_bjt_is_mismatch(num::Rng& rng) const;
 
   // Mismatch constants (exposed for the design-equation module).
   double avt_n() const { return avt_n_; }
-  double avt_p() const { return avt_p_; }
   double sigma_r_unit() const { return sigma_r_unit_; }
 
  private:
@@ -66,7 +63,6 @@ class ProcessModel {
   double avt_p_ = 25e-9;
   double abeta_ = 2.3e-8;       // [m] ~ 2.3 %*um
   double sigma_r_unit_ = 0.0015;  // matched unit poly resistor, 1-sigma
-  double sigma_is_bjt_ = 0.01;
 };
 
 }  // namespace msim::proc

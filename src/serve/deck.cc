@@ -399,7 +399,7 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         an::PssOptions po;
         po.tran.dt = t.dt;
         po.tran.temp_k = temp_k;
-        po.budget = budget_p;
+        po.tran.budget = budget_p;
         use_lint_verdict();
         const auto r = an::run_pss_shooting(nl, po);
         if (cli.telemetry) err.add(r.telemetry.summary());

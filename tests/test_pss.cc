@@ -2,8 +2,9 @@
 // oracle on the class-AB buffer, the periodicity-residual contract and
 // restart purity of the period map, one-update convergence on a linear
 // circuit, which shots carry the Phi ride-along, the pre-roll's start at
-// its sources' DC point, structured budget/cancel partials, and
-// thread-count determinism of MC-over-PSS through monte_carlo_shared.
+// its sources' DC point, structured budget/cancel partials,
+// thread-count determinism of MC-over-PSS through monte_carlo_shared,
+// and the telemetry's merge rules and exact rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -303,7 +304,7 @@ TEST(Pss, BudgetPartialAndWarmResume) {
   budget.max_steps = 100;  // well inside the 250-step pre-roll
   an::PssOptions o;
   o.tran.dt = 1e-6;
-  o.budget = &budget;
+  o.tran.budget = &budget;
   const auto cut = an::run_pss_shooting(rig->nl, o);
   EXPECT_FALSE(cut.ok);
   EXPECT_TRUE(cut.truncated);
@@ -332,7 +333,7 @@ TEST(Pss, BudgetPartialAndWarmResume) {
   cancel_budget.cancel = &tok;
   an::PssOptions o3;
   o3.tran.dt = 1e-6;
-  o3.budget = &cancel_budget;
+  o3.tran.budget = &cancel_budget;
   const auto cancelled = an::run_pss_shooting(rig->nl, o3);
   EXPECT_FALSE(cancelled.ok);
   EXPECT_EQ(cancelled.diag.status, an::SolveStatus::kCancelled);
@@ -461,6 +462,169 @@ TEST(Pss, CoherentPlanAndWindowedFallback) {
   const auto hw = sig::measure_harmonics_windowed(x, dt, f0);
   EXPECT_NEAR(hw.fundamental_amp, 1.0, 2e-3);
   EXPECT_NEAR(hw.thd, 0.01, 5e-4);
+}
+
+// ------------------------------------------------------------ telemetry
+
+int reason(an::FactorReason r) { return static_cast<int>(r); }
+
+// Every field nonzero: all five refactor reasons, the linear fast path,
+// a budget stop and refinement rounds.
+an::PssTelemetry filled_telemetry() {
+  an::PssTelemetry p;
+  p.shooting_iterations = 2;
+  p.periods_integrated = 3.25;
+  p.residual = 4.5e-14;
+  p.dynamic_unknowns = 7;
+  p.unknowns = 12;
+  p.phi_solve_count = 84;
+  p.phi_ns = 2345678;
+  an::TranTelemetry& t = p.tran;
+  t.accepted_steps = 1250;
+  t.rejected_newton = 3;
+  t.rejected_nonfinite = 1;
+  t.newton_iterations = 2604;
+  t.min_dt_used = 1.25e-9;
+  t.op_method = "gmin";
+  t.op_iterations = 17;
+  t.factor_count = 2615;
+  t.reuse_count = 41;
+  t.by_reason[reason(an::FactorReason::kFullNewton)] = 2604;
+  t.by_reason[reason(an::FactorReason::kInitial)] = 1;
+  t.by_reason[reason(an::FactorReason::kIntegratorChange)] = 2;
+  t.by_reason[reason(an::FactorReason::kDtChange)] = 6;
+  t.by_reason[reason(an::FactorReason::kIterativeRefinement)] = 2;
+  t.linear_fast_path_used = true;
+  t.stamp_ns = 1234567;
+  t.factor_ns = 2500000;
+  t.solve_ns = 987654321;
+  t.budget_truncated = true;
+  t.budget_stop = "deadline";
+  t.refine_count = 5;
+  return p;
+}
+
+// The four telemetry views, byte for byte (msim_cli prints them with
+// --tran-stats and on stderr).  Refactor reasons are listed by name in
+// alphabetical order and numbers print as printf's "%.6g".
+TEST(Telemetry, RenderingIsPinned) {
+  const an::PssTelemetry p = filled_telemetry();
+  const std::string tran_summary =
+      "transient telemetry:\n"
+      "  op method            gmin (17 iterations)\n"
+      "  accepted steps       1250\n"
+      "  rejected (newton)    3\n"
+      "  rejected (nonfinite) 1\n"
+      "  newton iterations    2604\n"
+      "  factorizations       2615 (reused 41, linear fast path)\n"
+      "  refactor reasons     dt_change=6 full_newton=2604 initial=1 "
+      "integrator_change=2 iterative_refinement=2\n"
+      "  solver time          stamp 1.23457 ms, factor 2.5 ms, solve "
+      "987.654 ms\n"
+      "  min dt attempted     1.25e-09 s\n"
+      "  iterative refinement 5 rounds\n"
+      "  budget truncated     yes (deadline)\n";
+  EXPECT_EQ(p.tran.summary(), tran_summary);
+  EXPECT_EQ(p.tran.reuse_stats_json(),
+            "{\"factor_count\": 2615, \"reuse_count\": 41, "
+            "\"newton_iterations\": 2604, \"accepted_steps\": 1250, "
+            "\"linear_fast_path\": true, \"stamp_ns\": 1234567, "
+            "\"factor_ns\": 2500000, \"solve_ns\": 987654321, "
+            "\"refine_count\": 5, \"budget_truncated\": true, "
+            "\"budget_stop\": \"deadline\", \"refactor_reasons\": "
+            "{\"dt_change\": 6, \"full_newton\": 2604, \"initial\": 1, "
+            "\"integrator_change\": 2, \"iterative_refinement\": 2}}");
+  EXPECT_EQ(p.summary(),
+            "pss: 2 shooting update(s), 3.25 period(s) integrated, "
+            "residual 4.5e-14\n"
+            "pss: 7/12 dynamic unknown(s), 84 Phi solve(s), 2.34568 ms "
+            "Phi ride-along\n" +
+                tran_summary);
+  EXPECT_EQ(p.json(),
+            "{\"shooting_iterations\":2,\"periods_integrated\":3.25,"
+            "\"residual\":4.5e-14,\"dynamic_unknowns\":7,\"unknowns\":12,"
+            "\"phi_solve_count\":84,\"phi_ms\":2.34568}");
+
+  // A zero count drops its reason from both views.
+  an::TranTelemetry t = p.tran;
+  t.by_reason[reason(an::FactorReason::kDtChange)] = 0;
+  EXPECT_EQ(t.summary().find("dt_change"), std::string::npos);
+  EXPECT_EQ(t.reuse_stats_json().find("dt_change"), std::string::npos);
+  EXPECT_NE(t.reuse_stats_json().find("{\"full_newton\": 2604, "),
+            std::string::npos);
+}
+
+// FactorStats += sums every counter; TranTelemetry += also sums the
+// step counters and keeps the smallest nonzero min_dt_used, the first
+// op_method, the OR of the flags and the last non-empty budget_stop.
+TEST(Telemetry, MergeSumsCountersAndKeepsTheRules) {
+  an::FactorStats a, b;
+  a.factor_count = 1;
+  a.reuse_count = 2;
+  a.stamp_ns = 3;
+  a.factor_ns = 4;
+  a.solve_ns = 5;
+  a.refine_count = 6;
+  for (int i = 0; i < an::kFactorReasons; ++i) {
+    a.by_reason[i] = 10 + i;
+    b.by_reason[i] = 100 * (i + 1);
+  }
+  b.factor_count = 1000;
+  b.reuse_count = 2000;
+  b.stamp_ns = 3000;
+  b.factor_ns = 4000;
+  b.solve_ns = 5000;
+  b.refine_count = 6000;
+  a += b;
+  EXPECT_EQ(a.factor_count, 1001);
+  EXPECT_EQ(a.reuse_count, 2002);
+  EXPECT_EQ(a.stamp_ns, 3003);
+  EXPECT_EQ(a.factor_ns, 4004);
+  EXPECT_EQ(a.solve_ns, 5005);
+  EXPECT_EQ(a.refine_count, 6006);
+  for (int i = 0; i < an::kFactorReasons; ++i)
+    EXPECT_EQ(a.by_reason[i], 10 + i + 100 * (i + 1)) << "reason " << i;
+
+  const an::TranTelemetry full = filled_telemetry().tran;
+  an::TranTelemetry sum;  // an empty run first: everything comes from `full`
+  sum += full;
+  EXPECT_EQ(sum.summary(), full.summary());
+  EXPECT_EQ(sum.reuse_stats_json(), full.reuse_stats_json());
+
+  an::TranTelemetry later;
+  later.accepted_steps = 10;
+  later.rejected_newton = 20;
+  later.rejected_nonfinite = 30;
+  later.newton_iterations = 40;
+  later.min_dt_used = 1e-9;  // smaller: wins
+  later.op_method = "source";  // not the first: dropped
+  later.op_iterations = 99;
+  later.factor_count = 7;
+  later.by_reason[reason(an::FactorReason::kFullNewton)] = 7;
+  sum += later;
+  EXPECT_EQ(sum.accepted_steps, full.accepted_steps + 10);
+  EXPECT_EQ(sum.rejected_newton, full.rejected_newton + 20);
+  EXPECT_EQ(sum.rejected_nonfinite, full.rejected_nonfinite + 30);
+  EXPECT_EQ(sum.newton_iterations, full.newton_iterations + 40);
+  EXPECT_EQ(sum.min_dt_used, 1e-9);
+  EXPECT_EQ(sum.op_method, "gmin");
+  EXPECT_EQ(sum.op_iterations, 17);
+  EXPECT_EQ(sum.factor_count, full.factor_count + 7);
+  EXPECT_EQ(sum.by_reason[reason(an::FactorReason::kFullNewton)], 2611);
+  EXPECT_EQ(sum.reuse_count, full.reuse_count);
+  EXPECT_TRUE(sum.linear_fast_path_used);  // OR: `later` has it off
+  EXPECT_TRUE(sum.budget_truncated);
+  EXPECT_EQ(sum.budget_stop, "deadline");  // `later`'s is empty
+
+  an::TranTelemetry last;
+  last.min_dt_used = 0.0;  // none attempted: keeps 1e-9
+  last.budget_stop = "steps";
+  sum += last;
+  EXPECT_EQ(sum.min_dt_used, 1e-9);
+  EXPECT_EQ(sum.budget_stop, "steps");
+  last.min_dt_used = 2e-9;  // larger: keeps 1e-9
+  sum += last;
+  EXPECT_EQ(sum.min_dt_used, 1e-9);
 }
 
 }  // namespace

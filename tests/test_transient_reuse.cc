@@ -36,8 +36,8 @@ std::unique_ptr<bench::DrvRig> driven_buffer() {
 void expect_full_newton(const an::TranTelemetry& tel) {
   EXPECT_FALSE(tel.linear_fast_path_used);
   EXPECT_EQ(tel.reuse_count, 0);
-  const auto it = tel.refactor_reasons.find("iterative_refinement");
-  const long forced = it == tel.refactor_reasons.end() ? 0 : it->second;
+  const long forced =
+      tel.by_reason[static_cast<int>(an::FactorReason::kIterativeRefinement)];
   EXPECT_EQ(tel.factor_count, tel.newton_iterations + forced);
 }
 

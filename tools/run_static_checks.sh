@@ -185,12 +185,14 @@ check_module_reach() {
 
 # ---- every option field is set by a caller ---------------------------
 # An option stays an option only if some caller sets it.  For every
-# field with a default value in a `struct *Options` under src/, some
-# file outside the struct's own module (its .h and .cc) must assign it
-# (`.field =` or `->field =`); files in src/, bench/, tools/,
-# perfbench/src/, examples/ and tests/ count.  The match is by field
-# name, so a same-named field of another struct also keeps it.  A field
-# nothing sets is a finding: make it a named constant.
+# field of a `struct *Options` under src/ (`T f = v;`, `T f{v};` or
+# `T f;`), some file outside the struct's own module (its .h and .cc)
+# must assign it or one of its members (`.field =`, `->field =`,
+# `.field.member =`) or append to it (`.field.push_back(` /
+# `.field.emplace_back(`); files in src/, bench/, tools/, perfbench/src/,
+# examples/ and tests/ count.  The match is by field name, so a
+# same-named field of another struct also keeps it.  A field nothing
+# sets is a finding: make it a named constant.
 check_option_reach() {
   local roots=("$repo_root/src" "$repo_root/bench" "$repo_root/tools"
                "$repo_root/perfbench/src" "$repo_root/examples"
@@ -199,10 +201,10 @@ check_option_reach() {
   while IFS= read -r hdr; do
     mod="${hdr%.h}"
     rel="${hdr#"$repo_root/"}"
-    # "Struct field" for each defaulted member (`T name = v;` or
-    # `T name{v};`) at the struct's own brace depth.
+    # "Struct field" for each member (`T name = v;`, `T name{v};` or
+    # `T name;`) at the struct's own brace depth.
     while read -r st field; do
-      if ! grep -rlE "(\.|->)$field[[:space:]]*=([^=]|\$)" "${roots[@]}" \
+      if ! grep -rlE "(\.|->)$field(\.[A-Za-z_][A-Za-z0-9_]*)?([[:space:]]*=([^=]|\$)|\.(push|emplace)_back\()" "${roots[@]}" \
              --include='*.h' --include='*.cc' --include='*.cpp' 2>/dev/null |
            grep -qvE "^$mod\.(h|cc)\$"; then
         unset="$unset  $rel: $st::$field\n"
@@ -215,8 +217,8 @@ check_option_reach() {
         line = $0; sub(/\/\/.*/, "", line)
         opens = gsub(/\{/, "{", line); closes = gsub(/\}/, "}", line)
         if (depth == 1 && line !~ /\(/ &&
-            line ~ /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>,* ]*[ *&][A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=|\{)/) {
-          sub(/[[:space:]]*(=|\{).*/, "", line)
+            line ~ /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>,* ]*[ *&][A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=|\{|;)/) {
+          sub(/[[:space:]]*(=|\{|;).*/, "", line)
           k = split(line, words, /[ *&]+/)
           print name, words[k]
         }
