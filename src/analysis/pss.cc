@@ -254,18 +254,6 @@ std::string PssTelemetry::summary() const {
       .take();
 }
 
-std::string PssTelemetry::json() const {
-  return core::TextWriter()
-      .add("{\"shooting_iterations\":").integer(shooting_iterations)
-      .add(",\"periods_integrated\":").num(periods_integrated)
-      .add(",\"residual\":").num(residual)
-      .add(",\"dynamic_unknowns\":").integer(dynamic_unknowns)
-      .add(",\"unknowns\":").integer(unknowns)
-      .add(",\"phi_solve_count\":").integer(phi_solve_count)
-      .add(",\"phi_ms\":").num(static_cast<double>(phi_ns) / 1e6).add('}')
-      .take();
-}
-
 std::vector<double> PssResult::node_wave(ckt::NodeId n) const {
   std::vector<double> w(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)

@@ -112,10 +112,10 @@ struct PssTelemetry {
                     // disjoint from the stamp/factor/solve breakdown in
                     // `tran` below
   TranTelemetry tran;              // aggregated over pre-roll + all shots
-  // Multi-line human-readable summary (CLI / log output).
+  // Multi-line human-readable summary (CLI / log output);
+  // serve::pss_stats_json renders the JSON line (msim_cli --pss
+  // --tran-stats).
   std::string summary() const;
-  // One-line JSON object (bench harness, msim_cli --tran-stats).
-  std::string json() const;
 };
 
 struct PssResult {

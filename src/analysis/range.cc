@@ -13,7 +13,6 @@
 #include "circuit/device.h"
 #include "circuit/lint.h"
 #include "circuit/range.h"
-#include "core/json_escape.h"
 #include "core/text_writer.h"
 
 namespace msim::an {
@@ -81,20 +80,6 @@ void apply_hull(const HullGraph& g, ckt::RangeContext& ctx) {
     ctx.meet_v(static_cast<ckt::NodeId>(n), b);
   }
 }
-
-// range_json's writer: numbers as "%.6g" (JSON has no inf or nan, so
-// non-finite ones are written as null, as serve::Json::dump does; the
-// text report keeps inf/nan) and strings quoted and escaped.
-class JsonText : public core::BasicTextWriter<JsonText> {
- public:
-  JsonText& jnum(double v) { return std::isfinite(v) ? num(v) : add("null"); }
-  JsonText& quoted(std::string_view t) {
-    s_ += '"';
-    core::append_json_escaped(s_, t);
-    s_ += '"';
-    return *this;
-  }
-};
 
 }  // namespace
 
@@ -259,55 +244,6 @@ RangeReport range_analysis(const ckt::Netlist& nl, const RangeOptions& opt) {
     rep.cond_forecast = rmax / rmin;
   }
   return rep;
-}
-
-std::string range_json(const RangeReport& r) {
-  const auto flag = [](bool b) { return b ? "true" : "false"; };
-  JsonText out;
-  out.add("{\"unknowns\":").integer(r.unknowns).add(",\"sweeps\":")
-      .integer(r.sweeps).add(",\"converged\":").add(flag(r.converged))
-      .add(",\"supply\":{\"bounded\":").add(flag(r.supply_bounded))
-      .add(",\"lo\":").jnum(r.supply_hull.lo).add(",\"hi\":")
-      .jnum(r.supply_hull.hi).add(",\"nodes\":[");
-  for (std::size_t i = 0; i < r.supply_names.size(); ++i) {
-    if (i) out.add(',');
-    out.quoted(r.supply_names[i]);
-  }
-  out.add("]},\"headroom\":[");
-  for (std::size_t i = 0; i < r.headroom.size(); ++i) {
-    const auto& h = r.headroom[i];
-    if (i) out.add(',');
-    out.add("{\"node\":").quoted(h.node).add(",\"lo\":").jnum(h.bound.lo)
-        .add(",\"hi\":").jnum(h.bound.hi).add(",\"headroom\":")
-        .jnum(h.headroom).add('}');
-  }
-  out.add("],\"rail_violations\":[");
-  for (std::size_t i = 0; i < r.rail_violations.size(); ++i) {
-    const auto& v = r.rail_violations[i];
-    if (i) out.add(',');
-    out.add("{\"node\":").quoted(v.node).add(",\"lo\":").jnum(v.bound.lo)
-        .add(",\"hi\":").jnum(v.bound.hi).add(",\"device\":")
-        .quoted(v.device).add(",\"message\":").quoted(v.message).add('}');
-  }
-  out.add("],\"dead_devices\":[");
-  for (std::size_t i = 0; i < r.dead_devices.size(); ++i) {
-    const auto& d = r.dead_devices[i];
-    if (i) out.add(',');
-    out.add("{\"device\":").quoted(d.device).add(",\"type\":")
-        .quoted(d.type).add(",\"reason\":").quoted(d.reason)
-        .add(",\"line\":").integer(d.line).add('}');
-  }
-  out.add("],\"currents\":[");
-  std::size_t emitted = 0;
-  for (const auto& c : r.currents) {
-    if (!c.amps.bounded()) continue;
-    if (emitted++) out.add(',');
-    out.add("{\"device\":").quoted(c.device).add(",\"lo\":").jnum(c.amps.lo)
-        .add(",\"hi\":").jnum(c.amps.hi).add('}');
-  }
-  out.add("],\"conditioning\":{\"available\":").add(flag(r.cond_available))
-      .add(",\"forecast\":").jnum(r.cond_forecast).add("}}");
-  return out.take();
 }
 
 std::string range_text(const RangeReport& r) {

@@ -103,9 +103,9 @@ struct RangeReport {
 RangeReport range_analysis(const ckt::Netlist& nl,
                            const RangeOptions& opt = {});
 
-// Machine-readable report (msim_cli --range).
-std::string range_json(const RangeReport& r);
 // Short human-readable summary (op_report appends the headroom lines).
+// serve::range_json renders the machine-readable report (msim_cli
+// --range).
 std::string range_text(const RangeReport& r);
 
 // The "value_range" lint pass.  With a report it emits that report's

@@ -267,33 +267,6 @@ std::string TranTelemetry::summary() const {
   return w.take();
 }
 
-std::string TranTelemetry::reuse_stats_json() const {
-  core::TextWriter w;
-  w.add("{\"factor_count\": ").integer(factor_count)
-      .add(", \"reuse_count\": ").integer(reuse_count)
-      .add(", \"newton_iterations\": ").integer(newton_iterations)
-      .add(", \"accepted_steps\": ").integer(accepted_steps)
-      .add(", \"linear_fast_path\": ")
-      .add(linear_fast_path_used ? "true" : "false")
-      .add(", \"stamp_ns\": ").integer(stamp_ns)
-      .add(", \"factor_ns\": ").integer(factor_ns)
-      .add(", \"solve_ns\": ").integer(solve_ns)
-      .add(", \"refine_count\": ").integer(refine_count)
-      .add(", \"budget_truncated\": ")
-      .add(budget_truncated ? "true" : "false")
-      .add(", \"budget_stop\": \"").add(budget_stop)
-      .add("\", \"refactor_reasons\": {");
-  const char* sep = "";
-  for (int i = 0; i < kFactorReasons; ++i) {
-    if (by_reason[i] <= 0) continue;
-    w.add(sep).add('"').add(kFactorReasonNames[i]).add("\": ")
-        .integer(by_reason[i]);
-    sep = ", ";
-  }
-  w.add("}}");
-  return w.take();
-}
-
 std::vector<double> TranResult::node_wave(ckt::NodeId n) const {
   std::vector<double> w;
   w.reserve(x.size());

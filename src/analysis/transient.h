@@ -136,11 +136,9 @@ struct TranTelemetry : FactorStats {
   // the last non-empty budget_stop.
   TranTelemetry& operator+=(const TranTelemetry& b);
 
-  // Multi-line human-readable summary (CLI / log output).
+  // Multi-line human-readable summary (CLI / log output);
+  // serve::tran_stats_json renders the JSON line (msim_cli --tran-stats).
   std::string summary() const;
-  // One-line JSON object with the factorization-reuse fields
-  // (msim_cli --tran-stats).
-  std::string reuse_stats_json() const;
 };
 
 struct TranResult {

@@ -8,8 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/json_escape.h"
-
 namespace msim::ckt {
 namespace {
 
@@ -304,30 +302,6 @@ std::string lint_report(const std::vector<LintIssue>& issues) {
     if (i.line > 0) out += " [line " + std::to_string(i.line) + "]";
     out += '\n';
   }
-  return out;
-}
-
-std::string lint_json(const std::vector<LintIssue>& issues) {
-  using core::json_escape;
-  int errors = 0, warnings = 0;
-  std::string out = "{\"issues\":[";
-  bool first = true;
-  for (const auto& i : issues) {
-    (i.severity == LintSeverity::kError ? errors : warnings) += 1;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"pass\":\"" + json_escape(i.pass) + "\"";
-    out += ",\"kind\":\"";
-    out += to_string(i.kind);
-    out += "\",\"severity\":\"";
-    out += to_string(i.severity);
-    out += "\",\"node\":\"" + json_escape(i.node) + "\"";
-    out += ",\"device\":\"" + json_escape(i.device) + "\"";
-    out += ",\"line\":" + std::to_string(i.line);
-    out += ",\"message\":\"" + json_escape(i.message) + "\"}";
-  }
-  out += "],\"errors\":" + std::to_string(errors) +
-         ",\"warnings\":" + std::to_string(warnings) + "}";
   return out;
 }
 

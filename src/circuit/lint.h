@@ -122,7 +122,4 @@ bool lint_has_errors(const std::vector<LintIssue>& issues);
 // Multi-line report, one issue per line; empty string when clean.
 std::string lint_report(const std::vector<LintIssue>& issues);
 
-// Machine-readable report: {"issues":[...],"errors":N,"warnings":N}.
-std::string lint_json(const std::vector<LintIssue>& issues);
-
 }  // namespace msim::ckt

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <utility>
 
@@ -181,11 +182,11 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
   if (cli.range_json) {
     // Machine-readable value-range report: interval node bounds,
     // supply hull, headroom, dead devices, conditioning forecast.
-    out.add(an::range_json(range)).add('\n');
+    out.add(range_json(range).dump()).add('\n');
     return ckt::lint_has_errors(issues) ? 3 : 0;
   }
   if (cli.lint_json) {
-    out.add(ckt::lint_json(issues)).add('\n');
+    out.add(lint_json(issues).dump()).add('\n');
     if (ckt::lint_has_errors(issues)) return 3;
     return issues.empty() ? 0 : (cli.lint_strict ? 3 : 1);
   }
@@ -403,7 +404,8 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
         use_lint_verdict();
         const auto r = an::run_pss_shooting(nl, po);
         if (cli.telemetry) err.add(r.telemetry.summary());
-        if (cli.tran_stats) out.add(r.telemetry.json()).add('\n');
+        if (cli.tran_stats)
+          out.add(pss_stats_json(r.telemetry).dump()).add('\n');
         if (!r.ok && !r.truncated) {
           err.add("pss failed: ").add(r.diag.message()).add('\n');
           return 1;
@@ -439,14 +441,21 @@ int run_deck_impl(const std::string& deck_text, const DeckOptions& cli,
             .add("), ").add(mode).add(", ").integer(et.cohort_splits)
             .add(" splits, ").integer(et.cohort_rejoins).add(" rejoins, ")
             .fixed(et.samples_per_sec, 1).add(" samples/s\n");
+        // The job's telemetry describes the whole run: every lane's
+        // counters (a fallback lane carries its own solver effort) plus
+        // the lockstep blocks' solver effort, which no lane carries.
+        an::TranTelemetry total;
+        for (const auto& lane : er.results) total += lane.telemetry;
+        static_cast<an::FactorStats&>(total) += et;
         res = std::move(er.results[0]);
+        res.telemetry = std::move(total);
       } else {
         use_lint_verdict();
         res = an::run_transient(nl, t);
       }
       if (cli.telemetry) err.add(res.telemetry.summary());
       if (cli.tran_stats)
-        out.add(res.telemetry.reuse_stats_json()).add('\n');
+        out.add(tran_stats_json(res.telemetry).dump()).add('\n');
       if (!res.ok && !res.truncated) {
         err.add("transient failed: ").add(res.diag.message()).add('\n');
         return 1;
@@ -548,6 +557,101 @@ std::string options_signature(const DeckOptions& o) {
       << "|dis=";
   for (const auto& d : o.lint_disable) sig << d << ',';
   return sig.str();
+}
+
+namespace {
+
+// A JSON object of `members`; dump() sorts the keys.
+Json object(std::initializer_list<std::pair<const char*, Json>> members) {
+  Json j = Json::object();
+  for (const auto& [key, value] : members) j.set(key, value);
+  return j;
+}
+
+}  // namespace
+
+Json lint_json(const std::vector<ckt::LintIssue>& issues) {
+  Json list = Json::array();
+  int errors = 0;
+  for (const auto& i : issues) {
+    if (i.severity == ckt::LintSeverity::kError) ++errors;
+    list.push(object({{"pass", i.pass},
+                      {"kind", ckt::to_string(i.kind)},
+                      {"severity", ckt::to_string(i.severity)},
+                      {"node", i.node},
+                      {"device", i.device},
+                      {"line", i.line},
+                      {"message", i.message}}));
+  }
+  return object({{"issues", std::move(list)},
+                 {"errors", errors},
+                 {"warnings", static_cast<int>(issues.size()) - errors}});
+}
+
+Json range_json(const an::RangeReport& r) {
+  Json names = Json::array();
+  for (const auto& n : r.supply_names) names.push(n);
+  Json headroom = Json::array();
+  for (const auto& h : r.headroom)
+    headroom.push(object({{"node", h.node}, {"lo", h.bound.lo},
+                          {"hi", h.bound.hi}, {"headroom", h.headroom}}));
+  Json rails = Json::array();
+  for (const auto& v : r.rail_violations)
+    rails.push(object({{"node", v.node}, {"lo", v.bound.lo},
+                       {"hi", v.bound.hi}, {"device", v.device},
+                       {"message", v.message}}));
+  Json dead = Json::array();
+  for (const auto& d : r.dead_devices)
+    dead.push(object({{"device", d.device}, {"type", d.type},
+                      {"reason", d.reason}, {"line", d.line}}));
+  Json currents = Json::array();
+  for (const auto& c : r.currents)
+    if (c.amps.bounded())
+      currents.push(object(
+          {{"device", c.device}, {"lo", c.amps.lo}, {"hi", c.amps.hi}}));
+  return object(
+      {{"unknowns", r.unknowns},
+       {"sweeps", r.sweeps},
+       {"converged", r.converged},
+       {"supply", object({{"bounded", r.supply_bounded},
+                          {"lo", r.supply_hull.lo},
+                          {"hi", r.supply_hull.hi},
+                          {"nodes", std::move(names)}})},
+       {"headroom", std::move(headroom)},
+       {"rail_violations", std::move(rails)},
+       {"dead_devices", std::move(dead)},
+       {"currents", std::move(currents)},
+       {"conditioning", object({{"available", r.cond_available},
+                                {"forecast", r.cond_forecast}})}});
+}
+
+Json tran_stats_json(const an::TranTelemetry& t) {
+  Json reasons = Json::object();
+  for (int i = 0; i < an::kFactorReasons; ++i)
+    if (t.by_reason[i] > 0)
+      reasons.set(an::kFactorReasonNames[i], t.by_reason[i]);
+  return object({{"factor_count", t.factor_count},
+                 {"reuse_count", t.reuse_count},
+                 {"newton_iterations", t.newton_iterations},
+                 {"accepted_steps", t.accepted_steps},
+                 {"linear_fast_path", t.linear_fast_path_used},
+                 {"stamp_ns", t.stamp_ns},
+                 {"factor_ns", t.factor_ns},
+                 {"solve_ns", t.solve_ns},
+                 {"refine_count", t.refine_count},
+                 {"budget_truncated", t.budget_truncated},
+                 {"budget_stop", t.budget_stop},
+                 {"refactor_reasons", std::move(reasons)}});
+}
+
+Json pss_stats_json(const an::PssTelemetry& t) {
+  return object({{"shooting_iterations", t.shooting_iterations},
+                 {"periods_integrated", t.periods_integrated},
+                 {"residual", t.residual},
+                 {"dynamic_unknowns", t.dynamic_unknowns},
+                 {"unknowns", t.unknowns},
+                 {"phi_solve_count", t.phi_solve_count},
+                 {"phi_ms", static_cast<double>(t.phi_ns) / 1e6}});
 }
 
 DeckResult run_deck(const std::string& deck_text, const DeckOptions& opt,

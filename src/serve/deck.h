@@ -19,7 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/pss.h"
+#include "analysis/range.h"
+#include "circuit/lint.h"
 #include "core/budget.h"
+#include "serve/json.h"
 #include "serve/registry.h"
 
 namespace msim::serve {
@@ -86,6 +90,20 @@ struct DeckResult {
 // "error: ..." line with exit code 1.
 DeckResult run_deck(const std::string& deck_text, const DeckOptions& opt,
                     CacheRegistry* registry = nullptr);
+
+// The JSON documents a job prints, as trees; run_deck prints each one's
+// dump() on its own stdout line.
+//   lint_json       --lint: {"errors","issues":[{"device","kind","line",
+//                   "message","node","pass","severity"}],"warnings"}
+//   range_json      --range: the value-range report; currents that are
+//                   not bounded are left out
+//   tran_stats_json --tran-stats after a .tran: the factorization
+//                   census; "refactor_reasons" names the nonzero counts
+//   pss_stats_json  --tran-stats after a --pss run: the shooting effort
+Json lint_json(const std::vector<ckt::LintIssue>& issues);
+Json range_json(const an::RangeReport& r);
+Json tran_stats_json(const an::TranTelemetry& t);
+Json pss_stats_json(const an::PssTelemetry& t);
 
 // The option fields that select a job's output, flattened into a stable
 // string; deck text + this signature key the whole-result memo.

@@ -1,11 +1,10 @@
 #include "serve/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <string_view>
 
-#include "core/json_escape.h"
 #include "core/text_writer.h"
 
 namespace msim::serve {
@@ -16,9 +15,30 @@ const Json& null_json() {
   return n;
 }
 
-void append_quoted(std::string& out, const std::string& s) {
+// '"', '\\', \n, \r, \t by name, other bytes < 0x20 as \u00XX, the
+// rest verbatim.  Each run of bytes that needs no escape is one append.
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
-  core::append_json_escaped(out, s);
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p < end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(run, p);
+    run = p + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += "0123456789abcdef"[c >> 4];
+        out += "0123456789abcdef"[c & 0xF];
+    }
+  }
+  out.append(run, end);
   out.push_back('"');
 }
 
@@ -239,7 +259,9 @@ void Json::dump_to(std::string& out) const {
           std::fabs(num_) < 1e15) {
         core::append_fixed(out, num_, 0);
       } else if (std::isfinite(num_)) {
-        core::append_general(out, num_, 17);
+        char buf[32];  // "-d.<16 digits>e-308" at the widest
+        core::append_chars(out, buf,
+                           std::to_chars(buf, buf + sizeof buf, num_));
       } else {
         out += "null";  // JSON has no inf/nan
       }

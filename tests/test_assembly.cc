@@ -31,6 +31,7 @@
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "numeric/sparse.h"
+#include "serve/deck.h"
 #include "spicefmt/parser.h"
 
 namespace {
@@ -447,7 +448,7 @@ TEST(AssemblyTelemetry, TransientReportsTimeBreakdown) {
   EXPECT_GT(res.telemetry.stamp_ns, 0);
   EXPECT_GT(res.telemetry.factor_ns, 0);
   EXPECT_GT(res.telemetry.solve_ns, 0);
-  const auto json = res.telemetry.reuse_stats_json();
+  const auto json = serve::tran_stats_json(res.telemetry).dump();
   EXPECT_NE(json.find("\"stamp_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"factor_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"solve_ns\""), std::string::npos);

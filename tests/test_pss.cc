@@ -20,6 +20,7 @@
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "numeric/rng.h"
+#include "serve/deck.h"
 #include "signal/meter.h"
 
 namespace {
@@ -403,7 +404,7 @@ TEST(Pss, TelemetryRendering) {
   const auto s = r.telemetry.summary();
   EXPECT_NE(s.find("shooting"), std::string::npos);
   EXPECT_NE(s.find("period"), std::string::npos);
-  const auto js = r.telemetry.json();
+  const auto js = serve::pss_stats_json(r.telemetry).dump();
   EXPECT_NE(js.find("\"periods_integrated\""), std::string::npos);
   EXPECT_NE(js.find("\"residual\""), std::string::npos);
   EXPECT_NE(js.find("\"phi_solve_count\""), std::string::npos);
@@ -506,7 +507,8 @@ an::PssTelemetry filled_telemetry() {
 
 // The four telemetry views, byte for byte (msim_cli prints them with
 // --tran-stats and on stderr).  Refactor reasons are listed by name in
-// alphabetical order and numbers print as printf's "%.6g".
+// alphabetical order.  The summaries print numbers as printf's "%.6g";
+// the JSON lines sort their keys and print shortest round-trip numbers.
 TEST(Telemetry, RenderingIsPinned) {
   const an::PssTelemetry p = filled_telemetry();
   const std::string tran_summary =
@@ -525,32 +527,34 @@ TEST(Telemetry, RenderingIsPinned) {
       "  iterative refinement 5 rounds\n"
       "  budget truncated     yes (deadline)\n";
   EXPECT_EQ(p.tran.summary(), tran_summary);
-  EXPECT_EQ(p.tran.reuse_stats_json(),
-            "{\"factor_count\": 2615, \"reuse_count\": 41, "
-            "\"newton_iterations\": 2604, \"accepted_steps\": 1250, "
-            "\"linear_fast_path\": true, \"stamp_ns\": 1234567, "
-            "\"factor_ns\": 2500000, \"solve_ns\": 987654321, "
-            "\"refine_count\": 5, \"budget_truncated\": true, "
-            "\"budget_stop\": \"deadline\", \"refactor_reasons\": "
-            "{\"dt_change\": 6, \"full_newton\": 2604, \"initial\": 1, "
-            "\"integrator_change\": 2, \"iterative_refinement\": 2}}");
+  EXPECT_EQ(serve::tran_stats_json(p.tran).dump(),
+            "{\"accepted_steps\":1250,\"budget_stop\":\"deadline\","
+            "\"budget_truncated\":true,\"factor_count\":2615,"
+            "\"factor_ns\":2500000,\"linear_fast_path\":true,"
+            "\"newton_iterations\":2604,\"refactor_reasons\":"
+            "{\"dt_change\":6,\"full_newton\":2604,\"initial\":1,"
+            "\"integrator_change\":2,\"iterative_refinement\":2},"
+            "\"refine_count\":5,\"reuse_count\":41,\"solve_ns\":987654321,"
+            "\"stamp_ns\":1234567}");
   EXPECT_EQ(p.summary(),
             "pss: 2 shooting update(s), 3.25 period(s) integrated, "
             "residual 4.5e-14\n"
             "pss: 7/12 dynamic unknown(s), 84 Phi solve(s), 2.34568 ms "
             "Phi ride-along\n" +
                 tran_summary);
-  EXPECT_EQ(p.json(),
-            "{\"shooting_iterations\":2,\"periods_integrated\":3.25,"
-            "\"residual\":4.5e-14,\"dynamic_unknowns\":7,\"unknowns\":12,"
-            "\"phi_solve_count\":84,\"phi_ms\":2.34568}");
+  EXPECT_EQ(serve::pss_stats_json(p).dump(),
+            "{\"dynamic_unknowns\":7,\"periods_integrated\":3.25,"
+            "\"phi_ms\":2.345678,\"phi_solve_count\":84,"
+            "\"residual\":4.5e-14,\"shooting_iterations\":2,"
+            "\"unknowns\":12}");
 
   // A zero count drops its reason from both views.
   an::TranTelemetry t = p.tran;
   t.by_reason[reason(an::FactorReason::kDtChange)] = 0;
   EXPECT_EQ(t.summary().find("dt_change"), std::string::npos);
-  EXPECT_EQ(t.reuse_stats_json().find("dt_change"), std::string::npos);
-  EXPECT_NE(t.reuse_stats_json().find("{\"full_newton\": 2604, "),
+  const std::string js = serve::tran_stats_json(t).dump();
+  EXPECT_EQ(js.find("dt_change"), std::string::npos);
+  EXPECT_NE(js.find("\"refactor_reasons\":{\"full_newton\":2604,"),
             std::string::npos);
 }
 
@@ -589,7 +593,8 @@ TEST(Telemetry, MergeSumsCountersAndKeepsTheRules) {
   an::TranTelemetry sum;  // an empty run first: everything comes from `full`
   sum += full;
   EXPECT_EQ(sum.summary(), full.summary());
-  EXPECT_EQ(sum.reuse_stats_json(), full.reuse_stats_json());
+  EXPECT_EQ(serve::tran_stats_json(sum).dump(),
+            serve::tran_stats_json(full).dump());
 
   an::TranTelemetry later;
   later.accepted_steps = 10;

@@ -34,7 +34,6 @@
 #include "analysis/op.h"
 #include "analysis/structural.h"
 #include "core/budget.h"
-#include "core/json_escape.h"
 #include "core/mic_amp.h"
 #include "devices/sources.h"
 #include "golden_util.h"
@@ -158,8 +157,17 @@ TEST(ServeJson, NumbersAndEscapes) {
   EXPECT_EQ(Json::parse("1e3")["x"].is_null(), true);  // scalar, no keys
   EXPECT_EQ(Json::parse("1e3").as_number(), 1000.0);
   EXPECT_EQ(Json::parse("\"a\\u0041b\"").as_string(), "aAb");
-  const std::string rt = Json(0.1).dump();
-  EXPECT_EQ(Json::parse(rt).as_number(), 0.1);  // shortest round-trip
+  // Non-integral numbers print as the shortest text that reads back
+  // to the same double.
+  EXPECT_EQ(Json(0.1).dump(), "0.1");
+  EXPECT_EQ(Json(0.4).dump(), "0.4");
+  EXPECT_EQ(Json(-1.3).dump(), "-1.3");
+  EXPECT_EQ(Json(5e-05).dump(), "5e-05");
+  EXPECT_EQ(Json(2.7154e-14).dump(), "2.7154e-14");
+  EXPECT_EQ(Json(1.0 / 3.0).dump(), "0.3333333333333333");
+  EXPECT_EQ(Json(1e300).dump(), "1e+300");
+  for (double v : {0.1, 1.0 / 3.0, -2.6 + 3.4, 6.02214076e23, 4.9e-324})
+    EXPECT_EQ(Json::parse(Json(v).dump()).as_number(), v) << v;
 
   // Every byte round-trips, alone and inside one string.
   std::string all;
@@ -187,8 +195,6 @@ TEST(ServeJson, NumbersAndEscapes) {
   EXPECT_EQ(Json(a + "\t" + b).dump(), "\"" + a + "\\t" + b + "\"");
   EXPECT_EQ(Json::parse("\"" + a + "\\u0041\\/" + b + "\"").as_string(),
             a + "A/" + b);
-  // lint_json and range_json share the escaper.
-  EXPECT_EQ(core::json_escape("\x01\r\\x"), "\\u0001\\r\\\\x");
 }
 
 TEST(ServeJson, MalformedInputsReportErrors) {
@@ -549,6 +555,112 @@ TEST(ServeDeck, JobBytesMatchGoldens) {
     const DeckResult warm = run_no_memo(deck, &reg, opt);
     EXPECT_EQ(describe_job(warm), describe_job(cold)) << name;
   }
+}
+
+// The one JSON document a job printed (the stdout line that opens with
+// '{'): it parses, and dump(parse(x)) == x, since run_deck prints
+// Json::dump's bytes.
+Json job_json(const DeckResult& r) {
+  std::vector<std::string> docs;
+  std::istringstream in(r.out);
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind('{', 0) == 0) docs.push_back(line);
+  EXPECT_EQ(docs.size(), 1u) << r.out;
+  if (docs.size() != 1) return Json();
+  std::string err;
+  const Json j = Json::parse(docs[0], &err);
+  EXPECT_TRUE(j.is_object()) << err << ": " << docs[0];
+  EXPECT_EQ(j.dump(), docs[0]);
+  return j;
+}
+
+// --lint and --range on every fault deck and the mic amp: each prints
+// one well-formed document, the lint counts agree with its issue list
+// and the exit code, and the zero-ohm resistor's infinite conditioning
+// forecast is null.
+TEST(ServeDeck, LintAndRangeDocumentsRoundTrip) {
+  std::vector<std::pair<std::string, std::string>> decks = {
+      {"mic", mic_deck(2, ".op\n")}};
+  const std::filesystem::path faults =
+      std::filesystem::path(MSIM_TEST_DIR) / "faults";
+  for (const auto& e : std::filesystem::directory_iterator(faults)) {
+    std::ifstream in(e.path());
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    decks.emplace_back(e.path().stem().string(), ss.str());
+  }
+  ASSERT_GE(decks.size(), 11u);
+  for (const auto& [name, deck] : decks) {
+    DeckOptions lint;
+    lint.lint_json = true;
+    const DeckResult lr = run_no_memo(deck, nullptr, lint);
+    const Json l = job_json(lr);
+    const double errors = l["errors"].as_number(-1);
+    const double warnings = l["warnings"].as_number(-1);
+    EXPECT_EQ(errors + warnings,
+              static_cast<double>(l["issues"].items().size()))
+        << name;
+    for (const Json& i : l["issues"].items()) {
+      EXPECT_FALSE(i["kind"].as_string().empty()) << name;
+      EXPECT_TRUE(i["line"].is_number()) << name;
+    }
+    EXPECT_EQ(lr.exit_code, errors > 0 ? 3 : warnings > 0 ? 1 : 0) << name;
+
+    DeckOptions range;
+    range.range_json = true;
+    const Json r = job_json(run_no_memo(deck, nullptr, range));
+    EXPECT_TRUE(r["supply"]["nodes"].is_array()) << name;
+    EXPECT_TRUE(r["conditioning"]["available"].is_bool()) << name;
+    for (const Json& c : r["currents"].items())
+      EXPECT_TRUE(c["lo"].is_number() && c["hi"].is_number()) << name;
+    if (name == "nan_resistor")
+      EXPECT_TRUE(r["conditioning"]["forecast"].is_null()) << r.dump();
+    else
+      EXPECT_TRUE(r["conditioning"]["forecast"].is_number()) << name;
+  }
+}
+
+// --tran-stats after a .tran, a 4-lane lockstep ensemble and a --pss
+// run.  The ensemble's document and summary describe the whole run:
+// four identical lanes take four times one run's steps, and the
+// lockstep blocks' factorizations, which no lane carries, are counted.
+TEST(ServeDeck, TranStatsDocumentsDescribeTheWholeRun) {
+  DeckOptions o;
+  o.tran_stats = true;
+  const DeckResult single = run_no_memo(kTranDeck, nullptr, o);
+  ASSERT_EQ(single.exit_code, 0) << single.err;
+  const Json one = job_json(single);
+  EXPECT_GT(one["factor_count"].as_number(), 0);
+  EXPECT_GT(one["accepted_steps"].as_number(), 0);
+  EXPECT_TRUE(one["refactor_reasons"].is_object());
+  EXPECT_EQ(one["budget_stop"].as_string(), "");
+
+  o.ensemble = 4;
+  const DeckResult ens = run_no_memo(kTranDeck, nullptr, o);
+  ASSERT_EQ(ens.exit_code, 0) << ens.err;
+  ASSERT_NE(ens.err.find("lockstep"), std::string::npos) << ens.err;
+  const Json four = job_json(ens);
+  EXPECT_EQ(four["accepted_steps"].as_number(),
+            4 * one["accepted_steps"].as_number());
+  EXPECT_GE(four["newton_iterations"].as_number(),
+            four["accepted_steps"].as_number());
+  const double factors = four["factor_count"].as_number();
+  EXPECT_GT(factors, 0);
+  EXPECT_NE(ens.err.find("  factorizations       " +
+                         std::to_string(static_cast<long>(factors)) + " "),
+            std::string::npos)
+      << ens.err;
+
+  o.ensemble = 1;
+  o.pss = true;
+  const DeckResult pss =
+      run_no_memo(mic_deck(2, ".tran 20u 1m\n", true), nullptr, o);
+  ASSERT_EQ(pss.exit_code, 0) << pss.err;
+  const Json p = job_json(pss);
+  EXPECT_GT(p["periods_integrated"].as_number(), 0);
+  EXPECT_GT(p["unknowns"].as_number(), 0);
+  EXPECT_TRUE(p["residual"].is_number());
+  EXPECT_TRUE(p["phi_ms"].is_number());
 }
 
 TEST(ServeDeck, ColdJobLintsAndSolvesOnce) {

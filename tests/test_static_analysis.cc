@@ -27,6 +27,7 @@
 #include "devices/sources.h"
 #include "numeric/interval.h"
 #include "numeric/sparse.h"
+#include "serve/deck.h"
 #include "spicefmt/parser.h"
 
 namespace {
@@ -345,7 +346,7 @@ TEST(LintFramework, DanglingTerminalCarriesSourceLine) {
 TEST(LintFramework, JsonReportIsStructured) {
   auto parsed = spice::parse_netlist_file(fault_path("duplicate_names.sp"));
   const auto issues = ckt::lint(*parsed.netlist);
-  const std::string json = ckt::lint_json(issues);
+  const std::string json = serve::lint_json(issues).dump();
   EXPECT_NE(json.find("\"pass\":\"duplicate_names\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"duplicate_name\""), std::string::npos);
   EXPECT_NE(json.find("\"severity\":\"error\""), std::string::npos);
@@ -697,7 +698,7 @@ TEST(ValueRange, JsonReportIsStructured) {
   nl.add<dev::Resistor>("r2", mid, ckt::kGround, 1e3);
   nl.assign_unknowns();
 
-  const std::string json = an::range_json(an::range_analysis(nl));
+  const std::string json = serve::range_json(an::range_analysis(nl)).dump();
   EXPECT_NE(json.find("\"converged\":true"), std::string::npos);
   EXPECT_NE(json.find("\"supply\":{\"bounded\":true"), std::string::npos);
   EXPECT_NE(json.find("\"headroom\":["), std::string::npos);
@@ -715,7 +716,7 @@ TEST(ValueRange, JsonReportWritesNonFiniteAsNull) {
   auto parsed = spice::parse_netlist_file(fault_path("nan_resistor.sp"));
   auto& nl = *parsed.netlist;
   nl.assign_unknowns();
-  const std::string json = an::range_json(an::range_analysis(nl));
+  const std::string json = serve::range_json(an::range_analysis(nl)).dump();
   EXPECT_NE(json.find("\"forecast\":null"), std::string::npos) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;

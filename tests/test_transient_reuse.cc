@@ -17,6 +17,7 @@
 #include "devices/passive.h"
 #include "devices/sources.h"
 #include "golden_util.h"
+#include "serve/deck.h"
 
 namespace {
 
@@ -62,7 +63,7 @@ TEST(TransientReuse, ClassAbBufferWaveformMatchesFullNewtonGolden) {
   golden::expect_near(ref, w, 1e-9 * golden::span(ref));
   expect_full_newton(r.telemetry);
   // The JSON view still carries both counters.
-  const auto js = r.telemetry.reuse_stats_json();
+  const auto js = serve::tran_stats_json(r.telemetry).dump();
   EXPECT_NE(js.find("\"factor_count\""), std::string::npos);
   EXPECT_NE(js.find("\"reuse_count\""), std::string::npos);
 }

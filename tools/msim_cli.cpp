@@ -34,8 +34,9 @@
 // the cut on stderr with exit code 4 instead of hanging.
 // `--ensemble N` runs each .tran as an N-lane lockstep ensemble (N
 // identical copies of the deck advanced together through
-// run_transient_ensemble); lane 0's waveform is reported, the ensemble
-// telemetry goes to stderr and rides the --tran-stats JSON.
+// run_transient_ensemble); lane 0's waveform is reported, and the
+// telemetry on stderr and in the --tran-stats JSON describe the whole
+// run (every lane plus the lockstep blocks' solver effort).
 // `--pss` replaces each .tran with the shooting-Newton periodic
 // steady-state solve; the CSV holds exactly one coherent steady period.
 // `--mc N` turns each .op into an N-sample Monte-Carlo run (1% gaussian

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Static checks over src/: a grep gate against printf-family calls, a
-# grep gate against headers that nothing outside tests and examples reaches,
+# grep gate against JSON written anywhere but serve::Json, a grep gate
+# against headers that nothing outside tests and examples reaches,
 # a grep gate against option fields that no caller sets, an objdump gate
 # against __muldc3 calls in the complex sparse LU kernels, clang-tidy with
 # the curated .clang-tidy set, warnings promoted to errors, plus the
@@ -125,6 +126,26 @@ check_no_printf() {
     return 1
   fi
   echo "run_static_checks: no printf-family calls under src/" >&2
+  return 0
+}
+
+# ---- one JSON writer under src/ --------------------------------------
+# serve::Json (src/serve/json.cc) is the only code under src/ that
+# writes JSON syntax; every report builds a Json tree and prints its
+# dump().  A string literal holding an escaped-quote key and its colon
+# (\"name\":) anywhere else under src/ is a hand-built emitter: a
+# finding.
+check_one_json_writer() {
+  local hits
+  hits="$(grep -rnE '\\"[A-Za-z_][A-Za-z0-9_]*\\"[[:space:]]*:' \
+          "$repo_root/src" --include='*.cc' --include='*.h' |
+          grep -v "^$repo_root/src/serve/json.cc:")"
+  if [ -n "$hits" ]; then
+    echo "$hits" >&2
+    echo "run_static_checks: hand-built JSON under src/ (build a serve::Json)" >&2
+    return 1
+  fi
+  echo "run_static_checks: serve::Json is the one JSON writer under src/" >&2
   return 0
 }
 
@@ -273,6 +294,7 @@ check_complex_kernels() {
 }
 
 check_no_printf || exit 1
+check_one_json_writer || exit 1
 check_module_reach || exit 1
 check_option_reach || exit 1
 check_complex_kernels || exit 1
